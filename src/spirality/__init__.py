@@ -21,13 +21,14 @@ from .graph import (DecoratedJSJGraph, Vertex, Edge, VertexKind, DirectedCycle,
                     InvalidGraph, InvalidCycle, NotACovering)
 from .flow import (FlowManifest, Piece, PieceBoundary, PieceType, Torus, Side,
                    Crossing, LoopItinerary, SideConvention,
-                   sigma, rho, segments_of, flow_spirality, equiperiodic_rho_is_one,
+                   sigma, rho, segments_of, flow_factors, flow_spirality,
+                   equiperiodic_rho_is_one,
                    decorate_from_flow, reverse_itinerary, normalize_itinerary,
                    validate_manifest, validate_itinerary,
                    NotFlowTransverse, BadSegment)
 from .generators import (TwistFamilyParams, TwistFamilyInstance, gen_twist_family,
                          gen_matched_slopes, gen_random_flow, BadParams)
-from .manifest import parse_manifest, load_manifest, dumps_manifest, ParsedManifest
+from .manifest import parse_manifest, dumps_manifest, ParsedManifest
 from .rational import parse_rational, format_rational
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 from .errors import SpiralityError, ParseError, error as diag_error
@@ -88,69 +88,26 @@ def _read_file(path):
 
 
 def _load(path, args):
+    """Read, decode and parse one manifest; its loop is put in the canonical
+    side reading here, once. Returns the raw bytes, for the digest, too."""
     raw = _read_file(path)
-    parsed = mf.parse_manifest(raw.decode("utf-8"), strict=not args.lenient,
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError("%s is not UTF-8: %s at byte %d" % (path, err.reason, err.start))
+    parsed = mf.parse_manifest(text, strict=not args.lenient,
                                allow_rational_h=args.allow_rational_h)
-    return parsed, _digest(raw)
-
-
-def _convention(args):
-    return flow.SideConvention(args.side_convention)
-
-
-def _yesno(flag):
-    return ("yes", "green") if flag else ("no", "red")
-
-
-def cmd_validate(args):
-    parsed, digest = _load(args.path, args)
-    report = Report("validate", digest)
-    for w in parsed.warnings:
-        report.warn(w)
-    diagnostics = []
-    if parsed.graph is not None:
-        diagnostics += jsj.validate(parsed.graph)
-    if parsed.flow is not None:
-        diagnostics += flow.validate_manifest(parsed.flow)
     if parsed.loop is not None:
-        if parsed.flow is None:
-            diagnostics.append(diag_error(
-                "DanglingReference", "loop given without pieces/tori sections"))
-        elif not any(d.is_error for d in diagnostics):
-            loop = flow.normalize_itinerary(parsed.loop, _convention(args))
-            diagnostics += flow.validate_itinerary(loop, parsed.flow)
-    if parsed.fdtc is not None and parsed.fdtc.e.multiplicity != 1:
-        diagnostics.append(diag_error(
-            "BadReductionCurve", "fdtc reduction curve must have multiplicity 1"))
-    errors = [d for d in diagnostics if d.is_error]
-    for d in diagnostics:
-        report.add(d.severity, "%s: %s" % (d.code, d.message),
-                   "red" if d.is_error else "yellow")
-    status, color = ("ok", "green") if not errors else ("invalid", "red")
-    report.add("status", status, color)
-    _render(report, args)
-    return EXIT_OK if not errors else EXIT_DOMAIN
-
-
-def _graph_for_aspiral(parsed, args, report):
-    if parsed.graph is not None:
-        _fail_on_errors(jsj.validate(parsed.graph), report, args)
-        return parsed.graph, None
-    if parsed.flow is not None and parsed.loop is not None:
-        loop = flow.normalize_itinerary(parsed.loop, _convention(args))
-        _fail_on_errors(flow.validate_manifest(parsed.flow), report, args)
-        _fail_on_errors(flow.validate_itinerary(loop, parsed.flow), report, args)
-        report.add("note", "graph decorated from the flow manifest along the loop")
-        g, cycle = flow.decorate_from_flow(loop, parsed.flow)
-        return g, cycle
-    raise SpiralityError("manifest carries neither a graph nor a flow+loop pair")
+        convention = flow.SideConvention(args.side_convention)
+        parsed = replace(parsed, loop=flow.normalize_itinerary(parsed.loop, convention))
+    return raw, parsed
 
 
 class _Invalid(Exception):
-    pass
+    """Error diagnostics are in the report: it is rendered, and the exit is 1."""
 
 
-def _fail_on_errors(diagnostics, report, args):
+def _fail_on_errors(diagnostics, report):
     errors = [d for d in diagnostics if d.is_error]
     for d in diagnostics:
         if d.is_error:
@@ -161,22 +118,83 @@ def _fail_on_errors(diagnostics, report, args):
         raise _Invalid()
 
 
-def cmd_aspiral(args):
-    parsed, digest = _load(args.path, args)
-    report = Report("aspiral", digest)
-    for w in parsed.warnings:
-        report.warn(w)
+def _run_on_path(args):
+    """Load the manifest, let the command check and compute, render once."""
+    raw, parsed = _load(args.path, args)
+    report = Report(args.command, _digest(raw))
+    report.warnings.extend(parsed.warnings)
     try:
-        g, _ = _graph_for_aspiral(parsed, args, report)
+        code = args.compute(parsed, report)
     except _Invalid:
-        _render(report, args)
+        code = EXIT_DOMAIN
+    _render(report, args)
+    return code
+
+
+def _yesno(flag):
+    return ("yes", "green") if flag else ("no", "red")
+
+
+def _fdtc_diagnostics(data):
+    """What the fdtc section must satisfy, for validate and fdtc alike."""
+    out = []
+    if data.e.multiplicity != 1:
+        out.append(diag_error(
+            "BadReductionCurve", "fdtc reduction curve must have multiplicity 1"))
+    if data.m < 1:
+        out.append(diag_error(
+            "NonPositivePower", "fdtc power m must be positive, got %d" % data.m))
+    return out
+
+
+def cmd_validate(parsed, report):
+    diagnostics = []
+    if parsed.graph is not None:
+        diagnostics += jsj.validate(parsed.graph)
+    if parsed.flow is not None:
+        diagnostics += flow.validate_manifest(parsed.flow)
+    if parsed.loop is not None:
+        if parsed.flow is None:
+            diagnostics.append(diag_error(
+                "DanglingReference", "loop given without pieces/tori sections"))
+        elif not any(d.is_error for d in diagnostics):
+            diagnostics += flow.validate_itinerary(parsed.loop, parsed.flow)
+    if parsed.fdtc is not None:
+        diagnostics += _fdtc_diagnostics(parsed.fdtc)
+    for d in diagnostics:
+        report.add(d.severity, "%s: %s" % (d.code, d.message),
+                   "red" if d.is_error else "yellow")
+    if any(d.is_error for d in diagnostics):
+        report.add("status", "invalid", "red")
         return EXIT_DOMAIN
+    report.add("status", "ok", "green")
+    return EXIT_OK
+
+
+def _check_flow_loop(parsed, report):
+    _fail_on_errors(flow.validate_manifest(parsed.flow), report)
+    _fail_on_errors(flow.validate_itinerary(parsed.loop, parsed.flow), report)
+
+
+def _graph_for_aspiral(parsed, report):
+    if parsed.graph is not None:
+        _fail_on_errors(jsj.validate(parsed.graph), report)
+        return parsed.graph
+    if parsed.flow is not None and parsed.loop is not None:
+        _check_flow_loop(parsed, report)
+        report.add("note", "graph decorated from the flow manifest along the loop")
+        return flow.decorate_from_flow(parsed.loop, parsed.flow)[0]
+    raise SpiralityError("manifest carries neither a graph nor a flow+loop pair")
+
+
+def cmd_aspiral(parsed, report):
+    g = _graph_for_aspiral(parsed, report)
     char = jsj.character(g)
     for cycle, value in zip(char.basis, char.values):
         report.add("s(%s)" % cycle, format_rational(value))
     for vertex_id, sign in char.internal_signs:
         report.add("s(internal loops at %s)" % vertex_id, format_rational(sign))
-    v = jsj.verdict(g)
+    v = jsj.Verdict.of(g, char)
     answer = "yes (vacuous)" if v.aspiral and v.vacuous else _yesno(v.aspiral)[0]
     report.add("aspiral", answer, "green" if v.aspiral else "red")
     if not v.aspiral:
@@ -184,7 +202,6 @@ def cmd_aspiral(args):
         report.add("witness value", format_rational(v.witness_value))
     report.add("virtually embedded", *_yesno(v.virtually_embedded))
     report.add("virtually a taut-foliation leaf", *_yesno(v.virtually_taut_leaf))
-    _render(report, args)
     return EXIT_OK
 
 
@@ -194,53 +211,36 @@ def _require_flow_loop(parsed):
                              "(\"pieces\", \"tori\" and \"loop\" sections)")
 
 
-def cmd_rw(args):
-    parsed, digest = _load(args.path, args)
-    report = Report("rw", digest)
-    for w in parsed.warnings:
-        report.warn(w)
+def cmd_rw(parsed, report):
     _require_flow_loop(parsed)
-    loop = flow.normalize_itinerary(parsed.loop, _convention(args))
-    try:
-        _fail_on_errors(flow.validate_manifest(parsed.flow), report, args)
-        _fail_on_errors(flow.validate_itinerary(loop, parsed.flow), report, args)
-    except _Invalid:
-        _render(report, args)
-        return EXIT_DOMAIN
-    total = flow.flow_spirality(loop, parsed.flow)
-    for i, crossing in enumerate(loop.crossings):
-        report.add("sigma[%d] (torus %s)" % (i, crossing.torus),
-                   format_rational(flow.sigma(crossing, parsed.flow)))
-    for i, segment in enumerate(flow.segments_of(loop, parsed.flow)):
-        report.add("rho[%d] (piece %s)" % (i, segment.piece),
-                   format_rational(flow.rho(segment, parsed.flow)))
+    _check_flow_loop(parsed, report)
+    factors = flow.flow_factors(parsed.loop, parsed.flow)
+    for i, (crossing, value) in enumerate(zip(parsed.loop.crossings, factors.sigmas)):
+        report.add("sigma[%d] (torus %s)" % (i, crossing.torus), format_rational(value))
+    for i, (segment, value) in enumerate(zip(factors.segments, factors.rhos)):
+        report.add("rho[%d] (piece %s)" % (i, segment.piece), format_rational(value))
     if flow.equiperiodic_rho_is_one(parsed.flow):
         report.add("note", "leaf lengths are constant per piece; "
                            "the rho factors are all 1")
+    total = factors.spirality
     report.add("spirality", format_rational(total))
-    if parsed.expected is not None:
-        matches = total == parsed.expected
-        report.add("expected", format_rational(parsed.expected))
-        report.add("matches expected", *_yesno(matches))
-        _render(report, args)
-        return EXIT_OK if matches else EXIT_DOMAIN
-    _render(report, args)
-    return EXIT_OK
+    if parsed.expected is None:
+        return EXIT_OK
+    matches = total == parsed.expected
+    report.add("expected", format_rational(parsed.expected))
+    report.add("matches expected", *_yesno(matches))
+    return EXIT_OK if matches else EXIT_DOMAIN
 
 
-def cmd_fdtc(args):
-    parsed, digest = _load(args.path, args)
-    report = Report("fdtc", digest)
-    for w in parsed.warnings:
-        report.warn(w)
-    if parsed.fdtc is None:
-        raise SpiralityError("this command needs an \"fdtc\" section")
+def cmd_fdtc(parsed, report):
     data = parsed.fdtc
+    if data is None:
+        raise SpiralityError("this command needs an \"fdtc\" section")
+    _fail_on_errors(_fdtc_diagnostics(data), report)
     value = fdtc_value(data.l_plus, data.l_minus, data.e, data.m)
     report.add("fdtc", format_rational(value))
     if value == 0:
         report.add("note", "degeneracy slopes match; the coefficient vanishes")
-    _render(report, args)
     return EXIT_OK
 
 
@@ -294,24 +294,17 @@ def cmd_crosscheck(args):
         for i in range(args.random):
             m, loop = generators.gen_random_flow(args.seed + i)
             cases.append(("seed %d" % (args.seed + i), m, loop))
-    else:
-        if not args.paths:
-            raise SpiralityError("crosscheck needs manifest paths or --random N")
+    elif args.paths:
         blob = hashlib.sha256()
-        loaded = []
         for path in args.paths:
-            raw = _read_file(path)
+            raw, parsed = _load(path, args)
             blob.update(raw)
-            parsed = mf.parse_manifest(raw.decode("utf-8"),
-                                       strict=not args.lenient,
-                                       allow_rational_h=args.allow_rational_h)
-            for w in parsed.warnings:
-                report.warn(w)
+            report.warnings.extend(parsed.warnings)
             _require_flow_loop(parsed)
-            loop = flow.normalize_itinerary(parsed.loop, _convention(args))
-            loaded.append((path, parsed.flow, loop))
+            cases.append((path, parsed.flow, parsed.loop))
         report.digest = "sha256:" + blob.hexdigest()
-        cases = loaded
+    else:
+        raise SpiralityError("crosscheck needs manifest paths or --random N")
 
     mismatches = 0
     for label, m, loop in cases:
@@ -331,6 +324,17 @@ def cmd_crosscheck(args):
     report.add("mismatches", str(mismatches), "red" if mismatches else "green")
     _render(report, args)
     return EXIT_OK if mismatches == 0 else EXIT_DOMAIN
+
+
+# The commands that take one manifest path: name, help, check and compute.
+_PATH_COMMANDS = (
+    ("validate", "check a manifest file; exit 1 on errors", cmd_validate),
+    ("aspiral", "character basis values, aspirality and the embedding verdict",
+     cmd_aspiral),
+    ("rw", "flow-transverse spirality with per-crossing sigma and per-segment "
+           "rho factors", cmd_rw),
+    ("fdtc", "fractional Dehn twist coefficient from slope data", cmd_fdtc),
+)
 
 
 def build_parser():
@@ -357,27 +361,10 @@ def build_parser():
         description="Exact spirality computations on combinatorial JSJ data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="check a manifest file; exit 1 on errors")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("aspiral", parents=[common],
-                       help="character basis values, aspirality and the "
-                            "embedding verdict")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_aspiral)
-
-    p = sub.add_parser("rw", parents=[common],
-                       help="flow-transverse spirality with per-crossing sigma "
-                            "and per-segment rho factors")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_rw)
-
-    p = sub.add_parser("fdtc", parents=[common],
-                       help="fractional Dehn twist coefficient from slope data")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_fdtc)
+    for name, help_text, compute in _PATH_COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("path")
+        p.set_defaults(func=_run_on_path, compute=compute)
 
     p = sub.add_parser("gen", parents=[common],
                        help="generate an example manifest")

@@ -37,13 +37,6 @@ class PartialDilatation:
         return Fraction(self.p, self.q)
 
 
-IDENTITY = PartialDilatation(1, 1)
-
-
-def rate(d):
-    return d.rate()
-
-
 def compose(first, second):
     """Apply ``first`` then ``second``; defined at least on (q1*q2)*Z.
 

@@ -29,7 +29,7 @@ changes nothing.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import SpiralityError, error, warning
 from .lattice import intersection_number
@@ -295,15 +295,9 @@ def validate_itinerary(itinerary, m):
     return out
 
 
-def sigma(crossing, m, convention=SideConvention.FROM_LEAVES):
-    """Intersection-number ratio of one sided crossing.
-
-    With the canonical reading the numerator uses the degeneracy slope on
-    the side being left and the denominator the side entered into; flipping
-    the side assignment inverts the value.
-    """
-    if convention is SideConvention.FROM_ENTERS:
-        crossing = Crossing(crossing.torus, crossing.curve, crossing.from_side.other)
+def _transverse_ends(crossing, m):
+    """The boundaries left and entered at a crossing, with the curve's
+    intersection numbers against their degeneracy slopes; both are nonzero."""
     _, leave = m.side_boundary(crossing.torus, crossing.from_side)
     _, enter = m.side_boundary(crossing.torus, crossing.from_side.other)
     n_leave = intersection_number(crossing.curve, leave.degeneracy_slope)
@@ -312,6 +306,17 @@ def sigma(crossing, m, convention=SideConvention.FROM_LEAVES):
         raise NotFlowTransverse(
             "curve %s on torus %r is parallel to a degeneracy slope"
             % (crossing.curve, crossing.torus))
+    return leave, n_leave, enter, n_enter
+
+
+def sigma(crossing, m):
+    """Intersection-number ratio of one sided crossing.
+
+    The numerator uses the degeneracy slope on the side being left and the
+    denominator the side entered into; flipping the side assignment inverts
+    the value.
+    """
+    _, n_leave, _, n_enter = _transverse_ends(crossing, m)
     return Fraction(n_leave, n_enter)
 
 
@@ -324,9 +329,8 @@ class Segment:
     exit_boundary: str
 
 
-def segments_of(itinerary, m, convention=SideConvention.FROM_LEAVES):
+def segments_of(itinerary, m):
     """The in-piece segments of a loop, one ending at each crossing."""
-    itinerary = normalize_itinerary(itinerary, convention)
     crossings = itinerary.crossings
     n = len(crossings)
     segments = []
@@ -365,18 +369,33 @@ def equiperiodic_rho_is_one(m):
     return True
 
 
-def flow_spirality(itinerary, m, convention=SideConvention.FROM_LEAVES):
+@dataclass(frozen=True)
+class FlowFactors:
+    """The factors of a loop's spirality, in loop order: ``sigmas[i]`` of
+    crossing i, and ``rhos[i]`` of ``segments[i]``, the segment ending there."""
+
+    sigmas: tuple
+    segments: tuple
+    rhos: tuple
+
+    @property
+    def spirality(self):
+        return prod(self.sigmas + self.rhos, start=Fraction(1))
+
+
+def flow_factors(itinerary, m):
+    """One pass over a loop: the sigma of every crossing, then its segments and their rhos."""
+    sigmas = tuple(sigma(c, m) for c in itinerary.crossings)
+    segments = segments_of(itinerary, m)
+    return FlowFactors(sigmas, segments, tuple(rho(seg, m) for seg in segments))
+
+
+def flow_spirality(itinerary, m):
     """Spirality of a flow-transverse loop: product of sigmas times product of rhos."""
-    itinerary = normalize_itinerary(itinerary, convention)
-    value = Fraction(1)
-    for c in itinerary.crossings:
-        value *= sigma(c, m)
-    for seg in segments_of(itinerary, m):
-        value *= rho(seg, m)
-    return value
+    return flow_factors(itinerary, m).spirality
 
 
-def decorate_from_flow(itinerary, m, convention=SideConvention.FROM_LEAVES):
+def decorate_from_flow(itinerary, m):
     """Build the decorated dual graph along the loop; its cycle matches flow_spirality.
 
     One vertex per in-piece segment, one edge per crossing. The raw weight
@@ -386,21 +405,13 @@ def decorate_from_flow(itinerary, m, convention=SideConvention.FROM_LEAVES):
     cancels in every cycle product, so the emitted cycle's holonomy equals
     the spirality of the loop exactly.
     """
-    itinerary = normalize_itinerary(itinerary, convention)
     crossings = itinerary.crossings
     n = len(crossings)
     segs = segments_of(itinerary, m)
 
     weights = []
     for c in crossings:
-        _, leave = m.side_boundary(c.torus, c.from_side)
-        _, enter = m.side_boundary(c.torus, c.from_side.other)
-        n_leave = intersection_number(c.curve, leave.degeneracy_slope)
-        n_enter = intersection_number(c.curve, enter.degeneracy_slope)
-        if n_leave == 0 or n_enter == 0:
-            raise NotFlowTransverse(
-                "curve %s on torus %r is parallel to a degeneracy slope"
-                % (c.curve, c.torus))
+        leave, n_leave, enter, n_enter = _transverse_ends(c, m)
         weights.append((Fraction(n_leave) / leave.leaf_length,
                         Fraction(n_enter) / enter.leaf_length))
 

@@ -193,10 +193,6 @@ def validate(g):
     return out
 
 
-def is_valid(g):
-    return not any(d.is_error for d in validate(g))
-
-
 def _require_valid(g):
     problems = [d for d in validate(g) if d.is_error]
     if problems:
@@ -243,23 +239,27 @@ def cycle_spirality(g, cycle):
     return value
 
 
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, u, v):
+    """Join the union-find classes of u and v; False when they were one already."""
+    ru, rv = _find(parent, u), _find(parent, v)
+    if ru == rv:
+        return False
+    parent[ru] = rv
+    return True
+
+
 def spanning_forest(g):
     """Tree edge ids of the deterministic spanning forest (lowest id first)."""
     parent = {v.id: v.id for v in g.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for e in sorted(g.edges, key=lambda e: e.id):
-        ru, rv = find(e.from_vertex), find(e.to_vertex)
-        if ru != rv:
-            parent[ru] = rv
-            tree.append(e.id)
-    return frozenset(tree)
+    return frozenset(e.id for e in sorted(g.edges, key=lambda e: e.id)
+                     if _union(parent, e.from_vertex, e.to_vertex))
 
 
 def _check_forest(g, forest):
@@ -268,22 +268,13 @@ def _check_forest(g, forest):
     if unknown:
         raise ValueError("forest contains unknown edges %r" % unknown)
     parent = {v.id: v.id for v in g.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for eid in sorted(forest):
         e = g.edge(eid)
-        ru, rv = find(e.from_vertex), find(e.to_vertex)
-        if ru == rv:
+        if not _union(parent, e.from_vertex, e.to_vertex):
             raise ValueError("edge set is not a forest: %r closes a cycle" % eid)
-        parent[ru] = rv
     # maximality: no non-tree edge may join two distinct components
     for e in g.edges:
-        if e.id not in forest and find(e.from_vertex) != find(e.to_vertex):
+        if e.id not in forest and _union(parent, e.from_vertex, e.to_vertex):
             raise ValueError("forest is not spanning: %r joins two components" % e.id)
     return forest
 
@@ -392,43 +383,42 @@ def evaluate_character(char, cycle):
 
 
 @dataclass(frozen=True)
-class AspiralityResult:
-    aspiral: bool
-    witness: object = None
-    witness_value: object = None
-
-
-def is_aspiral(g):
-    """True iff every basis value is +-1; otherwise carries a witness cycle."""
-    char = character(g)
-    for cycle, value in zip(char.basis, char.values):
-        if value != 1 and value != -1:
-            return AspiralityResult(False, cycle, value)
-    return AspiralityResult(True)
-
-
-@dataclass(frozen=True)
 class Verdict:
-    """Embedding criterion verdict: the three properties are equivalent."""
+    """Embedding criterion verdict: the three properties are equivalent.
+
+    ``witness`` is a basis cycle whose value ``witness_value`` is not +-1,
+    present exactly when the graph is not aspiral.
+    """
 
     aspiral: bool
-    virtually_embedded: bool
-    virtually_taut_leaf: bool
     vacuous: bool = False
     witness: object = None
     witness_value: object = None
 
+    @property
+    def virtually_embedded(self):
+        return self.aspiral
+
+    @property
+    def virtually_taut_leaf(self):
+        return self.aspiral
+
+    @classmethod
+    def of(cls, g, char):
+        """The verdict on ``g`` read off its character ``char``."""
+        vacuous = not g.vertices
+        for cycle, value in zip(char.basis, char.values):
+            if value != 1 and value != -1:
+                return cls(False, vacuous, cycle, value)
+        return cls(True, vacuous)
+
 
 def verdict(g):
-    result = is_aspiral(g)
-    return Verdict(
-        aspiral=result.aspiral,
-        virtually_embedded=result.aspiral,
-        virtually_taut_leaf=result.aspiral,
-        vacuous=not g.vertices,
-        witness=result.witness,
-        witness_value=result.witness_value,
-    )
+    """Aspiral iff every basis value is +-1; otherwise carries a witness cycle."""
+    return Verdict.of(g, character(g))
+
+
+is_aspiral = verdict
 
 
 @dataclass(frozen=True)

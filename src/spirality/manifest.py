@@ -53,6 +53,8 @@ class _Reader:
         self.warnings = []
 
     def unknown(self, obj, known, where):
+        if not isinstance(obj, dict):
+            raise ParseError("%s must be an object" % where)
         for key in obj:
             if key not in known:
                 message = "unknown field %r in %s" % (key, where)
@@ -246,6 +248,10 @@ def parse_manifest(text, strict=True, allow_rational_h=False):
             data = json.loads(text)
         except json.JSONDecodeError as err:
             raise ParseError(err.msg, line=err.lineno, column=err.colno)
+        except ValueError as err:  # an integer literal over the digit limit
+            raise ParseError(str(err))
+        except RecursionError:
+            raise ParseError("arrays or objects nested too deeply")
     else:
         data = text
     if not isinstance(data, dict):
@@ -263,12 +269,6 @@ def parse_manifest(text, strict=True, allow_rational_h=False):
                 if "expected" in data else None)
     return ParsedManifest(parsed_graph, parsed_flow, parsed_loop, parsed_fdtc,
                           expected, tuple(r.warnings))
-
-
-def load_manifest(path, strict=True, allow_rational_h=False):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_manifest(handle.read(), strict=strict,
-                              allow_rational_h=allow_rational_h)
 
 
 def _slope_to_json(s):

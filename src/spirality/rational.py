@@ -21,13 +21,14 @@ def parse_rational(text):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ParseError("malformed rational %r (expected \"p\" or \"p/q\")" % (text,))
-    body = text.strip()
-    if "/" in body:
-        num, den = body.split("/")
-        if int(den) == 0:
-            raise ParseError("malformed rational %r (zero denominator)" % (text,))
-        return Fraction(int(num), int(den))
-    return Fraction(int(body))
+    num, _, den = text.strip().partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as err:  # over the integer digit limit
+        raise ParseError(str(err))
+    if den == 0:
+        raise ParseError("malformed rational %r (zero denominator)" % (text,))
+    return Fraction(num, den)
 
 
 def format_rational(value):

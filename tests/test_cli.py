@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from spirality.cli import main
 
 GOOD_GRAPH = """
@@ -64,6 +66,24 @@ class TestValidate:
     def test_missing_file(self, capsys):
         code, out = run(capsys, "validate", "/nonexistent/x.json")
         assert code == 2
+
+    @pytest.mark.parametrize("data", [
+        b'{"graph": []}',
+        b'{"graph": {"vertices": [1]}}',
+        b'{"loop": [1]}',
+        b'\xff\xfe{}',
+        b'{"expected": 1' + b"1" * 5000 + b"}",
+        b'{"expected": "1/' + b"1" * 5000 + b'"}',
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["graph-array", "vertex-int", "crossing-int", "not-utf8", "long-int",
+            "long-rational", "deep-nesting"])
+    def test_malformed_bytes_are_parse_errors(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, out = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out.err.startswith("parse error: ")
+        assert out.out == ""
 
     def test_loop_without_flow_sections(self, tmp_path, capsys):
         path = write(tmp_path, "l.json",
@@ -168,6 +188,22 @@ class TestFdtc:
         code, out = run(capsys, "fdtc", path)
         assert code == 1
         assert "not a multiple" in out.err
+
+
+    def test_non_positive_power(self, tmp_path, capsys):
+        path = write(tmp_path, "f.json", FDTC_DOC.replace('"m": 2', '"m": 0'))
+        code, out = run(capsys, "validate", path)
+        assert code == 1
+        assert "NonPositivePower" in out.out and "status: invalid" in out.out
+        code, out = run(capsys, "fdtc", path)
+        assert code == 1
+        assert "error: NonPositivePower" in out.out and out.err == ""
+
+    def test_reduction_curve_must_be_primitive(self, tmp_path, capsys):
+        path = write(tmp_path, "f.json", FDTC_DOC.replace('"e": [0, 1]', '"e": [0, 2]'))
+        code, out = run(capsys, "fdtc", path)
+        assert code == 1
+        assert "error: BadReductionCurve" in out.out and out.err == ""
 
 
 class TestGen:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spirality import PartialDilatation, compose, simulate_partial_action
-from spirality.dilatation import IDENTITY
 
 nonzero = st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(lambda n: n != 0)
 
@@ -40,7 +39,7 @@ def test_compose_examples():
     assert compose(PartialDilatation(3, 2), PartialDilatation(2, 3)).rate() == 1
     assert compose(PartialDilatation(3, 2), PartialDilatation(5, 7)).rate() == Fraction(15, 14)
     d = PartialDilatation(7, 5)
-    assert compose(IDENTITY, d).rate() == d.rate()
+    assert compose(PartialDilatation(1, 1), d).rate() == d.rate()
 
 
 def test_compose_domain_guarantee():

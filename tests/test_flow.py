@@ -204,9 +204,9 @@ class TestSideConvention:
             m, loop = gen_random_flow(rng.randrange(10 ** 6))
             opposite = LoopItinerary(tuple(
                 Crossing(c.torus, c.curve, c.from_side.other) for c in loop.crossings))
-            assert flow_spirality(opposite, m, SideConvention.FROM_ENTERS) == \
-                flow_spirality(loop, m)
-            assert normalize_itinerary(opposite, SideConvention.FROM_ENTERS) == loop
+            normalized = normalize_itinerary(opposite, SideConvention.FROM_ENTERS)
+            assert flow_spirality(normalized, m) == flow_spirality(loop, m)
+            assert normalized == loop
 
 
 class TestValidation:

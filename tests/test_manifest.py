@@ -1,7 +1,9 @@
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spirality import (ParseError, Slope, parse_manifest, dumps_manifest,
                        gen_twist_family, gen_matched_slopes, TwistFamilyParams,
@@ -164,3 +166,50 @@ class TestRoundTrip:
         doc["pieces"][0]["boundaries"][0]["leaf_length"] = 2
         parsed = parse_manifest(doc)
         assert parsed.flow.pieces[0].boundaries[0].leaf_length == 2
+
+
+def _full_manifest():
+    """A manifest with every section, a slope in each written form."""
+    inst = gen_twist_family(TwistFamilyParams(k=1, p=1, q=1, r_minus=2, r_plus=1))
+    doc = json.loads(dumps_manifest(flow_manifest=inst.manifest, loop=inst.loop,
+                                    fdtc=FdtcInput(inst.l_plus, inst.l_minus,
+                                                   inst.reduction_curve, 1),
+                                    expected=inst.expected))
+    doc["loop"][0]["curve"] = {"vector": [1, 3], "mult": 2}
+    doc.update(json.loads(GRAPH_DOC))
+    return doc
+
+
+def _node_paths(node, path=()):
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+FULL_MANIFEST = _full_manifest()
+_keys = st.sampled_from(["id", "vertices", "edges", "vector", "mult", "piece",
+                         "boundary", "torus", "curve", "from_side"]) | st.text(max_size=4)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(_keys, children, max_size=3)),
+    max_leaves=8)
+
+
+@given(st.sampled_from(list(_node_paths(FULL_MANIFEST))), json_values, st.booleans())
+def test_any_one_node_replaced_parses_or_raises_parse_error(path, value, strict):
+    doc = copy.deepcopy(FULL_MANIFEST)
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    try:
+        parse_manifest(doc, strict=strict)
+    except ParseError:
+        pass
