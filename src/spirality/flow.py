@@ -384,7 +384,7 @@ class FlowFactors:
 
 
 def flow_factors(itinerary, m):
-    """One pass over a loop: the sigma of every crossing, then its segments and their rhos."""
+    """One pass over a loop: every crossing's sigma, every segment and its rho."""
     sigmas = tuple(sigma(c, m) for c in itinerary.crossings)
     segments = segments_of(itinerary, m)
     return FlowFactors(sigmas, segments, tuple(rho(seg, m) for seg in segments))

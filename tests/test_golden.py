@@ -233,10 +233,6 @@ def capture():
     print("wrote %d cases over %d inputs to %s" % (len(cases), len(inputs), CORPUS))
 
 
-def _load():
-    return json.loads(CORPUS.read_text(encoding="utf-8"))
-
-
 def _diff(case, got):
     lines = []
     for key in ("stdout", "stderr", "code"):
@@ -248,7 +244,7 @@ def _diff(case, got):
 
 
 def test_golden_corpus(tmp_path, monkeypatch):
-    corpus = _load()
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
     assert len(corpus["cases"]) > 300
     for name, text in corpus["inputs"].items():
         (tmp_path / name).write_text(text, encoding="utf-8")
