@@ -103,30 +103,11 @@ def _load(path, args):
     return raw, parsed
 
 
-class _Invalid(Exception):
-    """Error diagnostics are in the report: it is rendered, and the exit is 1."""
-
-
-def _fail_on_errors(diagnostics, report):
-    errors = [d for d in diagnostics if d.is_error]
-    for d in diagnostics:
-        if d.is_error:
-            report.add("error", "%s: %s" % (d.code, d.message), "red")
-        else:
-            report.warn(str(d))
-    if errors:
-        raise _Invalid()
-
-
 def _run_on_path(args):
-    """Load the manifest, let the command check and compute, render once."""
+    """Load and check the manifest, let the command compute, render once."""
     raw, parsed = _load(args.path, args)
     report = Report(args.command, _digest(raw))
-    report.warnings.extend(parsed.warnings)
-    try:
-        code = args.compute(parsed, report)
-    except _Invalid:
-        code = EXIT_DOMAIN
+    code = args.compute(parsed, report) if _check(parsed, report) else EXIT_DOMAIN
     _render(report, args)
     return code
 
@@ -147,41 +128,45 @@ def _fdtc_diagnostics(data):
     return out
 
 
-def cmd_validate(parsed, report):
+def _check(parsed, report):
+    """The one check of every manifest read from a path: the graph section,
+    the flow manifest, the loop whenever the flow sections have no errors,
+    and the fdtc section. Warnings go to the report; errors become rows
+    followed by ``status: invalid``. True when there is no error."""
     diagnostics = []
     if parsed.graph is not None:
         diagnostics += jsj.validate(parsed.graph)
+    if parsed.loop is not None and parsed.flow is None:
+        diagnostics.append(diag_error(
+            "DanglingReference", "loop given without pieces/tori sections"))
     if parsed.flow is not None:
-        diagnostics += flow.validate_manifest(parsed.flow)
-    if parsed.loop is not None:
-        if parsed.flow is None:
-            diagnostics.append(diag_error(
-                "DanglingReference", "loop given without pieces/tori sections"))
-        elif not any(d.is_error for d in diagnostics):
-            diagnostics += flow.validate_itinerary(parsed.loop, parsed.flow)
+        flow_diagnostics = flow.validate_manifest(parsed.flow)
+        if parsed.loop is not None and not any(d.is_error for d in flow_diagnostics):
+            flow_diagnostics += flow.validate_itinerary(parsed.loop, parsed.flow)
+        diagnostics += flow_diagnostics
     if parsed.fdtc is not None:
         diagnostics += _fdtc_diagnostics(parsed.fdtc)
+    report.warnings.extend(parsed.warnings)
     for d in diagnostics:
-        report.add(d.severity, "%s: %s" % (d.code, d.message),
-                   "red" if d.is_error else "yellow")
-    if any(d.is_error for d in diagnostics):
+        if d.is_error:
+            report.add("error", "%s: %s" % (d.code, d.message), "red")
+        else:
+            report.warn("%s: %s" % (d.code, d.message))
+    invalid = any(d.is_error for d in diagnostics)
+    if invalid:
         report.add("status", "invalid", "red")
-        return EXIT_DOMAIN
+    return not invalid
+
+
+def cmd_validate(parsed, report):
     report.add("status", "ok", "green")
     return EXIT_OK
 
 
-def _check_flow_loop(parsed, report):
-    _fail_on_errors(flow.validate_manifest(parsed.flow), report)
-    _fail_on_errors(flow.validate_itinerary(parsed.loop, parsed.flow), report)
-
-
 def _graph_for_aspiral(parsed, report):
     if parsed.graph is not None:
-        _fail_on_errors(jsj.validate(parsed.graph), report)
         return parsed.graph
     if parsed.flow is not None and parsed.loop is not None:
-        _check_flow_loop(parsed, report)
         report.add("note", "graph decorated from the flow manifest along the loop")
         return flow.decorate_from_flow(parsed.loop, parsed.flow)[0]
     raise SpiralityError("manifest carries neither a graph nor a flow+loop pair")
@@ -213,7 +198,6 @@ def _require_flow_loop(parsed):
 
 def cmd_rw(parsed, report):
     _require_flow_loop(parsed)
-    _check_flow_loop(parsed, report)
     factors = flow.flow_factors(parsed.loop, parsed.flow)
     for i, (crossing, value) in enumerate(zip(parsed.loop.crossings, factors.sigmas)):
         report.add("sigma[%d] (torus %s)" % (i, crossing.torus), format_rational(value))
@@ -236,7 +220,6 @@ def cmd_fdtc(parsed, report):
     data = parsed.fdtc
     if data is None:
         raise SpiralityError("this command needs an \"fdtc\" section")
-    _fail_on_errors(_fdtc_diagnostics(data), report)
     value = fdtc_value(data.l_plus, data.l_minus, data.e, data.m)
     report.add("fdtc", format_rational(value))
     if value == 0:
@@ -295,14 +278,15 @@ def cmd_crosscheck(args):
             m, loop = generators.gen_random_flow(args.seed + i)
             cases.append(("seed %d" % (args.seed + i), m, loop))
     elif args.paths:
-        blob = hashlib.sha256()
-        for path in args.paths:
-            raw, parsed = _load(path, args)
-            blob.update(raw)
-            report.warnings.extend(parsed.warnings)
+        loaded = [_load(path, args) for path in args.paths]
+        report.digest = _digest(b"".join(raw for raw, _ in loaded))
+        # the first manifest that fails the check ends the run
+        if not all(_check(parsed, report) for _, parsed in loaded):
+            _render(report, args)
+            return EXIT_DOMAIN
+        for path, (_, parsed) in zip(args.paths, loaded):
             _require_flow_loop(parsed)
             cases.append((path, parsed.flow, parsed.loop))
-        report.digest = "sha256:" + blob.hexdigest()
     else:
         raise SpiralityError("crosscheck needs manifest paths or --random N")
 

@@ -91,12 +91,11 @@ class Piece:
         if isinstance(self.type, str):
             object.__setattr__(self, "type", PieceType(self.type))
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
+        # indexed once; where an id repeats, the first boundary wins
+        object.__setattr__(self, "_by_id", {b.id: b for b in reversed(self.boundaries)})
 
     def boundary(self, boundary_id):
-        for b in self.boundaries:
-            if b.id == boundary_id:
-                return b
-        raise KeyError(boundary_id)
+        return self._by_id[boundary_id]
 
 
 @dataclass(frozen=True)
@@ -277,16 +276,16 @@ def validate_itinerary(itinerary, m):
     if any(d.is_error for d in out):
         return out
     n = len(crossings)
+    ends = [(m.side_boundary(c.torus, c.from_side),
+             m.side_boundary(c.torus, c.from_side.other)) for c in crossings]
     for i, c in enumerate(crossings):
-        for side, role in ((c.from_side, "leaves"), (c.from_side.other, "enters")):
-            _, boundary = m.side_boundary(c.torus, side)
+        (_, left), (entered_piece, entered) = ends[i]
+        for boundary, role in ((left, "leaves"), (entered, "enters")):
             if intersection_number(c.curve, boundary.degeneracy_slope) == 0:
                 out.append(error(NOT_TRANSVERSE,
                                  "crossing %d on torus %r is parallel to the "
                                  "degeneracy slope it %s" % (i, c.torus, role)))
-        entered_piece, _ = m.side_boundary(c.torus, c.from_side.other)
-        next_c = crossings[(i + 1) % n]
-        left_piece, _ = m.side_boundary(next_c.torus, next_c.from_side)
+        left_piece = ends[(i + 1) % n][0][0]
         if entered_piece.id != left_piece.id:
             out.append(error(PIECE_MISMATCH,
                              "crossing %d enters piece %r but crossing %d leaves "

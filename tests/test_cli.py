@@ -206,6 +206,60 @@ class TestFdtc:
         assert "error: BadReductionCurve" in out.out and out.err == ""
 
 
+class TestOneCheck:
+    """Every command runs validate's check on every manifest it reads."""
+
+    def twist_with(self, tmp_path, capsys, change):
+        target = str(tmp_path / "s8.json")
+        run(capsys, "gen", "twist-family", "--out", target)
+        doc = json.loads(open(target).read())
+        change(doc)
+        return write(tmp_path, "changed.json", json.dumps(doc))
+
+    @staticmethod
+    def ghost_torus(doc):
+        doc["loop"][0]["torus"] = "ghost"
+
+    def test_crosscheck_rejects_a_loop_through_a_missing_torus(self, tmp_path, capsys):
+        path = self.twist_with(tmp_path, capsys, self.ghost_torus)
+        code, out = run(capsys, "crosscheck", path)
+        assert code == 1
+        assert "error: DanglingReference: crossing 0 references missing torus" in out.out
+        assert "status: invalid" in out.out and out.err == ""
+
+    def test_validate_checks_the_loop_when_the_graph_is_broken(self, tmp_path, capsys):
+        def both(doc):
+            self.ghost_torus(doc)
+            doc.update(json.loads(GOOD_GRAPH.replace('"h_ini": 2', '"h_ini": 0')))
+        path = self.twist_with(tmp_path, capsys, both)
+        code, out = run(capsys, "validate", path)
+        assert code == 1
+        assert "error: NonPositiveH" in out.out
+        assert "error: DanglingReference" in out.out
+
+    def test_fdtc_rejects_what_validate_rejects(self, tmp_path, capsys):
+        def parallel(doc):
+            doc["loop"][0]["curve"] = [1, 0]
+        path = self.twist_with(tmp_path, capsys, parallel)
+        for command in ("validate", "fdtc"):
+            code, out = run(capsys, command, path)
+            assert code == 1
+            assert "error: NotFlowTransverse" in out.out
+            assert out.out.endswith("status: invalid\n")
+
+    def test_warnings_have_one_form(self, tmp_path, capsys):
+        path = write(tmp_path, "g.json", GOOD_GRAPH.replace('"h_ini": 2', '"h_ini": "3/2"'))
+        for command in ("validate", "aspiral"):
+            code, out = run(capsys, command, "--allow-rational-h", path)
+            assert code == 0
+            assert "\nwarning: NonIntegralH: edge 'e1'" in out.out
+            code, out = run(capsys, command, "--allow-rational-h", "--format",
+                            "structured", path)
+            doc = json.loads(out.out)
+            assert [w.split(":")[0] for w in doc["warnings"]] == ["NonIntegralH"]
+            assert all(row["label"] != "warning" for row in doc["results"])
+
+
 class TestGen:
     def test_twist_family_to_stdout_is_manifest(self, capsys):
         code, out = run(capsys, "gen", "twist-family")
