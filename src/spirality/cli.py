@@ -180,6 +180,11 @@ def cmd_aspiral(parsed, report):
     for vertex_id, sign in char.internal_signs:
         report.add("s(internal loops at %s)" % vertex_id, format_rational(sign))
     v = jsj.Verdict.of(g, char)
+    if v.aspiral and parsed.graph is None:
+        # one loop of value +-1 says nothing of the loops elsewhere
+        for label in ("aspiral", "virtually embedded", "virtually a taut-foliation leaf"):
+            report.add(label, "inconclusive (one loop)", "yellow")
+        return EXIT_OK
     answer = "yes (vacuous)" if v.aspiral and v.vacuous else _yesno(v.aspiral)[0]
     report.add("aspiral", answer, "green" if v.aspiral else "red")
     if not v.aspiral:

@@ -124,6 +124,16 @@ class TestAspiral:
         assert "aspiral: no" in out.out
         assert "witness value: 3/2" in out.out
 
+    def test_one_loop_of_value_one_is_inconclusive(self, tmp_path, capsys):
+        target = str(tmp_path / "m.json")
+        run(capsys, "gen", "matched-slopes", "--n-pieces", "4", "--seed", "7",
+            "--out", target)
+        code, out = run(capsys, "aspiral", target)
+        assert code == 0
+        for label in ("aspiral", "virtually embedded", "virtually a taut-foliation leaf"):
+            assert "\n%s: inconclusive (one loop)\n" % label in out.out
+        assert "yes" not in out.out and "witness" not in out.out
+
     def test_invalid_graph_exits_domain(self, tmp_path, capsys):
         path = write(tmp_path, "g.json",
                      GOOD_GRAPH.replace('"to": "b"', '"to": "ghost"'))
