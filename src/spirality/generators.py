@@ -108,7 +108,7 @@ def _random_primitive(rng, bound=5):
     while True:
         a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
         if (a, b) != (0, 0):
-            return Slope.of(a, b)
+            return Slope(Slope.of(a, b).vector)
 
 
 def _random_transverse_curve(rng, slopes, bound=5):

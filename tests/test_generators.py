@@ -130,3 +130,12 @@ def test_random_flow_respects_bounds():
             for b in p.boundaries:
                 assert 1 <= b.leaf_length.numerator <= 20
                 assert 1 <= b.leaf_length.denominator <= 20
+
+
+def test_generated_manifests_are_on_contract():
+    # degeneracy slopes are closed leaves, so primitive: no diagnostic at all
+    manifests = [gen_random_flow(seed) for seed in range(500)]
+    manifests += [gen_matched_slopes(4, seed) for seed in range(200)]
+    for m, loop in manifests:
+        assert validate_manifest(m) == []
+        assert validate_itinerary(loop, m) == []
