@@ -383,13 +383,20 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return EXIT_PARSE
     except SpiralityError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        # The reader closed stdout, an IO error. Pointing stdout at devnull
+        # keeps the interpreter's last flush from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

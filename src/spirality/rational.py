@@ -8,9 +8,11 @@ the (strict) string format.
 """
 
 import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, SpiralityError
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[+-]?[0-9]+)?$")
 
@@ -32,8 +34,19 @@ def parse_rational(text):
 
 
 def format_rational(value):
-    """Render a Fraction (or int) as "p" or "p/q" with q > 0 in lowest terms."""
+    """Render a Fraction (or int) as "p" or "p/q" with q > 0 in lowest terms.
+
+    A part longer than the interpreter's integer-to-string digit limit
+    raises SpiralityError naming its digit count.
+    """
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return "%d/%d" % (value.numerator, value.denominator)
+    except ValueError:  # over the integer digit limit
+        # Decimal counts the digits without the limited int-to-str conversion
+        digits = max(Decimal(part).adjusted() + 1
+                     for part in (value.numerator, value.denominator))
+        raise SpiralityError("cannot print a rational of %d digits, over the limit "
+                             "of %d" % (digits, sys.get_int_max_str_digits()))

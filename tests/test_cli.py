@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spirality
 from spirality.cli import main
 
 GOOD_GRAPH = """
@@ -291,6 +296,14 @@ class TestGen:
         assert code == 1
         assert "nonzero" in out.err
 
+    def test_value_over_the_digit_limit_is_a_domain_error(self, tmp_path, capsys):
+        target = tmp_path / "big.json"
+        code, out = run(capsys, "gen", "twist-family", "--d", "20000",
+                        "--out", str(target))
+        assert code == 1
+        assert out.err.startswith("error: cannot print a rational of 9543 digits")
+        assert not target.exists()
+
     def test_written_file_round_trips_through_rw(self, tmp_path, capsys):
         target = str(tmp_path / "out.json")
         code, out = run(capsys, "gen", "twist-family", "--k", "3", "--out", target)
@@ -340,6 +353,20 @@ class TestReporting:
         assert doc["command"] == "rw"
         assert doc["digest"].startswith("sha256:")
         assert {"label": "spirality", "value": "3/2"} in doc["results"]
+
+    def test_closed_pipe_is_an_io_error(self, tmp_path, capsys):
+        target = str(tmp_path / "long.json")
+        run(capsys, "gen", "twist-family", "--d", "1500", "--out", target)
+        # the report's 6000 rows are far more than a pipe holds, so rows are
+        # still being written when the reader goes away
+        env = dict(os.environ, PYTHONPATH=str(Path(spirality.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "spirality.cli", "rw", target],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"command: rw\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+        assert err == b""
 
     def test_timestamps_are_opt_in(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", GOOD_GRAPH)
