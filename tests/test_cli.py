@@ -1,13 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spirality
 from spirality.cli import main
+from test_manifest import FULL_MANIFEST, _node_paths, json_values, replace_node
 
 GOOD_GRAPH = """
 {
@@ -386,3 +391,37 @@ class TestReporting:
         code, out = run(capsys, "rw", "--side-convention", "from-enters", flipped)
         assert code == 0
         assert "spirality: 3/2" in out.out
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_PATHS = list(_node_paths(FULL_MANIFEST))
+# Another node of the manifest in place of one keeps most changes parseable,
+# so they reach the checks and the computations.
+_values = json_values | st.sampled_from([_node(FULL_MANIFEST, p) for p in _PATHS])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(_PATHS), _values)
+@example(("loop", 0, "torus"), "ghost")
+@example(("tori", 0, "plus", "piece"), "J_minus")
+def test_every_command_keeps_the_exit_contract(path, value):
+    """Any one-node change: exit 0, 1 or 2 and no exception from any command,
+    and no command finds invalid what validate accepts."""
+    doc = replace_node(FULL_MANIFEST, path, value)
+    with tempfile.TemporaryDirectory() as work:
+        manifest = os.path.join(work, "m.json")
+        with open(manifest, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        results = {}
+        for command in ("validate", "aspiral", "rw", "fdtc", "crosscheck"):
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                results[command] = main([command, manifest]), out.getvalue()
+    assert all(code in (0, 1, 2) for code, _ in results.values())
+    if results["validate"][0] == 0:
+        assert not any("status: invalid" in text for _, text in results.values())

@@ -199,16 +199,21 @@ json_values = st.recursive(
     max_leaves=8)
 
 
+def replace_node(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
 @given(st.sampled_from(list(_node_paths(FULL_MANIFEST))), json_values, st.booleans())
 def test_any_one_node_replaced_parses_or_raises_parse_error(path, value, strict):
-    doc = copy.deepcopy(FULL_MANIFEST)
-    if path:
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-    else:
-        doc = value
+    doc = replace_node(FULL_MANIFEST, path, value)
     try:
         parse_manifest(doc, strict=strict)
     except ParseError:
