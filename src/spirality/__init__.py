@@ -10,7 +10,6 @@ the standard separable and non-separable example families.
 """
 
 from .errors import SpiralityError, ParseError, Diagnostic
-from .dilatation import PartialDilatation, compose, simulate_partial_action
 from .lattice import (Slope, SublatticeCover, GluingMatrix, intersection_number,
                       slope_cover_degree, h_value, change_frame, fdtc,
                       NonIntegralH, BadGluing, NotParallel)

@@ -338,9 +338,6 @@ class SpiralityCharacter:
     cycle_edges: tuple
     internal_signs: tuple
 
-    def all_values(self):
-        return tuple(self.values) + tuple(s for _, s in self.internal_signs)
-
 
 def character(g, forest=None):
     """Compute the spirality character on the fundamental cycles of a forest.

@@ -15,12 +15,12 @@ from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
                        cycle_spirality, character, is_aspiral, verdict, sigma,
                        equiperiodic_rho_is_one, pullback, cyclic_cover,
                        fdtc, Slope, NotParallel,
-                       DecoratedJSJGraph, Vertex, Edge,
-                       PartialDilatation, compose)
+                       DecoratedJSJGraph, Vertex, Edge)
 from spirality.graph import FORWARD
-from util import (oracle_cycle_value, oracle_fdtc_scan, random_graph,
-                  random_closed_walk, random_slope, random_primitive_slope,
-                  all_spanning_forests, make_equiperiodic, seeded)
+from util import (PartialDilatation, compose, oracle_cycle_value, oracle_fdtc_scan,
+                  random_graph, random_closed_walk, random_slope,
+                  random_primitive_slope, all_spanning_forests, make_equiperiodic,
+                  seeded)
 
 
 @contextmanager

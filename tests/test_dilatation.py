@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from spirality import PartialDilatation, compose, simulate_partial_action
+from util import PartialDilatation, compose, simulate_partial_action
 
 nonzero = st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(lambda n: n != 0)
 

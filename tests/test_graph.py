@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, VertexKind,
-                       PartialDilatation, compose,
                        validate, cycle_spirality, character, evaluate_character,
                        is_aspiral, verdict, pullback, cyclic_cover, regauge,
                        GraphCover, CoverEdge,
@@ -11,8 +10,8 @@ from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, VertexKin
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest,
                              DANGLING_EDGE, NON_POSITIVE_H, BAD_OMEGA,
                              ELEMENTARY_ADJACENCY, OMEGA_AMBIGUITY)
-from util import (oracle_cycle_value, random_graph, random_closed_walk,
-                  all_spanning_forests, seeded)
+from util import (PartialDilatation, compose, oracle_cycle_value, random_graph,
+                  random_closed_walk, all_spanning_forests, seeded)
 
 
 def two_vertex_graph():
