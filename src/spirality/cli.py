@@ -148,10 +148,11 @@ def _check(parsed, report):
         diagnostics += _fdtc_diagnostics(parsed.fdtc)
     report.warnings.extend(parsed.warnings)
     for d in diagnostics:
+        row = "%s: %s" % (d.code, d.message)
         if d.is_error:
-            report.add("error", "%s: %s" % (d.code, d.message), "red")
+            report.add("error", row, "red")
         else:
-            report.warn("%s: %s" % (d.code, d.message))
+            report.warn(row)
     invalid = any(d.is_error for d in diagnostics)
     if invalid:
         report.add("status", "invalid", "red")
