@@ -6,7 +6,9 @@ The inputs cover a twist-family grid (one member with a large elevation
 degree), matched-slope and random-flow manifests (seed 165 among them), the
 hand-written graphs and fdtc documents of test_cli, and malformed inputs;
 each is run through validate, aspiral, rw and fdtc in both formats, next to
-gen, crosscheck and a few flag variants.
+gen, crosscheck and a few flag variants. A deep planted graph, whose
+spanning forest is a path, pins the basis cycles ``aspiral`` prints when
+they run far into the tree.
 
 When an output changes on purpose, regenerate the corpus with
 
@@ -19,6 +21,7 @@ import difflib
 import io
 import json
 import os
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -105,6 +108,40 @@ def _hand_written():
     }
 
 
+def _deep_graph(n_vertices=30, n_cycles=30, seed=7):
+    """A planted graph whose lowest-id spanning forest is a path.
+
+    Tree edges a00.. join v_i to v_(i+1), pointing either way. Each vertex
+    has a size z(v) and a sign s(v); an edge u -> v with twist x gets
+    h = (z(u) |num x|, z(v) den x) and omega = s(u) s(v) sign(x), so the
+    value of the basis cycle of a non-tree edge is its twist. Non-tree edges
+    b00.. have random ends and twist +-1, except three; a parallel copy of a
+    tree edge and a self-loop close the list.
+    """
+    rng = random.Random(seed)
+    names = ["v%02d" % i for i in range(n_vertices)]
+    size = {v: rng.randint(1, 9) for v in names}
+    sign = {v: rng.choice((1, -1)) for v in names}
+    edges = []
+
+    def edge(eid, u, v, num=1, den=1):
+        if rng.random() < 0.5:
+            u, v, num, den = v, u, den * (1 if num > 0 else -1), abs(num)
+        edges.append({"id": eid, "from": u, "to": v, "h_ini": size[u] * abs(num),
+                      "h_ter": size[v] * den,
+                      "omega": sign[u] * sign[v] * (1 if num > 0 else -1)})
+
+    for i in range(n_vertices - 1):
+        edge("a%02d" % i, names[i], names[i + 1])
+    twisted = set(rng.sample(range(n_cycles), 3))
+    for j in range(n_cycles):
+        num, den = rng.sample(range(2, 8), 2) if j in twisted else (1, 1)
+        edge("b%02d" % j, *rng.sample(names, 2), num=num * rng.choice((1, -1)), den=den)
+    edge("b%02d" % n_cycles, names[11], names[12])
+    edge("b%02d" % (n_cycles + 1), names[20], names[20], num=-1)
+    return {"graph": {"vertices": [{"id": v} for v in names], "edges": edges}}
+
+
 def _text(doc):
     return doc if isinstance(doc, str) else json.dumps(doc, indent=2) + "\n"
 
@@ -160,6 +197,7 @@ def _build(work):
     inputs["graph-and-flow.json"] = _text(dict(twist, **GOOD_GRAPH))
     hand = _hand_written()
     inputs.update((name, _text(doc)) for name, doc in hand.items())
+    inputs["graph-deep.json"] = _text(_deep_graph())
 
     checked = (twists + flows + ["twist-parallel-curve.json", "twist-flipped-sides.json",
                                  "graph-and-flow.json"]
@@ -173,6 +211,9 @@ def _build(work):
         for command in ("validate", "rw"):
             case("%s-text-%s" % (command, name), [command, name])
 
+    case("aspiral-text-graph-deep.json", ["aspiral", "graph-deep.json"])
+    case("aspiral-structured-graph-deep.json",
+         ["aspiral", "--format", "structured", "graph-deep.json"])
     case("validate-lenient", ["validate", "--lenient", "graph-extra-field.json"])
     case("aspiral-lenient", ["aspiral", "--lenient", "graph-extra-field.json"])
     case("validate-rational-h", ["validate", "--allow-rational-h",

@@ -10,8 +10,9 @@ from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, VertexKin
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest,
                              DANGLING_EDGE, NON_POSITIVE_H, BAD_OMEGA,
                              ELEMENTARY_ADJACENCY, OMEGA_AMBIGUITY)
-from util import (PartialDilatation, compose, oracle_cycle_value, random_graph,
-                  random_closed_walk, all_spanning_forests, seeded)
+from util import (PartialDilatation, compose, oracle_basis, oracle_cycle_value,
+                  random_graph, random_path_graph, random_closed_walk,
+                  all_spanning_forests, seeded)
 
 
 def two_vertex_graph():
@@ -332,3 +333,27 @@ def test_cycle_value_recoverable_from_any_basis():
         expected = cycle_spirality(g, cycle)
         for char in all_spanning_forests(g):
             assert evaluate_character(char, cycle) == expected
+
+
+def _assert_character_matches_oracle(g, char):
+    forest = {e.id for e in g.edges} - set(char.cycle_edges)
+    basis = oracle_basis(g, forest)
+    assert list(char.basis) == basis
+    for cycle, value in zip(char.basis, char.values):
+        assert value == oracle_cycle_value(g, cycle) == cycle_spirality(g, cycle)
+
+
+def test_character_against_root_path_oracle():
+    rng = seeded(207)
+    for _ in range(150):
+        # small graphs: self-loops, parallel edges, isolated vertices, components
+        g = random_graph(rng, max_vertices=8, max_edges=10)
+        _assert_character_matches_oracle(g, character(g))
+    for _ in range(20):
+        g = random_path_graph(rng, n_vertices=rng.randint(30, 45),
+                              n_extra=rng.randint(1, 30))
+        _assert_character_matches_oracle(g, character(g))
+    for _ in range(30):
+        g = random_graph(rng, max_vertices=4, max_edges=6)
+        for char in all_spanning_forests(g):
+            _assert_character_matches_oracle(g, char)

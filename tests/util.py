@@ -3,7 +3,8 @@
 The oracles here deliberately re-derive values by a different route than
 the library: intersection numbers by counting lattice points in a
 fundamental parallelogram, covering degrees by direct enumeration, cycle
-values by a hand-rolled integer product or by folding partial dilatations.
+values by a hand-rolled integer product or by folding partial dilatations,
+and fundamental cycles from both ends' full paths to the root.
 """
 
 import random
@@ -194,6 +195,69 @@ def random_graph(rng, max_vertices=6, max_edges=12, h_bound=9, signed=True):
                           rng.randint(1, h_bound), rng.randint(1, h_bound),
                           rng.choice((1, -1)) if signed else 1))
     return DecoratedJSJGraph(vertices, edges)
+
+
+def random_path_graph(rng, n_vertices=32, n_extra=20, h_bound=9):
+    """A graph whose lowest-id spanning forest is a path through all vertices.
+
+    Tree edges a000.. join v_i to v_(i+1), pointing either way; the extra
+    edges b000.. have random ends, so self-loops and parallel edges occur.
+    """
+    names = ["v%d" % i for i in range(n_vertices)]
+
+    def edge(eid, u, v):
+        if rng.random() < 0.5:
+            u, v = v, u
+        return Edge(eid, u, v, rng.randint(1, h_bound), rng.randint(1, h_bound),
+                    rng.choice((1, -1)))
+
+    edges = [edge("a%03d" % i, names[i], names[i + 1]) for i in range(n_vertices - 1)]
+    edges += [edge("b%03d" % j, rng.choice(names), rng.choice(names))
+              for j in range(n_extra)]
+    return DecoratedJSJGraph([Vertex(v) for v in names], edges)
+
+
+def _root_paths(g, forest):
+    """BFS over the forest from the first vertex of each component:
+    vertex -> its steps up to the root, each step from child to parent."""
+    adjacency = {v.id: [] for v in g.vertices}
+    for eid in sorted(forest):
+        e = g.edge(eid)
+        adjacency[e.from_vertex].append(((eid, FORWARD), e.to_vertex))
+        adjacency[e.to_vertex].append(((eid, BACKWARD), e.from_vertex))
+    paths = {}
+    for root in (v.id for v in g.vertices):
+        if root in paths:
+            continue
+        paths[root] = []
+        queue = [root]
+        while queue:
+            current = queue.pop(0)
+            for (eid, d), other in adjacency[current]:
+                if other not in paths:
+                    paths[other] = [(eid, -d)] + paths[current]
+                    queue.append(other)
+    return paths
+
+
+def oracle_basis(g, forest):
+    """The fundamental cycle of each non-tree edge, in edge-id order.
+
+    Each runs its edge forward, climbs from the edge's end to the root and
+    comes down to its start, with the common tail of the two root paths cut.
+    """
+    paths = _root_paths(g, forest)
+    basis = []
+    for e in sorted(g.edges, key=lambda e: e.id):
+        if e.id in forest:
+            continue
+        up_to, up_from = list(paths[e.to_vertex]), list(paths[e.from_vertex])
+        while up_to and up_from and up_to[-1] == up_from[-1]:
+            up_to.pop()
+            up_from.pop()
+        down_from = [(eid, -d) for eid, d in reversed(up_from)]
+        basis.append(DirectedCycle(tuple([(e.id, FORWARD)] + up_to + down_from)))
+    return basis
 
 
 def _incidence(g):
