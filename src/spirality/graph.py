@@ -180,12 +180,13 @@ def validate(g):
             out.append(error(BAD_OMEGA, "edge %r has omega %r" % (e.id, e.omega)))
         if g.has_vertex(e.from_vertex) and g.has_vertex(e.to_vertex):
             u, v = g.vertex(e.from_vertex), g.vertex(e.to_vertex)
-            kinds = {u.kind, v.kind}
-            if kinds == {VertexKind.ELEMENTARY_BAND}:
+            u_band = u.kind is VertexKind.ELEMENTARY_BAND
+            v_band = v.kind is VertexKind.ELEMENTARY_BAND
+            if u_band and v_band:
                 out.append(warning(ELEMENTARY_ADJACENCY,
                                    "edge %r joins two elementary bands; such pieces "
                                    "cannot be adjacent in a nonelementary manifold" % e.id))
-            if VertexKind.ELEMENTARY_BAND in kinds and not (u.orientable and v.orientable):
+            if (u_band or v_band) and not (u.orientable and v.orientable):
                 out.append(warning(OMEGA_AMBIGUITY,
                                    "edge %r touches an elementary band next to a "
                                    "non-orientable subsurface; omega sign data is taken "
@@ -212,6 +213,13 @@ def _step_endpoints(g, step):
     raise InvalidCycle("bad direction %r on edge %r" % (direction, edge_id))
 
 
+def _factor(e, direction):
+    """Holonomy of one step along edge ``e``: h entering over h leaving, signed."""
+    if direction == FORWARD:
+        return Fraction(e.h_ini * e.omega, e.h_ter)
+    return Fraction(e.h_ter * e.omega, e.h_ini)
+
+
 def cycle_spirality(g, cycle):
     """Holonomy of a directed cycle: product of h(entering)/h(leaving), signed.
 
@@ -229,11 +237,7 @@ def cycle_spirality(g, cycle):
             raise InvalidCycle("steps do not chain at %r (edge %r starts at %r)"
                                % (at, step[0], s))
         at = t
-        e = g.edge(step[0])
-        if step[1] == FORWARD:
-            value *= Fraction(e.h_ini * e.omega, e.h_ter)
-        else:
-            value *= Fraction(e.h_ter * e.omega, e.h_ini)
+        value *= _factor(g.edge(step[0]), step[1])
     if at is not None and at != start:
         raise InvalidCycle("cycle is not closed: ends at %r, started at %r" % (at, start))
     return value
@@ -279,47 +283,46 @@ def _check_forest(g, forest):
     return forest
 
 
-def _parent_steps(g, forest):
-    """BFS parent pointers within the forest: vertex -> (step to parent, parent)."""
+def _forest_walk(g, forest):
+    """BFS over the forest from the first vertex of each component.
+
+    Maps each vertex to (step up to its parent, parent, depth, potential); a
+    root has neither step nor parent, depth 0 and potential 1. The potential
+    is the holonomy of the tree path from the root down to the vertex.
+    """
     adjacency = {v.id: [] for v in g.vertices}
-    for eid in sorted(forest):
-        e = g.edge(eid)
-        adjacency[e.from_vertex].append(((eid, FORWARD), e.to_vertex))
-        adjacency[e.to_vertex].append(((eid, BACKWARD), e.from_vertex))
-    parents = {}
+    for e in g.edges:
+        if e.id in forest:
+            adjacency[e.from_vertex].append((e, FORWARD, e.to_vertex))
+            adjacency[e.to_vertex].append((e, BACKWARD, e.from_vertex))
+    tree = {}
     for root in (v.id for v in g.vertices):
-        if root in parents:
+        if root in tree:
             continue
-        parents[root] = None
+        tree[root] = (None, None, 0, Fraction(1))
         queue = [root]
-        while queue:
-            current = queue.pop(0)
-            for (eid, d), other in adjacency[current]:
-                if other not in parents:
+        for current in queue:
+            _, _, depth, potential = tree[current]
+            for e, d, other in adjacency[current]:
+                if other not in tree:
                     # stored step runs from the child back up to its parent
-                    parents[other] = ((eid, -d), current)
+                    tree[other] = ((e.id, -d), current, depth + 1,
+                                   potential * _factor(e, d))
                     queue.append(other)
-    return parents
+    return tree
 
 
-def _path_to_root(parents, v):
-    steps = []
-    while parents[v] is not None:
-        step, parent = parents[v]
-        steps.append(step)
-        v = parent
-    return steps
-
-
-def fundamental_cycle(g, parents, edge):
-    """The basis cycle of a non-tree edge: the edge forward, closed up in the tree."""
-    up_to = _path_to_root(parents, edge.to_vertex)
-    up_from = _path_to_root(parents, edge.from_vertex)
-    while up_to and up_from and up_to[-1] == up_from[-1]:
-        up_to.pop()
-        up_from.pop()
-    down_from = [(eid, -d) for eid, d in reversed(up_from)]
-    return DirectedCycle(tuple([(edge.id, FORWARD)] + up_to + down_from))
+def _tree_path(tree, start, end):
+    """Tree steps from ``start`` up to the lowest common ancestor, then down to ``end``."""
+    up, down = [], []
+    while start != end:
+        if tree[start][2] >= tree[end][2]:
+            step, start = tree[start][:2]
+            up.append(step)
+        else:
+            step, end = tree[end][:2]
+            down.append(step)
+    return up + [(eid, -d) for eid, d in reversed(down)]
 
 
 @dataclass(frozen=True)
@@ -349,14 +352,16 @@ def character(g, forest=None):
     """
     _require_valid(g)
     forest = spanning_forest(g) if forest is None else _check_forest(g, forest)
-    parents = _parent_steps(g, forest)
+    tree = _forest_walk(g, forest)
     basis, values, cycle_edges = [], [], []
     for e in sorted(g.edges, key=lambda e: e.id):
         if e.id in forest:
             continue
-        cycle = fundamental_cycle(g, parents, e)
-        basis.append(cycle)
-        values.append(cycle_spirality(g, cycle))
+        # the basis cycle runs e forward, up from its end and down to its start
+        basis.append(DirectedCycle(
+            [(e.id, FORWARD)] + _tree_path(tree, e.to_vertex, e.from_vertex)))
+        # a gauge: the tree holonomies cancel to potential(start) / potential(end)
+        values.append(_factor(e, FORWARD) * tree[e.from_vertex][3] / tree[e.to_vertex][3])
         cycle_edges.append(e.id)
     internal = tuple((v.id, -1) for v in g.vertices if v.internal_omega_generators > 0)
     return SpiralityCharacter(tuple(basis), tuple(values), tuple(cycle_edges), internal)
