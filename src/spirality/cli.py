@@ -255,8 +255,22 @@ def cmd_gen(args):
             report.add("expected", format_rational(instance.expected))
         _render(report, args)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return EXIT_OK
+
+
+def _write_stdout(text):
+    """Write all of ``text`` to stdout. An unbuffered stdout (PYTHONUNBUFFERED)
+    may take only part of one write, so the bytes are written until none is
+    left, and a closed reader raises BrokenPipeError."""
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[out.write(data):]
 
 
 def _twist_family_params(args):

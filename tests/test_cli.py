@@ -373,6 +373,20 @@ class TestReporting:
         assert proc.wait(timeout=60) == 2
         assert err == b""
 
+    def test_closed_pipe_on_unbuffered_stdout_is_an_io_error(self):
+        # an unbuffered stdout takes part of the manifest's one write when the
+        # reader goes away; the rest must not be dropped silently
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=str(Path(spirality.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "spirality.cli", "gen",
+                                 "twist-family", "--d", "3000"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(10) == b'{\n  "piece'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+        assert err == b""
+
     def test_timestamps_are_opt_in(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", GOOD_GRAPH)
         _, without = run(capsys, "aspiral", path)
