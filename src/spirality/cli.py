@@ -300,10 +300,12 @@ def cmd_crosscheck(args):
     elif args.paths:
         loaded = [_load(path, args) for path in args.paths]
         report.digest = _digest(b"".join(raw for raw, _ in loaded))
-        # the first manifest that fails the check ends the run
-        if not all(_check(parsed, report) for _, parsed in loaded):
-            _render(report, args)
-            return EXIT_DOMAIN
+        for path, (_, parsed) in zip(args.paths, loaded):
+            if not _check(parsed, report):
+                # the first manifest that fails the check ends the run
+                report.add("invalid manifest", path, "red")
+                _render(report, args)
+                return EXIT_DOMAIN
         for path, (_, parsed) in zip(args.paths, loaded):
             _require_flow_loop(parsed)
             cases.append((path, parsed.flow, parsed.loop))

@@ -247,6 +247,16 @@ class TestOneCheck:
         assert "error: DanglingReference: crossing 0 references missing torus" in out.out
         assert "status: invalid" in out.out and out.err == ""
 
+    def test_crosscheck_names_the_invalid_path(self, tmp_path, capsys):
+        good = str(tmp_path / "good.json")
+        run(capsys, "gen", "twist-family", "--out", good)
+        bad = self.twist_with(tmp_path, capsys, self.ghost_torus)
+        code, out = run(capsys, "crosscheck", good, bad)
+        assert code == 1
+        rows = out.out.splitlines()
+        assert rows[-2:] == ["status: invalid", "invalid manifest: %s" % bad]
+        assert good not in out.out and out.err == ""
+
     def test_validate_checks_the_loop_when_the_graph_is_broken(self, tmp_path, capsys):
         def both(doc):
             self.ghost_torus(doc)

@@ -243,6 +243,8 @@ def _build(work):
     case("crosscheck-many", ["crosscheck"] + twists + flows)
     case("crosscheck-many-structured", ["crosscheck", "--format", "structured"]
          + flows)
+    case("crosscheck-second-invalid", ["crosscheck", twists[0],
+                                       "twist-parallel-curve.json"])
     case("crosscheck-graph-only", ["crosscheck", "graph-good.json"])
     case("crosscheck-bad-json", ["crosscheck", "bad-json.json"])
     case("crosscheck-missing", ["crosscheck", "missing.json"])
