@@ -8,7 +8,9 @@ hand-written graphs and fdtc documents of test_cli, and malformed inputs;
 each is run through validate, aspiral, rw and fdtc in both formats, next to
 gen, crosscheck and a few flag variants. A deep planted graph, whose
 spanning forest is a path, pins the basis cycles ``aspiral`` prints when
-they run far into the tree.
+they run far into the tree. Two loops at the benchmark's sizes, a twist
+elevation of degree 1000 and a three-piece loop of 260 crossings whose rho
+factors all differ from 1, pin ``rw`` and ``crosscheck`` on long products.
 
 When an output changes on purpose, regenerate the corpus with
 
@@ -24,9 +26,13 @@ import os
 import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
-from spirality import cli, dumps_manifest, gen_random_flow
+from spirality import (cli, dumps_manifest, gen_random_flow, intersection_number,
+                       Slope, FlowManifest, Piece, PieceBoundary, PieceType, Torus,
+                       Side, Crossing, LoopItinerary)
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
 
@@ -142,6 +148,60 @@ def _deep_graph(n_vertices=30, n_cycles=30, seed=7):
     return {"graph": {"vertices": [{"id": v} for v in names], "edges": edges}}
 
 
+def _long_loop(n_crossings=260, seed=11):
+    """A loop of n crossings through three pieces, a fresh torus at each.
+
+    The boundary a segment enters and the one it leaves never share a leaf
+    length, so no rho factor is 1. Written without indentation, as the
+    manifest is large.
+    """
+    rng = random.Random(seed)
+    seq = ["P0"]
+    for i in range(1, n_crossings):
+        seq.append(rng.choice([p for p in ("P0", "P1", "P2")
+                               if p != seq[-1] and (i < n_crossings - 1 or p != "P0")]))
+
+    def length(avoid):
+        while True:
+            value = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            if value != avoid:
+                return value
+
+    def slope():
+        while True:
+            a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+            if (a, b) != (0, 0) and gcd(a, b) == 1:
+                return Slope((a, b))
+
+    boundaries = {p: [] for p in ("P0", "P1", "P2")}
+    tori, crossings, entered = [], [], None
+    for i, leave in enumerate(seq):
+        enter = seq[(i + 1) % n_crossings]
+        tid = "T%03d" % i
+        left_length = length(entered)
+        if i == 0:
+            first_left = left_length
+        entered = length(first_left if i == n_crossings - 1 else None)
+        s_leave, s_enter = slope(), slope()
+        boundaries[leave].append(PieceBoundary("b%03dl" % i, tid, s_leave, left_length))
+        boundaries[enter].append(PieceBoundary("b%03de" % i, tid, s_enter, entered))
+        side = rng.choice((Side.PLUS, Side.MINUS))
+        ends = {side: (leave, "b%03dl" % i), side.other: (enter, "b%03de" % i)}
+        tori.append(Torus(tid, plus=ends[Side.PLUS], minus=ends[Side.MINUS]))
+        while True:
+            a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+            if (a, b) == (0, 0):
+                continue
+            curve = Slope.of(a, b, rng.randint(1, 2))
+            if intersection_number(curve, s_leave) and intersection_number(curve, s_enter):
+                break
+        crossings.append(Crossing(tid, curve, side))
+    pieces = [Piece(p, PieceType.PSEUDO_ANOSOV, b) for p, b in boundaries.items()]
+    text = dumps_manifest(flow_manifest=FlowManifest(pieces, tori),
+                          loop=LoopItinerary(crossings))
+    return json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+
+
 def _text(doc):
     return doc if isinstance(doc, str) else json.dumps(doc, indent=2) + "\n"
 
@@ -198,6 +258,11 @@ def _build(work):
     hand = _hand_written()
     inputs.update((name, _text(doc)) for name, doc in hand.items())
     inputs["graph-deep.json"] = _text(_deep_graph())
+    inputs["loop-260.json"] = _long_loop()
+    _capture(["gen", "twist-family", "--k", "2", "--p", "3", "--q", "2", "--d", "1000",
+              "--out", "twist-d1000.json"])
+    inputs["twist-d1000.json"] = json.dumps(json.loads(
+        (work / "twist-d1000.json").read_text(encoding="utf-8")), separators=(",", ":")) + "\n"
 
     checked = (twists + flows + ["twist-parallel-curve.json", "twist-flipped-sides.json",
                                  "graph-and-flow.json"]
@@ -253,6 +318,11 @@ def _build(work):
     case("crosscheck-random-structured", ["crosscheck", "--random", "3",
                                           "--format", "structured"])
     case("crosscheck-no-input", ["crosscheck"])
+    for name in ("twist-d1000.json", "loop-260.json"):
+        for command in ("rw", "crosscheck"):
+            case("%s-text-%s" % (command, name), [command, name])
+            case("%s-structured-%s" % (command, name),
+                 [command, "--format", "structured", name])
     return inputs, cases
 
 
