@@ -20,7 +20,7 @@ from .graph import (DecoratedJSJGraph, Vertex, Edge, VertexKind, DirectedCycle,
                     InvalidGraph, InvalidCycle, NotACovering)
 from .flow import (FlowManifest, Piece, PieceBoundary, PieceType, Torus, Side,
                    Crossing, LoopItinerary, SideConvention,
-                   sigma, rho, segments_of, flow_factors, flow_spirality,
+                   flow_factors, flow_spirality,
                    equiperiodic_rho_is_one,
                    decorate_from_flow, reverse_itinerary, normalize_itinerary,
                    validate_manifest, validate_itinerary,

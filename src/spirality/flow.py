@@ -294,31 +294,6 @@ def validate_itinerary(itinerary, m):
     return out
 
 
-def _transverse_ends(crossing, m):
-    """The boundaries left and entered at a crossing, with the curve's
-    intersection numbers against their degeneracy slopes; both are nonzero."""
-    _, leave = m.side_boundary(crossing.torus, crossing.from_side)
-    _, enter = m.side_boundary(crossing.torus, crossing.from_side.other)
-    n_leave = intersection_number(crossing.curve, leave.degeneracy_slope)
-    n_enter = intersection_number(crossing.curve, enter.degeneracy_slope)
-    if n_leave == 0 or n_enter == 0:
-        raise NotFlowTransverse(
-            "curve %s on torus %r is parallel to a degeneracy slope"
-            % (crossing.curve, crossing.torus))
-    return leave, n_leave, enter, n_enter
-
-
-def sigma(crossing, m):
-    """Intersection-number ratio of one sided crossing.
-
-    The numerator uses the degeneracy slope on the side being left and the
-    denominator the side entered into; flipping the side assignment inverts
-    the value.
-    """
-    _, n_leave, _, n_enter = _transverse_ends(crossing, m)
-    return Fraction(n_leave, n_enter)
-
-
 @dataclass(frozen=True)
 class Segment:
     """An in-piece subpath, named by its entry and exit boundaries."""
@@ -326,33 +301,6 @@ class Segment:
     piece: str
     entry_boundary: str
     exit_boundary: str
-
-
-def segments_of(itinerary, m):
-    """The in-piece segments of a loop, one ending at each crossing."""
-    crossings = itinerary.crossings
-    n = len(crossings)
-    segments = []
-    for i in range(n):
-        before, after = crossings[(i - 1) % n], crossings[i]
-        entry_piece, entry = m.side_boundary(before.torus, before.from_side.other)
-        exit_piece, exit_ = m.side_boundary(after.torus, after.from_side)
-        if entry_piece.id != exit_piece.id:
-            raise BadSegment("segment %d would run from piece %r to piece %r"
-                             % (i, entry_piece.id, exit_piece.id))
-        segments.append(Segment(entry_piece.id, entry.id, exit_.id))
-    return tuple(segments)
-
-
-def rho(segment, m):
-    """Leaf-length ratio of a segment: entry boundary over exit boundary."""
-    piece = m.piece(segment.piece)
-    try:
-        entry = piece.boundary(segment.entry_boundary)
-        exit_ = piece.boundary(segment.exit_boundary)
-    except KeyError as missing:
-        raise BadSegment("boundary %s is not on piece %r" % (missing, segment.piece))
-    return entry.leaf_length / exit_.leaf_length
 
 
 def equiperiodic_rho_is_one(m):
@@ -370,23 +318,72 @@ def equiperiodic_rho_is_one(m):
 
 @dataclass(frozen=True)
 class FlowFactors:
-    """The factors of a loop's spirality, in loop order: ``sigmas[i]`` of
-    crossing i, and ``rhos[i]`` of ``segments[i]``, the segment ending there."""
+    """A loop's crossings resolved once, in loop order.
 
-    sigmas: tuple
+    Crossing i leaves boundary ``left[i]`` and enters ``entered[i]``, whose
+    degeneracy slopes its curve meets ``ends[i] = (n_leave, n_enter)``
+    times; ``segments[i]`` runs from ``entered[i - 1]`` to ``left[i]``.
+    """
+
+    ends: tuple
+    left: tuple
+    entered: tuple
     segments: tuple
-    rhos: tuple
+
+    @property
+    def sigmas(self):
+        """sigma of each crossing: n_leave / n_enter."""
+        return tuple(Fraction(n_leave, n_enter) for n_leave, n_enter in self.ends)
+
+    @property
+    def rhos(self):
+        """rho of each segment: entry leaf length over exit leaf length."""
+        return tuple(entry.leaf_length / exit_.leaf_length
+                     for entry, exit_ in zip(self.entered[-1:] + self.entered[:-1],
+                                             self.left))
 
     @property
     def spirality(self):
-        return prod(self.sigmas + self.rhos, start=Fraction(1))
+        """Every sigma and rho, multiplied as integers and reduced once. Each
+        entered boundary is one segment's entry and each left boundary one
+        segment's exit, so the rhos multiply to entered over left lengths."""
+        num = (prod(n for n, _ in self.ends)
+               * prod(b.leaf_length.numerator for b in self.entered)
+               * prod(b.leaf_length.denominator for b in self.left))
+        den = (prod(n for _, n in self.ends)
+               * prod(b.leaf_length.denominator for b in self.entered)
+               * prod(b.leaf_length.numerator for b in self.left))
+        return Fraction(num, den)
 
 
 def flow_factors(itinerary, m):
-    """One pass over a loop: every crossing's sigma, every segment and its rho."""
-    sigmas = tuple(sigma(c, m) for c in itinerary.crossings)
-    segments = segments_of(itinerary, m)
-    return FlowFactors(sigmas, segments, tuple(rho(seg, m) for seg in segments))
+    """One pass over a loop: each crossing's two sides are looked up once.
+
+    Every crossing is checked for transversality before any segment is
+    checked, so a loop with both faults raises NotFlowTransverse.
+    """
+    ends, left, entered, pieces = [], [], [], []
+    for c in itinerary.crossings:
+        leave_piece, leave = m.side_boundary(c.torus, c.from_side)
+        enter_piece, enter = m.side_boundary(c.torus, c.from_side.other)
+        n_leave = intersection_number(c.curve, leave.degeneracy_slope)
+        n_enter = intersection_number(c.curve, enter.degeneracy_slope)
+        if n_leave == 0 or n_enter == 0:
+            raise NotFlowTransverse(
+                "curve %s on torus %r is parallel to a degeneracy slope"
+                % (c.curve, c.torus))
+        ends.append((n_leave, n_enter))
+        left.append(leave)
+        entered.append(enter)
+        pieces.append((leave_piece.id, enter_piece.id))
+    segments = []
+    for i, (exit_piece, _) in enumerate(pieces):
+        entry_piece = pieces[i - 1][1]
+        if entry_piece != exit_piece:
+            raise BadSegment("segment %d would run from piece %r to piece %r"
+                             % (i, entry_piece, exit_piece))
+        segments.append(Segment(exit_piece, entered[i - 1].id, left[i].id))
+    return FlowFactors(tuple(ends), tuple(left), tuple(entered), tuple(segments))
 
 
 def flow_spirality(itinerary, m):
@@ -404,19 +401,17 @@ def decorate_from_flow(itinerary, m):
     cancels in every cycle product, so the emitted cycle's holonomy equals
     the spirality of the loop exactly.
     """
-    crossings = itinerary.crossings
-    n = len(crossings)
-    segs = segments_of(itinerary, m)
-
-    weights = []
-    for c in crossings:
-        leave, n_leave, enter, n_enter = _transverse_ends(c, m)
-        weights.append((Fraction(n_leave) / leave.leaf_length,
-                        Fraction(n_enter) / enter.leaf_length))
-
+    factors = flow_factors(itinerary, m)
+    n = len(factors.ends)
+    weights = [(Fraction(n_leave * leave.leaf_length.denominator,
+                         leave.leaf_length.numerator),
+                Fraction(n_enter * enter.leaf_length.denominator,
+                         enter.leaf_length.numerator))
+               for (n_leave, n_enter), leave, enter
+               in zip(factors.ends, factors.left, factors.entered)]
     scale = lcm(*(w.denominator for pair in weights for w in pair))
     vertices = []
-    for i, seg in enumerate(segs):
+    for i, seg in enumerate(factors.segments):
         piece = m.piece(seg.piece)
         kind = (jsj.VertexKind.HORIZONTAL if piece.type is PieceType.SEIFERT
                 else jsj.VertexKind.GEOMETRICALLY_INFINITE)
@@ -426,6 +421,7 @@ def decorate_from_flow(itinerary, m):
     for i, (w_leave, w_enter) in enumerate(weights):
         edge_id = "x%03d" % i
         edges.append(jsj.Edge(edge_id, "seg%03d" % i, "seg%03d" % ((i + 1) % n),
-                              int(w_leave * scale), int(w_enter * scale)))
+                              w_leave.numerator * (scale // w_leave.denominator),
+                              w_enter.numerator * (scale // w_enter.denominator)))
         steps.append((edge_id, jsj.FORWARD))
     return jsj.DecoratedJSJGraph(vertices, edges), jsj.DirectedCycle(tuple(steps))

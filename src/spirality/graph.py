@@ -86,7 +86,7 @@ class DirectedCycle:
     steps: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple((e, d) for e, d in self.steps))
+        object.__setattr__(self, "steps", tuple(map(tuple, self.steps)))
 
     def reversed(self):
         return DirectedCycle(tuple((e, -d) for e, d in reversed(self.steps)))
@@ -207,9 +207,9 @@ def _step_endpoints(g, step):
     except KeyError:
         raise InvalidCycle("unknown edge %r" % edge_id)
     if direction == FORWARD:
-        return e.from_vertex, e.to_vertex
+        return e, e.from_vertex, e.to_vertex
     if direction == BACKWARD:
-        return e.to_vertex, e.from_vertex
+        return e, e.to_vertex, e.from_vertex
     raise InvalidCycle("bad direction %r on edge %r" % (direction, edge_id))
 
 
@@ -224,23 +224,26 @@ def cycle_spirality(g, cycle):
     """Holonomy of a directed cycle: product of h(entering)/h(leaving), signed.
 
     Traversing an edge forward enters at the ini end and leaves at the ter
-    end; backward traversal swaps them. The empty cycle has value 1.
+    end; backward traversal swaps them. The empty cycle has value 1. The
+    product is taken over the integers and reduced once.
     """
-    value = Fraction(1)
+    num = den = 1
     at = None
     start = None
     for step in cycle.steps:
-        s, t = _step_endpoints(g, step)
+        e, s, t = _step_endpoints(g, step)
         if at is None:
             start = s
         elif s != at:
             raise InvalidCycle("steps do not chain at %r (edge %r starts at %r)"
                                % (at, step[0], s))
         at = t
-        value *= _factor(g.edge(step[0]), step[1])
+        h_enter, h_leave = (e.h_ini, e.h_ter) if step[1] == FORWARD else (e.h_ter, e.h_ini)
+        num *= h_enter * e.omega
+        den *= h_leave
     if at is not None and at != start:
         raise InvalidCycle("cycle is not closed: ends at %r, started at %r" % (at, start))
-    return value
+    return Fraction(num, den)
 
 
 def _find(parent, x):

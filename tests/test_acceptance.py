@@ -12,7 +12,7 @@ import pytest
 
 from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
                        gen_random_flow, flow_spirality, decorate_from_flow,
-                       cycle_spirality, character, is_aspiral, verdict, sigma,
+                       cycle_spirality, character, is_aspiral, verdict,
                        equiperiodic_rho_is_one, pullback, cyclic_cover,
                        fdtc, Slope, NotParallel,
                        DecoratedJSJGraph, Vertex, Edge)
@@ -20,7 +20,7 @@ from spirality.graph import FORWARD
 from util import (PartialDilatation, compose, oracle_cycle_value, oracle_fdtc_scan,
                   random_graph, random_closed_walk, random_slope,
                   random_primitive_slope, all_spanning_forests, make_equiperiodic,
-                  seeded)
+                  seeded, sigma)
 
 
 @contextmanager

@@ -4,7 +4,7 @@ import pytest
 
 from spirality import (Slope, FlowManifest, Piece, PieceBoundary, PieceType,
                        Torus, Side, Crossing, LoopItinerary, SideConvention,
-                       sigma, rho, flow_spirality,
+                       flow_spirality,
                        equiperiodic_rho_is_one, decorate_from_flow,
                        reverse_itinerary, normalize_itinerary,
                        validate_manifest, validate_itinerary,
@@ -12,7 +12,7 @@ from spirality import (Slope, FlowManifest, Piece, PieceBoundary, PieceType,
                        gen_random_flow)
 from spirality.flow import Segment, SEIFERT_LEAF_MISMATCH, UNPAIRED_BOUNDARY, \
     PIECE_MISMATCH, NOT_TRANSVERSE
-from util import make_equiperiodic, seeded
+from util import make_equiperiodic, rho, seeded, sigma
 
 PA = PieceType.PSEUDO_ANOSOV
 

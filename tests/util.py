@@ -4,18 +4,21 @@ The oracles here deliberately re-derive values by a different route than
 the library: intersection numbers by counting lattice points in a
 fundamental parallelogram, covering degrees by direct enumeration, cycle
 values by a hand-rolled integer product or by folding partial dilatations,
-and fundamental cycles from both ends' full paths to the root.
+fundamental cycles from both ends' full paths to the root, and flow
+spiralities as a product of one reduced Fraction per sigma and rho factor.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, Slope,
                        SublatticeCover, FlowManifest, Piece, PieceBoundary,
-                       character)
+                       character, intersection_number, NotFlowTransverse,
+                       BadSegment)
+from spirality.flow import Segment
 from spirality.graph import FORWARD, BACKWARD, spanning_forest
 
 
@@ -324,6 +327,74 @@ def random_closed_walk(g, rng, start=None, max_length=8):
 
 
 # ------------------------------------------------------------------- flow
+#
+# The per-factor route: each crossing's sides are looked up again for every
+# factor, and every factor is its own reduced Fraction.
+
+def sigma(crossing, m):
+    """Intersection-number ratio of one sided crossing: the slope on the side
+    left over the slope on the side entered."""
+    _, leave = m.side_boundary(crossing.torus, crossing.from_side)
+    _, enter = m.side_boundary(crossing.torus, crossing.from_side.other)
+    n_leave = intersection_number(crossing.curve, leave.degeneracy_slope)
+    n_enter = intersection_number(crossing.curve, enter.degeneracy_slope)
+    if n_leave == 0 or n_enter == 0:
+        raise NotFlowTransverse("curve %s on torus %r is parallel to a degeneracy "
+                                "slope" % (crossing.curve, crossing.torus))
+    return Fraction(n_leave, n_enter)
+
+
+def segments_of(itinerary, m):
+    """The in-piece segments of a loop, one ending at each crossing."""
+    crossings = itinerary.crossings
+    n = len(crossings)
+    segments = []
+    for i in range(n):
+        before, after = crossings[(i - 1) % n], crossings[i]
+        entry_piece, entry = m.side_boundary(before.torus, before.from_side.other)
+        exit_piece, exit_ = m.side_boundary(after.torus, after.from_side)
+        if entry_piece.id != exit_piece.id:
+            raise BadSegment("segment %d would run from piece %r to piece %r"
+                             % (i, entry_piece.id, exit_piece.id))
+        segments.append(Segment(entry_piece.id, entry.id, exit_.id))
+    return tuple(segments)
+
+
+def rho(segment, m):
+    """Leaf-length ratio of a segment: entry boundary over exit boundary."""
+    piece = m.piece(segment.piece)
+    try:
+        entry = piece.boundary(segment.entry_boundary)
+        exit_ = piece.boundary(segment.exit_boundary)
+    except KeyError as missing:
+        raise BadSegment("boundary %s is not on piece %r" % (missing, segment.piece))
+    return entry.leaf_length / exit_.leaf_length
+
+
+def oracle_flow_spirality(itinerary, m):
+    """The sigma and rho product, one Fraction at a time."""
+    value = Fraction(1)
+    for c in itinerary.crossings:
+        value *= sigma(c, m)
+    for segment in segments_of(itinerary, m):
+        value *= rho(segment, m)
+    return value
+
+
+def oracle_decorated_h(itinerary, m):
+    """The (h_ini, h_ter) of each crossing's edge: the end weights
+    i(curve, slope) / leaf length as Fractions, times their global lcm."""
+    weights = []
+    for c in itinerary.crossings:
+        pair = []
+        for side in (c.from_side, c.from_side.other):
+            _, b = m.side_boundary(c.torus, side)
+            pair.append(Fraction(intersection_number(c.curve, b.degeneracy_slope))
+                        / b.leaf_length)
+        weights.append(pair)
+    scale = lcm(*(w.denominator for pair in weights for w in pair))
+    return [(int(w_leave * scale), int(w_enter * scale)) for w_leave, w_enter in weights]
+
 
 def make_equiperiodic(m, rng, bound=9):
     """Copy a manifest, forcing one leaf length per piece."""
