@@ -9,10 +9,12 @@ from spirality import (Slope, FlowManifest, Piece, PieceBoundary, PieceType,
                        reverse_itinerary, normalize_itinerary,
                        validate_manifest, validate_itinerary,
                        cycle_spirality, NotFlowTransverse, BadSegment,
-                       gen_random_flow)
+                       gen_random_flow, flow_factors, gen_twist_family,
+                       TwistFamilyParams)
 from spirality.flow import Segment, SEIFERT_LEAF_MISMATCH, UNPAIRED_BOUNDARY, \
     PIECE_MISMATCH, NOT_TRANSVERSE
-from util import make_equiperiodic, rho, seeded, sigma
+from util import (make_equiperiodic, oracle_decorated_h, oracle_flow_spirality, rho,
+                  seeded, segments_of, sigma)
 
 PA = PieceType.PSEUDO_ANOSOV
 
@@ -139,6 +141,45 @@ class TestRwSpirality:
                                 Crossing("T1", Slope((1, 1)), Side.PLUS)))
         with pytest.raises(BadSegment):
             flow_spirality(broken, m)
+
+
+class TestOnePass:
+    """flow_factors against the per-factor oracle of tests/util.py."""
+
+    def test_factors_and_product_match_the_oracle(self):
+        for seed in range(200):
+            m, loop = gen_random_flow(seed)
+            factors = flow_factors(loop, m)
+            assert factors.sigmas == tuple(sigma(c, m) for c in loop.crossings)
+            assert factors.segments == segments_of(loop, m)
+            assert factors.rhos == tuple(rho(seg, m) for seg in factors.segments)
+            assert factors.spirality == oracle_flow_spirality(loop, m)
+
+    def test_twist_family_product_matches_the_oracle(self):
+        for k, p, q, r_minus, r_plus, d in ((1, 1, 1, 2, 1, 1), (-2, 2, 3, 1, 3, 7),
+                                            (3, 2, 3, 4, 1, 150), (2, 3, 2, 3, 1, 3000)):
+            inst = gen_twist_family(TwistFamilyParams(k, p, q, r_minus, r_plus, d))
+            value = flow_factors(inst.loop, inst.manifest).spirality
+            assert value == oracle_flow_spirality(inst.loop, inst.manifest) == inst.expected
+            reverse = reverse_itinerary(inst.loop)
+            assert flow_factors(reverse, inst.manifest).spirality == 1 / value
+
+    def test_decorated_h_match_the_fraction_construction(self):
+        inst = gen_twist_family(TwistFamilyParams(2, 3, 2, 3, 1, 40))
+        cases = [gen_random_flow(seed) for seed in range(200)]
+        for m, loop in cases + [(inst.manifest, inst.loop)]:
+            g, _ = decorate_from_flow(loop, m)
+            assert [(e.h_ini, e.h_ter) for e in g.edges] == oracle_decorated_h(loop, m)
+
+    def test_parallel_crossing_is_reported_before_a_bad_segment(self):
+        # crossing 0 is parallel to the slope it leaves, and crossing 1
+        # leaves P0 although crossing 0 entered P1
+        m, _ = chain_manifest({})
+        loop = LoopItinerary((Crossing("T0", Slope((1, 0)), Side.MINUS),
+                              Crossing("T1", Slope((1, 1)), Side.PLUS)))
+        for route in (flow_factors, flow_spirality, decorate_from_flow):
+            with pytest.raises(NotFlowTransverse):
+                route(loop, m)
 
 
 class TestEquiperiodic:

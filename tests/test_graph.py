@@ -107,6 +107,12 @@ class TestCycleSpirality:
     def test_empty_cycle_is_trivial(self):
         assert cycle_spirality(triangle(), DirectedCycle(())) == 1
 
+    def test_steps_from_lists_are_stored_as_pairs(self):
+        listed = DirectedCycle([[e, d] for e, d in TRIANGLE_CYCLE.steps])
+        assert listed.steps == TRIANGLE_CYCLE.steps
+        assert all(type(step) is tuple for step in listed.steps)
+        assert listed == TRIANGLE_CYCLE and hash(listed) == hash(TRIANGLE_CYCLE)
+
 
 class TestCharacter:
     def test_tree_has_empty_basis(self):
@@ -295,14 +301,19 @@ def test_sign_is_product_of_omegas():
 def test_cycle_value_against_independent_oracles():
     rng = seeded(204)
     checked = 0
+    directions, omegas = set(), set()
     while checked < 500:
         g = random_graph(rng)
         cycle = random_closed_walk(g, rng)
         if cycle is None or not cycle.steps:
             continue
         checked += 1
+        directions.update(d for _, d in cycle.steps)
+        omegas.update(g.edge(e).omega for e, _ in cycle.steps)
         value = cycle_spirality(g, cycle)
         assert value == oracle_cycle_value(g, cycle)
+        there_and_back = cycle * cycle.reversed()
+        assert cycle_spirality(g, there_and_back) == oracle_cycle_value(g, there_and_back)
         folded = None
         for edge_id, direction in cycle.steps:
             e = g.edge(edge_id)
@@ -310,6 +321,8 @@ def test_cycle_value_against_independent_oracles():
             step = PartialDilatation(e.omega * h_in, h_out)
             folded = step if folded is None else compose(folded, step)
         assert value == folded.rate()
+    # backward steps and omega -1 edges were both drawn
+    assert directions == {FORWARD, BACKWARD} and omegas == {1, -1}
 
 
 def test_aspirality_independent_of_forest():
