@@ -320,12 +320,13 @@ def equiperiodic_rho_is_one(m):
 class FlowFactors:
     """A loop's crossings resolved once, in loop order.
 
-    Crossing i leaves boundary ``left[i]`` and enters ``entered[i]``, whose
-    degeneracy slopes its curve meets ``ends[i] = (n_leave, n_enter)``
-    times; ``segments[i]`` runs from ``entered[i - 1]`` to ``left[i]``.
+    Crossing i leaves boundary ``left[i]`` and enters ``entered[i]``; its
+    curve meets their degeneracy slopes ``intersections[i] = (n_leave,
+    n_enter)`` times. ``segments[i]`` runs from ``entered[i - 1]`` to
+    ``left[i]``.
     """
 
-    ends: tuple
+    intersections: tuple
     left: tuple
     entered: tuple
     segments: tuple
@@ -333,7 +334,7 @@ class FlowFactors:
     @property
     def sigmas(self):
         """sigma of each crossing: n_leave / n_enter."""
-        return tuple(Fraction(n_leave, n_enter) for n_leave, n_enter in self.ends)
+        return tuple(Fraction(*pair) for pair in self.intersections)
 
     @property
     def rhos(self):
@@ -347,10 +348,10 @@ class FlowFactors:
         """Every sigma and rho, multiplied as integers and reduced once. Each
         entered boundary is one segment's entry and each left boundary one
         segment's exit, so the rhos multiply to entered over left lengths."""
-        num = (prod(n for n, _ in self.ends)
+        num = (prod(n for n, _ in self.intersections)
                * prod(b.leaf_length.numerator for b in self.entered)
                * prod(b.leaf_length.denominator for b in self.left))
-        den = (prod(n for _, n in self.ends)
+        den = (prod(n for _, n in self.intersections)
                * prod(b.leaf_length.denominator for b in self.entered)
                * prod(b.leaf_length.numerator for b in self.left))
         return Fraction(num, den)
@@ -362,7 +363,7 @@ def flow_factors(itinerary, m):
     Every crossing is checked for transversality before any segment is
     checked, so a loop with both faults raises NotFlowTransverse.
     """
-    ends, left, entered, pieces = [], [], [], []
+    intersections, left, entered, pieces = [], [], [], []
     for c in itinerary.crossings:
         leave_piece, leave = m.side_boundary(c.torus, c.from_side)
         enter_piece, enter = m.side_boundary(c.torus, c.from_side.other)
@@ -372,7 +373,7 @@ def flow_factors(itinerary, m):
             raise NotFlowTransverse(
                 "curve %s on torus %r is parallel to a degeneracy slope"
                 % (c.curve, c.torus))
-        ends.append((n_leave, n_enter))
+        intersections.append((n_leave, n_enter))
         left.append(leave)
         entered.append(enter)
         pieces.append((leave_piece.id, enter_piece.id))
@@ -383,7 +384,7 @@ def flow_factors(itinerary, m):
             raise BadSegment("segment %d would run from piece %r to piece %r"
                              % (i, entry_piece, exit_piece))
         segments.append(Segment(exit_piece, entered[i - 1].id, left[i].id))
-    return FlowFactors(tuple(ends), tuple(left), tuple(entered), tuple(segments))
+    return FlowFactors(tuple(intersections), tuple(left), tuple(entered), tuple(segments))
 
 
 def flow_spirality(itinerary, m):
@@ -402,13 +403,13 @@ def decorate_from_flow(itinerary, m):
     the spirality of the loop exactly.
     """
     factors = flow_factors(itinerary, m)
-    n = len(factors.ends)
+    n = len(factors.intersections)
     weights = [(Fraction(n_leave * leave.leaf_length.denominator,
                          leave.leaf_length.numerator),
                 Fraction(n_enter * enter.leaf_length.denominator,
                          enter.leaf_length.numerator))
                for (n_leave, n_enter), leave, enter
-               in zip(factors.ends, factors.left, factors.entered)]
+               in zip(factors.intersections, factors.left, factors.entered)]
     scale = lcm(*(w.denominator for pair in weights for w in pair))
     vertices = []
     for i, seg in enumerate(factors.segments):
