@@ -152,8 +152,7 @@ def _long_loop(n_crossings=260, seed=11):
     """A loop of n crossings through three pieces, a fresh torus at each.
 
     The boundary a segment enters and the one it leaves never share a leaf
-    length, so no rho factor is 1. Written without indentation, as the
-    manifest is large.
+    length, so no rho factor is 1.
     """
     rng = random.Random(seed)
     seq = ["P0"]
@@ -197,13 +196,17 @@ def _long_loop(n_crossings=260, seed=11):
                 break
         crossings.append(Crossing(tid, curve, side))
     pieces = [Piece(p, PieceType.PSEUDO_ANOSOV, b) for p, b in boundaries.items()]
-    text = dumps_manifest(flow_manifest=FlowManifest(pieces, tori),
+    return dumps_manifest(flow_manifest=FlowManifest(pieces, tori),
                           loop=LoopItinerary(crossings))
-    return json.dumps(json.loads(text), separators=(",", ":")) + "\n"
 
 
 def _text(doc):
     return doc if isinstance(doc, str) else json.dumps(doc, indent=2) + "\n"
+
+
+def _compact(text):
+    """A large manifest's JSON without indentation, to keep the corpus small."""
+    return json.dumps(json.loads(text), separators=(",", ":")) + "\n"
 
 
 def _capture(argv):
@@ -258,11 +261,11 @@ def _build(work):
     hand = _hand_written()
     inputs.update((name, _text(doc)) for name, doc in hand.items())
     inputs["graph-deep.json"] = _text(_deep_graph())
-    inputs["loop-260.json"] = _long_loop()
+    inputs["loop-260.json"] = _compact(_long_loop())
     _capture(["gen", "twist-family", "--k", "2", "--p", "3", "--q", "2", "--d", "1000",
               "--out", "twist-d1000.json"])
-    inputs["twist-d1000.json"] = json.dumps(json.loads(
-        (work / "twist-d1000.json").read_text(encoding="utf-8")), separators=(",", ":")) + "\n"
+    inputs["twist-d1000.json"] = _compact((work / "twist-d1000.json").read_text(
+        encoding="utf-8"))
 
     checked = (twists + flows + ["twist-parallel-curve.json", "twist-flipped-sides.json",
                                  "graph-and-flow.json"]
