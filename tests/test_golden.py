@@ -11,6 +11,10 @@ spanning forest is a path, pins the basis cycles ``aspiral`` prints when
 they run far into the tree. Two loops at the benchmark's sizes, a twist
 elevation of degree 1000 and a three-piece loop of 260 crossings whose rho
 factors all differ from 1, pin ``rw`` and ``crosscheck`` on long products.
+Long manifests with faults far apart pin the order of the check's
+diagnostics on a 319-crossing loop, the field paths of parse errors deep
+in a manifest, and the order of ``--lenient`` warnings about unknown
+fields in many records.
 
 When an output changes on purpose, regenerate the corpus with
 
@@ -148,16 +152,16 @@ def _deep_graph(n_vertices=30, n_cycles=30, seed=7):
     return {"graph": {"vertices": [{"id": v} for v in names], "edges": edges}}
 
 
-def _long_loop(n_crossings=260, seed=11):
-    """A loop of n crossings through three pieces, a fresh torus at each.
+def _long_loop(n_crossings=260, seed=11, piece_ids=("P0", "P1", "P2")):
+    """A loop of n crossings through the pieces, a fresh torus at each.
 
     The boundary a segment enters and the one it leaves never share a leaf
-    length, so no rho factor is 1.
+    length, so no rho factor is 1. Through two pieces, n must be even.
     """
     rng = random.Random(seed)
     seq = ["P0"]
     for i in range(1, n_crossings):
-        seq.append(rng.choice([p for p in ("P0", "P1", "P2")
+        seq.append(rng.choice([p for p in piece_ids
                                if p != seq[-1] and (i < n_crossings - 1 or p != "P0")]))
 
     def length(avoid):
@@ -172,7 +176,7 @@ def _long_loop(n_crossings=260, seed=11):
             if (a, b) != (0, 0) and gcd(a, b) == 1:
                 return Slope((a, b))
 
-    boundaries = {p: [] for p in ("P0", "P1", "P2")}
+    boundaries = {p: [] for p in piece_ids}
     tori, crossings, entered = [], [], None
     for i, leave in enumerate(seq):
         enter = seq[(i + 1) % n_crossings]
@@ -198,6 +202,75 @@ def _long_loop(n_crossings=260, seed=11):
     pieces = [Piece(p, PieceType.PSEUDO_ANOSOV, b) for p, b in boundaries.items()]
     return dumps_manifest(flow_manifest=FlowManifest(pieces, tori),
                           loop=LoopItinerary(crossings))
+
+
+def _faulty_loops():
+    """Long manifests with faults far apart, by file name, as compact text.
+
+    Two pieces of 320 boundaries each, so the lazily built field paths of
+    a parse error reach deep indices; and a loop whose check finds a piece
+    mismatch at crossing 39 and a parallel crossing at 289, to pin the
+    order of the check's diagnostics.
+    """
+    base = json.loads(_long_loop(320, seed=13, piece_ids=("P0", "P1")))
+
+    def side_slope(doc, crossing):
+        torus = next(t for t in doc["tori"] if t["id"] == crossing["torus"])
+        side = torus[crossing["from_side"]]
+        piece = next(p for p in doc["pieces"] if p["id"] == side["piece"])
+        boundary = next(b for b in piece["boundaries"] if b["id"] == side["boundary"])
+        return boundary["degeneracy_slope"]
+
+    def two_faults(doc):
+        doc["loop"][290]["curve"] = side_slope(doc, doc["loop"][290])
+        del doc["loop"][40]
+
+    def missing_torus(doc):
+        for i in (100, 250):
+            doc["loop"][i]["torus"] = "ghost"
+
+    def string_entry(doc):
+        doc["loop"][300]["curve"] = [1, "2"]
+
+    def zero_denominator(doc):
+        doc["pieces"][0]["boundaries"][310]["leaf_length"] = "1/0"
+
+    def boolean_mult(doc):
+        doc["loop"][305]["curve"] = {"vector": [1, 2], "mult": True}
+
+    edits = {"loop-two-faults.json": two_faults,
+             "loop-missing-torus.json": missing_torus,
+             "loop-bad-curve-entry.json": string_entry,
+             "loop-bad-leaf-length.json": zero_denominator,
+             "loop-bad-mult.json": boolean_mult}
+    return {name: _compact(json.dumps(_edit(base, change)))
+            for name, change in edits.items()}
+
+
+def _unknown_fields():
+    """A loop manifest with unknown fields in many records of every kind."""
+    doc = json.loads(_long_loop(40, seed=17))
+    doc["comment"] = "top level"
+    for i, piece in enumerate(doc["pieces"]):
+        piece["note%d" % i] = i
+        for j, b in enumerate(piece["boundaries"]):
+            if j % 4 == 1:
+                b["colour"] = "red"
+            if j % 5 == 2:
+                b["degeneracy_slope"] = {"vector": b["degeneracy_slope"], "w": j}
+    for i, t in enumerate(doc["tori"]):
+        if i % 6 == 0:
+            t["label"] = t["id"]
+        if i % 7 == 3:
+            t["minus"]["why"] = "glued"
+    for i, c in enumerate(doc["loop"]):
+        if i % 3 == 2:
+            c["weight"] = i
+        if i % 8 == 5:
+            if isinstance(c["curve"], list):
+                c["curve"] = {"vector": c["curve"], "mult": 1}
+            c["curve"]["tag"] = i
+    return _text(doc)
 
 
 def _text(doc):
@@ -262,6 +335,9 @@ def _build(work):
     inputs.update((name, _text(doc)) for name, doc in hand.items())
     inputs["graph-deep.json"] = _text(_deep_graph())
     inputs["loop-260.json"] = _compact(_long_loop())
+    faulty = _faulty_loops()
+    inputs.update(faulty)
+    inputs["loop-unknown-fields.json"] = _unknown_fields()
     _capture(["gen", "twist-family", "--k", "2", "--p", "3", "--q", "2", "--d", "1000",
               "--out", "twist-d1000.json"])
     inputs["twist-d1000.json"] = _compact((work / "twist-d1000.json").read_text(
@@ -326,6 +402,19 @@ def _build(work):
             case("%s-text-%s" % (command, name), [command, name])
             case("%s-structured-%s" % (command, name),
                  [command, "--format", "structured", name])
+    for name in faulty:
+        for command in ("validate", "rw"):
+            case("%s-text-%s" % (command, name), [command, name])
+            case("%s-structured-%s" % (command, name),
+                 [command, "--format", "structured", name])
+    for command in ("validate", "rw", "crosscheck"):
+        case("%s-text-loop-unknown-fields.json" % command,
+             [command, "loop-unknown-fields.json"])
+        case("%s-lenient-text-loop-unknown-fields.json" % command,
+             [command, "--lenient", "loop-unknown-fields.json"])
+        case("%s-lenient-structured-loop-unknown-fields.json" % command,
+             [command, "--lenient", "--format", "structured",
+              "loop-unknown-fields.json"])
     return inputs, cases
 
 
