@@ -50,8 +50,13 @@ class Slope:
             raise ValueError("slope vector must be nonzero")
         if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        g = gcd(abs(a), abs(b))
-        return cls((a // g, b // g), multiplicity * g)
+        g = gcd(a, b)
+        # the quotient is primitive by construction, so the constructor's
+        # own check (a second gcd) is skipped
+        slope = object.__new__(cls)
+        object.__setattr__(slope, "vector", (a // g, b // g))
+        object.__setattr__(slope, "multiplicity", multiplicity * g)
+        return slope
 
     def total(self):
         """The full integral class, multiplicity times the primitive vector."""

@@ -22,6 +22,19 @@ def test_slope_normalization():
         Slope.of(1, 0, 0)
 
 
+def test_slope_of_matches_the_checked_constructor():
+    # Slope.of skips the constructor's primitivity check; its results must
+    # be exactly what the checked constructor builds
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            if (a, b) == (0, 0):
+                continue
+            for mult in (1, 3):
+                s = Slope.of(a, b, mult)
+                assert s == Slope(s.vector, s.multiplicity)
+                assert s.total() == (a * mult, b * mult)
+
+
 def test_intersection_examples():
     assert intersection_number(Slope((1, 0)), Slope((0, 1))) == 1
     assert intersection_number(Slope((1, 0)), Slope((1, 0), 3)) == 0
