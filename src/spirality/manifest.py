@@ -20,6 +20,7 @@ the validators, which report diagnostics instead of raising.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import ParseError
 from .rational import parse_rational, format_rational
@@ -46,11 +47,29 @@ class ParsedManifest:
     warnings: tuple = ()
 
 
+# Enum members by their wire names.
+_KINDS = {kind.value: kind for kind in jsj.VertexKind}
+_PIECE_TYPES = {t.value: t for t in flow.PieceType}
+_SIDES = {side.value: side for side in flow.Side}
+
+
 class _Reader:
+    """The schema checks of one parse.
+
+    The records of the flow sections take a fast path: their fields are
+    fetched in one step and checked inline, and equal raw slopes and
+    rational strings are normalised once, in memos that die with the
+    reader. Other records, and any the fast path does not accept, go to
+    ``fields``, which checks them field by field in order and raises the
+    first fault; only there is a field's path formatted.
+    """
+
     def __init__(self, strict, allow_rational_h=False):
         self.strict = strict
         self.allow_rational_h = allow_rational_h
         self.warnings = []
+        self._slopes = {}
+        self._rationals = {}
 
     def unknown(self, obj, known, where):
         if not isinstance(obj, dict):
@@ -62,12 +81,55 @@ class _Reader:
                     raise ParseError(message + " (strict mode; pass --lenient to allow)")
                 self.warnings.append(message)
 
-    def require(self, obj, key, where):
-        if not isinstance(obj, dict):
-            raise ParseError("%s must be an object" % where)
-        if key not in obj:
-            raise ParseError("missing field %r in %s" % (key, where))
-        return obj[key]
+    def fields(self, obj, spec, where):
+        """The checked values of an object's fields, in ``spec`` order."""
+        values = []
+        for key, check, *default in spec:
+            if key in obj:
+                value = obj[key]
+            elif default:
+                value = default[0]
+            else:
+                raise ParseError("missing field %r in %s" % (key, where))
+            values.append(check(self, value, "%s.%s" % (where, key)))
+        return values
+
+    def record(self, obj, spec, where):
+        self.unknown(obj, spec.known, where)
+        return self.fields(obj, spec, where)
+
+    def interned_slope(self, value):
+        """The Slope of a well-formed raw slope, or None for ``slope`` to
+        check. The memo is keyed by (a, b, mult) once their types are
+        checked, so that true never passes for 1."""
+        if type(value) is list and len(value) == 2:
+            (a, b), mult = value, 1
+        elif (type(value) is dict and value.keys() <= _SLOPE.known
+              and type(value.get("vector")) is list and len(value["vector"]) == 2):
+            (a, b), mult = value["vector"], value.get("mult", 1)
+        else:
+            return None
+        if type(a) is not int or type(b) is not int or type(mult) is not int:
+            return None
+        slope = self._slopes.get((a, b, mult))
+        if slope is None and (a or b) and mult >= 1:
+            slope = self._slopes[a, b, mult] = Slope.of(a, b, mult)
+        return slope
+
+    def interned_rational(self, value):
+        """The Fraction of a rational string or a plain integer, or None for
+        ``rational`` to check."""
+        if type(value) is not str and type(value) is not int:
+            return None
+        q = self._rationals.get(value)
+        if q is None:
+            try:
+                q = self._rationals[value] = parse_rational(value)
+            except ParseError:
+                return None
+        return q
+
+    # The checks of ``fields``: each takes a raw value and its path.
 
     def string(self, value, where):
         if not isinstance(value, str):
@@ -110,10 +172,7 @@ class _Reader:
         if isinstance(value, list):
             vector, mult = value, 1
         elif isinstance(value, dict):
-            self.unknown(value, {"vector", "mult"}, where)
-            vector = self.require(value, "vector", where)
-            vector = self.array(vector, where + ".vector")
-            mult = self.integer(value.get("mult", 1), where + ".mult")
+            vector, mult = self.record(value, _SLOPE, where)
         else:
             raise ParseError("%s must be [a, b] or {\"vector\": [a, b], \"mult\": m}"
                              % where)
@@ -126,116 +185,142 @@ class _Reader:
         except ValueError as err:
             raise ParseError("%s: %s" % (where, err))
 
+    def side(self, value, where):
+        return tuple(self.record(value, _SIDE, where))
+
+
+def _member(members, message):
+    """The check that a string names one of ``members``."""
+    def check(r, value, where):
+        try:
+            return members[r.string(value, where)]
+        except KeyError:
+            raise ParseError(message % {"where": where, "value": value})
+    return check
+
+
+class _Spec(tuple):
+    """A record's fields in check order, (key, check) when required and
+    (key, check, default) otherwise, and the set of its keys."""
+
+    def __new__(cls, *fields):
+        spec = super().__new__(cls, fields)
+        spec.known = frozenset(key for key, *_ in fields)
+        return spec
+
+
+_R = _Reader
+_SLOPE = _Spec(("vector", _R.array), ("mult", _R.integer, 1))
+_SIDE = _Spec(("piece", _R.string), ("boundary", _R.string))
+_VERTEX = _Spec(("kind", _member(_KINDS, "%(where)s: unknown kind %(value)r"), "horizontal"),
+                ("id", _R.string), ("orientable", _R.boolean, True),
+                ("internal_omega_generators", _R.integer, 0))
+_EDGE = _Spec(("id", _R.string), ("from", _R.string), ("to", _R.string),
+              ("h_ini", _R.h_field), ("h_ter", _R.h_field), ("omega", _R.integer, 1))
+_PIECE = _Spec(("type", _member(_PIECE_TYPES, "%(where)s: unknown piece type %(value)r")),
+               ("boundaries", _R.array), ("id", _R.string))
+_BOUNDARY = _Spec(("id", _R.string), ("torus", _R.string),
+                  ("degeneracy_slope", _R.slope), ("leaf_length", _R.rational))
+_TORUS = _Spec(("id", _R.string), ("plus", _R.side), ("minus", _R.side),
+               ("frame", _R.string, ""))
+_CROSSING = _Spec(("from_side", _member(_SIDES, "%(where)s must be \"plus\" or \"minus\"")),
+                  ("torus", _R.string), ("curve", _R.slope))
+_FDTC = _Spec(("m", _R.integer, 1), ("l_plus", _R.slope), ("l_minus", _R.slope),
+              ("e", _R.slope))
+
 
 def _parse_graph(r, data):
     r.unknown(data, {"vertices", "edges"}, "graph")
     vertices = []
     for i, v in enumerate(r.array(data.get("vertices", []), "graph.vertices")):
-        where = "graph.vertices[%d]" % i
-        r.unknown(v, {"id", "kind", "orientable", "internal_omega_generators"}, where)
-        kind = r.string(v.get("kind", "horizontal"), where + ".kind")
-        try:
-            kind = jsj.VertexKind(kind)
-        except ValueError:
-            raise ParseError("%s.kind: unknown kind %r" % (where, kind))
-        vertices.append(jsj.Vertex(
-            id=r.string(r.require(v, "id", where), where + ".id"),
-            kind=kind,
-            orientable=r.boolean(v.get("orientable", True), where + ".orientable"),
-            internal_omega_generators=r.integer(
-                v.get("internal_omega_generators", 0),
-                where + ".internal_omega_generators"),
-        ))
-    edges = []
-    for i, e in enumerate(r.array(data.get("edges", []), "graph.edges")):
-        where = "graph.edges[%d]" % i
-        r.unknown(e, {"id", "from", "to", "h_ini", "h_ter", "omega"}, where)
-        edges.append(jsj.Edge(
-            id=r.string(r.require(e, "id", where), where + ".id"),
-            from_vertex=r.string(r.require(e, "from", where), where + ".from"),
-            to_vertex=r.string(r.require(e, "to", where), where + ".to"),
-            h_ini=r.h_field(r.require(e, "h_ini", where), where + ".h_ini"),
-            h_ter=r.h_field(r.require(e, "h_ter", where), where + ".h_ter"),
-            omega=r.integer(e.get("omega", 1), where + ".omega"),
-        ))
+        kind, vid, orientable, generators = r.record(v, _VERTEX, "graph.vertices[%d]" % i)
+        vertices.append(jsj.Vertex(vid, kind, orientable, generators))
+    edges = [jsj.Edge(*r.record(e, _EDGE, "graph.edges[%d]" % i))
+             for i, e in enumerate(r.array(data.get("edges", []), "graph.edges"))]
     return jsj.DecoratedJSJGraph(vertices, edges)
 
 
-def _parse_side(r, value, where):
-    r.unknown(value, {"piece", "boundary"}, where)
-    return (r.string(r.require(value, "piece", where), where + ".piece"),
-            r.string(r.require(value, "boundary", where), where + ".boundary"))
+def _parse_side(r, value, where, index):
+    """A torus side, (piece id, boundary id); its path is ``where % index``."""
+    if type(value) is dict and value.keys() <= _SIDE.known:
+        piece, boundary = value.get("piece"), value.get("boundary")
+        if type(piece) is str and type(boundary) is str:
+            return piece, boundary
+    return r.side(value, where % index)
 
 
 def _parse_flow(r, data):
+    slope, rational = r.interned_slope, r.interned_rational
+    get_boundary = itemgetter("id", "torus", "degeneracy_slope", "leaf_length")
     pieces = []
     for i, p in enumerate(r.array(data.get("pieces", []), "pieces")):
-        where = "pieces[%d]" % i
-        r.unknown(p, {"id", "type", "boundaries"}, where)
-        type_name = r.string(r.require(p, "type", where), where + ".type")
-        try:
-            piece_type = flow.PieceType(type_name)
-        except ValueError:
-            raise ParseError("%s.type: unknown piece type %r" % (where, type_name))
+        if type(p) is not dict or not p.keys() <= _PIECE.known:
+            r.unknown(p, _PIECE.known, "pieces[%d]" % i)
+        type_name, raw = p.get("type"), p.get("boundaries")
+        piece_type = _PIECE_TYPES.get(type_name) if type(type_name) is str else None
+        if piece_type is None or type(raw) is not list:
+            piece_type, raw = r.fields(p, _PIECE[:2], "pieces[%d]" % i)
         boundaries = []
-        for j, b in enumerate(r.array(r.require(p, "boundaries", where),
-                                      where + ".boundaries")):
-            bwhere = "%s.boundaries[%d]" % (where, j)
-            r.unknown(b, {"id", "torus", "degeneracy_slope", "leaf_length"}, bwhere)
-            boundaries.append(flow.PieceBoundary(
-                id=r.string(r.require(b, "id", bwhere), bwhere + ".id"),
-                torus=r.string(r.require(b, "torus", bwhere), bwhere + ".torus"),
-                degeneracy_slope=r.slope(r.require(b, "degeneracy_slope", bwhere),
-                                         bwhere + ".degeneracy_slope"),
-                leaf_length=r.rational(r.require(b, "leaf_length", bwhere),
-                                       bwhere + ".leaf_length"),
-            ))
-        pieces.append(flow.Piece(
-            id=r.string(r.require(p, "id", where), where + ".id"),
-            type=piece_type, boundaries=boundaries))
+        for j, b in enumerate(raw):
+            if type(b) is not dict or not b.keys() <= _BOUNDARY.known:
+                r.unknown(b, _BOUNDARY.known, "pieces[%d].boundaries[%d]" % (i, j))
+            try:
+                bid, torus, degeneracy, length = get_boundary(b)
+                degeneracy, length = slope(degeneracy), rational(length)
+            except KeyError:
+                degeneracy = None
+            if (degeneracy is None or length is None or type(bid) is not str
+                    or type(torus) is not str):
+                bid, torus, degeneracy, length = r.fields(
+                    b, _BOUNDARY, "pieces[%d].boundaries[%d]" % (i, j))
+            boundaries.append(flow.PieceBoundary(bid, torus, degeneracy, length))
+        pid = p.get("id")
+        if type(pid) is not str:
+            pid, = r.fields(p, _PIECE[2:], "pieces[%d]" % i)
+        pieces.append(flow.Piece(pid, piece_type, boundaries))
     tori = []
+    get_torus = itemgetter("id", "plus", "minus")
     for i, t in enumerate(r.array(data.get("tori", []), "tori")):
-        where = "tori[%d]" % i
-        r.unknown(t, {"id", "plus", "minus", "frame"}, where)
-        tori.append(flow.Torus(
-            id=r.string(r.require(t, "id", where), where + ".id"),
-            plus=_parse_side(r, r.require(t, "plus", where), where + ".plus"),
-            minus=_parse_side(r, r.require(t, "minus", where), where + ".minus"),
-            frame=r.string(t.get("frame", ""), where + ".frame"),
-        ))
+        if type(t) is not dict or not t.keys() <= _TORUS.known:
+            r.unknown(t, _TORUS.known, "tori[%d]" % i)
+        try:
+            tid, plus, minus = get_torus(t)
+        except KeyError:
+            tid = None
+        frame = t.get("frame", "")
+        if type(tid) is str and type(frame) is str:
+            plus = _parse_side(r, plus, "tori[%d].plus", i)
+            minus = _parse_side(r, minus, "tori[%d].minus", i)
+        else:
+            tid, plus, minus, frame = r.fields(t, _TORUS, "tori[%d]" % i)
+        tori.append(flow.Torus(tid, plus, minus, frame))
     return flow.FlowManifest(pieces, tori)
 
 
 def _parse_loop(r, data):
+    slope = r.interned_slope
+    get_crossing = itemgetter("from_side", "torus", "curve")
     crossings = []
     for i, c in enumerate(r.array(data, "loop")):
-        where = "loop[%d]" % i
-        r.unknown(c, {"torus", "curve", "from_side"}, where)
-        side_name = r.string(r.require(c, "from_side", where), where + ".from_side")
+        if type(c) is not dict or not c.keys() <= _CROSSING.known:
+            r.unknown(c, _CROSSING.known, "loop[%d]" % i)
         try:
-            side = flow.Side(side_name)
-        except ValueError:
-            raise ParseError("%s.from_side must be \"plus\" or \"minus\"" % where)
-        crossings.append(flow.Crossing(
-            torus=r.string(r.require(c, "torus", where), where + ".torus"),
-            curve=r.slope(r.require(c, "curve", where), where + ".curve"),
-            from_side=side,
-        ))
+            side, torus, curve = get_crossing(c)
+            side = _SIDES.get(side) if type(side) is str else None
+            curve = slope(curve)
+        except KeyError:
+            side = None
+        if side is None or curve is None or type(torus) is not str:
+            side, torus, curve = r.fields(c, _CROSSING, "loop[%d]" % i)
+        crossings.append(flow.Crossing(torus, curve, side))
     if not crossings:
         raise ParseError("loop must contain at least one crossing")
     return flow.LoopItinerary(tuple(crossings))
 
 
 def _parse_fdtc(r, data):
-    where = "fdtc"
-    r.unknown(data, {"l_plus", "l_minus", "e", "m"}, where)
-    m = r.integer(data.get("m", 1), where + ".m")
-    return FdtcInput(
-        l_plus=r.slope(r.require(data, "l_plus", where), where + ".l_plus"),
-        l_minus=r.slope(r.require(data, "l_minus", where), where + ".l_minus"),
-        e=r.slope(r.require(data, "e", where), where + ".e"),
-        m=m,
-    )
+    m, l_plus, l_minus, e = r.record(data, _FDTC, "fdtc")
+    return FdtcInput(l_plus, l_minus, e, m)
 
 
 TOP_LEVEL_FIELDS = {"graph", "pieces", "tori", "loop", "fdtc", "expected"}

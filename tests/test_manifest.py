@@ -1,5 +1,8 @@
 import copy
+import gc
 import json
+import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -132,6 +135,98 @@ class TestSlopeField:
         doc["loop"][0]["from_side"] = "left"
         with pytest.raises(ParseError):
             parse_manifest(doc)
+
+
+class TestInterning:
+    """Equal raw slopes and rational strings are normalised once per parse,
+    and every value's type is checked before the memo is consulted."""
+
+    def doc(self, curves=(), lengths=()):
+        inst = gen_twist_family(TwistFamilyParams(k=1, p=1, q=1, r_minus=2, r_plus=1,
+                                                  d=2))
+        doc = json.loads(dumps_manifest(flow_manifest=inst.manifest, loop=inst.loop))
+        for crossing, curve in zip(doc["loop"], curves):
+            crossing["curve"] = curve
+        for piece, length in zip(doc["pieces"], lengths):
+            piece["boundaries"][0]["leaf_length"] = length
+        return doc
+
+    def raises_at(self, doc, message):
+        with pytest.raises(ParseError, match="^%s$" % re.escape(message)):
+            parse_manifest(doc)
+
+    def test_equal_raw_slopes_give_equal_values(self):
+        parsed = parse_manifest(self.doc(curves=[[2, 4], [2, 4],
+                                                 {"vector": [1, 2], "mult": 2}, [1, 2]]))
+        a, b, c, d = (crossing.curve for crossing in parsed.loop.crossings)
+        assert a is b
+        assert a == c == Slope((1, 2), 2)
+        assert d == Slope((1, 2))
+
+    def test_equal_rationals_give_equal_values(self):
+        parsed = parse_manifest(self.doc(lengths=["3/6", "1/2"]))
+        assert [p.boundaries[0].leaf_length for p in parsed.flow.pieces] == \
+            [Fraction(1, 2)] * 2
+
+    def test_true_is_not_taken_for_one(self):
+        self.raises_at(self.doc(curves=[[1, 1], [1, True]]),
+                       "loop[1].curve[1] must be an integer")
+        self.raises_at(self.doc(curves=[{"vector": [1, 2], "mult": 1},
+                                        {"vector": [1, 2], "mult": True}]),
+                       "loop[1].curve.mult must be an integer")
+        self.raises_at(self.doc(lengths=[1, True]),
+                       "pieces[1].boundaries[0].leaf_length: malformed rational True "
+                       "(expected \"p\" or \"p/q\")")
+
+    def test_a_value_valid_before_still_fails_later(self):
+        self.raises_at(self.doc(curves=[[1, 2], [1, 2], [1, 2], [1, "2"]]),
+                       "loop[3].curve[1] must be an integer")
+        self.raises_at(self.doc(curves=[{"vector": [1, 2], "mult": 1}] * 3
+                                + [{"vector": [1, 2], "mult": 0}]),
+                       "loop[3].curve: multiplicity must be positive")
+        self.raises_at(self.doc(lengths=["1/2", "1/2 /"]),
+                       "pieces[1].boundaries[0].leaf_length: malformed rational "
+                       "'1/2 /' (expected \"p\" or \"p/q\")")
+
+    def test_the_memos_die_with_the_parse(self):
+        parsed = parse_manifest(self.doc(curves=[[3, 5]] * 4))
+        slope = weakref.ref(parsed.loop.crossings[0].curve)
+        del parsed
+        gc.collect()
+        assert slope() is None
+
+
+def _break(doc, *edits):
+    for path, value in edits:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([(("pieces", 0, "boundaries", 0, "torus"), None),
+      (("pieces", 0, "boundaries", 0, "id"), 5)],
+     "pieces[0].boundaries[0].id must be a string"),
+    ([(("pieces", 0, "id"), None),
+      (("pieces", 0, "boundaries", 0, "leaf_length"), "1/0")],
+     "pieces[0].boundaries[0].leaf_length: malformed rational '1/0' (zero denominator)"),
+    ([(("tori", 0, "frame"), 3), (("tori", 0, "minus", "piece"), 4)],
+     "tori[0].minus.piece must be a string"),
+    ([(("loop", 1, "curve"), [0, 0]), (("loop", 1, "from_side"), "up")],
+     "loop[1].from_side must be \"plus\" or \"minus\""),
+    ([(("loop", 1, "torus"), None), (("loop", 1, "curve"), {"mult": 2})],
+     "missing field 'torus' in loop[1]"),
+])
+def test_a_record_with_two_faults_reports_the_first_in_field_order(edits, message):
+    inst = gen_twist_family(TwistFamilyParams(k=1, p=1, q=1, r_minus=2, r_plus=1))
+    doc = json.loads(dumps_manifest(flow_manifest=inst.manifest, loop=inst.loop))
+    with pytest.raises(ParseError, match="^%s$" % re.escape(message)):
+        parse_manifest(_break(doc, *edits))
 
 
 class TestRoundTrip:
