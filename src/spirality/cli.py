@@ -107,7 +107,8 @@ def _run_on_path(args):
     """Load and check the manifest, let the command compute, render once."""
     raw, parsed = _load(args.path, args)
     report = Report(args.command, _digest(raw))
-    code = args.compute(parsed, report) if _check(parsed, report) else EXIT_DOMAIN
+    valid, factors = _check(parsed, report)
+    code = args.compute(parsed, factors, report) if valid else EXIT_DOMAIN
     _render(report, args)
     return code
 
@@ -132,8 +133,10 @@ def _check(parsed, report):
     """The one check of every manifest read from a path: the graph section,
     the flow manifest, the loop whenever the flow sections have no errors,
     and the fdtc section. Warnings go to the report; errors become rows
-    followed by ``status: invalid``. True when there is no error."""
-    diagnostics = []
+    followed by ``status: invalid``. Returns whether there is no error, and
+    the loop's FlowFactors from the check's one pass over it (None when the
+    pass did not run or found an error)."""
+    diagnostics, factors = [], None
     if parsed.graph is not None:
         diagnostics += jsj.validate(parsed.graph)
     if parsed.loop is not None and parsed.flow is None:
@@ -142,7 +145,8 @@ def _check(parsed, report):
     if parsed.flow is not None:
         flow_diagnostics = flow.validate_manifest(parsed.flow)
         if parsed.loop is not None and not any(d.is_error for d in flow_diagnostics):
-            flow_diagnostics += flow.validate_itinerary(parsed.loop, parsed.flow)
+            loop_diagnostics, factors = flow.validate_itinerary(parsed.loop, parsed.flow)
+            flow_diagnostics += loop_diagnostics
         diagnostics += flow_diagnostics
     if parsed.fdtc is not None:
         diagnostics += _fdtc_diagnostics(parsed.fdtc)
@@ -156,25 +160,25 @@ def _check(parsed, report):
     invalid = any(d.is_error for d in diagnostics)
     if invalid:
         report.add("status", "invalid", "red")
-    return not invalid
+    return not invalid, factors
 
 
-def cmd_validate(parsed, report):
+def cmd_validate(parsed, factors, report):
     report.add("status", "ok", "green")
     return EXIT_OK
 
 
-def _graph_for_aspiral(parsed, report):
+def _graph_for_aspiral(parsed, factors, report):
     if parsed.graph is not None:
         return parsed.graph
     if parsed.flow is not None and parsed.loop is not None:
         report.add("note", "graph decorated from the flow manifest along the loop")
-        return flow.decorate_from_flow(parsed.loop, parsed.flow)[0]
+        return flow.decorate_from_flow(factors, parsed.flow)[0]
     raise SpiralityError("manifest carries neither a graph nor a flow+loop pair")
 
 
-def cmd_aspiral(parsed, report):
-    g = _graph_for_aspiral(parsed, report)
+def cmd_aspiral(parsed, factors, report):
+    g = _graph_for_aspiral(parsed, factors, report)
     char = jsj.character(g)
     for cycle, value in zip(char.basis, char.values):
         report.add("s(%s)" % cycle, format_rational(value))
@@ -202,13 +206,12 @@ def _require_flow_loop(parsed):
                              "(\"pieces\", \"tori\" and \"loop\" sections)")
 
 
-def cmd_rw(parsed, report):
+def cmd_rw(parsed, factors, report):
     _require_flow_loop(parsed)
-    factors = flow.flow_factors(parsed.loop, parsed.flow)
     for i, (crossing, value) in enumerate(zip(parsed.loop.crossings, factors.sigmas)):
         report.add("sigma[%d] (torus %s)" % (i, crossing.torus), format_rational(value))
-    for i, (segment, value) in enumerate(zip(factors.segments, factors.rhos)):
-        report.add("rho[%d] (piece %s)" % (i, segment.piece), format_rational(value))
+    for i, (piece, value) in enumerate(zip(factors.pieces, factors.rhos)):
+        report.add("rho[%d] (piece %s)" % (i, piece), format_rational(value))
     if flow.equiperiodic_rho_is_one(parsed.flow):
         report.add("note", "leaf lengths are constant per piece; "
                            "the rho factors are all 1")
@@ -222,7 +225,7 @@ def cmd_rw(parsed, report):
     return EXIT_OK if matches else EXIT_DOMAIN
 
 
-def cmd_fdtc(parsed, report):
+def cmd_fdtc(parsed, factors, report):
     data = parsed.fdtc
     if data is None:
         raise SpiralityError("this command needs an \"fdtc\" section")
@@ -296,26 +299,32 @@ def cmd_crosscheck(args):
                                 .encode("utf-8"))
         for i in range(args.random):
             m, loop = generators.gen_random_flow(args.seed + i)
-            cases.append(("seed %d" % (args.seed + i), m, loop))
+            cases.append(("seed %d" % (args.seed + i), m, loop,
+                          flow.flow_factors(loop, m)))
     elif args.paths:
         loaded = [_load(path, args) for path in args.paths]
         report.digest = _digest(b"".join(raw for raw, _ in loaded))
+        checked = []
         for path, (_, parsed) in zip(args.paths, loaded):
-            if not _check(parsed, report):
+            valid, factors = _check(parsed, report)
+            if not valid:
                 # the first manifest that fails the check ends the run
                 report.add("invalid manifest", path, "red")
                 _render(report, args)
                 return EXIT_DOMAIN
-        for path, (_, parsed) in zip(args.paths, loaded):
+            checked.append(factors)
+        for path, (_, parsed), factors in zip(args.paths, loaded, checked):
             _require_flow_loop(parsed)
-            cases.append((path, parsed.flow, parsed.loop))
+            cases.append((path, parsed.flow, parsed.loop, factors))
     else:
         raise SpiralityError("crosscheck needs manifest paths or --random N")
 
+    # the direct route resolves the loop afresh; the graph route takes the
+    # factors of the check (or, for generated loops, of flow_factors)
     mismatches = 0
-    for label, m, loop in cases:
+    for label, m, loop, factors in cases:
         direct = flow.flow_spirality(loop, m)
-        g, cycle = flow.decorate_from_flow(loop, m)
+        g, cycle = flow.decorate_from_flow(factors, m)
         via_graph = jsj.cycle_spirality(g, cycle)
         if direct == via_graph:
             report.add(label, "%s == %s MATCH" % (format_rational(direct),

@@ -126,12 +126,6 @@ class FlowManifest:
     def torus(self, torus_id):
         return self._torus_by_id[torus_id]
 
-    def side_boundary(self, torus_id, side):
-        """The (piece, boundary) records on one side of a torus."""
-        piece_id, boundary_id = self.torus(torus_id).side(side)
-        piece = self.piece(piece_id)
-        return piece, piece.boundary(boundary_id)
-
     def __repr__(self):
         return "FlowManifest(%d pieces, %d tori)" % (len(self.pieces), len(self.tori))
 
@@ -200,14 +194,13 @@ def validate_manifest(m):
         if p.id in seen:
             out.append(error(DUPLICATE_ID, "duplicate piece id %r" % p.id))
         seen.add(p.id)
-        lengths = set()
         bseen = set()
         for b in p.boundaries:
             if b.id in bseen:
                 out.append(error(DUPLICATE_ID,
                                  "duplicate boundary id %r on piece %r" % (b.id, p.id)))
             bseen.add(b.id)
-            if b.leaf_length <= 0:
+            if b.leaf_length.numerator <= 0:  # a Fraction's denominator is positive
                 out.append(error(NON_POSITIVE_LEAF,
                                  "boundary %r of piece %r has leaf length %s"
                                  % (b.id, p.id, b.leaf_length)))
@@ -220,8 +213,7 @@ def validate_manifest(m):
                                    "degeneracy slope on %r/%r has multiplicity %d; "
                                    "closed leaves are primitive curves"
                                    % (p.id, b.id, b.degeneracy_slope.multiplicity)))
-            lengths.add(b.leaf_length)
-        if p.type is PieceType.SEIFERT and len(lengths) > 1:
+        if p.type is PieceType.SEIFERT and not _one_leaf_length(p):
             out.append(error(SEIFERT_LEAF_MISMATCH,
                              "Seifert piece %r has unequal boundary leaf lengths "
                              "(the ordinary fiber has one length)" % p.id))
@@ -265,35 +257,6 @@ def validate_manifest(m):
     return out
 
 
-def validate_itinerary(itinerary, m):
-    """Diagnostics for a loop: resolvable crossings, chained pieces, transversality."""
-    out = []
-    crossings = itinerary.crossings
-    for i, c in enumerate(crossings):
-        if c.torus not in m._torus_by_id:
-            out.append(error(DANGLING_REF,
-                             "crossing %d references missing torus %r" % (i, c.torus)))
-    if any(d.is_error for d in out):
-        return out
-    n = len(crossings)
-    ends = [(m.side_boundary(c.torus, c.from_side),
-             m.side_boundary(c.torus, c.from_side.other)) for c in crossings]
-    for i, c in enumerate(crossings):
-        (_, left), (entered_piece, entered) = ends[i]
-        for boundary, role in ((left, "leaves"), (entered, "enters")):
-            if intersection_number(c.curve, boundary.degeneracy_slope) == 0:
-                out.append(error(NOT_TRANSVERSE,
-                                 "crossing %d on torus %r is parallel to the "
-                                 "degeneracy slope it %s" % (i, c.torus, role)))
-        left_piece = ends[(i + 1) % n][0][0]
-        if entered_piece.id != left_piece.id:
-            out.append(error(PIECE_MISMATCH,
-                             "crossing %d enters piece %r but crossing %d leaves "
-                             "piece %r" % (i, entered_piece.id, (i + 1) % n,
-                                           left_piece.id)))
-    return out
-
-
 @dataclass(frozen=True)
 class Segment:
     """An in-piece subpath, named by its entry and exit boundaries."""
@@ -309,27 +272,37 @@ def equiperiodic_rho_is_one(m):
     In that case every segment ratio is 1 and the spirality of any loop
     reduces to the bare sigma product.
     """
-    for p in m.pieces:
-        lengths = {b.leaf_length for b in p.boundaries}
-        if len(lengths) > 1:
-            return False
-    return True
+    return all(map(_one_leaf_length, m.pieces))
+
+
+def _one_leaf_length(piece):
+    """Whether all boundaries of the piece have one leaf length; compared
+    with the first, so a mismatch ends the scan."""
+    lengths = [b.leaf_length for b in piece.boundaries]
+    return all(length == lengths[0] for length in lengths)
 
 
 @dataclass(frozen=True)
 class FlowFactors:
     """A loop's crossings resolved once, in loop order.
 
-    Crossing i leaves boundary ``left[i]`` and enters ``entered[i]``; its
-    curve meets their degeneracy slopes ``intersections[i] = (n_leave,
-    n_enter)`` times. ``segments[i]`` runs from ``entered[i - 1]`` to
-    ``left[i]``.
+    Crossing i leaves boundary ``left[i]`` of piece ``pieces[i]`` and enters
+    ``entered[i]``; its curve meets their degeneracy slopes
+    ``intersections[i] = (n_leave, n_enter)`` times. Segment i runs in
+    ``pieces[i]`` from ``entered[i - 1]`` to ``left[i]``.
     """
 
     intersections: tuple
     left: tuple
     entered: tuple
-    segments: tuple
+    pieces: tuple
+
+    @property
+    def segments(self):
+        """The in-piece segment that ends at each crossing."""
+        return tuple(Segment(piece, entry.id, exit_.id) for piece, entry, exit_
+                     in zip(self.pieces, self.entered[-1:] + self.entered[:-1],
+                            self.left))
 
     @property
     def sigmas(self):
@@ -357,34 +330,69 @@ class FlowFactors:
         return Fraction(num, den)
 
 
-def flow_factors(itinerary, m):
-    """One pass over a loop: each crossing's two sides are looked up once.
+def _piece_mismatch(i, entered_piece, j, left_piece):
+    return error(PIECE_MISMATCH, "crossing %d enters piece %r but crossing %d leaves "
+                                 "piece %r" % (i, entered_piece, j, left_piece))
 
-    Every crossing is checked for transversality before any segment is
-    checked, so a loop with both faults raises NotFlowTransverse.
+
+def validate_itinerary(itinerary, m):
+    """The loop check and the factor pass in one: each crossing's two sides
+    are looked up, and its two intersection numbers taken, once.
+
+    Returns (diagnostics, factors). The diagnostics name the crossings on a
+    missing torus; failing that, crossing by crossing in loop order, each
+    degeneracy slope a crossing is parallel to and a piece it enters that
+    the next crossing does not leave. ``factors`` is the loop's FlowFactors,
+    or None when there is a diagnostic. The manifest must be one that
+    validate_manifest finds no error in.
     """
-    intersections, left, entered, pieces = [], [], [], []
-    for c in itinerary.crossings:
-        leave_piece, leave = m.side_boundary(c.torus, c.from_side)
-        enter_piece, enter = m.side_boundary(c.torus, c.from_side.other)
+    crossings = itinerary.crossings
+    out = [error(DANGLING_REF, "crossing %d references missing torus %r" % (i, c.torus))
+           for i, c in enumerate(crossings) if c.torus not in m._torus_by_id]
+    if out:
+        return out, None
+    torus_by_id, piece_by_id = m._torus_by_id, m._piece_by_id
+    intersections, left, entered, left_pieces = [], [], [], []
+    for i, c in enumerate(crossings):
+        torus = torus_by_id[c.torus]
+        (leave_piece, left_id), (enter_piece, entered_id) = (
+            (torus.plus, torus.minus) if c.from_side is Side.PLUS else (torus.minus, torus.plus))
+        if i and entered_piece != leave_piece:
+            out.append(_piece_mismatch(i - 1, entered_piece, i, leave_piece))
+        leave = piece_by_id[leave_piece].boundary(left_id)
+        enter = piece_by_id[enter_piece].boundary(entered_id)
         n_leave = intersection_number(c.curve, leave.degeneracy_slope)
         n_enter = intersection_number(c.curve, enter.degeneracy_slope)
         if n_leave == 0 or n_enter == 0:
-            raise NotFlowTransverse(
-                "curve %s on torus %r is parallel to a degeneracy slope"
-                % (c.curve, c.torus))
+            for count, role in ((n_leave, "leaves"), (n_enter, "enters")):
+                if count == 0:
+                    out.append(error(NOT_TRANSVERSE,
+                                     "crossing %d on torus %r is parallel to the "
+                                     "degeneracy slope it %s" % (i, c.torus, role)))
         intersections.append((n_leave, n_enter))
         left.append(leave)
         entered.append(enter)
-        pieces.append((leave_piece.id, enter_piece.id))
-    segments = []
-    for i, (exit_piece, _) in enumerate(pieces):
-        entry_piece = pieces[i - 1][1]
-        if entry_piece != exit_piece:
-            raise BadSegment("segment %d would run from piece %r to piece %r"
-                             % (i, entry_piece, exit_piece))
-        segments.append(Segment(exit_piece, entered[i - 1].id, left[i].id))
-    return FlowFactors(tuple(intersections), tuple(left), tuple(entered), tuple(segments))
+        left_pieces.append(leave_piece)
+        entered_piece = enter_piece
+    if entered_piece != left_pieces[0]:
+        out.append(_piece_mismatch(len(crossings) - 1, entered_piece, 0, left_pieces[0]))
+    return out, None if out else FlowFactors(tuple(intersections), tuple(left),
+                                             tuple(entered), tuple(left_pieces))
+
+
+_RAISES = {DANGLING_REF: KeyError, NOT_TRANSVERSE: NotFlowTransverse,
+           PIECE_MISMATCH: BadSegment}
+
+
+def flow_factors(itinerary, m):
+    """The loop's FlowFactors from validate_itinerary, raising its first
+    diagnostic instead: a parallel crossing anywhere (NotFlowTransverse)
+    before a piece mismatch (BadSegment); KeyError for a missing torus."""
+    diagnostics, factors = validate_itinerary(itinerary, m)
+    if factors is None:
+        first = min(diagnostics, key=lambda d: d.code != NOT_TRANSVERSE)
+        raise _RAISES[first.code](first.message)
+    return factors
 
 
 def flow_spirality(itinerary, m):
@@ -392,8 +400,9 @@ def flow_spirality(itinerary, m):
     return flow_factors(itinerary, m).spirality
 
 
-def decorate_from_flow(itinerary, m):
-    """Build the decorated dual graph along the loop; its cycle matches flow_spirality.
+def decorate_from_flow(factors, m):
+    """Build the decorated dual graph along a loop from its FlowFactors; its
+    cycle matches the loop's spirality.
 
     One vertex per in-piece segment, one edge per crossing. The raw weight
     at an edge end is i(curve, slope at that end) / leaf length at that
@@ -402,7 +411,6 @@ def decorate_from_flow(itinerary, m):
     cancels in every cycle product, so the emitted cycle's holonomy equals
     the spirality of the loop exactly.
     """
-    factors = flow_factors(itinerary, m)
     n = len(factors.intersections)
     weights = [(Fraction(n_leave * leave.leaf_length.denominator,
                          leave.leaf_length.numerator),
@@ -412,8 +420,8 @@ def decorate_from_flow(itinerary, m):
                in zip(factors.intersections, factors.left, factors.entered)]
     scale = lcm(*(w.denominator for pair in weights for w in pair))
     vertices = []
-    for i, seg in enumerate(factors.segments):
-        piece = m.piece(seg.piece)
+    for i, piece_id in enumerate(factors.pieces):
+        piece = m.piece(piece_id)
         kind = (jsj.VertexKind.HORIZONTAL if piece.type is PieceType.SEIFERT
                 else jsj.VertexKind.GEOMETRICALLY_INFINITE)
         vertices.append(jsj.Vertex("seg%03d" % i, kind))

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
-                       gen_random_flow, flow_spirality, decorate_from_flow,
+                       gen_random_flow, flow_spirality, flow_factors, decorate_from_flow,
                        cycle_spirality, character, is_aspiral, verdict,
                        equiperiodic_rho_is_one, pullback, cyclic_cover,
                        fdtc, Slope, NotParallel,
@@ -53,7 +53,7 @@ def test_criterion_1_closed_form_family():
                                    params.p * params.r_plus + params.q) ** params.d
             assert value == closed_form
             assert value != 1 and value != -1
-            g, _ = decorate_from_flow(inst.loop, inst.manifest)
+            g, _ = decorate_from_flow(flow_factors(inst.loop, inst.manifest), inst.manifest)
             v = verdict(g)
             assert not v.virtually_embedded and not v.virtually_taut_leaf
 
@@ -64,7 +64,7 @@ def test_criterion_2_matched_slopes_scenario():
         for seed in range(100):
             m, loop = gen_matched_slopes(1 + seed % 5, seed)
             assert flow_spirality(loop, m) == 1
-            g, _ = decorate_from_flow(loop, m)
+            g, _ = decorate_from_flow(flow_factors(loop, m), m)
             v = verdict(g)
             assert v.virtually_embedded and v.virtually_taut_leaf
 
@@ -74,7 +74,7 @@ def test_criterion_3_bridge_identity():
                       "on 500 random manifests"):
         for seed in range(500):
             m, loop = gen_random_flow(seed, max_crossings=8, leaf_bound=20)
-            g, cycle = decorate_from_flow(loop, m)
+            g, cycle = decorate_from_flow(flow_factors(loop, m), m)
             assert cycle_spirality(g, cycle) == flow_spirality(loop, m)
 
 

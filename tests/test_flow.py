@@ -13,8 +13,9 @@ from spirality import (Slope, FlowManifest, Piece, PieceBoundary, PieceType,
                        TwistFamilyParams)
 from spirality.flow import Segment, SEIFERT_LEAF_MISMATCH, UNPAIRED_BOUNDARY, \
     PIECE_MISMATCH, NOT_TRANSVERSE
-from util import (make_equiperiodic, oracle_decorated_h, oracle_flow_spirality, rho,
-                  seeded, segments_of, sigma)
+from util import (make_equiperiodic, oracle_decorated_h, oracle_flow_spirality,
+                  oracle_validate_itinerary, rho, seeded, segments_of, side_boundary,
+                  sigma)
 
 PA = PieceType.PSEUDO_ANOSOV
 
@@ -168,7 +169,7 @@ class TestOnePass:
         inst = gen_twist_family(TwistFamilyParams(2, 3, 2, 3, 1, 40))
         cases = [gen_random_flow(seed) for seed in range(200)]
         for m, loop in cases + [(inst.manifest, inst.loop)]:
-            g, _ = decorate_from_flow(loop, m)
+            g, _ = decorate_from_flow(flow_factors(loop, m), m)
             assert [(e.h_ini, e.h_ter) for e in g.edges] == oracle_decorated_h(loop, m)
 
     def test_parallel_crossing_is_reported_before_a_bad_segment(self):
@@ -177,9 +178,75 @@ class TestOnePass:
         m, _ = chain_manifest({})
         loop = LoopItinerary((Crossing("T0", Slope((1, 0)), Side.MINUS),
                               Crossing("T1", Slope((1, 1)), Side.PLUS)))
-        for route in (flow_factors, flow_spirality, decorate_from_flow):
+        for route in (flow_factors, flow_spirality):
             with pytest.raises(NotFlowTransverse):
                 route(loop, m)
+
+
+def mutated_loops(m, loop, rng):
+    """The loop with one to three of these faults: a crossing dropped, two
+    swapped, a side flipped, a curve set to a degeneracy slope, a torus
+    that does not exist."""
+    crossings = list(loop.crossings)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(len(crossings)), rng.randrange(len(crossings))
+        c = crossings[i]
+        kind = rng.choice(("drop", "swap", "flip", "parallel", "missing"))
+        if kind == "drop" and len(crossings) > 1:
+            del crossings[i]
+        elif kind == "swap":
+            crossings[i], crossings[j] = crossings[j], crossings[i]
+        elif kind == "flip":
+            crossings[i] = Crossing(c.torus, c.curve, c.from_side.other)
+        elif kind == "parallel" and c.torus != "ghost":
+            side = rng.choice((c.from_side, c.from_side.other))
+            _, boundary = side_boundary(m, c.torus, side)
+            crossings[i] = Crossing(c.torus, boundary.degeneracy_slope, c.from_side)
+        elif kind == "missing":
+            crossings[i] = Crossing("ghost", c.curve, c.from_side)
+    return LoopItinerary(crossings)
+
+
+class TestResolver:
+    """validate_itinerary's one pass against the two-pass check and the
+    per-factor oracle of tests/util.py."""
+
+    def test_diagnostics_in_order_and_factors_on_mutated_loops(self):
+        rng = seeded(307)
+        faulty = 0
+        for seed in range(200):
+            m, loop = gen_random_flow(seed)
+            for candidate in (loop, mutated_loops(m, loop, rng)):
+                diagnostics, factors = validate_itinerary(candidate, m)
+                assert diagnostics == oracle_validate_itinerary(candidate, m)
+                if diagnostics:
+                    faulty += 1
+                    assert factors is None
+                    with pytest.raises((NotFlowTransverse, BadSegment, KeyError)):
+                        flow_factors(candidate, m)
+                    continue
+                crossings = candidate.crossings
+                assert factors.sigmas == tuple(sigma(c, m) for c in crossings)
+                assert factors.left == tuple(side_boundary(m, c.torus, c.from_side)[1]
+                                             for c in crossings)
+                assert factors.entered == tuple(
+                    side_boundary(m, c.torus, c.from_side.other)[1] for c in crossings)
+                assert factors.segments == segments_of(candidate, m)
+                assert factors.rhos == tuple(rho(seg, m) for seg in factors.segments)
+                assert factors.spirality == oracle_flow_spirality(candidate, m)
+                assert flow_factors(candidate, m) == factors
+        assert faulty > 150
+
+    def test_flow_factors_raises_by_kind(self):
+        m, loop = chain_manifest({})
+        first, second = loop.crossings
+        ghost = LoopItinerary((first, Crossing("ghost", second.curve, second.from_side)))
+        with pytest.raises(KeyError):
+            flow_factors(ghost, m)
+        mismatch = LoopItinerary((first, Crossing(second.torus, second.curve,
+                                                  second.from_side.other)))
+        with pytest.raises(BadSegment):
+            flow_factors(mismatch, m)
 
 
 class TestEquiperiodic:
@@ -210,7 +277,7 @@ class TestEquiperiodic:
 class TestDecorate:
     def test_matched_manifest_gives_balanced_edges(self):
         m, loop = chain_manifest({})
-        g, cycle = decorate_from_flow(loop, m)
+        g, cycle = decorate_from_flow(flow_factors(loop, m), m)
         assert all(e.h_ini == e.h_ter for e in g.edges)
         assert cycle_spirality(g, cycle) == 1
 
@@ -218,7 +285,7 @@ class TestDecorate:
         rng = seeded(303)
         for seed in range(60):
             m, loop = gen_random_flow(rng.randrange(10 ** 6))
-            g, _ = decorate_from_flow(loop, m)
+            g, _ = decorate_from_flow(flow_factors(loop, m), m)
             for e in g.edges:
                 assert isinstance(e.h_ini, int) and e.h_ini >= 1
                 assert isinstance(e.h_ter, int) and e.h_ter >= 1
@@ -227,7 +294,7 @@ class TestDecorate:
         rng = seeded(304)
         for seed in range(120):
             m, loop = gen_random_flow(rng.randrange(10 ** 6))
-            g, cycle = decorate_from_flow(loop, m)
+            g, cycle = decorate_from_flow(flow_factors(loop, m), m)
             assert cycle_spirality(g, cycle) == flow_spirality(loop, m)
 
     def test_parallel_curve_rejected(self):
@@ -235,7 +302,7 @@ class TestDecorate:
         loop = LoopItinerary((Crossing("T", Slope((1, 1)), Side.MINUS),
                               Crossing("T", Slope((0, 1)), Side.PLUS)))
         with pytest.raises(NotFlowTransverse):
-            decorate_from_flow(loop, m)
+            decorate_from_flow(flow_factors(loop, m), m)
 
 
 class TestSideConvention:
@@ -254,7 +321,7 @@ class TestValidation:
     def test_clean_manifest(self):
         m, loop = chain_manifest({})
         assert validate_manifest(m) == []
-        assert validate_itinerary(loop, m) == []
+        assert validate_itinerary(loop, m)[0] == []
 
     def test_seifert_leaf_mismatch(self):
         piece = Piece("S", PieceType.SEIFERT,
@@ -274,13 +341,13 @@ class TestValidation:
         m, _ = chain_manifest({})
         broken = LoopItinerary((Crossing("T0", Slope((1, 1)), Side.MINUS),
                                 Crossing("T1", Slope((1, 1)), Side.PLUS)))
-        assert PIECE_MISMATCH in {d.code for d in validate_itinerary(broken, m)}
+        assert PIECE_MISMATCH in {d.code for d in validate_itinerary(broken, m)[0]}
         parallel = LoopItinerary((Crossing("T0", Slope((1, 0)), Side.MINUS),
                                   Crossing("T1", Slope((1, 1)), Side.MINUS)))
-        assert NOT_TRANSVERSE in {d.code for d in validate_itinerary(parallel, m)}
+        assert NOT_TRANSVERSE in {d.code for d in validate_itinerary(parallel, m)[0]}
 
     def test_generated_manifests_validate(self):
         for seed in range(25):
             m, loop = gen_random_flow(seed)
             assert not any(d.is_error for d in validate_manifest(m))
-            assert not any(d.is_error for d in validate_itinerary(loop, m))
+            assert not any(d.is_error for d in validate_itinerary(loop, m)[0])

@@ -4,7 +4,7 @@ import pytest
 
 from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
                        gen_random_flow, BadParams, intersection_number, fdtc,
-                       flow_spirality, reverse_itinerary, decorate_from_flow,
+                       flow_spirality, flow_factors, reverse_itinerary, decorate_from_flow,
                        character, verdict, pullback, cyclic_cover,
                        equiperiodic_rho_is_one, validate_manifest,
                        validate_itinerary)
@@ -25,7 +25,7 @@ def test_default_family_member():
     assert inst.expected == Fraction(3, 2)
     assert flow_spirality(inst.loop, inst.manifest) == Fraction(3, 2)
     assert validate_manifest(inst.manifest) == []
-    assert validate_itinerary(inst.loop, inst.manifest) == []
+    assert validate_itinerary(inst.loop, inst.manifest)[0] == []
 
 
 def test_second_closed_form_example():
@@ -75,7 +75,7 @@ def test_closed_form_and_negative_verdict():
         value = flow_spirality(inst.loop, inst.manifest)
         assert value == inst.expected
         assert value not in (1, -1)
-        g, _ = decorate_from_flow(inst.loop, inst.manifest)
+        g, _ = decorate_from_flow(flow_factors(inst.loop, inst.manifest), inst.manifest)
         assert not verdict(g).virtually_embedded
 
 
@@ -87,7 +87,7 @@ def test_elevation_degree_via_pullback():
         params = random_params(rng, max_d=1)
         d = rng.randint(1, 6)
         inst = gen_twist_family(params)
-        g, cycle = decorate_from_flow(inst.loop, inst.manifest)
+        g, cycle = decorate_from_flow(flow_factors(inst.loop, inst.manifest), inst.manifest)
         lifted = pullback(g, cyclic_cover(g, {cycle.steps[0][0]: 1}, d))
         values = character(lifted).values
         assert len(values) == 1
@@ -104,7 +104,7 @@ def test_matched_slopes_always_trivial():
             assert flow_spirality(loop, m) == 1
             assert flow_spirality(reverse_itinerary(loop), m) == 1
             assert equiperiodic_rho_is_one(m)
-            g, _ = decorate_from_flow(loop, m)
+            g, _ = decorate_from_flow(flow_factors(loop, m), m)
             v = verdict(g)
             assert v.virtually_embedded and v.virtually_taut_leaf
 
@@ -138,4 +138,4 @@ def test_generated_manifests_are_on_contract():
     manifests += [gen_matched_slopes(4, seed) for seed in range(200)]
     for m, loop in manifests:
         assert validate_manifest(m) == []
-        assert validate_itinerary(loop, m) == []
+        assert validate_itinerary(loop, m)[0] == []

@@ -18,7 +18,8 @@ from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, Slope,
                        SublatticeCover, FlowManifest, Piece, PieceBoundary,
                        character, intersection_number, NotFlowTransverse,
                        BadSegment)
-from spirality.flow import Segment
+from spirality.errors import error
+from spirality.flow import Segment, DANGLING_REF, NOT_TRANSVERSE, PIECE_MISMATCH
 from spirality.graph import FORWARD, BACKWARD, spanning_forest
 
 
@@ -331,11 +332,48 @@ def random_closed_walk(g, rng, start=None, max_length=8):
 # The per-factor route: each crossing's sides are looked up again for every
 # factor, and every factor is its own reduced Fraction.
 
+def side_boundary(m, torus_id, side):
+    """The (piece, boundary) records on one side of a torus."""
+    piece_id, boundary_id = m.torus(torus_id).side(side)
+    piece = m.piece(piece_id)
+    return piece, piece.boundary(boundary_id)
+
+
+def oracle_validate_itinerary(itinerary, m):
+    """The loop check as two passes: every side looked up first, then the
+    diagnostics of each crossing in loop order."""
+    out = []
+    crossings = itinerary.crossings
+    for i, c in enumerate(crossings):
+        if c.torus not in {t.id for t in m.tori}:
+            out.append(error(DANGLING_REF,
+                             "crossing %d references missing torus %r" % (i, c.torus)))
+    if out:
+        return out
+    n = len(crossings)
+    ends = [(side_boundary(m, c.torus, c.from_side),
+             side_boundary(m, c.torus, c.from_side.other)) for c in crossings]
+    for i, c in enumerate(crossings):
+        (_, left), (entered_piece, entered) = ends[i]
+        for boundary, role in ((left, "leaves"), (entered, "enters")):
+            if intersection_number(c.curve, boundary.degeneracy_slope) == 0:
+                out.append(error(NOT_TRANSVERSE,
+                                 "crossing %d on torus %r is parallel to the "
+                                 "degeneracy slope it %s" % (i, c.torus, role)))
+        left_piece = ends[(i + 1) % n][0][0]
+        if entered_piece.id != left_piece.id:
+            out.append(error(PIECE_MISMATCH,
+                             "crossing %d enters piece %r but crossing %d leaves "
+                             "piece %r" % (i, entered_piece.id, (i + 1) % n,
+                                           left_piece.id)))
+    return out
+
+
 def sigma(crossing, m):
     """Intersection-number ratio of one sided crossing: the slope on the side
     left over the slope on the side entered."""
-    _, leave = m.side_boundary(crossing.torus, crossing.from_side)
-    _, enter = m.side_boundary(crossing.torus, crossing.from_side.other)
+    _, leave = side_boundary(m, crossing.torus, crossing.from_side)
+    _, enter = side_boundary(m, crossing.torus, crossing.from_side.other)
     n_leave = intersection_number(crossing.curve, leave.degeneracy_slope)
     n_enter = intersection_number(crossing.curve, enter.degeneracy_slope)
     if n_leave == 0 or n_enter == 0:
@@ -351,8 +389,8 @@ def segments_of(itinerary, m):
     segments = []
     for i in range(n):
         before, after = crossings[(i - 1) % n], crossings[i]
-        entry_piece, entry = m.side_boundary(before.torus, before.from_side.other)
-        exit_piece, exit_ = m.side_boundary(after.torus, after.from_side)
+        entry_piece, entry = side_boundary(m, before.torus, before.from_side.other)
+        exit_piece, exit_ = side_boundary(m, after.torus, after.from_side)
         if entry_piece.id != exit_piece.id:
             raise BadSegment("segment %d would run from piece %r to piece %r"
                              % (i, entry_piece.id, exit_piece.id))
@@ -388,7 +426,7 @@ def oracle_decorated_h(itinerary, m):
     for c in itinerary.crossings:
         pair = []
         for side in (c.from_side, c.from_side.other):
-            _, b = m.side_boundary(c.torus, side)
+            _, b = side_boundary(m, c.torus, side)
             pair.append(Fraction(intersection_number(c.curve, b.degeneracy_slope))
                         / b.leaf_length)
         weights.append(pair)
