@@ -356,7 +356,8 @@ def validate_itinerary(itinerary, m):
     for i, c in enumerate(crossings):
         torus = torus_by_id[c.torus]
         (leave_piece, left_id), (enter_piece, entered_id) = (
-            (torus.plus, torus.minus) if c.from_side is Side.PLUS else (torus.minus, torus.plus))
+            (torus.plus, torus.minus) if c.from_side is Side.PLUS
+            else (torus.minus, torus.plus))
         if i and entered_piece != leave_piece:
             out.append(_piece_mismatch(i - 1, entered_piece, i, leave_piece))
         leave = piece_by_id[leave_piece].boundary(left_id)

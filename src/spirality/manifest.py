@@ -212,7 +212,8 @@ class _Spec(tuple):
 _R = _Reader
 _SLOPE = _Spec(("vector", _R.array), ("mult", _R.integer, 1))
 _SIDE = _Spec(("piece", _R.string), ("boundary", _R.string))
-_VERTEX = _Spec(("kind", _member(_KINDS, "%(where)s: unknown kind %(value)r"), "horizontal"),
+_VERTEX = _Spec(("kind", _member(_KINDS, "%(where)s: unknown kind %(value)r"),
+                 "horizontal"),
                 ("id", _R.string), ("orientable", _R.boolean, True),
                 ("internal_omega_generators", _R.integer, 0))
 _EDGE = _Spec(("id", _R.string), ("from", _R.string), ("to", _R.string),
@@ -223,7 +224,8 @@ _BOUNDARY = _Spec(("id", _R.string), ("torus", _R.string),
                   ("degeneracy_slope", _R.slope), ("leaf_length", _R.rational))
 _TORUS = _Spec(("id", _R.string), ("plus", _R.side), ("minus", _R.side),
                ("frame", _R.string, ""))
-_CROSSING = _Spec(("from_side", _member(_SIDES, "%(where)s must be \"plus\" or \"minus\"")),
+_CROSSING = _Spec(("from_side",
+                   _member(_SIDES, "%(where)s must be \"plus\" or \"minus\"")),
                   ("torus", _R.string), ("curve", _R.slope))
 _FDTC = _Spec(("m", _R.integer, 1), ("l_plus", _R.slope), ("l_minus", _R.slope),
               ("e", _R.slope))

@@ -4,8 +4,9 @@ The oracles here deliberately re-derive values by a different route than
 the library: intersection numbers by counting lattice points in a
 fundamental parallelogram, covering degrees by direct enumeration, cycle
 values by a hand-rolled integer product or by folding partial dilatations,
-fundamental cycles from both ends' full paths to the root, and flow
-spiralities as a product of one reduced Fraction per sigma and rho factor.
+fundamental cycles from both ends' full paths to the root, flow
+spiralities as a product of one reduced Fraction per sigma and rho factor,
+and the loop check's diagnostics from a pass that looks every side up first.
 """
 
 import random
