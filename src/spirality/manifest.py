@@ -56,12 +56,12 @@ _SIDES = {side.value: side for side in flow.Side}
 class _Reader:
     """The schema checks of one parse.
 
-    The records of the flow sections take a fast path: their fields are
-    fetched in one step and checked inline, and equal raw slopes and
-    rational strings are normalised once, in memos that die with the
-    reader. Other records, and any the fast path does not accept, go to
-    ``fields``, which checks them field by field in order and raises the
-    first fault; only there is a field's path formatted.
+    Each graph and flow record takes a fast path: its fields are fetched
+    in one step and checked inline, and equal raw slopes and rational
+    strings are normalised once, in memos that die with the reader. A
+    record the fast path does not accept goes to ``fields``, which checks
+    it field by field in order and raises the first fault; only there is
+    a field's path formatted.
     """
 
     def __init__(self, strict, allow_rational_h=False):
@@ -235,10 +235,33 @@ def _parse_graph(r, data):
     r.unknown(data, {"vertices", "edges"}, "graph")
     vertices = []
     for i, v in enumerate(r.array(data.get("vertices", []), "graph.vertices")):
-        kind, vid, orientable, generators = r.record(v, _VERTEX, "graph.vertices[%d]" % i)
+        if type(v) is not dict or not v.keys() <= _VERTEX.known:
+            r.unknown(v, _VERTEX.known, "graph.vertices[%d]" % i)
+        kind, vid = v.get("kind", "horizontal"), v.get("id")
+        orientable = v.get("orientable", True)
+        generators = v.get("internal_omega_generators", 0)
+        kind = _KINDS.get(kind) if type(kind) is str else None
+        if (kind is None or type(vid) is not str or type(orientable) is not bool
+                or type(generators) is not int):
+            kind, vid, orientable, generators = r.fields(
+                v, _VERTEX, "graph.vertices[%d]" % i)
         vertices.append(jsj.Vertex(vid, kind, orientable, generators))
-    edges = [jsj.Edge(*r.record(e, _EDGE, "graph.edges[%d]" % i))
-             for i, e in enumerate(r.array(data.get("edges", []), "graph.edges"))]
+    edges = []
+    get_edge = itemgetter("id", "from", "to", "h_ini", "h_ter")
+    for i, e in enumerate(r.array(data.get("edges", []), "graph.edges")):
+        if type(e) is not dict or not e.keys() <= _EDGE.known:
+            r.unknown(e, _EDGE.known, "graph.edges[%d]" % i)
+        try:
+            eid, tail, head, h_ini, h_ter = get_edge(e)
+        except KeyError:
+            eid = None
+        omega = e.get("omega", 1)
+        if (type(eid) is not str or type(tail) is not str or type(head) is not str
+                or type(h_ini) is not int or type(h_ter) is not int
+                or type(omega) is not int):
+            eid, tail, head, h_ini, h_ter, omega = r.fields(
+                e, _EDGE, "graph.edges[%d]" % i)
+        edges.append(jsj.Edge(eid, tail, head, h_ini, h_ter, omega))
     return jsj.DecoratedJSJGraph(vertices, edges)
 
 
