@@ -304,7 +304,6 @@ def cmd_crosscheck(args):
     elif args.paths:
         loaded = [_load(path, args) for path in args.paths]
         report.digest = _digest(b"".join(raw for raw, _ in loaded))
-        checked = []
         for path, (_, parsed) in zip(args.paths, loaded):
             valid, factors = _check(parsed, report)
             if not valid:
@@ -312,10 +311,9 @@ def cmd_crosscheck(args):
                 report.add("invalid manifest", path, "red")
                 _render(report, args)
                 return EXIT_DOMAIN
-            checked.append(factors)
-        for path, (_, parsed), factors in zip(args.paths, loaded, checked):
-            _require_flow_loop(parsed)
             cases.append((path, parsed.flow, parsed.loop, factors))
+        for _, parsed in loaded:
+            _require_flow_loop(parsed)
     else:
         raise SpiralityError("crosscheck needs manifest paths or --random N")
 
