@@ -201,11 +201,13 @@ def _member(members, message):
 
 class _Spec(tuple):
     """A record's fields in check order, (key, check) when required and
-    (key, check, default) otherwise, and the set of its keys."""
+    (key, check, default) otherwise; ``known`` is the set of its keys and
+    ``take`` fetches its required fields in one step."""
 
     def __new__(cls, *fields):
         spec = super().__new__(cls, fields)
         spec.known = frozenset(key for key, *_ in fields)
+        spec.take = itemgetter(*(key for key, _, *default in fields if not default))
         return spec
 
 
@@ -247,12 +249,11 @@ def _parse_graph(r, data):
                 v, _VERTEX, "graph.vertices[%d]" % i)
         vertices.append(jsj.Vertex(vid, kind, orientable, generators))
     edges = []
-    get_edge = itemgetter("id", "from", "to", "h_ini", "h_ter")
     for i, e in enumerate(r.array(data.get("edges", []), "graph.edges")):
         if type(e) is not dict or not e.keys() <= _EDGE.known:
             r.unknown(e, _EDGE.known, "graph.edges[%d]" % i)
         try:
-            eid, tail, head, h_ini, h_ter = get_edge(e)
+            eid, tail, head, h_ini, h_ter = _EDGE.take(e)
         except KeyError:
             eid = None
         omega = e.get("omega", 1)
@@ -276,7 +277,6 @@ def _parse_side(r, value, where, index):
 
 def _parse_flow(r, data):
     slope, rational = r.interned_slope, r.interned_rational
-    get_boundary = itemgetter("id", "torus", "degeneracy_slope", "leaf_length")
     pieces = []
     for i, p in enumerate(r.array(data.get("pieces", []), "pieces")):
         if type(p) is not dict or not p.keys() <= _PIECE.known:
@@ -290,7 +290,7 @@ def _parse_flow(r, data):
             if type(b) is not dict or not b.keys() <= _BOUNDARY.known:
                 r.unknown(b, _BOUNDARY.known, "pieces[%d].boundaries[%d]" % (i, j))
             try:
-                bid, torus, degeneracy, length = get_boundary(b)
+                bid, torus, degeneracy, length = _BOUNDARY.take(b)
                 degeneracy, length = slope(degeneracy), rational(length)
             except KeyError:
                 degeneracy = None
@@ -304,12 +304,11 @@ def _parse_flow(r, data):
             pid, = r.fields(p, _PIECE[2:], "pieces[%d]" % i)
         pieces.append(flow.Piece(pid, piece_type, boundaries))
     tori = []
-    get_torus = itemgetter("id", "plus", "minus")
     for i, t in enumerate(r.array(data.get("tori", []), "tori")):
         if type(t) is not dict or not t.keys() <= _TORUS.known:
             r.unknown(t, _TORUS.known, "tori[%d]" % i)
         try:
-            tid, plus, minus = get_torus(t)
+            tid, plus, minus = _TORUS.take(t)
         except KeyError:
             tid = None
         frame = t.get("frame", "")
@@ -324,13 +323,12 @@ def _parse_flow(r, data):
 
 def _parse_loop(r, data):
     slope = r.interned_slope
-    get_crossing = itemgetter("from_side", "torus", "curve")
     crossings = []
     for i, c in enumerate(r.array(data, "loop")):
         if type(c) is not dict or not c.keys() <= _CROSSING.known:
             r.unknown(c, _CROSSING.known, "loop[%d]" % i)
         try:
-            side, torus, curve = get_crossing(c)
+            side, torus, curve = _CROSSING.take(c)
             side = _SIDES.get(side) if type(side) is str else None
             curve = slope(curve)
         except KeyError:
