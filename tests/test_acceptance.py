@@ -11,10 +11,10 @@ from fractions import Fraction
 import pytest
 
 from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
-                       gen_random_flow, flow_spirality, flow_factors, decorate_from_flow,
-                       cycle_spirality, character, is_aspiral, verdict,
-                       equiperiodic_rho_is_one, pullback, cyclic_cover,
-                       fdtc, Slope, NotParallel,
+                       gen_random_flow, flow_spirality, flow_factors,
+                       decorate_from_flow, cycle_spirality, character,
+                       is_aspiral, verdict, equiperiodic_rho_is_one, pullback,
+                       cyclic_cover, fdtc, Slope, NotParallel,
                        DecoratedJSJGraph, Vertex, Edge)
 from spirality.graph import FORWARD
 from util import (PartialDilatation, compose, oracle_cycle_value, oracle_fdtc_scan,
@@ -53,7 +53,8 @@ def test_criterion_1_closed_form_family():
                                    params.p * params.r_plus + params.q) ** params.d
             assert value == closed_form
             assert value != 1 and value != -1
-            g, _ = decorate_from_flow(flow_factors(inst.loop, inst.manifest), inst.manifest)
+            m = inst.manifest
+            g, _ = decorate_from_flow(flow_factors(inst.loop, m), m)
             v = verdict(g)
             assert not v.virtually_embedded and not v.virtually_taut_leaf
 

@@ -4,8 +4,8 @@ import pytest
 
 from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
                        gen_random_flow, BadParams, intersection_number, fdtc,
-                       flow_spirality, flow_factors, reverse_itinerary, decorate_from_flow,
-                       character, verdict, pullback, cyclic_cover,
+                       flow_spirality, flow_factors, reverse_itinerary,
+                       decorate_from_flow, character, verdict, pullback, cyclic_cover,
                        equiperiodic_rho_is_one, validate_manifest,
                        validate_itinerary)
 from spirality.manifest import flow_to_dict, loop_to_list
@@ -75,7 +75,8 @@ def test_closed_form_and_negative_verdict():
         value = flow_spirality(inst.loop, inst.manifest)
         assert value == inst.expected
         assert value not in (1, -1)
-        g, _ = decorate_from_flow(flow_factors(inst.loop, inst.manifest), inst.manifest)
+        m = inst.manifest
+        g, _ = decorate_from_flow(flow_factors(inst.loop, m), m)
         assert not verdict(g).virtually_embedded
 
 
@@ -87,7 +88,8 @@ def test_elevation_degree_via_pullback():
         params = random_params(rng, max_d=1)
         d = rng.randint(1, 6)
         inst = gen_twist_family(params)
-        g, cycle = decorate_from_flow(flow_factors(inst.loop, inst.manifest), inst.manifest)
+        m = inst.manifest
+        g, cycle = decorate_from_flow(flow_factors(inst.loop, m), m)
         lifted = pullback(g, cyclic_cover(g, {cycle.steps[0][0]: 1}, d))
         values = character(lifted).values
         assert len(values) == 1
