@@ -52,24 +52,32 @@ _KINDS = {kind.value: kind for kind in jsj.VertexKind}
 _PIECE_TYPES = {t.value: t for t in flow.PieceType}
 _SIDES = {side.value: side for side in flow.Side}
 
+# A required field's default: no value can be it.
+_MISSING = object()
+
+
+def _path(where, at, key):
+    """A field's path, for a message: the record's ``where % at``, then the key."""
+    return "%s.%s" % (where % at, key)
+
 
 class _Reader:
     """The schema checks of one parse.
 
-    Each graph and flow record takes a fast path: its fields are fetched
-    in one step and checked inline, and equal raw slopes and rational
-    strings are normalised once, in memos that die with the reader. A
-    record the fast path does not accept goes to ``fields``, which checks
-    it field by field in order and raises the first fault; only there is
-    a field's path formatted.
+    ``record`` checks a record's fields in order and raises the first
+    fault; a field's path is formatted only in the raise. Equal raw slopes
+    and rational strings are normalised once, in memos that die with the
+    reader. The loop's crossings and the pieces' boundaries and tori, the
+    bulk of a long loop's manifest, first take a fast path that fetches
+    their required fields in one step.
     """
 
     def __init__(self, strict, allow_rational_h=False):
         self.strict = strict
         self.allow_rational_h = allow_rational_h
         self.warnings = []
-        self._slopes = {}
-        self._rationals = {}
+        self.slopes = {}
+        self.rationals = {}
 
     def unknown(self, obj, known, where):
         if not isinstance(obj, dict):
@@ -81,55 +89,25 @@ class _Reader:
                     raise ParseError(message + " (strict mode; pass --lenient to allow)")
                 self.warnings.append(message)
 
-    def fields(self, obj, spec, where):
-        """The checked values of an object's fields, in ``spec`` order."""
+    def fields(self, obj, spec, where, *at):
+        """The checked values of an object's fields, in ``spec`` order; the
+        object's path is ``where % at``."""
         values = []
-        for key, check, *default in spec:
-            if key in obj:
-                value = obj[key]
-            elif default:
-                value = default[0]
-            else:
-                raise ParseError("missing field %r in %s" % (key, where))
-            values.append(check(self, value, "%s.%s" % (where, key)))
+        for key, kind, default, check in spec:
+            value = obj.get(key, default)
+            if type(value) is not kind:
+                if value is _MISSING:
+                    raise ParseError("missing field %r in %s" % (key, where % at))
+                value = check(self, value, where, at, key)
+            values.append(value)
         return values
 
-    def record(self, obj, spec, where):
-        self.unknown(obj, spec.known, where)
-        return self.fields(obj, spec, where)
+    def record(self, obj, spec, where, *at):
+        if type(obj) is not dict or not obj.keys() <= spec.known:
+            self.unknown(obj, spec.known, where % at)
+        return self.fields(obj, spec, where, *at)
 
-    def interned_slope(self, value):
-        """The Slope of a well-formed raw slope, or None for ``slope`` to
-        check. The memo is keyed by (a, b, mult) once their types are
-        checked, so that true never passes for 1."""
-        if type(value) is list and len(value) == 2:
-            (a, b), mult = value, 1
-        elif (type(value) is dict and value.keys() <= _SLOPE.known
-              and type(value.get("vector")) is list and len(value["vector"]) == 2):
-            (a, b), mult = value["vector"], value.get("mult", 1)
-        else:
-            return None
-        if type(a) is not int or type(b) is not int or type(mult) is not int:
-            return None
-        slope = self._slopes.get((a, b, mult))
-        if slope is None and (a or b) and mult >= 1:
-            slope = self._slopes[a, b, mult] = Slope.of(a, b, mult)
-        return slope
-
-    def interned_rational(self, value):
-        """The Fraction of a rational string or a plain integer, or None for
-        ``rational`` to check."""
-        if type(value) is not str and type(value) is not int:
-            return None
-        q = self._rationals.get(value)
-        if q is None:
-            try:
-                q = self._rationals[value] = parse_rational(value)
-            except ParseError:
-                return None
-        return q
-
-    # The checks of ``fields``: each takes a raw value and its path.
+    # The checks of a value and its path.
 
     def string(self, value, where):
         if not isinstance(value, str):
@@ -168,143 +146,170 @@ class _Reader:
         raise ParseError("%s must be an integer (pass --allow-rational-h to "
                          "accept \"p/q\" strings)" % where)
 
-    def slope(self, value, where):
-        if isinstance(value, list):
-            vector, mult = value, 1
-        elif isinstance(value, dict):
-            vector, mult = self.record(value, _SLOPE, where)
-        else:
-            raise ParseError("%s must be [a, b] or {\"vector\": [a, b], \"mult\": m}"
-                             % where)
-        if len(vector) != 2:
-            raise ParseError("%s must have exactly two entries" % where)
-        a = self.integer(vector[0], where + "[0]")
-        b = self.integer(vector[1], where + "[1]")
-        try:
-            return Slope.of(a, b, mult)
-        except ValueError as err:
-            raise ParseError("%s: %s" % (where, err))
 
-    def side(self, value, where):
-        return tuple(self.record(value, _SIDE, where))
+# The checks of ``_Spec`` fields: each takes the reader, a raw value and
+# the parts of the field's path (the record's ``where`` and ``at``, then
+# the field's key), and returns the field's value or raises.
+
+def _typed(check):
+    """The check of a field of one type, for a value of another."""
+    def typed(r, value, where, at, key):
+        return check(r, value, _path(where, at, key))
+    return typed
+
+
+_TYPED = {str: _typed(_Reader.string), int: _typed(_Reader.integer),
+          bool: _typed(_Reader.boolean), list: _typed(_Reader.array)}
 
 
 def _member(members, message):
     """The check that a string names one of ``members``."""
-    def check(r, value, where):
-        try:
-            return members[r.string(value, where)]
-        except KeyError:
-            raise ParseError(message % {"where": where, "value": value})
+    def check(r, value, where, at, key):
+        member = members.get(value) if type(value) is str else None
+        if member is None:
+            path = _path(where, at, key)
+            try:
+                member = members[r.string(value, path)]
+            except KeyError:
+                raise ParseError(message % {"where": path, "value": value})
+        return member
     return check
+
+
+def _h(r, value, where, at, key):
+    """A covering-degree ratio ``h``; see ``_Reader.h_field``."""
+    if type(value) is int:
+        return value
+    return r.h_field(value, _path(where, at, key))
+
+
+def _rational(r, value, where, at, key):
+    """A rational, "p/q" or an integer; equal ones are parsed once."""
+    if type(value) is str or type(value) is int:
+        q = r.rationals.get(value)
+        if q is not None:
+            return q
+    try:
+        q = r.rationals[value] = parse_rational(value)
+    except ParseError as err:
+        raise ParseError("%s: %s" % (_path(where, at, key), err))
+    return q
+
+
+def _slope(r, value, where, at, key):
+    """A slope, [a, b] or {"vector": [a, b], "mult": m}; equal raw slopes
+    are normalised once, keyed by (a, b, mult) once their types are
+    checked, so that true never passes for 1."""
+    if isinstance(value, list):
+        vector, mult = value, 1
+    elif isinstance(value, dict):
+        vector, mult = r.record(value, _SLOPE, "%s.%s" % (where, key), *at)
+    else:
+        raise ParseError("%s must be [a, b] or {\"vector\": [a, b], \"mult\": m}"
+                         % _path(where, at, key))
+    if len(vector) != 2:
+        raise ParseError("%s must have exactly two entries" % _path(where, at, key))
+    a, b = vector
+    if type(a) is not int or type(b) is not int:
+        path = _path(where, at, key)
+        a, b = r.integer(a, path + "[0]"), r.integer(b, path + "[1]")
+    slope = r.slopes.get((a, b, mult))
+    if slope is None:
+        try:
+            slope = r.slopes[a, b, mult] = Slope.of(a, b, mult)
+        except ValueError as err:
+            raise ParseError("%s: %s" % (_path(where, at, key), err))
+    return slope
+
+
+def _side(r, value, where, at, key):
+    """A torus side, (piece id, boundary id)."""
+    if type(value) is dict and value.keys() <= _SIDE.known:
+        piece, boundary = value.get("piece"), value.get("boundary")
+        if type(piece) is str and type(boundary) is str:
+            return piece, boundary
+    return tuple(r.record(value, _SIDE, "%s.%s" % (where, key), *at))
+
+
+def _boundaries(r, value, where, at, key):
+    """A piece's boundary records, checked before the piece's id."""
+    if type(value) is not list:
+        r.array(value, _path(where, at, key))
+    where += ".boundaries[%d]"
+    boundaries = []
+    for j, b in enumerate(value):
+        # the fast path of r.record(b, _BOUNDARY, where, *at, j)
+        here = at + (j,)
+        if type(b) is not dict or not b.keys() <= _BOUNDARY.known:
+            r.unknown(b, _BOUNDARY.known, where % here)
+        try:
+            bid, torus, degeneracy, length = _BOUNDARY.take(b)
+        except KeyError:
+            bid = None
+        if type(bid) is str and type(torus) is str:
+            degeneracy = _slope(r, degeneracy, where, here, "degeneracy_slope")
+            length = _rational(r, length, where, here, "leaf_length")
+        else:
+            bid, torus, degeneracy, length = r.fields(b, _BOUNDARY, where, *here)
+        boundaries.append(flow.PieceBoundary(bid, torus, degeneracy, length))
+    return boundaries
 
 
 class _Spec(tuple):
     """A record's fields in check order, (key, check) when required and
-    (key, check, default) otherwise; ``known`` is the set of its keys and
-    ``take`` fetches its required fields in one step."""
+    (key, check, default) otherwise. A check that is a type is tested
+    inline, ``type(value) is check``; any other is called. ``known`` is
+    the set of the record's keys and ``take`` fetches its required fields
+    in one step."""
 
     def __new__(cls, *fields):
-        spec = super().__new__(cls, fields)
+        spec = super().__new__(cls, (
+            (key, check, default[0] if default else _MISSING, _TYPED[check])
+            if isinstance(check, type) else
+            (key, None, default[0] if default else _MISSING, check)
+            for key, check, *default in fields))
         spec.known = frozenset(key for key, *_ in fields)
-        spec.take = itemgetter(*(key for key, _, *default in fields if not default))
+        spec.take = itemgetter(*(key for key, _, default, _ in spec if default is _MISSING))
         return spec
 
 
-_R = _Reader
-_SLOPE = _Spec(("vector", _R.array), ("mult", _R.integer, 1))
-_SIDE = _Spec(("piece", _R.string), ("boundary", _R.string))
+_SLOPE = _Spec(("vector", list), ("mult", int, 1))
+_SIDE = _Spec(("piece", str), ("boundary", str))
 _VERTEX = _Spec(("kind", _member(_KINDS, "%(where)s: unknown kind %(value)r"),
                  "horizontal"),
-                ("id", _R.string), ("orientable", _R.boolean, True),
-                ("internal_omega_generators", _R.integer, 0))
-_EDGE = _Spec(("id", _R.string), ("from", _R.string), ("to", _R.string),
-              ("h_ini", _R.h_field), ("h_ter", _R.h_field), ("omega", _R.integer, 1))
+                ("id", str), ("orientable", bool, True),
+                ("internal_omega_generators", int, 0))
+_EDGE = _Spec(("id", str), ("from", str), ("to", str),
+              ("h_ini", _h), ("h_ter", _h), ("omega", int, 1))
 _PIECE = _Spec(("type", _member(_PIECE_TYPES, "%(where)s: unknown piece type %(value)r")),
-               ("boundaries", _R.array), ("id", _R.string))
-_BOUNDARY = _Spec(("id", _R.string), ("torus", _R.string),
-                  ("degeneracy_slope", _R.slope), ("leaf_length", _R.rational))
-_TORUS = _Spec(("id", _R.string), ("plus", _R.side), ("minus", _R.side),
-               ("frame", _R.string, ""))
-_CROSSING = _Spec(("from_side",
-                   _member(_SIDES, "%(where)s must be \"plus\" or \"minus\"")),
-                  ("torus", _R.string), ("curve", _R.slope))
-_FDTC = _Spec(("m", _R.integer, 1), ("l_plus", _R.slope), ("l_minus", _R.slope),
-              ("e", _R.slope))
+               ("boundaries", _boundaries), ("id", str))
+_BOUNDARY = _Spec(("id", str), ("torus", str),
+                  ("degeneracy_slope", _slope), ("leaf_length", _rational))
+_TORUS = _Spec(("id", str), ("plus", _side), ("minus", _side), ("frame", str, ""))
+_CROSSING = _Spec(("from_side", _member(_SIDES, "%(where)s must be \"plus\" or \"minus\"")),
+                  ("torus", str), ("curve", _slope))
+_FDTC = _Spec(("m", int, 1), ("l_plus", _slope), ("l_minus", _slope), ("e", _slope))
 
 
 def _parse_graph(r, data):
     r.unknown(data, {"vertices", "edges"}, "graph")
     vertices = []
     for i, v in enumerate(r.array(data.get("vertices", []), "graph.vertices")):
-        if type(v) is not dict or not v.keys() <= _VERTEX.known:
-            r.unknown(v, _VERTEX.known, "graph.vertices[%d]" % i)
-        kind, vid = v.get("kind", "horizontal"), v.get("id")
-        orientable = v.get("orientable", True)
-        generators = v.get("internal_omega_generators", 0)
-        kind = _KINDS.get(kind) if type(kind) is str else None
-        if (kind is None or type(vid) is not str or type(orientable) is not bool
-                or type(generators) is not int):
-            kind, vid, orientable, generators = r.fields(
-                v, _VERTEX, "graph.vertices[%d]" % i)
+        kind, vid, orientable, generators = r.record(v, _VERTEX, "graph.vertices[%d]", i)
         vertices.append(jsj.Vertex(vid, kind, orientable, generators))
-    edges = []
-    for i, e in enumerate(r.array(data.get("edges", []), "graph.edges")):
-        if type(e) is not dict or not e.keys() <= _EDGE.known:
-            r.unknown(e, _EDGE.known, "graph.edges[%d]" % i)
-        try:
-            eid, tail, head, h_ini, h_ter = _EDGE.take(e)
-        except KeyError:
-            eid = None
-        omega = e.get("omega", 1)
-        if (type(eid) is not str or type(tail) is not str or type(head) is not str
-                or type(h_ini) is not int or type(h_ter) is not int
-                or type(omega) is not int):
-            eid, tail, head, h_ini, h_ter, omega = r.fields(
-                e, _EDGE, "graph.edges[%d]" % i)
-        edges.append(jsj.Edge(eid, tail, head, h_ini, h_ter, omega))
+    edges = [jsj.Edge(*r.record(e, _EDGE, "graph.edges[%d]", i))
+             for i, e in enumerate(r.array(data.get("edges", []), "graph.edges"))]
     return jsj.DecoratedJSJGraph(vertices, edges)
 
 
-def _parse_side(r, value, where, index):
-    """A torus side, (piece id, boundary id); its path is ``where % index``."""
-    if type(value) is dict and value.keys() <= _SIDE.known:
-        piece, boundary = value.get("piece"), value.get("boundary")
-        if type(piece) is str and type(boundary) is str:
-            return piece, boundary
-    return r.side(value, where % index)
-
-
 def _parse_flow(r, data):
-    slope, rational = r.interned_slope, r.interned_rational
     pieces = []
     for i, p in enumerate(r.array(data.get("pieces", []), "pieces")):
-        if type(p) is not dict or not p.keys() <= _PIECE.known:
-            r.unknown(p, _PIECE.known, "pieces[%d]" % i)
-        type_name, raw = p.get("type"), p.get("boundaries")
-        piece_type = _PIECE_TYPES.get(type_name) if type(type_name) is str else None
-        if piece_type is None or type(raw) is not list:
-            piece_type, raw = r.fields(p, _PIECE[:2], "pieces[%d]" % i)
-        boundaries = []
-        for j, b in enumerate(raw):
-            if type(b) is not dict or not b.keys() <= _BOUNDARY.known:
-                r.unknown(b, _BOUNDARY.known, "pieces[%d].boundaries[%d]" % (i, j))
-            try:
-                bid, torus, degeneracy, length = _BOUNDARY.take(b)
-                degeneracy, length = slope(degeneracy), rational(length)
-            except KeyError:
-                degeneracy = None
-            if (degeneracy is None or length is None or type(bid) is not str
-                    or type(torus) is not str):
-                bid, torus, degeneracy, length = r.fields(
-                    b, _BOUNDARY, "pieces[%d].boundaries[%d]" % (i, j))
-            boundaries.append(flow.PieceBoundary(bid, torus, degeneracy, length))
-        pid = p.get("id")
-        if type(pid) is not str:
-            pid, = r.fields(p, _PIECE[2:], "pieces[%d]" % i)
+        piece_type, boundaries, pid = r.record(p, _PIECE, "pieces[%d]", i)
         pieces.append(flow.Piece(pid, piece_type, boundaries))
     tori = []
     for i, t in enumerate(r.array(data.get("tori", []), "tori")):
+        # the fast path of r.record(t, _TORUS, "tori[%d]", i)
         if type(t) is not dict or not t.keys() <= _TORUS.known:
             r.unknown(t, _TORUS.known, "tori[%d]" % i)
         try:
@@ -313,28 +318,29 @@ def _parse_flow(r, data):
             tid = None
         frame = t.get("frame", "")
         if type(tid) is str and type(frame) is str:
-            plus = _parse_side(r, plus, "tori[%d].plus", i)
-            minus = _parse_side(r, minus, "tori[%d].minus", i)
+            plus = _side(r, plus, "tori[%d]", (i,), "plus")
+            minus = _side(r, minus, "tori[%d]", (i,), "minus")
         else:
-            tid, plus, minus, frame = r.fields(t, _TORUS, "tori[%d]" % i)
+            tid, plus, minus, frame = r.fields(t, _TORUS, "tori[%d]", i)
         tori.append(flow.Torus(tid, plus, minus, frame))
     return flow.FlowManifest(pieces, tori)
 
 
 def _parse_loop(r, data):
-    slope = r.interned_slope
     crossings = []
     for i, c in enumerate(r.array(data, "loop")):
+        # the fast path of r.record(c, _CROSSING, "loop[%d]", i)
         if type(c) is not dict or not c.keys() <= _CROSSING.known:
             r.unknown(c, _CROSSING.known, "loop[%d]" % i)
         try:
             side, torus, curve = _CROSSING.take(c)
-            side = _SIDES.get(side) if type(side) is str else None
-            curve = slope(curve)
         except KeyError:
             side = None
-        if side is None or curve is None or type(torus) is not str:
-            side, torus, curve = r.fields(c, _CROSSING, "loop[%d]" % i)
+        side = _SIDES.get(side) if type(side) is str else None
+        if side is not None and type(torus) is str:
+            curve = _slope(r, curve, "loop[%d]", (i,), "curve")
+        else:
+            side, torus, curve = r.fields(c, _CROSSING, "loop[%d]", i)
         crossings.append(flow.Crossing(torus, curve, side))
     if not crossings:
         raise ParseError("loop must contain at least one crossing")

@@ -229,6 +229,45 @@ def test_a_record_with_two_faults_reports_the_first_in_field_order(edits, messag
         parse_manifest(_break(doc, *edits))
 
 
+@pytest.mark.parametrize("edits, message", [
+    ([(("graph", "vertices", 0, "id"), None), (("graph", "vertices", 0, "orientable"), 1)],
+     "missing field 'id' in graph.vertices[0]"),
+    ([(("graph", "vertices", 1, "kind"), "round"), (("graph", "vertices", 1, "id"), 2)],
+     "graph.vertices[1].kind: unknown kind 'round'"),
+    ([(("graph", "edges", 1, "h_ini"), "3/2"), (("graph", "edges", 1, "omega"), True)],
+     "graph.edges[1].h_ini must be an integer (pass --allow-rational-h to accept "
+     "\"p/q\" strings)"),
+    ([(("graph", "edges", 0, "to"), None), (("graph", "edges", 0, "h_ter"), None)],
+     "missing field 'to' in graph.edges[0]"),
+])
+def test_a_graph_record_with_two_faults_reports_the_first_in_field_order(edits, message):
+    with pytest.raises(ParseError, match="^%s$" % re.escape(message)):
+        parse_manifest(_break(json.loads(GRAPH_DOC), *edits))
+
+
+def test_a_decoded_manifest_may_hold_str_and_int_subclasses():
+    class Name(str):
+        pass
+
+    class Count(int):
+        pass
+
+    inst = gen_twist_family(TwistFamilyParams(k=1, p=1, q=1, r_minus=2, r_plus=1))
+    doc = json.loads(dumps_manifest(flow_manifest=inst.manifest, loop=inst.loop))
+    want = dumps_manifest(flow_manifest=inst.manifest, loop=inst.loop)
+    crossing, torus = doc["loop"][0], doc["tori"][0]
+    boundary = doc["pieces"][0]["boundaries"][0]
+    crossing["from_side"], crossing["torus"] = (Name(crossing["from_side"]),
+                                                Name(crossing["torus"]))
+    crossing["curve"] = [Count(x) for x in crossing["curve"]]
+    torus["plus"]["piece"] = Name(torus["plus"]["piece"])
+    torus["frame"] = Name(torus.get("frame", ""))
+    boundary["id"], boundary["leaf_length"] = (Name(boundary["id"]),
+                                               Name(boundary["leaf_length"]))
+    parsed = parse_manifest(doc)
+    assert dumps_manifest(flow_manifest=parsed.flow, loop=parsed.loop) == want
+
+
 class TestRoundTrip:
     def test_flow_manifest_round_trip(self):
         inst = gen_twist_family(TwistFamilyParams(k=-2, p=2, q=3, r_minus=1, r_plus=3, d=2))
