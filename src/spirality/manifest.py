@@ -67,9 +67,9 @@ class _Reader:
     ``record`` checks a record's fields in order and raises the first
     fault; a field's path is formatted only in the raise. Equal raw slopes
     and rational strings are normalised once, in memos that die with the
-    reader. The loop's crossings and the pieces' boundaries and tori, the
-    bulk of a long loop's manifest, first take a fast path that fetches
-    their required fields in one step.
+    reader. The loop's crossings and the pieces' boundaries, the bulk of a
+    long loop's manifest, and torus sides first take a fast path that
+    fetches their fields in one step.
     """
 
     def __init__(self, strict, allow_rational_h=False):
@@ -307,22 +307,8 @@ def _parse_flow(r, data):
     for i, p in enumerate(r.array(data.get("pieces", []), "pieces")):
         piece_type, boundaries, pid = r.record(p, _PIECE, "pieces[%d]", i)
         pieces.append(flow.Piece(pid, piece_type, boundaries))
-    tori = []
-    for i, t in enumerate(r.array(data.get("tori", []), "tori")):
-        # the fast path of r.record(t, _TORUS, "tori[%d]", i)
-        if type(t) is not dict or not t.keys() <= _TORUS.known:
-            r.unknown(t, _TORUS.known, "tori[%d]" % i)
-        try:
-            tid, plus, minus = _TORUS.take(t)
-        except KeyError:
-            tid = None
-        frame = t.get("frame", "")
-        if type(tid) is str and type(frame) is str:
-            plus = _side(r, plus, "tori[%d]", (i,), "plus")
-            minus = _side(r, minus, "tori[%d]", (i,), "minus")
-        else:
-            tid, plus, minus, frame = r.fields(t, _TORUS, "tori[%d]", i)
-        tori.append(flow.Torus(tid, plus, minus, frame))
+    tori = [flow.Torus(*r.record(t, _TORUS, "tori[%d]", i))
+            for i, t in enumerate(r.array(data.get("tori", []), "tori"))]
     return flow.FlowManifest(pieces, tori)
 
 
