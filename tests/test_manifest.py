@@ -221,6 +221,11 @@ def _break(doc, *edits):
      "loop[1].from_side must be \"plus\" or \"minus\""),
     ([(("loop", 1, "torus"), None), (("loop", 1, "curve"), {"mult": 2})],
      "missing field 'torus' in loop[1]"),
+    ([(("pieces", 1, "boundaries", 0, "torus"), 5),
+      (("pieces", 1, "boundaries", 0, "leaf_length"), "1/0")],
+     "pieces[1].boundaries[0].torus must be a string"),
+    ([(("loop", 0, "torus"), ["T"]), (("loop", 0, "curve"), [0, 0])],
+     "loop[0].torus must be a string"),
 ])
 def test_a_record_with_two_faults_reports_the_first_in_field_order(edits, message):
     inst = gen_twist_family(TwistFamilyParams(k=1, p=1, q=1, r_minus=2, r_plus=1))
