@@ -10,19 +10,15 @@ the standard separable and non-separable example families.
 """
 
 from .errors import SpiralityError, ParseError, Diagnostic
-from .lattice import (Slope, SublatticeCover, GluingMatrix, intersection_number,
-                      slope_cover_degree, h_value, change_frame, fdtc,
-                      NonIntegralH, BadGluing, NotParallel)
+from .lattice import Slope, intersection_number, fdtc, NotParallel
 from .graph import (DecoratedJSJGraph, Vertex, Edge, VertexKind, DirectedCycle,
-                    SpiralityCharacter, GraphCover, CoverEdge,
-                    validate, cycle_spirality, character, evaluate_character,
-                    is_aspiral, verdict, pullback, cyclic_cover, regauge,
-                    InvalidGraph, InvalidCycle, NotACovering)
+                    SpiralityCharacter, validate, cycle_spirality, character,
+                    verdict, InvalidGraph, InvalidCycle)
 from .flow import (FlowManifest, Piece, PieceBoundary, PieceType, Torus, Side,
                    Crossing, LoopItinerary, SideConvention,
                    flow_factors, flow_spirality,
                    equiperiodic_rho_is_one,
-                   decorate_from_flow, reverse_itinerary, normalize_itinerary,
+                   decorate_from_flow, normalize_itinerary,
                    validate_manifest, validate_itinerary,
                    NotFlowTransverse, BadSegment)
 from .generators import (TwistFamilyParams, TwistFamilyInstance, gen_twist_family,

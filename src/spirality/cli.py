@@ -13,10 +13,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 
-from .errors import SpiralityError, ParseError, error as diag_error
+from .errors import SpiralityError, ParseError, Value, error as diag_error
 from .rational import format_rational
 from . import graph as jsj
 from . import flow
@@ -37,12 +35,17 @@ def _style(text, color, enabled):
     return "\x1b[%sm%s\x1b[0m" % (_COLORS[color], text)
 
 
-@dataclass
-class Report:
-    command: str
-    digest: str
-    results: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+class Report(Value):
+    """A command's result rows and warnings, filled in and rendered once."""
+
+    __slots__ = ("command", "digest", "results", "warnings")
+    __hash__ = None  # the lists grow
+
+    def __init__(self, command, digest, results=None, warnings=None):
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "digest", digest)
+        object.__setattr__(self, "results", [] if results is None else results)
+        object.__setattr__(self, "warnings", [] if warnings is None else warnings)
 
     def add(self, label, value, color=None):
         self.results.append((label, value, color))
@@ -53,6 +56,8 @@ class Report:
 
 def _render(report, args):
     if args.timestamps:
+        # imported here: no report without --timestamps needs it
+        from datetime import datetime, timezone
         report.add("timestamp", datetime.now(timezone.utc).isoformat())
     if args.format == "structured":
         doc = {
@@ -99,7 +104,7 @@ def _load(path, args):
                                allow_rational_h=args.allow_rational_h)
     if parsed.loop is not None:
         convention = flow.SideConvention(args.side_convention)
-        parsed = replace(parsed, loop=flow.normalize_itinerary(parsed.loop, convention))
+        parsed = parsed.replace(loop=flow.normalize_itinerary(parsed.loop, convention))
     return raw, parsed
 
 
@@ -292,18 +297,17 @@ def _twist_family_params(args):
 
 
 def cmd_crosscheck(args):
-    report = Report("crosscheck", "")
     cases = []
     if args.random:
-        report.digest = _digest(("random:%d:%d" % (args.random, args.seed))
-                                .encode("utf-8"))
+        run = "random:%d:%d" % (args.random, args.seed)
+        report = Report("crosscheck", _digest(run.encode("utf-8")))
         for i in range(args.random):
             m, loop = generators.gen_random_flow(args.seed + i)
             cases.append(("seed %d" % (args.seed + i), m, loop,
                           flow.flow_factors(loop, m)))
     elif args.paths:
         loaded = [_load(path, args) for path in args.paths]
-        report.digest = _digest(b"".join(raw for raw, _ in loaded))
+        report = Report("crosscheck", _digest(b"".join(raw for raw, _ in loaded)))
         for path, (_, parsed) in zip(args.paths, loaded):
             valid, factors = _check(parsed, report)
             if not valid:

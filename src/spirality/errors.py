@@ -1,6 +1,5 @@
-"""Exception hierarchy and the diagnostic value type shared across modules."""
-
-from dataclasses import dataclass
+"""Exception hierarchy, the base of the value types and the diagnostic value
+type, shared across modules."""
 
 
 class SpiralityError(Exception):
@@ -26,17 +25,60 @@ class ParseError(SpiralityError):
         return base
 
 
+class Value:
+    """Base of the immutable value types.
+
+    A subclass lists its fields in ``__slots__`` (a slot whose name starts
+    with "_" is a cache, not a field) and sets them in ``__init__`` with
+    ``object.__setattr__``. Values are equal, and hash alike, when they are
+    of one class and their fields are equal; the repr lists the fields.
+    Values can be weakly referenced, copied and pickled.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _astuple(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __reduce__(self):
+        # copy and pickle rebuild the value through __init__, not setattr
+        return type(self), self._astuple()
+
+
 ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Value):
     """One validation finding. Diagnostics are values, not exceptions."""
 
-    severity: str
-    code: str
-    message: str
+    __slots__ = ("severity", "code", "message")
+
+    def __init__(self, severity, code, message):
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
     @property
     def is_error(self):

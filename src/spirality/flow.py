@@ -26,12 +26,11 @@ ratios matter, and rescaling all lengths of one piece by a common factor
 changes nothing.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm, prod
 
-from .errors import SpiralityError, error, warning
+from .errors import SpiralityError, Value, error, warning
 from .lattice import intersection_number
 from . import graph as jsj
 
@@ -71,41 +70,45 @@ class PieceType(Enum):
     PSEUDO_ANOSOV = "pseudo_anosov"
 
 
-@dataclass(frozen=True)
-class PieceBoundary:
+class PieceBoundary(Value):
     """One boundary torus of a piece, with its degeneracy slope and leaf length."""
 
-    id: str
-    torus: str
-    degeneracy_slope: object
-    leaf_length: Fraction
+    __slots__ = ("id", "torus", "degeneracy_slope", "leaf_length")
+
+    def __init__(self, id, torus, degeneracy_slope, leaf_length):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "torus", torus)
+        object.__setattr__(self, "degeneracy_slope", degeneracy_slope)
+        object.__setattr__(self, "leaf_length", leaf_length)
 
 
-@dataclass(frozen=True)
-class Piece:
-    id: str
-    type: PieceType
-    boundaries: tuple
+class Piece(Value):
+    __slots__ = ("id", "type", "boundaries", "_by_id")
 
-    def __post_init__(self):
-        if isinstance(self.type, str):
-            object.__setattr__(self, "type", PieceType(self.type))
-        object.__setattr__(self, "boundaries", tuple(self.boundaries))
+    def __init__(self, id, type, boundaries):
+        if isinstance(type, str):
+            type = PieceType(type)
+        boundaries = tuple(boundaries)
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "boundaries", boundaries)
         # indexed once; where an id repeats, the first boundary wins
-        object.__setattr__(self, "_by_id", {b.id: b for b in reversed(self.boundaries)})
+        object.__setattr__(self, "_by_id", {b.id: b for b in reversed(boundaries)})
 
     def boundary(self, boundary_id):
         return self._by_id[boundary_id]
 
 
-@dataclass(frozen=True)
-class Torus:
+class Torus(Value):
     """A JSJ torus with its two sides, each a (piece id, boundary id) pair."""
 
-    id: str
-    plus: tuple
-    minus: tuple
-    frame: str = ""
+    __slots__ = ("id", "plus", "minus", "frame")
+
+    def __init__(self, id, plus, minus, frame=""):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
+        object.__setattr__(self, "frame", frame)
 
     def side(self, which):
         return self.plus if which is Side.PLUS else self.minus
@@ -130,33 +133,33 @@ class FlowManifest:
         return "FlowManifest(%d pieces, %d tori)" % (len(self.pieces), len(self.tori))
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Value):
     """One transverse torus crossing of the loop.
 
     ``from_side`` is stored in the canonical FROM_LEAVES reading: the side
     of the torus the loop leaves at this crossing.
     """
 
-    torus: str
-    curve: object
-    from_side: Side
+    __slots__ = ("torus", "curve", "from_side")
 
-    def __post_init__(self):
-        if isinstance(self.from_side, str):
-            object.__setattr__(self, "from_side", Side(self.from_side))
+    def __init__(self, torus, curve, from_side):
+        if isinstance(from_side, str):
+            from_side = Side(from_side)
+        object.__setattr__(self, "torus", torus)
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "from_side", from_side)
 
 
-@dataclass(frozen=True)
-class LoopItinerary:
+class LoopItinerary(Value):
     """Cyclic crossing sequence; segment i runs between crossings i-1 and i."""
 
-    crossings: tuple
+    __slots__ = ("crossings",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "crossings", tuple(self.crossings))
-        if not self.crossings:
+    def __init__(self, crossings):
+        crossings = tuple(crossings)
+        if not crossings:
             raise ValueError("itinerary needs at least one crossing")
+        object.__setattr__(self, "crossings", crossings)
 
 
 def normalize_itinerary(itinerary, convention):
@@ -165,13 +168,6 @@ def normalize_itinerary(itinerary, convention):
         return itinerary
     return LoopItinerary(tuple(
         Crossing(c.torus, c.curve, c.from_side.other) for c in itinerary.crossings))
-
-
-def reverse_itinerary(itinerary):
-    """The same loop traversed the other way: reversed order, flipped sides."""
-    return LoopItinerary(tuple(
-        Crossing(c.torus, c.curve, c.from_side.other)
-        for c in reversed(itinerary.crossings)))
 
 
 # Diagnostic codes for manifest/itinerary validation.
@@ -257,13 +253,15 @@ def validate_manifest(m):
     return out
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Value):
     """An in-piece subpath, named by its entry and exit boundaries."""
 
-    piece: str
-    entry_boundary: str
-    exit_boundary: str
+    __slots__ = ("piece", "entry_boundary", "exit_boundary")
+
+    def __init__(self, piece, entry_boundary, exit_boundary):
+        object.__setattr__(self, "piece", piece)
+        object.__setattr__(self, "entry_boundary", entry_boundary)
+        object.__setattr__(self, "exit_boundary", exit_boundary)
 
 
 def equiperiodic_rho_is_one(m):
@@ -282,8 +280,7 @@ def _one_leaf_length(piece):
     return all(length == lengths[0] for length in lengths)
 
 
-@dataclass(frozen=True)
-class FlowFactors:
+class FlowFactors(Value):
     """A loop's crossings resolved once, in loop order.
 
     Crossing i leaves boundary ``left[i]`` of piece ``pieces[i]`` and enters
@@ -292,10 +289,13 @@ class FlowFactors:
     ``pieces[i]`` from ``entered[i - 1]`` to ``left[i]``.
     """
 
-    intersections: tuple
-    left: tuple
-    entered: tuple
-    pieces: tuple
+    __slots__ = ("intersections", "left", "entered", "pieces")
+
+    def __init__(self, intersections, left, entered, pieces):
+        object.__setattr__(self, "intersections", intersections)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "entered", entered)
+        object.__setattr__(self, "pieces", pieces)
 
     @property
     def segments(self):

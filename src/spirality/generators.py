@@ -14,10 +14,9 @@ Three seeded, deterministic generators:
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SpiralityError
+from .errors import SpiralityError, Value
 from .lattice import Slope, intersection_number
 from .flow import (Crossing, FlowManifest, LoopItinerary, Piece, PieceBoundary,
                    PieceType, Side, Torus)
@@ -27,8 +26,7 @@ class BadParams(SpiralityError):
     """Parameters violate the construction's constraints."""
 
 
-@dataclass(frozen=True)
-class TwistFamilyParams:
+class TwistFamilyParams(Value):
     """Parameters of the nontrivial-twist family.
 
     ``k`` is the (integer) fractional Dehn twist coefficient across the
@@ -37,12 +35,15 @@ class TwistFamilyParams:
     the degree of the elevation whose spirality is reported.
     """
 
-    k: int
-    p: int
-    q: int
-    r_minus: int
-    r_plus: int
-    d: int = 1
+    __slots__ = ("k", "p", "q", "r_minus", "r_plus", "d")
+
+    def __init__(self, k, p, q, r_minus, r_plus, d=1):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r_minus", r_minus)
+        object.__setattr__(self, "r_plus", r_plus)
+        object.__setattr__(self, "d", d)
 
     def check(self):
         if self.k == 0:
@@ -55,8 +56,7 @@ class TwistFamilyParams:
                             % (self.r_plus, self.r_minus, self.k))
 
 
-@dataclass(frozen=True)
-class TwistFamilyInstance:
+class TwistFamilyInstance(Value):
     """Generated manifest plus the data needed to check it independently.
 
     The torus frame is (l_minus, e): the minus-side degeneracy slope is
@@ -65,12 +65,15 @@ class TwistFamilyInstance:
     closed-form spirality of the emitted loop.
     """
 
-    manifest: FlowManifest
-    loop: LoopItinerary
-    expected: Fraction
-    l_plus: Slope
-    l_minus: Slope
-    reduction_curve: Slope
+    __slots__ = ("manifest", "loop", "expected", "l_plus", "l_minus", "reduction_curve")
+
+    def __init__(self, manifest, loop, expected, l_plus, l_minus, reduction_curve):
+        object.__setattr__(self, "manifest", manifest)
+        object.__setattr__(self, "loop", loop)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "l_plus", l_plus)
+        object.__setattr__(self, "l_minus", l_minus)
+        object.__setattr__(self, "reduction_curve", reduction_curve)
 
 
 def gen_twist_family(params):

@@ -19,11 +19,10 @@ Graphs are immutable after validation and all computations here are pure,
 so components may be processed in parallel without shared state.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import SpiralityError, error, warning
+from .errors import SpiralityError, Value, error, warning
 
 
 class InvalidGraph(SpiralityError):
@@ -34,18 +33,13 @@ class InvalidCycle(SpiralityError):
     """Cycle steps are not a closed edge path of the graph."""
 
 
-class NotACovering(SpiralityError):
-    """Cover data is not a degree-preserving local bijection on edge ends."""
-
-
 class VertexKind(Enum):
     HORIZONTAL = "horizontal"
     GEOMETRICALLY_INFINITE = "geometrically_infinite"
     ELEMENTARY_BAND = "elementary_band"
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Value):
     """A virtual-fiber JSJ subsurface of the almost fiber part.
 
     ``internal_omega_generators`` counts independent orientation-reversing
@@ -53,40 +47,43 @@ class Vertex:
     contributes a holonomy value of -1 on its own.
     """
 
-    id: str
-    kind: VertexKind = VertexKind.HORIZONTAL
-    orientable: bool = True
-    internal_omega_generators: int = 0
+    __slots__ = ("id", "kind", "orientable", "internal_omega_generators")
 
-    def __post_init__(self):
-        if isinstance(self.kind, str):
-            object.__setattr__(self, "kind", VertexKind(self.kind))
+    def __init__(self, id, kind=VertexKind.HORIZONTAL, orientable=True,
+                 internal_omega_generators=0):
+        if isinstance(kind, str):
+            kind = VertexKind(kind)
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "orientable", orientable)
+        object.__setattr__(self, "internal_omega_generators", internal_omega_generators)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Value):
     """A JSJ curve, with covering-degree ratios h at both ends and a sign."""
 
-    id: str
-    from_vertex: str
-    to_vertex: str
-    h_ini: int
-    h_ter: int
-    omega: int = 1
+    __slots__ = ("id", "from_vertex", "to_vertex", "h_ini", "h_ter", "omega")
+
+    def __init__(self, id, from_vertex, to_vertex, h_ini, h_ter, omega=1):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "from_vertex", from_vertex)
+        object.__setattr__(self, "to_vertex", to_vertex)
+        object.__setattr__(self, "h_ini", h_ini)
+        object.__setattr__(self, "h_ter", h_ter)
+        object.__setattr__(self, "omega", omega)
 
 
 FORWARD = 1
 BACKWARD = -1
 
 
-@dataclass(frozen=True)
-class DirectedCycle:
+class DirectedCycle(Value):
     """A closed edge path: steps (edge id, +1 forward / -1 backward)."""
 
-    steps: tuple
+    __slots__ = ("steps",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(map(tuple, self.steps)))
+    def __init__(self, steps):
+        object.__setattr__(self, "steps", tuple(map(tuple, steps)))
 
     def reversed(self):
         return DirectedCycle(tuple((e, -d) for e, d in reversed(self.steps)))
@@ -328,21 +325,25 @@ def _tree_path(tree, start, end):
     return up + [(eid, -d) for eid, d in reversed(down)]
 
 
-@dataclass(frozen=True)
-class SpiralityCharacter:
+class SpiralityCharacter(Value):
     """The holonomy character on a fundamental cycle basis.
 
     ``basis[i]`` is the cycle closing up the non-tree edge ``cycle_edges[i]``
     and ``values[i]`` its holonomy. ``internal_signs`` lists (vertex id, -1)
     once per vertex contributing orientation-reversing internal loops; those
     basis directions always have absolute value 1. Any cycle's value is
-    recoverable from its homology decomposition, see evaluate_character().
+    recoverable from its homology decomposition: the coefficient on the
+    basis cycle of a non-tree edge is the signed number of times the cycle
+    traverses that edge.
     """
 
-    basis: tuple
-    values: tuple
-    cycle_edges: tuple
-    internal_signs: tuple
+    __slots__ = ("basis", "values", "cycle_edges", "internal_signs")
+
+    def __init__(self, basis, values, cycle_edges, internal_signs):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "cycle_edges", cycle_edges)
+        object.__setattr__(self, "internal_signs", internal_signs)
 
 
 def character(g, forest=None):
@@ -370,35 +371,20 @@ def character(g, forest=None):
     return SpiralityCharacter(tuple(basis), tuple(values), tuple(cycle_edges), internal)
 
 
-def evaluate_character(char, cycle):
-    """Value of an arbitrary cycle from its decomposition over the basis.
-
-    The coefficient on the basis cycle of a non-tree edge is the signed
-    number of times the cycle traverses that edge; tree edges contribute
-    nothing in homology.
-    """
-    counts = {eid: 0 for eid in char.cycle_edges}
-    for eid, direction in cycle.steps:
-        if eid in counts:
-            counts[eid] += direction
-    value = Fraction(1)
-    for eid, v in zip(char.cycle_edges, char.values):
-        value *= v ** counts[eid]
-    return value
-
-
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Embedding criterion verdict: the three properties are equivalent.
 
     ``witness`` is a basis cycle whose value ``witness_value`` is not +-1,
     present exactly when the graph is not aspiral.
     """
 
-    aspiral: bool
-    vacuous: bool = False
-    witness: object = None
-    witness_value: object = None
+    __slots__ = ("aspiral", "vacuous", "witness", "witness_value")
+
+    def __init__(self, aspiral, vacuous=False, witness=None, witness_value=None):
+        object.__setattr__(self, "aspiral", aspiral)
+        object.__setattr__(self, "vacuous", vacuous)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "witness_value", witness_value)
 
     @property
     def virtually_embedded(self):
@@ -422,115 +408,3 @@ def verdict(g):
     """Aspiral iff every basis value is +-1; otherwise carries a witness cycle."""
     return Verdict.of(g, character(g))
 
-
-is_aspiral = verdict
-
-
-@dataclass(frozen=True)
-class CoverEdge:
-    """An edge of the covering graph, lying over ``over`` with matched ends."""
-
-    id: str
-    from_vertex: str
-    to_vertex: str
-    over: str
-
-
-@dataclass(frozen=True)
-class GraphCover:
-    """Combinatorial covering data: cover vertices/edges with their projections.
-
-    ``vertex_map`` sends cover vertex ids to base vertex ids; each cover
-    edge projects to its ``over`` edge preserving ends (from over from, to
-    over to).
-    """
-
-    vertex_map: dict
-    edges: tuple
-
-
-def pullback(g, cover):
-    """Pull the decorated graph back along a covering; decorations lift unchanged.
-
-    A cycle lifting to a connected degree-d cover wraps d times and its
-    value raises to the d-th power. Raises NotACovering when the data fails
-    the local bijection on edge ends.
-    """
-    _require_valid(g)
-    for cv, bv in cover.vertex_map.items():
-        if not g.has_vertex(bv):
-            raise NotACovering("cover vertex %r maps to unknown vertex %r" % (cv, bv))
-    base_ends = {v.id: [] for v in g.vertices}
-    for e in g.edges:
-        base_ends[e.from_vertex].append((e.id, "ini"))
-        base_ends[e.to_vertex].append((e.id, "ter"))
-
-    lifted_ends = {cv: [] for cv in cover.vertex_map}
-    for ce in cover.edges:
-        if ce.over not in g._edge_by_id:
-            raise NotACovering("cover edge %r lies over unknown edge %r" % (ce.id, ce.over))
-        base = g.edge(ce.over)
-        for end, base_end in ((ce.from_vertex, base.from_vertex),
-                              (ce.to_vertex, base.to_vertex)):
-            if end not in cover.vertex_map:
-                raise NotACovering("cover edge %r touches unknown vertex %r" % (ce.id, end))
-            if cover.vertex_map[end] != base_end:
-                raise NotACovering("cover edge %r does not match endpoints of %r"
-                                   % (ce.id, ce.over))
-        lifted_ends[ce.from_vertex].append((ce.over, "ini"))
-        lifted_ends[ce.to_vertex].append((ce.over, "ter"))
-
-    for cv, bv in cover.vertex_map.items():
-        if sorted(lifted_ends[cv]) != sorted(base_ends[bv]):
-            raise NotACovering("ends at cover vertex %r do not biject onto ends at %r"
-                               % (cv, bv))
-
-    vertices = []
-    for cv in cover.vertex_map:
-        bv = g.vertex(cover.vertex_map[cv])
-        vertices.append(Vertex(cv, bv.kind, bv.orientable, bv.internal_omega_generators))
-    edges = []
-    for ce in cover.edges:
-        base = g.edge(ce.over)
-        edges.append(Edge(ce.id, ce.from_vertex, ce.to_vertex,
-                          base.h_ini, base.h_ter, base.omega))
-    return DecoratedJSJGraph(vertices, edges)
-
-
-def cyclic_cover(g, shifts, degree):
-    """Covering data for the Z/degree cover twisted by integer edge shifts.
-
-    Vertex layers are (v, i); the lift of edge e at layer i ends in layer
-    i + shifts.get(e, 0). A single loop with shift 1 yields the connected
-    degree-d cover that wraps d times.
-    """
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    vertex_map = {}
-    for v in g.vertices:
-        for i in range(degree):
-            vertex_map["%s@%d" % (v.id, i)] = v.id
-    edges = []
-    for e in g.edges:
-        shift = shifts.get(e.id, 0)
-        for i in range(degree):
-            edges.append(CoverEdge("%s@%d" % (e.id, i),
-                                   "%s@%d" % (e.from_vertex, i),
-                                   "%s@%d" % (e.to_vertex, (i + shift) % degree),
-                                   e.id))
-    return GraphCover(vertex_map, tuple(edges))
-
-
-def regauge(g, vertex_ids):
-    """Flip omega on every edge with exactly one endpoint in the given set.
-
-    This is a coboundary: every cycle value is unchanged, only the per-edge
-    presentation of the sign data moves.
-    """
-    flipped = set(vertex_ids)
-    edges = []
-    for e in g.edges:
-        crosses = (e.from_vertex in flipped) != (e.to_vertex in flipped)
-        edges.append(Edge(e.id, e.from_vertex, e.to_vertex, e.h_ini, e.h_ter,
-                          -e.omega if crosses else e.omega))
-    return DecoratedJSJGraph(g.vertices, edges)

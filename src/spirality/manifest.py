@@ -18,33 +18,41 @@ the validators, which report diagnostics instead of raising.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import ParseError
+from .errors import ParseError, Value
 from .rational import parse_rational, format_rational
 from .lattice import Slope
 from . import graph as jsj
 from . import flow
 
 
-@dataclass(frozen=True)
-class FdtcInput:
-    l_plus: Slope
-    l_minus: Slope
-    e: Slope
-    m: int
+class FdtcInput(Value):
+    __slots__ = ("l_plus", "l_minus", "e", "m")
+
+    def __init__(self, l_plus, l_minus, e, m):
+        object.__setattr__(self, "l_plus", l_plus)
+        object.__setattr__(self, "l_minus", l_minus)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class ParsedManifest:
-    graph: object = None
-    flow: object = None
-    loop: object = None
-    fdtc: object = None
-    expected: object = None
-    warnings: tuple = ()
+class ParsedManifest(Value):
+    __slots__ = ("graph", "flow", "loop", "fdtc", "expected", "warnings")
+
+    def __init__(self, graph=None, flow=None, loop=None, fdtc=None, expected=None,
+                 warnings=()):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "flow", flow)
+        object.__setattr__(self, "loop", loop)
+        object.__setattr__(self, "fdtc", fdtc)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "warnings", warnings)
+
+    def replace(self, **changes):
+        """A copy with the named fields changed."""
+        return ParsedManifest(**dict(zip(self._fields, self._astuple()), **changes))
 
 
 # Enum members by their wire names.

@@ -39,14 +39,14 @@ def format_rational(value):
     A part longer than the interpreter's integer-to-string digit limit
     raises SpiralityError naming its digit count.
     """
-    value = Fraction(value)
+    # both types carry the normal form already, so no Fraction is built
+    num, den = value.numerator, value.denominator
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return "%d/%d" % (value.numerator, value.denominator)
+        if den == 1:
+            return str(num)
+        return "%d/%d" % (num, den)
     except ValueError:  # over the integer digit limit
         # Decimal counts the digits without the limited int-to-str conversion
-        digits = max(Decimal(part).adjusted() + 1
-                     for part in (value.numerator, value.denominator))
+        digits = max(Decimal(part).adjusted() + 1 for part in (num, den))
         raise SpiralityError("cannot print a rational of %d digits, over the limit "
                              "of %d" % (digits, sys.get_int_max_str_digits()))

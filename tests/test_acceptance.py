@@ -13,14 +13,13 @@ import pytest
 from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
                        gen_random_flow, flow_spirality, flow_factors,
                        decorate_from_flow, cycle_spirality, character,
-                       is_aspiral, verdict, equiperiodic_rho_is_one, pullback,
-                       cyclic_cover, fdtc, Slope, NotParallel,
+                       verdict, equiperiodic_rho_is_one, fdtc, Slope, NotParallel,
                        DecoratedJSJGraph, Vertex, Edge)
 from spirality.graph import FORWARD
 from util import (PartialDilatation, compose, oracle_cycle_value, oracle_fdtc_scan,
                   random_graph, random_closed_walk, random_slope,
                   random_primitive_slope, all_spanning_forests, make_equiperiodic,
-                  seeded, sigma)
+                  seeded, sigma, pullback, cyclic_cover)
 
 
 @contextmanager
@@ -145,7 +144,7 @@ def test_criterion_5_character_laws():
 
         for _ in range(200):  # aspirality over every spanning forest
             g = random_graph(rng, max_vertices=4, max_edges=6)
-            expected = is_aspiral(g).aspiral
+            expected = verdict(g).aspiral
             for char in all_spanning_forests(g):
                 assert all(v in (1, -1) for v in char.values) == expected
 

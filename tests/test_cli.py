@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -404,6 +405,17 @@ class TestReporting:
         _, with_ts = run(capsys, "aspiral", "--timestamps", path)
         assert "timestamp" in with_ts.out
 
+    def test_timestamp_is_iso_8601_utc(self, tmp_path, capsys):
+        path = write(tmp_path, "g.json", GOOD_GRAPH)
+        before = datetime.now(timezone.utc)
+        _, out = run(capsys, "validate", "--timestamps", "--format", "structured", path)
+        after = datetime.now(timezone.utc)
+        [stamp] = [row["value"] for row in json.loads(out.out)["results"]
+                   if row["label"] == "timestamp"]
+        when = datetime.fromisoformat(stamp)
+        assert when.utcoffset() == timedelta(0)
+        assert before <= when <= after
+
     def test_side_convention_flag(self, tmp_path, capsys):
         target = str(tmp_path / "s8.json")
         run(capsys, "gen", "twist-family", "--out", target)
@@ -415,6 +427,28 @@ class TestReporting:
         code, out = run(capsys, "rw", "--side-convention", "from-enters", flipped)
         assert code == 0
         assert "spirality: 3/2" in out.out
+
+
+class TestStartup:
+    LAYERS = ("cli", "manifest", "graph", "flow", "lattice", "rational", "generators")
+
+    def test_cli_import_set(self):
+        """``import spirality.cli`` loads no dataclasses, inspect or datetime,
+        each costly to import on every CLI run, and loads every layer module:
+        perfbench's tracer (perfbench/tracing.py) wraps the layers it finds in
+        sys.modules and raises KeyError for a layer that is not yet loaded."""
+        code = ("import sys; before = set(sys.modules); import spirality.cli; "
+                "print(' '.join(sorted(set(sys.modules) - before)))")
+        env = dict(os.environ, PYTHONPATH=str(Path(spirality.__file__).parents[1]))
+        loaded = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                    capture_output=True, text=True).stdout.split())
+        assert not loaded & {"dataclasses", "inspect", "datetime"}
+        assert {"spirality." + layer for layer in self.LAYERS} <= loaded
+
+    def test_no_module_uses_dataclass(self):
+        sources = sorted(Path(spirality.__file__).parent.glob("*.py"))
+        assert {p.stem for p in sources} >= set(self.LAYERS)
+        assert [p.name for p in sources if "dataclass" in p.read_text(encoding="utf-8")] == []
 
 
 def _node(doc, path):

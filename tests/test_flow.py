@@ -6,7 +6,7 @@ from spirality import (Slope, FlowManifest, Piece, PieceBoundary, PieceType,
                        Torus, Side, Crossing, LoopItinerary, SideConvention,
                        flow_spirality,
                        equiperiodic_rho_is_one, decorate_from_flow,
-                       reverse_itinerary, normalize_itinerary,
+                       normalize_itinerary,
                        validate_manifest, validate_itinerary,
                        cycle_spirality, NotFlowTransverse, BadSegment,
                        gen_random_flow, flow_factors, gen_twist_family,
@@ -14,8 +14,8 @@ from spirality import (Slope, FlowManifest, Piece, PieceBoundary, PieceType,
 from spirality.flow import Segment, SEIFERT_LEAF_MISMATCH, UNPAIRED_BOUNDARY, \
     PIECE_MISMATCH, NOT_TRANSVERSE
 from util import (make_equiperiodic, oracle_decorated_h, oracle_flow_spirality,
-                  oracle_validate_itinerary, rho, seeded, segments_of, side_boundary,
-                  sigma)
+                  oracle_validate_itinerary, reverse_itinerary, rho, seeded,
+                  segments_of, side_boundary, sigma)
 
 PA = PieceType.PSEUDO_ANOSOV
 

@@ -4,12 +4,12 @@ import pytest
 
 from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
                        gen_random_flow, BadParams, intersection_number, fdtc,
-                       flow_spirality, flow_factors, reverse_itinerary,
-                       decorate_from_flow, character, verdict, pullback, cyclic_cover,
+                       flow_spirality, flow_factors,
+                       decorate_from_flow, character, verdict,
                        equiperiodic_rho_is_one, validate_manifest,
                        validate_itinerary)
 from spirality.manifest import flow_to_dict, loop_to_list
-from util import oracle_intersection, seeded
+from util import oracle_intersection, seeded, pullback, cyclic_cover, reverse_itinerary
 
 
 def random_params(rng, max_d=4):

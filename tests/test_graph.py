@@ -3,16 +3,15 @@ from fractions import Fraction
 import pytest
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, VertexKind,
-                       validate, cycle_spirality, character, evaluate_character,
-                       is_aspiral, verdict, pullback, cyclic_cover, regauge,
-                       GraphCover, CoverEdge,
-                       InvalidCycle, InvalidGraph, NotACovering)
+                       validate, cycle_spirality, character, verdict,
+                       InvalidCycle, InvalidGraph)
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest,
                              DANGLING_EDGE, NON_POSITIVE_H, BAD_OMEGA,
                              ELEMENTARY_ADJACENCY, OMEGA_AMBIGUITY)
 from util import (PartialDilatation, compose, oracle_basis, oracle_cycle_value,
                   random_graph, random_path_graph, random_closed_walk,
-                  all_spanning_forests, seeded)
+                  all_spanning_forests, seeded, evaluate_character, pullback,
+                  cyclic_cover, regauge, GraphCover, CoverEdge, NotACovering)
 
 
 def two_vertex_graph():
@@ -137,7 +136,7 @@ class TestCharacter:
             [Edge("e", "a", "b", 1, 1)])
         char = character(g)
         assert char.internal_signs == (("a", -1),)
-        assert is_aspiral(g).aspiral
+        assert verdict(g).aspiral
 
     def test_forest_is_lowest_edge_id_first(self):
         g = DecoratedJSJGraph(
@@ -159,10 +158,10 @@ class TestAspiralityAndVerdict:
         g = DecoratedJSJGraph(
             [Vertex("a"), Vertex("b")],
             [Edge("e1", "a", "b", 4, 4), Edge("e2", "b", "a", 9, 9)])
-        assert is_aspiral(g).aspiral
+        assert verdict(g).aspiral
 
     def test_witness_on_failure(self):
-        result = is_aspiral(triangle(h_third=(4, 5)))
+        result = verdict(triangle(h_third=(4, 5)))
         assert not result.aspiral
         assert result.witness_value == Fraction(2, 5)
         assert cycle_spirality(triangle(h_third=(4, 5)), result.witness) == Fraction(2, 5)
@@ -171,7 +170,7 @@ class TestAspiralityAndVerdict:
         g = DecoratedJSJGraph(
             [Vertex("a")],
             [Edge("e1", "a", "a", 3, 3, omega=-1), Edge("e2", "a", "a", 1, 1)])
-        assert is_aspiral(g).aspiral
+        assert verdict(g).aspiral
 
     def test_verdict_maps_aspirality(self):
         good = verdict(triangle())
@@ -188,7 +187,7 @@ class TestAspiralityAndVerdict:
         g = DecoratedJSJGraph(
             [Vertex("a"), Vertex("b")],
             [Edge("e1", "a", "a", 1, 1), Edge("e2", "b", "b", 2, 5)])
-        result = is_aspiral(g)
+        result = verdict(g)
         assert not result.aspiral
         assert result.witness.steps == (("e2", FORWARD),)
 
@@ -329,7 +328,7 @@ def test_aspirality_independent_of_forest():
     rng = seeded(205)
     for _ in range(60):
         g = random_graph(rng, max_vertices=4, max_edges=6)
-        expected = is_aspiral(g).aspiral
+        expected = verdict(g).aspiral
         for char in all_spanning_forests(g):
             assert all(v in (1, -1) for v in char.values) == expected
 

@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from spirality import (Slope, SublatticeCover, GluingMatrix, intersection_number,
-                       slope_cover_degree, h_value, change_frame, fdtc,
-                       BadGluing, NotParallel)
-from util import (oracle_intersection, oracle_cover_degree, oracle_fdtc_scan,
-                  random_slope, random_primitive_slope, random_sublattice,
-                  random_unimodular, seeded)
+from spirality import Slope, intersection_number, fdtc, NotParallel
+from util import (SublatticeCover, GluingMatrix, slope_cover_degree, h_value,
+                  change_frame, BadGluing, oracle_intersection, oracle_cover_degree,
+                  oracle_fdtc_scan, random_slope, random_primitive_slope,
+                  random_sublattice, random_unimodular, seeded)
 
 
 def test_slope_normalization():

@@ -7,6 +7,11 @@ values by a hand-rolled integer product or by folding partial dilatations,
 fundamental cycles from both ends' full paths to the root, flow
 spiralities as a product of one reduced Fraction per sigma and rho factor,
 and the loop check's diagnostics from a pass that looks every side up first.
+
+It also holds the constructions that only the tests need, not the CLI or
+the manifest: torus covers and their slope degrees, frame changes, graph
+covers and their pullbacks, regauging, a character evaluated on an
+arbitrary cycle, and reversed itineraries.
 """
 
 import random
@@ -16,15 +21,98 @@ from itertools import combinations
 from math import gcd, lcm
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, Slope,
-                       SublatticeCover, FlowManifest, Piece, PieceBoundary,
-                       character, intersection_number, NotFlowTransverse,
-                       BadSegment)
+                       FlowManifest, Piece, PieceBoundary, Crossing, LoopItinerary,
+                       character, intersection_number, validate, NotFlowTransverse,
+                       BadSegment, InvalidGraph, SpiralityError)
 from spirality.errors import error
 from spirality.flow import Segment, DANGLING_REF, NOT_TRANSVERSE, PIECE_MISMATCH
 from spirality.graph import FORWARD, BACKWARD, spanning_forest
 
 
 # ---------------------------------------------------------------- lattice
+
+class NonIntegralH(SpiralityError):
+    """Covering-degree quotient came out non-integral for the given data."""
+
+
+class BadGluing(SpiralityError):
+    """Frame-change matrix is not unimodular."""
+
+
+@dataclass(frozen=True)
+class SublatticeCover:
+    """A finite cover T' -> T: the columns of ``basis`` generate the sublattice.
+
+    ``basis`` is row-major, [[a, b], [c, d]], so the generating columns are
+    (a, c) and (b, d); the covering degree is |det|.
+    """
+
+    basis: tuple
+
+    def __post_init__(self):
+        if self.det == 0:
+            raise ValueError("sublattice basis must have nonzero determinant")
+
+    @property
+    def det(self):
+        (a, b), (c, d) = self.basis
+        return a * d - b * c
+
+    @property
+    def index(self):
+        return abs(self.det)
+
+
+@dataclass(frozen=True)
+class GluingMatrix:
+    """Unimodular frame change between the two sides of a JSJ torus."""
+
+    matrix: tuple
+
+    def __post_init__(self):
+        (a, b), (c, d) = self.matrix
+        if abs(a * d - b * c) != 1:
+            raise BadGluing("gluing matrix must be unimodular, got det %d" % (a * d - b * c))
+
+
+def slope_cover_degree(c, cover):
+    """Least k >= 1 with k * vector(c) in the sublattice.
+
+    This is the covering degree [c':c] of the elevation of c to the cover;
+    it always divides the covering degree |det| of the tori.
+    """
+    (a, b), (cc, d) = cover.basis
+    # adjugate times the primitive vector; k*v is in the lattice iff det | k*w
+    v0, v1 = c.vector
+    w0 = d * v0 - b * v1
+    w1 = -cc * v0 + a * v1
+    det = cover.index
+    return det // gcd(det, gcd(abs(w0), abs(w1)))
+
+
+def h_value(c, cover, allow_rational=False):
+    """Degree of the torus cover divided by the degree of the slope's elevation.
+
+    The quotient is an integer for genuine slope/sublattice data; data that
+    fails this signals an inconsistent setup and raises NonIntegralH unless
+    ``allow_rational`` is set, in which case the exact rational propagates.
+    """
+    k = slope_cover_degree(c, cover)
+    index = cover.index
+    if index % k != 0:
+        if allow_rational:
+            return Fraction(index, k)
+        raise NonIntegralH(
+            "torus degree %d not divisible by slope degree %d" % (index, k))
+    return index // k
+
+
+def change_frame(s, gluing):
+    """Rewrite a slope in the frame on the other side of the gluing."""
+    (a, b), (c, d) = gluing.matrix
+    x, y = s.vector
+    return Slope.of(a * x + b * y, c * x + d * y, s.multiplicity)
+
 
 def oracle_intersection(c, l):
     """Count intersections of the two curve families on the unit torus.
@@ -172,6 +260,140 @@ def simulate_partial_action(factors, start):
 
 
 # ------------------------------------------------------------------ graph
+
+class NotACovering(SpiralityError):
+    """Cover data is not a degree-preserving local bijection on edge ends."""
+
+
+@dataclass(frozen=True)
+class CoverEdge:
+    """An edge of the covering graph, lying over ``over`` with matched ends."""
+
+    id: str
+    from_vertex: str
+    to_vertex: str
+    over: str
+
+
+@dataclass(frozen=True)
+class GraphCover:
+    """Combinatorial covering data: cover vertices/edges with their projections.
+
+    ``vertex_map`` sends cover vertex ids to base vertex ids; each cover
+    edge projects to its ``over`` edge preserving ends (from over from, to
+    over to).
+    """
+
+    vertex_map: dict
+    edges: tuple
+
+
+def pullback(g, cover):
+    """Pull the decorated graph back along a covering; decorations lift unchanged.
+
+    A cycle lifting to a connected degree-d cover wraps d times and its
+    value raises to the d-th power. Raises NotACovering when the data fails
+    the local bijection on edge ends.
+    """
+    problems = [d for d in validate(g) if d.is_error]
+    if problems:
+        raise InvalidGraph("; ".join(str(d) for d in problems))
+    for cv, bv in cover.vertex_map.items():
+        if not g.has_vertex(bv):
+            raise NotACovering("cover vertex %r maps to unknown vertex %r" % (cv, bv))
+    base_ends = {v.id: [] for v in g.vertices}
+    for e in g.edges:
+        base_ends[e.from_vertex].append((e.id, "ini"))
+        base_ends[e.to_vertex].append((e.id, "ter"))
+
+    lifted_ends = {cv: [] for cv in cover.vertex_map}
+    for ce in cover.edges:
+        try:
+            base = g.edge(ce.over)
+        except KeyError:
+            raise NotACovering("cover edge %r lies over unknown edge %r" % (ce.id, ce.over))
+        for end, base_end in ((ce.from_vertex, base.from_vertex),
+                              (ce.to_vertex, base.to_vertex)):
+            if end not in cover.vertex_map:
+                raise NotACovering("cover edge %r touches unknown vertex %r" % (ce.id, end))
+            if cover.vertex_map[end] != base_end:
+                raise NotACovering("cover edge %r does not match endpoints of %r"
+                                   % (ce.id, ce.over))
+        lifted_ends[ce.from_vertex].append((ce.over, "ini"))
+        lifted_ends[ce.to_vertex].append((ce.over, "ter"))
+
+    for cv, bv in cover.vertex_map.items():
+        if sorted(lifted_ends[cv]) != sorted(base_ends[bv]):
+            raise NotACovering("ends at cover vertex %r do not biject onto ends at %r"
+                               % (cv, bv))
+
+    vertices = []
+    for cv in cover.vertex_map:
+        bv = g.vertex(cover.vertex_map[cv])
+        vertices.append(Vertex(cv, bv.kind, bv.orientable, bv.internal_omega_generators))
+    edges = []
+    for ce in cover.edges:
+        base = g.edge(ce.over)
+        edges.append(Edge(ce.id, ce.from_vertex, ce.to_vertex,
+                          base.h_ini, base.h_ter, base.omega))
+    return DecoratedJSJGraph(vertices, edges)
+
+
+def cyclic_cover(g, shifts, degree):
+    """Covering data for the Z/degree cover twisted by integer edge shifts.
+
+    Vertex layers are (v, i); the lift of edge e at layer i ends in layer
+    i + shifts.get(e, 0). A single loop with shift 1 yields the connected
+    degree-d cover that wraps d times.
+    """
+    if degree < 1:
+        raise ValueError("degree must be positive")
+    vertex_map = {}
+    for v in g.vertices:
+        for i in range(degree):
+            vertex_map["%s@%d" % (v.id, i)] = v.id
+    edges = []
+    for e in g.edges:
+        shift = shifts.get(e.id, 0)
+        for i in range(degree):
+            edges.append(CoverEdge("%s@%d" % (e.id, i),
+                                   "%s@%d" % (e.from_vertex, i),
+                                   "%s@%d" % (e.to_vertex, (i + shift) % degree),
+                                   e.id))
+    return GraphCover(vertex_map, tuple(edges))
+
+
+def regauge(g, vertex_ids):
+    """Flip omega on every edge with exactly one endpoint in the given set.
+
+    This is a coboundary: every cycle value is unchanged, only the per-edge
+    presentation of the sign data moves.
+    """
+    flipped = set(vertex_ids)
+    edges = []
+    for e in g.edges:
+        crosses = (e.from_vertex in flipped) != (e.to_vertex in flipped)
+        edges.append(Edge(e.id, e.from_vertex, e.to_vertex, e.h_ini, e.h_ter,
+                          -e.omega if crosses else e.omega))
+    return DecoratedJSJGraph(g.vertices, edges)
+
+
+def evaluate_character(char, cycle):
+    """Value of an arbitrary cycle from its decomposition over the basis.
+
+    The coefficient on the basis cycle of a non-tree edge is the signed
+    number of times the cycle traverses that edge; tree edges contribute
+    nothing in homology.
+    """
+    counts = {eid: 0 for eid in char.cycle_edges}
+    for eid, direction in cycle.steps:
+        if eid in counts:
+            counts[eid] += direction
+    value = Fraction(1)
+    for eid, v in zip(char.cycle_edges, char.values):
+        value *= v ** counts[eid]
+    return value
+
 
 def oracle_cycle_value(g, cycle):
     """Hand-rolled holonomy product on raw integers, reduced once at the end."""
@@ -332,6 +554,13 @@ def random_closed_walk(g, rng, start=None, max_length=8):
 #
 # The per-factor route: each crossing's sides are looked up again for every
 # factor, and every factor is its own reduced Fraction.
+
+def reverse_itinerary(itinerary):
+    """The same loop traversed the other way: reversed order, flipped sides."""
+    return LoopItinerary(tuple(
+        Crossing(c.torus, c.curve, c.from_side.other)
+        for c in reversed(itinerary.crossings)))
+
 
 def side_boundary(m, torus_id, side):
     """The (piece, boundary) records on one side of a torus."""
