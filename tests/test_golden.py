@@ -397,6 +397,9 @@ def _build(work):
     case("crosscheck-random-structured", ["crosscheck", "--random", "3",
                                           "--format", "structured"])
     case("crosscheck-no-input", ["crosscheck"])
+    case("crosscheck-random-negative", ["crosscheck", "--random", "-2"])
+    case("crosscheck-random-zero", ["crosscheck", "--random", "0"])
+    case("crosscheck-random-and-path", ["crosscheck", "--random", "1", "missing.json"])
     for name in ("twist-d1000.json", "loop-260.json"):
         for command in ("rw", "crosscheck"):
             case("%s-text-%s" % (command, name), [command, name])
