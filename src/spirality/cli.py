@@ -92,6 +92,14 @@ def _read_file(path):
         raise ParseError("cannot read %s: %s" % (path, err.strerror))
 
 
+def _write_file(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise ParseError("cannot write %s: %s" % (path, err.strerror))
+
+
 def _load(path, args):
     """Read, decode and parse one manifest; its loop is put in the canonical
     side reading here, once. Returns the raw bytes, for the digest, too."""
@@ -254,8 +262,7 @@ def cmd_gen(args):
         m, loop = generators.gen_matched_slopes(args.n_pieces, args.seed)
         text = mf.dumps_manifest(flow_manifest=m, loop=loop, expected=1)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_file(args.out, text)
         report = Report("gen", _digest(text.encode("utf-8")))
         report.add("kind", args.kind)
         report.add("wrote", args.out)
@@ -297,46 +304,45 @@ def _twist_family_params(args):
 
 
 def cmd_crosscheck(args):
-    cases = []
-    if args.random:
-        run = "random:%d:%d" % (args.random, args.seed)
-        report = Report("crosscheck", _digest(run.encode("utf-8")))
-        for i in range(args.random):
-            m, loop = generators.gen_random_flow(args.seed + i)
-            cases.append(("seed %d" % (args.seed + i), m, loop,
-                          flow.flow_factors(loop, m)))
+    if args.random is not None:
+        if args.paths:
+            raise SpiralityError("crosscheck takes manifest paths or --random N, not both")
+        if args.random < 1:
+            raise SpiralityError("crosscheck --random N needs N >= 1, got %d" % args.random)
+        digest = _digest(("random:%d:%d" % (args.random, args.seed)).encode("utf-8"))
+        sources = []
+        for seed in range(args.seed, args.seed + args.random):
+            m, loop = generators.gen_random_flow(seed)
+            sources.append(("seed %d" % seed, mf.ParsedManifest(flow=m, loop=loop)))
     elif args.paths:
         loaded = [_load(path, args) for path in args.paths]
-        report = Report("crosscheck", _digest(b"".join(raw for raw, _ in loaded)))
-        for path, (_, parsed) in zip(args.paths, loaded):
-            valid, factors = _check(parsed, report)
-            if not valid:
-                # the first manifest that fails the check ends the run
-                report.add("invalid manifest", path, "red")
-                _render(report, args)
-                return EXIT_DOMAIN
-            cases.append((path, parsed.flow, parsed.loop, factors))
-        for _, parsed in loaded:
-            _require_flow_loop(parsed)
+        digest = _digest(b"".join(raw for raw, _ in loaded))
+        sources = [(path, parsed) for path, (_, parsed) in zip(args.paths, loaded)]
     else:
         raise SpiralityError("crosscheck needs manifest paths or --random N")
-
-    # the direct route resolves the loop afresh; the graph route takes the
-    # factors of the check (or, for generated loops, of flow_factors)
+    report = Report("crosscheck", digest)
+    cases = []
+    for label, parsed in sources:
+        valid, factors = _check(parsed, report)
+        if not valid:
+            # the first manifest that fails the check ends the run
+            report.add("invalid manifest", label, "red")
+            _render(report, args)
+            return EXIT_DOMAIN
+        cases.append((label, parsed.flow, factors))
+    for _, parsed in sources:
+        _require_flow_loop(parsed)
+    # both routes start from the check's factors: the direct one multiplies
+    # them out, the graph one takes the holonomy of the decorated cycle
     mismatches = 0
-    for label, m, loop, factors in cases:
-        direct = flow.flow_spirality(loop, m)
-        g, cycle = flow.decorate_from_flow(factors, m)
-        via_graph = jsj.cycle_spirality(g, cycle)
-        if direct == via_graph:
-            report.add(label, "%s == %s MATCH" % (format_rational(direct),
-                                                  format_rational(via_graph)),
-                       "green")
-        else:
-            mismatches += 1
-            report.add(label, "%s != %s MISMATCH" % (format_rational(direct),
-                                                     format_rational(via_graph)),
-                       "red")
+    for label, m, factors in cases:
+        direct = factors.spirality
+        via_graph = jsj.cycle_spirality(*flow.decorate_from_flow(factors, m))
+        sign, word, color = (("==", "MATCH", "green") if direct == via_graph
+                             else ("!=", "MISMATCH", "red"))
+        mismatches += direct != via_graph
+        report.add(label, "%s %s %s %s" % (format_rational(direct), sign,
+                                           format_rational(via_graph), word), color)
     report.add("checked", str(len(cases)))
     report.add("mismatches", str(mismatches), "red" if mismatches else "green")
     _render(report, args)
@@ -401,7 +407,7 @@ def build_parser():
                        help="assert the direct formula and the decorated-graph "
                             "route agree; exit 1 on any mismatch")
     p.add_argument("paths", nargs="*")
-    p.add_argument("--random", type=int, default=0, metavar="N",
+    p.add_argument("--random", type=int, metavar="N",
                    help="check N seeded random manifests instead of files")
     p.set_defaults(func=cmd_crosscheck)
     return parser
@@ -420,10 +426,13 @@ def main(argv=None):
     except SpiralityError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_DOMAIN
-    except BrokenPipeError:
-        # The reader closed stdout, an IO error. Pointing stdout at devnull
-        # keeps the interpreter's last flush from raising again.
+    except OSError as err:
+        # Writing stdout failed, an IO error; a closed pipe needs no message.
+        # Pointing stdout at devnull keeps the interpreter's last flush from
+        # raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(err, BrokenPipeError):
+            print("parse error: cannot write stdout: %s" % err.strerror, file=sys.stderr)
         return EXIT_PARSE
 
 

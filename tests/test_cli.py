@@ -1,5 +1,6 @@
 import io
 import json
+from errno import EISDIR, ENOENT
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spirality
+from spirality import dumps_manifest, flow, gen_random_flow
 from spirality.cli import main
 from test_manifest import FULL_MANIFEST, _node_paths, json_values, replace_node
 
@@ -320,6 +322,16 @@ class TestGen:
         assert out.err.startswith("error: cannot print a rational of 9543 digits")
         assert not target.exists()
 
+    @pytest.mark.parametrize("target, errno", [("no-such-dir/x.json", ENOENT),
+                                               (".", EISDIR)])
+    def test_unwritable_out_is_an_io_error(self, tmp_path, capsys, monkeypatch,
+                                           target, errno):
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, "gen", "twist-family", "--out", target)
+        assert code == 2
+        assert out.err == "parse error: cannot write %s: %s\n" % (target, os.strerror(errno))
+        assert out.out == ""
+
     def test_written_file_round_trips_through_rw(self, tmp_path, capsys):
         target = str(tmp_path / "out.json")
         code, out = run(capsys, "gen", "twist-family", "--k", "3", "--out", target)
@@ -349,6 +361,65 @@ class TestCrosscheck:
     def test_needs_input(self, capsys):
         code, out = run(capsys, "crosscheck")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--random", "-2"], "crosscheck --random N needs N >= 1, got -2"),
+        (["--random", "0"], "crosscheck --random N needs N >= 1, got 0"),
+        (["--random", "1", "missing.json"],
+         "crosscheck takes manifest paths or --random N, not both"),
+    ], ids=["negative", "zero", "with-path"])
+    def test_rejects_a_check_that_would_not_run(self, capsys, argv, message):
+        code, out = run(capsys, "crosscheck", *argv)
+        assert code == 1
+        assert out.err == "error: %s\n" % message and out.out == ""
+
+    @staticmethod
+    def calls_to(monkeypatch, name):
+        """The arguments of every call to ``flow.<name>`` from now on."""
+        calls, real = [], getattr(flow, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(flow, name, counted)
+        return calls
+
+    def test_each_path_is_resolved_once(self, tmp_path, capsys, monkeypatch):
+        paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        run(capsys, "gen", "twist-family", "--d", "3", "--out", paths[0])
+        run(capsys, "gen", "matched-slopes", "--out", paths[1])
+        resolves = self.calls_to(monkeypatch, "validate_itinerary")
+        code, out = run(capsys, "crosscheck", *paths)
+        assert code == 0 and "mismatches: 0" in out.out
+        assert len(resolves) == 2
+
+    def test_generated_manifests_take_the_one_check(self, capsys, monkeypatch):
+        checks = self.calls_to(monkeypatch, "validate_manifest")
+        resolves = self.calls_to(monkeypatch, "validate_itinerary")
+        code, out = run(capsys, "crosscheck", "--random", "3", "--seed", "40")
+        assert code == 0 and "mismatches: 0" in out.out
+        generated = [gen_random_flow(40 + i) for i in range(3)]
+        assert [loop for loop, _ in resolves] == [loop for _, loop in generated]
+        assert ([(m.pieces, m.tori) for (m,) in checks]
+                == [(m.pieces, m.tori) for m, _ in generated])
+
+    def test_random_mode_matches_the_same_manifests_read_from_files(self, tmp_path,
+                                                                      capsys):
+        n, seed = 5, 70
+        paths = []
+        for i in range(n):
+            m, loop = gen_random_flow(seed + i)
+            paths.append(write(tmp_path, "r%d.json" % i,
+                               dumps_manifest(flow_manifest=m, loop=loop)))
+
+        def rows(*argv):
+            code, out = run(capsys, "crosscheck", "--format", "structured", *argv)
+            assert code == 0
+            doc = json.loads(out.out)
+            return [row["value"] for row in doc["results"]], doc["warnings"]
+        generated, read = rows("--random", str(n), "--seed", str(seed)), rows(*paths)
+        assert generated == read
+        assert len(generated[0]) == n + 2
 
 
 class TestReporting:
@@ -397,6 +468,23 @@ class TestReporting:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 2
         assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["rw", "small.json"], ["rw", "long.json"],
+                                      ["gen", "twist-family"]],
+                             ids=["buffered", "mid-report", "gen"])
+    def test_full_stdout_is_an_io_error(self, tmp_path, capsys, argv):
+        # a short report fails at the last flush, a long one while rows are
+        # still being written
+        for name, d in (("small.json", "1"), ("long.json", "1500")):
+            run(capsys, "gen", "twist-family", "--d", d, "--out", str(tmp_path / name))
+        env = dict(os.environ, PYTHONPATH=str(Path(spirality.__file__).parents[1]))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "spirality.cli"] + argv,
+                                  cwd=tmp_path, stdout=full, stderr=subprocess.PIPE,
+                                  env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == b"parse error: cannot write stdout: No space left on device\n"
 
     def test_timestamps_are_opt_in(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", GOOD_GRAPH)

@@ -379,6 +379,7 @@ def _build(work):
     case("gen-stdout-matched", ["gen", "matched-slopes", "--n-pieces", "4",
                                 "--seed", "7"])
     case("gen-stdout-zero-twist", ["gen", "twist-family", "--k", "0"])
+    case("gen-out-missing-dir", ["gen", "twist-family", "--out", "no-such-dir/x.json"])
     case("gen-out-structured", ["gen", "twist-family", "--k", "3", "--format",
                                 "structured", "--out", "written.json"])
 
