@@ -1,12 +1,12 @@
 import io
 import json
-from errno import EISDIR, ENOENT
 import os
 import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime, timedelta, timezone
+from errno import EISDIR, ENOENT, ENOSPC
 from pathlib import Path
 
 import pytest
@@ -484,7 +484,8 @@ class TestReporting:
                                   cwd=tmp_path, stdout=full, stderr=subprocess.PIPE,
                                   env=env, timeout=60)
         assert proc.returncode == 2
-        assert proc.stderr == b"parse error: cannot write stdout: No space left on device\n"
+        assert proc.stderr == ("parse error: cannot write stdout: %s\n"
+                               % os.strerror(ENOSPC)).encode()
 
     def test_timestamps_are_opt_in(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", GOOD_GRAPH)
