@@ -228,7 +228,7 @@ def cmd_rw(parsed, factors, report):
     if flow.equiperiodic_rho_is_one(parsed.flow):
         report.add("note", "leaf lengths are constant per piece; "
                            "the rho factors are all 1")
-    total = factors.spirality
+    total = flow.flow_spirality(factors)
     report.add("spirality", format_rational(total))
     if parsed.expected is None:
         return EXIT_OK
@@ -336,13 +336,18 @@ def cmd_crosscheck(args):
     # them out, the graph one takes the holonomy of the decorated cycle
     mismatches = 0
     for label, m, factors in cases:
-        direct = factors.spirality
-        via_graph = jsj.cycle_spirality(*flow.decorate_from_flow(factors, m))
-        sign, word, color = (("==", "MATCH", "green") if direct == via_graph
-                             else ("!=", "MISMATCH", "red"))
-        mismatches += direct != via_graph
-        report.add(label, "%s %s %s %s" % (format_rational(direct), sign,
-                                           format_rational(via_graph), word), color)
+        direct = flow.flow_spirality(factors)
+        g, cycle = flow.decorate_from_flow(factors, m)
+        via_graph = jsj.cycle_spirality(g, cycle)
+        if direct == via_graph:
+            report.add(label, "%s == %s MATCH" % (format_rational(direct),
+                                                  format_rational(via_graph)),
+                       "green")
+        else:
+            mismatches += 1
+            report.add(label, "%s != %s MISMATCH" % (format_rational(direct),
+                                                     format_rational(via_graph)),
+                       "red")
     report.add("checked", str(len(cases)))
     report.add("mismatches", str(mismatches), "red" if mismatches else "green")
     _render(report, args)

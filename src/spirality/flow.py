@@ -316,19 +316,6 @@ class FlowFactors(Value):
                      for entry, exit_ in zip(self.entered[-1:] + self.entered[:-1],
                                              self.left))
 
-    @property
-    def spirality(self):
-        """Every sigma and rho, multiplied as integers and reduced once. Each
-        entered boundary is one segment's entry and each left boundary one
-        segment's exit, so the rhos multiply to entered over left lengths."""
-        num = (prod(n for n, _ in self.intersections)
-               * prod(b.leaf_length.numerator for b in self.entered)
-               * prod(b.leaf_length.denominator for b in self.left))
-        den = (prod(n for _, n in self.intersections)
-               * prod(b.leaf_length.denominator for b in self.entered)
-               * prod(b.leaf_length.numerator for b in self.left))
-        return Fraction(num, den)
-
 
 def _piece_mismatch(i, entered_piece, j, left_piece):
     return error(PIECE_MISMATCH, "crossing %d enters piece %r but crossing %d leaves "
@@ -396,9 +383,18 @@ def flow_factors(itinerary, m):
     return factors
 
 
-def flow_spirality(itinerary, m):
-    """Spirality of a flow-transverse loop: product of sigmas times product of rhos."""
-    return flow_factors(itinerary, m).spirality
+def flow_spirality(factors):
+    """Spirality of a flow-transverse loop from its FlowFactors: every sigma
+    and rho, multiplied as integers and reduced once. Each entered boundary
+    is one segment's entry and each left boundary one segment's exit, so the
+    rhos multiply to entered over left lengths."""
+    num = (prod(n for n, _ in factors.intersections)
+           * prod(b.leaf_length.numerator for b in factors.entered)
+           * prod(b.leaf_length.denominator for b in factors.left))
+    den = (prod(n for _, n in factors.intersections)
+           * prod(b.leaf_length.denominator for b in factors.entered)
+           * prod(b.leaf_length.numerator for b in factors.left))
+    return Fraction(num, den)
 
 
 def decorate_from_flow(factors, m):

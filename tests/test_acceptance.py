@@ -47,7 +47,7 @@ def test_criterion_1_closed_form_family():
         for _ in range(200):
             params = _random_params(rng)
             inst = gen_twist_family(params)
-            value = flow_spirality(inst.loop, inst.manifest)
+            value = flow_spirality(flow_factors(inst.loop, inst.manifest))
             closed_form = Fraction(params.p * params.r_minus + params.q,
                                    params.p * params.r_plus + params.q) ** params.d
             assert value == closed_form
@@ -63,7 +63,7 @@ def test_criterion_2_matched_slopes_scenario():
                       "verdict, 100 seeded manifolds"):
         for seed in range(100):
             m, loop = gen_matched_slopes(1 + seed % 5, seed)
-            assert flow_spirality(loop, m) == 1
+            assert flow_spirality(flow_factors(loop, m)) == 1
             g, _ = decorate_from_flow(flow_factors(loop, m), m)
             v = verdict(g)
             assert v.virtually_embedded and v.virtually_taut_leaf
@@ -75,7 +75,7 @@ def test_criterion_3_bridge_identity():
         for seed in range(500):
             m, loop = gen_random_flow(seed, max_crossings=8, leaf_bound=20)
             g, cycle = decorate_from_flow(flow_factors(loop, m), m)
-            assert cycle_spirality(g, cycle) == flow_spirality(loop, m)
+            assert cycle_spirality(g, cycle) == flow_spirality(flow_factors(loop, m))
 
 
 def test_criterion_4_holonomy_oracles():
@@ -191,7 +191,7 @@ def test_criterion_7_equiperiodic_shortcut():
             sigmas = Fraction(1)
             for c in loop.crossings:
                 sigmas *= sigma(c, m)
-            assert flow_spirality(loop, m) == sigmas
+            assert flow_spirality(flow_factors(loop, m)) == sigmas
 
 
 def test_criterion_8_pullback_power_law():

@@ -389,9 +389,12 @@ class TestCrosscheck:
         run(capsys, "gen", "twist-family", "--d", "3", "--out", paths[0])
         run(capsys, "gen", "matched-slopes", "--out", paths[1])
         resolves = self.calls_to(monkeypatch, "validate_itinerary")
+        directs = self.calls_to(monkeypatch, "flow_spirality")
         code, out = run(capsys, "crosscheck", *paths)
         assert code == 0 and "mismatches: 0" in out.out
         assert len(resolves) == 2
+        # the direct route is flow_spirality over each check's factors
+        assert len(directs) == 2
 
     def test_generated_manifests_take_the_one_check(self, capsys, monkeypatch):
         checks = self.calls_to(monkeypatch, "validate_manifest")

@@ -23,7 +23,7 @@ def random_params(rng, max_d=4):
 def test_default_family_member():
     inst = gen_twist_family(TwistFamilyParams(k=1, p=1, q=1, r_minus=2, r_plus=1))
     assert inst.expected == Fraction(3, 2)
-    assert flow_spirality(inst.loop, inst.manifest) == Fraction(3, 2)
+    assert flow_spirality(flow_factors(inst.loop, inst.manifest)) == Fraction(3, 2)
     assert validate_manifest(inst.manifest) == []
     assert validate_itinerary(inst.loop, inst.manifest)[0] == []
 
@@ -31,7 +31,7 @@ def test_default_family_member():
 def test_second_closed_form_example():
     inst = gen_twist_family(TwistFamilyParams(k=-2, p=2, q=3, r_minus=1, r_plus=3, d=2))
     assert inst.expected == Fraction(25, 81)
-    assert flow_spirality(inst.loop, inst.manifest) == Fraction(25, 81)
+    assert flow_spirality(flow_factors(inst.loop, inst.manifest)) == Fraction(25, 81)
 
 
 def test_bad_params():
@@ -72,7 +72,7 @@ def test_closed_form_and_negative_verdict():
     for _ in range(100):
         params = random_params(rng)
         inst = gen_twist_family(params)
-        value = flow_spirality(inst.loop, inst.manifest)
+        value = flow_spirality(flow_factors(inst.loop, inst.manifest))
         assert value == inst.expected
         assert value not in (1, -1)
         m = inst.manifest
@@ -103,8 +103,8 @@ def test_matched_slopes_always_trivial():
     for seed in (0, 7, 123):
         for n in (1, 2, 4):
             m, loop = gen_matched_slopes(n, seed)
-            assert flow_spirality(loop, m) == 1
-            assert flow_spirality(reverse_itinerary(loop), m) == 1
+            assert flow_spirality(flow_factors(loop, m)) == 1
+            assert flow_spirality(flow_factors(reverse_itinerary(loop), m)) == 1
             assert equiperiodic_rho_is_one(m)
             g, _ = decorate_from_flow(flow_factors(loop, m), m)
             v = verdict(g)
