@@ -16,11 +16,10 @@ from .graph import (DecoratedJSJGraph, Vertex, Edge, VertexKind, DirectedCycle,
                     verdict, InvalidGraph, InvalidCycle)
 from .flow import (FlowManifest, Piece, PieceBoundary, PieceType, Torus, Side,
                    Crossing, LoopItinerary, SideConvention,
-                   flow_factors, flow_spirality,
+                   flow_spirality,
                    equiperiodic_rho_is_one,
                    decorate_from_flow, normalize_itinerary,
-                   validate_manifest, validate_itinerary,
-                   NotFlowTransverse, BadSegment)
+                   validate_manifest, validate_itinerary)
 from .generators import (TwistFamilyParams, TwistFamilyInstance, gen_twist_family,
                          gen_matched_slopes, gen_random_flow, BadParams)
 from .manifest import parse_manifest, dumps_manifest, ParsedManifest

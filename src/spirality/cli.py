@@ -143,12 +143,13 @@ def _fdtc_diagnostics(data):
 
 
 def _check(parsed, report):
-    """The one check of every manifest read from a path: the graph section,
-    the flow manifest, the loop whenever the flow sections have no errors,
-    and the fdtc section. Warnings go to the report; errors become rows
-    followed by ``status: invalid``. Returns whether there is no error, and
-    the loop's FlowFactors from the check's one pass over it (None when the
-    pass did not run or found an error)."""
+    """The one check of every manifest, read from a path or generated by
+    ``crosscheck --random``: the graph section, the flow manifest, the loop
+    whenever the flow sections have no errors, and the fdtc section.
+    Warnings go to the report; errors become rows followed by ``status:
+    invalid``. Returns whether there is no error, and the loop's FlowFactors
+    from the check's one pass over it (None when the pass did not run or
+    found an error)."""
     diagnostics, factors = [], None
     if parsed.graph is not None:
         diagnostics += jsj.validate(parsed.graph)

@@ -30,17 +30,9 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm, prod
 
-from .errors import SpiralityError, Value, error, warning
+from .errors import Value, error, warning
 from .lattice import intersection_number
 from . import graph as jsj
-
-
-class NotFlowTransverse(SpiralityError):
-    """A crossing curve is parallel to a degeneracy slope."""
-
-
-class BadSegment(SpiralityError):
-    """Itinerary segment endpoints do not bound a path in one piece."""
 
 
 class Side(Enum):
@@ -253,17 +245,6 @@ def validate_manifest(m):
     return out
 
 
-class Segment(Value):
-    """An in-piece subpath, named by its entry and exit boundaries."""
-
-    __slots__ = ("piece", "entry_boundary", "exit_boundary")
-
-    def __init__(self, piece, entry_boundary, exit_boundary):
-        object.__setattr__(self, "piece", piece)
-        object.__setattr__(self, "entry_boundary", entry_boundary)
-        object.__setattr__(self, "exit_boundary", exit_boundary)
-
-
 def equiperiodic_rho_is_one(m):
     """True iff all boundary leaf lengths agree within each piece.
 
@@ -296,13 +277,6 @@ class FlowFactors(Value):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "entered", entered)
         object.__setattr__(self, "pieces", pieces)
-
-    @property
-    def segments(self):
-        """The in-piece segment that ends at each crossing."""
-        return tuple(Segment(piece, entry.id, exit_.id) for piece, entry, exit_
-                     in zip(self.pieces, self.entered[-1:] + self.entered[:-1],
-                            self.left))
 
     @property
     def sigmas(self):
@@ -366,21 +340,6 @@ def validate_itinerary(itinerary, m):
         out.append(_piece_mismatch(len(crossings) - 1, entered_piece, 0, left_pieces[0]))
     return out, None if out else FlowFactors(tuple(intersections), tuple(left),
                                              tuple(entered), tuple(left_pieces))
-
-
-_RAISES = {DANGLING_REF: KeyError, NOT_TRANSVERSE: NotFlowTransverse,
-           PIECE_MISMATCH: BadSegment}
-
-
-def flow_factors(itinerary, m):
-    """The loop's FlowFactors from validate_itinerary, raising its first
-    diagnostic instead: a parallel crossing anywhere (NotFlowTransverse)
-    before a piece mismatch (BadSegment); KeyError for a missing torus."""
-    diagnostics, factors = validate_itinerary(itinerary, m)
-    if factors is None:
-        first = min(diagnostics, key=lambda d: d.code != NOT_TRANSVERSE)
-        raise _RAISES[first.code](first.message)
-    return factors
 
 
 def flow_spirality(factors):

@@ -85,18 +85,6 @@ class DirectedCycle(Value):
     def __init__(self, steps):
         object.__setattr__(self, "steps", tuple(map(tuple, steps)))
 
-    def reversed(self):
-        return DirectedCycle(tuple((e, -d) for e, d in reversed(self.steps)))
-
-    def __mul__(self, other):
-        """Concatenation; the caller is responsible for matching basepoints."""
-        return DirectedCycle(self.steps + other.steps)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.reversed() ** (-n)
-        return DirectedCycle(self.steps * n)
-
     def __str__(self):
         if not self.steps:
             return "(trivial)"
@@ -266,23 +254,6 @@ def spanning_forest(g):
                      if _union(parent, e.from_vertex, e.to_vertex))
 
 
-def _check_forest(g, forest):
-    forest = frozenset(forest)
-    unknown = [e for e in forest if e not in g._edge_by_id]
-    if unknown:
-        raise ValueError("forest contains unknown edges %r" % unknown)
-    parent = {v.id: v.id for v in g.vertices}
-    for eid in sorted(forest):
-        e = g.edge(eid)
-        if not _union(parent, e.from_vertex, e.to_vertex):
-            raise ValueError("edge set is not a forest: %r closes a cycle" % eid)
-    # maximality: no non-tree edge may join two distinct components
-    for e in g.edges:
-        if e.id not in forest and _union(parent, e.from_vertex, e.to_vertex):
-            raise ValueError("forest is not spanning: %r joins two components" % e.id)
-    return forest
-
-
 def _forest_walk(g, forest):
     """BFS over the forest from the first vertex of each component.
 
@@ -350,12 +321,24 @@ def character(g, forest=None):
     """Compute the spirality character on the fundamental cycles of a forest.
 
     The forest defaults to the deterministic lowest-edge-id-first choice;
-    passing one explicitly is supported so basis independence can be checked.
+    passing one explicitly is supported so basis independence can be checked,
+    and one that is not a spanning forest of ``g`` raises ValueError.
     Which basis is produced depends on the forest, but aspirality and the
     value on any fixed homology class do not.
     """
     _require_valid(g)
-    forest = spanning_forest(g) if forest is None else _check_forest(g, forest)
+    if forest is None:
+        forest = spanning_forest(g)
+    else:
+        forest = frozenset(forest)
+        # the spanning forest of the subgraph they form keeps all the edges
+        # only when each is known and none closes a cycle; they span when
+        # they are as many as the default forest's
+        own = spanning_forest(DecoratedJSJGraph(
+            g.vertices, [e for e in g.edges if e.id in forest]))
+        if not len(forest) == len(own) == len(spanning_forest(g)):
+            raise ValueError("%s is not a spanning forest of the graph"
+                             % sorted(forest, key=str))
     tree = _forest_walk(g, forest)
     basis, values, cycle_edges = [], [], []
     for e in sorted(g.edges, key=lambda e: e.id):

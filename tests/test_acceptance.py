@@ -11,15 +11,15 @@ from fractions import Fraction
 import pytest
 
 from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
-                       gen_random_flow, flow_spirality, flow_factors,
-                       decorate_from_flow, cycle_spirality, character,
-                       verdict, equiperiodic_rho_is_one, fdtc, Slope, NotParallel,
-                       DecoratedJSJGraph, Vertex, Edge)
+                       gen_random_flow, flow_spirality, decorate_from_flow,
+                       cycle_spirality, character, verdict, equiperiodic_rho_is_one,
+                       fdtc, Slope, NotParallel, DecoratedJSJGraph, DirectedCycle,
+                       Vertex, Edge)
 from spirality.graph import FORWARD
 from util import (PartialDilatation, compose, oracle_cycle_value, oracle_fdtc_scan,
                   random_graph, random_closed_walk, random_slope,
                   random_primitive_slope, all_spanning_forests, make_equiperiodic,
-                  seeded, sigma, pullback, cyclic_cover)
+                  seeded, sigma, pullback, cyclic_cover, factors_of, reversed_cycle)
 
 
 @contextmanager
@@ -47,13 +47,13 @@ def test_criterion_1_closed_form_family():
         for _ in range(200):
             params = _random_params(rng)
             inst = gen_twist_family(params)
-            value = flow_spirality(flow_factors(inst.loop, inst.manifest))
+            value = flow_spirality(factors_of(inst.loop, inst.manifest))
             closed_form = Fraction(params.p * params.r_minus + params.q,
                                    params.p * params.r_plus + params.q) ** params.d
             assert value == closed_form
             assert value != 1 and value != -1
             m = inst.manifest
-            g, _ = decorate_from_flow(flow_factors(inst.loop, m), m)
+            g, _ = decorate_from_flow(factors_of(inst.loop, m), m)
             v = verdict(g)
             assert not v.virtually_embedded and not v.virtually_taut_leaf
 
@@ -63,8 +63,8 @@ def test_criterion_2_matched_slopes_scenario():
                       "verdict, 100 seeded manifolds"):
         for seed in range(100):
             m, loop = gen_matched_slopes(1 + seed % 5, seed)
-            assert flow_spirality(flow_factors(loop, m)) == 1
-            g, _ = decorate_from_flow(flow_factors(loop, m), m)
+            assert flow_spirality(factors_of(loop, m)) == 1
+            g, _ = decorate_from_flow(factors_of(loop, m), m)
             v = verdict(g)
             assert v.virtually_embedded and v.virtually_taut_leaf
 
@@ -74,8 +74,8 @@ def test_criterion_3_bridge_identity():
                       "on 500 random manifests"):
         for seed in range(500):
             m, loop = gen_random_flow(seed, max_crossings=8, leaf_bound=20)
-            g, cycle = decorate_from_flow(flow_factors(loop, m), m)
-            assert cycle_spirality(g, cycle) == flow_spirality(flow_factors(loop, m))
+            g, cycle = decorate_from_flow(factors_of(loop, m), m)
+            assert cycle_spirality(g, cycle) == flow_spirality(factors_of(loop, m))
 
 
 def test_criterion_4_holonomy_oracles():
@@ -118,7 +118,8 @@ def test_criterion_5_character_laws():
             if second is None:
                 continue
             checked += 1
-            assert cycle_spirality(g, first * second) == \
+            joined = DirectedCycle(first.steps + second.steps)
+            assert cycle_spirality(g, joined) == \
                 cycle_spirality(g, first) * cycle_spirality(g, second)
 
         checked = 0
@@ -128,7 +129,8 @@ def test_criterion_5_character_laws():
             if cycle is None or not cycle.steps:
                 continue
             checked += 1
-            assert cycle_spirality(g, cycle.reversed()) == 1 / cycle_spirality(g, cycle)
+            assert (cycle_spirality(g, reversed_cycle(cycle))
+                    == 1 / cycle_spirality(g, cycle))
 
         checked = 0
         while checked < 200:  # sign is the product of the omegas
@@ -191,7 +193,7 @@ def test_criterion_7_equiperiodic_shortcut():
             sigmas = Fraction(1)
             for c in loop.crossings:
                 sigmas *= sigma(c, m)
-            assert flow_spirality(flow_factors(loop, m)) == sigmas
+            assert flow_spirality(factors_of(loop, m)) == sigmas
 
 
 def test_criterion_8_pullback_power_law():

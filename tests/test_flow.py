@@ -8,12 +8,12 @@ from spirality import (Slope, FlowManifest, Piece, PieceBoundary, PieceType,
                        equiperiodic_rho_is_one, decorate_from_flow,
                        normalize_itinerary,
                        validate_manifest, validate_itinerary,
-                       cycle_spirality, NotFlowTransverse, BadSegment,
-                       gen_random_flow, flow_factors, gen_twist_family,
+                       cycle_spirality, gen_random_flow, gen_twist_family,
                        TwistFamilyParams)
-from spirality.flow import Segment, SEIFERT_LEAF_MISMATCH, UNPAIRED_BOUNDARY, \
+from spirality.flow import SEIFERT_LEAF_MISMATCH, UNPAIRED_BOUNDARY, \
     PIECE_MISMATCH, NOT_TRANSVERSE
-from util import (make_equiperiodic, oracle_decorated_h, oracle_flow_spirality,
+from util import (FlowFault, Segment, factors_of, make_equiperiodic,
+                  oracle_decorated_h, oracle_flow_spirality,
                   oracle_validate_itinerary, reverse_itinerary, rho, seeded,
                   segments_of, side_boundary, sigma)
 
@@ -71,7 +71,7 @@ class TestSigma:
 
     def test_parallel_curve_rejected(self):
         m = one_torus_manifest(Slope((1, 0)), Slope((1, 1)))
-        with pytest.raises(NotFlowTransverse):
+        with pytest.raises(FlowFault):
             sigma(Crossing("T", Slope((1, 0), 3), Side.MINUS), m)
 
 
@@ -94,32 +94,32 @@ class TestRho:
 
     def test_missing_boundary_rejected(self):
         m, _ = chain_manifest({})
-        with pytest.raises(BadSegment):
+        with pytest.raises(FlowFault):
             rho(Segment("P0", "b0p", "b0m"), m)
 
 
 class TestRwSpirality:
     def test_matched_everything_gives_one(self):
         m, loop = chain_manifest({})
-        assert flow_spirality(flow_factors(loop, m)) == 1
+        assert flow_spirality(factors_of(loop, m)) == 1
 
     def test_rho_factors_enter_the_product(self):
         m, loop = chain_manifest({"b0p": 3, "b1m": 2})
-        assert flow_spirality(flow_factors(loop, m)) == Fraction(3, 2)
+        assert flow_spirality(factors_of(loop, m)) == Fraction(3, 2)
 
     def test_single_crossing_there_and_back(self):
         m = one_torus_manifest(Slope((1, 0)), Slope((1, -1)))
         c = Slope((1, 3))
         loop = LoopItinerary((Crossing("T", c, Side.MINUS),
                               Crossing("T", c, Side.PLUS)))
-        assert flow_spirality(flow_factors(loop, m)) == 1
+        assert flow_spirality(factors_of(loop, m)) == 1
 
     def test_reversed_itinerary_is_reciprocal(self):
         rng = seeded(300)
         for seed in range(80):
             m, loop = gen_random_flow(rng.randrange(10 ** 6))
-            value = flow_spirality(flow_factors(loop, m))
-            assert flow_spirality(flow_factors(reverse_itinerary(loop), m)) == 1 / value
+            value = flow_spirality(factors_of(loop, m))
+            assert flow_spirality(factors_of(reverse_itinerary(loop), m)) == 1 / value
 
     def test_per_piece_rescaling_is_invisible(self):
         rng = seeded(301)
@@ -133,53 +133,46 @@ class TestRwSpirality:
                                            if p.id == target else b.leaf_length)
                              for b in p.boundaries])
                       for p in m.pieces]
-            assert flow_spirality(flow_factors(loop, FlowManifest(pieces, m.tori))) == \
-                flow_spirality(flow_factors(loop, m))
+            assert flow_spirality(factors_of(loop, FlowManifest(pieces, m.tori))) == \
+                flow_spirality(factors_of(loop, m))
 
     def test_piece_mismatch_rejected(self):
         m, _ = chain_manifest({})
         broken = LoopItinerary((Crossing("T0", Slope((1, 1)), Side.MINUS),
                                 Crossing("T1", Slope((1, 1)), Side.PLUS)))
-        with pytest.raises(BadSegment):
-            flow_factors(broken, m)
+        diagnostics, factors = validate_itinerary(broken, m)
+        assert {d.code for d in diagnostics} == {PIECE_MISMATCH}
+        assert factors is None
 
 
 class TestOnePass:
-    """flow_factors against the per-factor oracle of tests/util.py."""
+    """The check's factors against the per-factor oracle of tests/util.py."""
 
     def test_factors_and_product_match_the_oracle(self):
         for seed in range(200):
             m, loop = gen_random_flow(seed)
-            factors = flow_factors(loop, m)
+            factors = factors_of(loop, m)
+            segments = segments_of(loop, m)
             assert factors.sigmas == tuple(sigma(c, m) for c in loop.crossings)
-            assert factors.segments == segments_of(loop, m)
-            assert factors.rhos == tuple(rho(seg, m) for seg in factors.segments)
+            assert factors.pieces == tuple(seg.piece for seg in segments)
+            assert factors.rhos == tuple(rho(seg, m) for seg in segments)
             assert flow_spirality(factors) == oracle_flow_spirality(loop, m)
 
     def test_twist_family_product_matches_the_oracle(self):
         for k, p, q, r_minus, r_plus, d in ((1, 1, 1, 2, 1, 1), (-2, 2, 3, 1, 3, 7),
                                             (3, 2, 3, 4, 1, 150), (2, 3, 2, 3, 1, 3000)):
             inst = gen_twist_family(TwistFamilyParams(k, p, q, r_minus, r_plus, d))
-            value = flow_spirality(flow_factors(inst.loop, inst.manifest))
+            value = flow_spirality(factors_of(inst.loop, inst.manifest))
             assert value == oracle_flow_spirality(inst.loop, inst.manifest) == inst.expected
             reverse = reverse_itinerary(inst.loop)
-            assert flow_spirality(flow_factors(reverse, inst.manifest)) == 1 / value
+            assert flow_spirality(factors_of(reverse, inst.manifest)) == 1 / value
 
     def test_decorated_h_match_the_fraction_construction(self):
         inst = gen_twist_family(TwistFamilyParams(2, 3, 2, 3, 1, 40))
         cases = [gen_random_flow(seed) for seed in range(200)]
         for m, loop in cases + [(inst.manifest, inst.loop)]:
-            g, _ = decorate_from_flow(flow_factors(loop, m), m)
+            g, _ = decorate_from_flow(factors_of(loop, m), m)
             assert [(e.h_ini, e.h_ter) for e in g.edges] == oracle_decorated_h(loop, m)
-
-    def test_parallel_crossing_is_reported_before_a_bad_segment(self):
-        # crossing 0 is parallel to the slope it leaves, and crossing 1
-        # leaves P0 although crossing 0 entered P1
-        m, _ = chain_manifest({})
-        loop = LoopItinerary((Crossing("T0", Slope((1, 0)), Side.MINUS),
-                              Crossing("T1", Slope((1, 1)), Side.PLUS)))
-        with pytest.raises(NotFlowTransverse):
-            flow_factors(loop, m)
 
 
 def mutated_loops(m, loop, rng):
@@ -221,8 +214,6 @@ class TestResolver:
                 if diagnostics:
                     faulty += 1
                     assert factors is None
-                    with pytest.raises((NotFlowTransverse, BadSegment, KeyError)):
-                        flow_factors(candidate, m)
                     continue
                 crossings = candidate.crossings
                 assert factors.sigmas == tuple(sigma(c, m) for c in crossings)
@@ -230,22 +221,11 @@ class TestResolver:
                                              for c in crossings)
                 assert factors.entered == tuple(
                     side_boundary(m, c.torus, c.from_side.other)[1] for c in crossings)
-                assert factors.segments == segments_of(candidate, m)
-                assert factors.rhos == tuple(rho(seg, m) for seg in factors.segments)
+                segments = segments_of(candidate, m)
+                assert factors.pieces == tuple(seg.piece for seg in segments)
+                assert factors.rhos == tuple(rho(seg, m) for seg in segments)
                 assert flow_spirality(factors) == oracle_flow_spirality(candidate, m)
-                assert flow_factors(candidate, m) == factors
         assert faulty > 150
-
-    def test_flow_factors_raises_by_kind(self):
-        m, loop = chain_manifest({})
-        first, second = loop.crossings
-        ghost = LoopItinerary((first, Crossing("ghost", second.curve, second.from_side)))
-        with pytest.raises(KeyError):
-            flow_factors(ghost, m)
-        mismatch = LoopItinerary((first, Crossing(second.torus, second.curve,
-                                                  second.from_side.other)))
-        with pytest.raises(BadSegment):
-            flow_factors(mismatch, m)
 
 
 class TestEquiperiodic:
@@ -270,13 +250,13 @@ class TestEquiperiodic:
             sigmas = Fraction(1)
             for c in loop.crossings:
                 sigmas *= sigma(c, m)
-            assert flow_spirality(flow_factors(loop, m)) == sigmas
+            assert flow_spirality(factors_of(loop, m)) == sigmas
 
 
 class TestDecorate:
     def test_matched_manifest_gives_balanced_edges(self):
         m, loop = chain_manifest({})
-        g, cycle = decorate_from_flow(flow_factors(loop, m), m)
+        g, cycle = decorate_from_flow(factors_of(loop, m), m)
         assert all(e.h_ini == e.h_ter for e in g.edges)
         assert cycle_spirality(g, cycle) == 1
 
@@ -284,7 +264,7 @@ class TestDecorate:
         rng = seeded(303)
         for seed in range(60):
             m, loop = gen_random_flow(rng.randrange(10 ** 6))
-            g, _ = decorate_from_flow(flow_factors(loop, m), m)
+            g, _ = decorate_from_flow(factors_of(loop, m), m)
             for e in g.edges:
                 assert isinstance(e.h_ini, int) and e.h_ini >= 1
                 assert isinstance(e.h_ter, int) and e.h_ter >= 1
@@ -293,15 +273,16 @@ class TestDecorate:
         rng = seeded(304)
         for seed in range(120):
             m, loop = gen_random_flow(rng.randrange(10 ** 6))
-            g, cycle = decorate_from_flow(flow_factors(loop, m), m)
-            assert cycle_spirality(g, cycle) == flow_spirality(flow_factors(loop, m))
+            g, cycle = decorate_from_flow(factors_of(loop, m), m)
+            assert cycle_spirality(g, cycle) == flow_spirality(factors_of(loop, m))
 
     def test_parallel_curve_rejected(self):
         m = one_torus_manifest(Slope((1, 0)), Slope((1, 1)))
         loop = LoopItinerary((Crossing("T", Slope((1, 1)), Side.MINUS),
                               Crossing("T", Slope((0, 1)), Side.PLUS)))
-        with pytest.raises(NotFlowTransverse):
-            decorate_from_flow(flow_factors(loop, m), m)
+        diagnostics, factors = validate_itinerary(loop, m)
+        assert {d.code for d in diagnostics} == {NOT_TRANSVERSE}
+        assert factors is None
 
 
 class TestSideConvention:
@@ -312,8 +293,8 @@ class TestSideConvention:
             opposite = LoopItinerary(tuple(
                 Crossing(c.torus, c.curve, c.from_side.other) for c in loop.crossings))
             normalized = normalize_itinerary(opposite, SideConvention.FROM_ENTERS)
-            assert (flow_spirality(flow_factors(normalized, m))
-                    == flow_spirality(flow_factors(loop, m)))
+            assert (flow_spirality(factors_of(normalized, m))
+                    == flow_spirality(factors_of(loop, m)))
             assert normalized == loop
 
 

@@ -4,12 +4,13 @@ import pytest
 
 from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
                        gen_random_flow, BadParams, intersection_number, fdtc,
-                       flow_spirality, flow_factors,
+                       flow_spirality,
                        decorate_from_flow, character, verdict,
                        equiperiodic_rho_is_one, validate_manifest,
                        validate_itinerary)
 from spirality.manifest import flow_to_dict, loop_to_list
-from util import oracle_intersection, seeded, pullback, cyclic_cover, reverse_itinerary
+from util import (oracle_intersection, seeded, pullback, cyclic_cover, factors_of,
+                  reverse_itinerary)
 
 
 def random_params(rng, max_d=4):
@@ -23,7 +24,7 @@ def random_params(rng, max_d=4):
 def test_default_family_member():
     inst = gen_twist_family(TwistFamilyParams(k=1, p=1, q=1, r_minus=2, r_plus=1))
     assert inst.expected == Fraction(3, 2)
-    assert flow_spirality(flow_factors(inst.loop, inst.manifest)) == Fraction(3, 2)
+    assert flow_spirality(factors_of(inst.loop, inst.manifest)) == Fraction(3, 2)
     assert validate_manifest(inst.manifest) == []
     assert validate_itinerary(inst.loop, inst.manifest)[0] == []
 
@@ -31,7 +32,7 @@ def test_default_family_member():
 def test_second_closed_form_example():
     inst = gen_twist_family(TwistFamilyParams(k=-2, p=2, q=3, r_minus=1, r_plus=3, d=2))
     assert inst.expected == Fraction(25, 81)
-    assert flow_spirality(flow_factors(inst.loop, inst.manifest)) == Fraction(25, 81)
+    assert flow_spirality(factors_of(inst.loop, inst.manifest)) == Fraction(25, 81)
 
 
 def test_bad_params():
@@ -72,11 +73,11 @@ def test_closed_form_and_negative_verdict():
     for _ in range(100):
         params = random_params(rng)
         inst = gen_twist_family(params)
-        value = flow_spirality(flow_factors(inst.loop, inst.manifest))
+        value = flow_spirality(factors_of(inst.loop, inst.manifest))
         assert value == inst.expected
         assert value not in (1, -1)
         m = inst.manifest
-        g, _ = decorate_from_flow(flow_factors(inst.loop, m), m)
+        g, _ = decorate_from_flow(factors_of(inst.loop, m), m)
         assert not verdict(g).virtually_embedded
 
 
@@ -89,7 +90,7 @@ def test_elevation_degree_via_pullback():
         d = rng.randint(1, 6)
         inst = gen_twist_family(params)
         m = inst.manifest
-        g, cycle = decorate_from_flow(flow_factors(inst.loop, m), m)
+        g, cycle = decorate_from_flow(factors_of(inst.loop, m), m)
         lifted = pullback(g, cyclic_cover(g, {cycle.steps[0][0]: 1}, d))
         values = character(lifted).values
         assert len(values) == 1
@@ -103,10 +104,10 @@ def test_matched_slopes_always_trivial():
     for seed in (0, 7, 123):
         for n in (1, 2, 4):
             m, loop = gen_matched_slopes(n, seed)
-            assert flow_spirality(flow_factors(loop, m)) == 1
-            assert flow_spirality(flow_factors(reverse_itinerary(loop), m)) == 1
+            assert flow_spirality(factors_of(loop, m)) == 1
+            assert flow_spirality(factors_of(reverse_itinerary(loop), m)) == 1
             assert equiperiodic_rho_is_one(m)
-            g, _ = decorate_from_flow(flow_factors(loop, m), m)
+            g, _ = decorate_from_flow(factors_of(loop, m), m)
             v = verdict(g)
             assert v.virtually_embedded and v.virtually_taut_leaf
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +12,8 @@ from spirality.graph import (FORWARD, BACKWARD, spanning_forest,
 from util import (PartialDilatation, compose, oracle_basis, oracle_cycle_value,
                   random_graph, random_path_graph, random_closed_walk,
                   all_spanning_forests, seeded, evaluate_character, pullback,
-                  cyclic_cover, regauge, GraphCover, CoverEdge, NotACovering)
+                  cyclic_cover, regauge, GraphCover, CoverEdge, NotACovering,
+                  reversed_cycle)
 
 
 def two_vertex_graph():
@@ -76,7 +78,7 @@ class TestCycleSpirality:
 
     def test_reversal_inverts(self):
         g = triangle(h_third=(4, 5))
-        assert cycle_spirality(g, TRIANGLE_CYCLE.reversed()) == Fraction(5, 2)
+        assert cycle_spirality(g, reversed_cycle(TRIANGLE_CYCLE)) == Fraction(5, 2)
 
     def test_omega_signs_multiply(self):
         g = DecoratedJSJGraph(
@@ -151,6 +153,46 @@ class TestCharacter:
             character(g, forest={"e1"})
         with pytest.raises(ValueError):
             character(g, forest={"e1", "e2", "e3"})
+        # every edge subset, alone and with an unknown id, against the count
+        # of components: a spanning forest S of (V, E) leaves |V| - |S| of
+        # them, as many as (V, E) has
+        rng = seeded(208)
+        for _ in range(40):
+            g = random_graph(rng, max_vertices=5, max_edges=7)
+            whole = _components(g, g.edges)
+            for size in range(len(g.edges) + 1):
+                for subset in combinations(g.edges, size):
+                    named = {e.id for e in subset}
+                    spanning = (len(g.vertices) - size == _components(g, subset)
+                                == whole)
+                    for forest, known in ((named, True), (named | {"ghost"}, False)):
+                        if spanning and known:
+                            char = character(g, forest=forest)
+                            assert set(char.cycle_edges) == {e.id for e in g.edges} - named
+                        else:
+                            with pytest.raises(ValueError):
+                                character(g, forest=forest)
+
+
+def _components(g, edges):
+    """The number of connected components of (vertices of g, edges), by BFS."""
+    neighbours = {v.id: [] for v in g.vertices}
+    for e in edges:
+        neighbours[e.from_vertex].append(e.to_vertex)
+        neighbours[e.to_vertex].append(e.from_vertex)
+    seen, count = set(), 0
+    for root in neighbours:
+        if root in seen:
+            continue
+        count += 1
+        seen.add(root)
+        queue = [root]
+        for v in queue:
+            for w in neighbours[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return count
 
 
 class TestAspiralityAndVerdict:
@@ -266,7 +308,8 @@ def test_homomorphism_on_concatenations():
         if second is None:
             continue
         checked += 1
-        assert cycle_spirality(g, first * second) == \
+        joined = DirectedCycle(first.steps + second.steps)
+        assert cycle_spirality(g, joined) == \
             cycle_spirality(g, first) * cycle_spirality(g, second)
 
 
@@ -279,7 +322,7 @@ def test_reversal_inverts_on_random_walks():
         if cycle is None:
             continue
         checked += 1
-        assert cycle_spirality(g, cycle.reversed()) == 1 / cycle_spirality(g, cycle)
+        assert cycle_spirality(g, reversed_cycle(cycle)) == 1 / cycle_spirality(g, cycle)
 
 
 def test_sign_is_product_of_omegas():
@@ -311,7 +354,7 @@ def test_cycle_value_against_independent_oracles():
         omegas.update(g.edge(e).omega for e, _ in cycle.steps)
         value = cycle_spirality(g, cycle)
         assert value == oracle_cycle_value(g, cycle)
-        there_and_back = cycle * cycle.reversed()
+        there_and_back = DirectedCycle(cycle.steps + reversed_cycle(cycle).steps)
         assert cycle_spirality(g, there_and_back) == oracle_cycle_value(g, there_and_back)
         folded = None
         for edge_id, direction in cycle.steps:

@@ -20,7 +20,8 @@ from spirality import (Crossing, Diagnostic, DirectedCycle, Edge, FlowManifest,
                        Side, Slope, SpiralityCharacter, Torus, TwistFamilyInstance,
                        TwistFamilyParams, Vertex, VertexKind)
 from spirality.cli import Report
-from spirality.flow import FlowFactors, Segment
+from spirality.errors import Value
+from spirality.flow import FlowFactors
 from spirality.graph import Verdict
 from spirality.manifest import FdtcInput
 
@@ -43,7 +44,6 @@ SAMPLES = [
     (Torus, ("T", ("P", "b"), ("Q", "c"), "(l, e)")),
     (Crossing, ("T", SLOPE, Side.PLUS)),
     (LoopItinerary, ((CROSSING,),)),
-    (Segment, ("P", "b", "c")),
     (FlowFactors, (((1, 2),), (BOUNDARY,), (BOUNDARY,), ("P",))),
     (FdtcInput, (Slope((1, 1)), Slope((1, 0)), Slope((0, 1)), 2)),
     (ParsedManifest, (None, None, LoopItinerary((CROSSING,)), None, Fraction(1, 2),
@@ -54,6 +54,16 @@ SAMPLES = [
     (Report, ("rw", "sha256:00", [("spirality", "3/2", None)], ["a warning"])),
 ]
 IDS = [cls.__name__ for cls, _ in SAMPLES]
+
+
+def test_samples_cover_every_value_type():
+    # spirality.cli, imported above, loads every module of the package
+    found, todo = set(), [Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub)
+            todo.append(sub)
+    assert found == {cls for cls, _ in SAMPLES}
 
 
 def _twin(cls, values):

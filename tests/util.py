@@ -11,7 +11,8 @@ and the loop check's diagnostics from a pass that looks every side up first.
 It also holds the constructions that only the tests need, not the CLI or
 the manifest: torus covers and their slope degrees, frame changes, graph
 covers and their pullbacks, regauging, a character evaluated on an
-arbitrary cycle, and reversed itineraries.
+arbitrary cycle, reversed itineraries and cycles, and a loop's factors
+from a check that must find nothing.
 """
 
 import random
@@ -22,10 +23,10 @@ from math import gcd, lcm
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, Slope,
                        FlowManifest, Piece, PieceBoundary, Crossing, LoopItinerary,
-                       character, intersection_number, validate, NotFlowTransverse,
-                       BadSegment, InvalidGraph, SpiralityError)
+                       character, intersection_number, validate, validate_itinerary,
+                       InvalidGraph, SpiralityError)
 from spirality.errors import error
-from spirality.flow import Segment, DANGLING_REF, NOT_TRANSVERSE, PIECE_MISMATCH
+from spirality.flow import DANGLING_REF, NOT_TRANSVERSE, PIECE_MISMATCH
 from spirality.graph import FORWARD, BACKWARD, spanning_forest
 
 
@@ -562,6 +563,18 @@ def reverse_itinerary(itinerary):
         for c in reversed(itinerary.crossings)))
 
 
+def reversed_cycle(cycle):
+    """The same cycle traversed the other way: reversed steps, flipped directions."""
+    return DirectedCycle(tuple((e, -d) for e, d in reversed(cycle.steps)))
+
+
+def factors_of(itinerary, m):
+    """The loop's FlowFactors, from a check that must report nothing."""
+    diagnostics, factors = validate_itinerary(itinerary, m)
+    assert diagnostics == [], diagnostics
+    return factors
+
+
 def side_boundary(m, torus_id, side):
     """The (piece, boundary) records on one side of a torus."""
     piece_id, boundary_id = m.torus(torus_id).side(side)
@@ -599,6 +612,19 @@ def oracle_validate_itinerary(itinerary, m):
     return out
 
 
+class FlowFault(SpiralityError):
+    """The per-factor oracles met a parallel crossing or a broken segment."""
+
+
+@dataclass(frozen=True)
+class Segment:
+    """An in-piece subpath, named by its entry and exit boundaries."""
+
+    piece: str
+    entry_boundary: str
+    exit_boundary: str
+
+
 def sigma(crossing, m):
     """Intersection-number ratio of one sided crossing: the slope on the side
     left over the slope on the side entered."""
@@ -607,8 +633,8 @@ def sigma(crossing, m):
     n_leave = intersection_number(crossing.curve, leave.degeneracy_slope)
     n_enter = intersection_number(crossing.curve, enter.degeneracy_slope)
     if n_leave == 0 or n_enter == 0:
-        raise NotFlowTransverse("curve %s on torus %r is parallel to a degeneracy "
-                                "slope" % (crossing.curve, crossing.torus))
+        raise FlowFault("curve %s on torus %r is parallel to a degeneracy slope"
+                        % (crossing.curve, crossing.torus))
     return Fraction(n_leave, n_enter)
 
 
@@ -622,8 +648,8 @@ def segments_of(itinerary, m):
         entry_piece, entry = side_boundary(m, before.torus, before.from_side.other)
         exit_piece, exit_ = side_boundary(m, after.torus, after.from_side)
         if entry_piece.id != exit_piece.id:
-            raise BadSegment("segment %d would run from piece %r to piece %r"
-                             % (i, entry_piece.id, exit_piece.id))
+            raise FlowFault("segment %d would run from piece %r to piece %r"
+                            % (i, entry_piece.id, exit_piece.id))
         segments.append(Segment(entry_piece.id, entry.id, exit_.id))
     return tuple(segments)
 
@@ -635,7 +661,7 @@ def rho(segment, m):
         entry = piece.boundary(segment.entry_boundary)
         exit_ = piece.boundary(segment.exit_boundary)
     except KeyError as missing:
-        raise BadSegment("boundary %s is not on piece %r" % (missing, segment.piece))
+        raise FlowFault("boundary %s is not on piece %r" % (missing, segment.piece))
     return entry.leaf_length / exit_.leaf_length
 
 
