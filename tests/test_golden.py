@@ -4,7 +4,8 @@
 and the CLI's recorded output. A change to any byte of any case fails here.
 The inputs cover a twist-family grid (one member with a large elevation
 degree), matched-slope and random-flow manifests (seed 165 among them), the
-hand-written graphs and fdtc documents of test_cli, and malformed inputs;
+hand-written graphs and fdtc documents of test_cli (one graph with both an
+error and warnings), and malformed inputs;
 each is run through validate, aspiral, rw and fdtc in both formats, next to
 gen, crosscheck and a few flag variants. A deep planted graph, whose
 spanning forest is a path, pins the basis cycles ``aspiral`` prints when
@@ -56,6 +57,13 @@ SIGNED_GRAPH = {"graph": {
               {"id": "e3", "from": "b", "to": "c", "h_ini": 1, "h_ter": 1},
               {"id": "e4", "from": "c", "to": "c", "h_ini": 5, "h_ter": 5,
                "omega": -1}]}}
+# Two elementary bands joined twice, once with h = 0: an error and two
+# warnings in one check.
+BANDS_GRAPH = {"graph": {
+    "vertices": [{"id": "a", "kind": "elementary_band"},
+                 {"id": "b", "kind": "elementary_band"}],
+    "edges": [{"id": "e1", "from": "a", "to": "b", "h_ini": 1, "h_ter": 1},
+              {"id": "e2", "from": "a", "to": "b", "h_ini": 0, "h_ter": 1}]}}
 
 # The twist-family grid: (k, p, q, d), written by ``gen twist-family``.
 TWIST_GRID = [(k, p, q, d) for k in (1, -2, 3) for p, q in ((1, 1), (2, 3))
@@ -98,6 +106,7 @@ def _hand_written():
         "graph-rational-h.json": _edit(GOOD_GRAPH, rational_h),
         "graph-empty.json": {"graph": {"vertices": [], "edges": []}},
         "graph-signed.json": SIGNED_GRAPH,
+        "graph-error-and-warning.json": BANDS_GRAPH,
         "fdtc-sample.json": {"fdtc": fdtc},
         "fdtc-vanishing.json": {"fdtc": {"l_plus": [1, 0], "l_minus": [1, 0],
                                          "e": [0, 1]}},
