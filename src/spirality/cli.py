@@ -144,13 +144,15 @@ def _fdtc_diagnostics(data):
 
 def _check(parsed, report):
     """The one check of every manifest, read from a path or generated by
-    ``crosscheck --random``: the graph section, the flow manifest, the loop
-    whenever the flow sections have no errors, and the fdtc section.
+    ``crosscheck --random``: the graph section (the diagnostics of a graph
+    the parse could not build, or the warnings on the one it built), the
+    flow manifest, the loop whenever the flow sections have no errors, and
+    the fdtc section.
     Warnings go to the report; errors become rows followed by ``status:
     invalid``. Returns whether there is no error, and the loop's FlowFactors
     from the check's one pass over it (None when the pass did not run or
     found an error)."""
-    diagnostics, factors = [], None
+    diagnostics, factors = list(parsed.graph_diagnostics), None
     if parsed.graph is not None:
         diagnostics += jsj.validate(parsed.graph)
     if parsed.loop is not None and parsed.flow is None:

@@ -15,8 +15,13 @@ The subsurface is aspiral exactly when every cycle has holonomy +-1, which
 by the embedding criterion is equivalent to the surface being virtually
 embedded, and in turn to being virtually a leaf of a taut foliation.
 
-Graphs are immutable after validation and all computations here are pure,
-so components may be processed in parallel without shared state.
+A graph is checked when it is built: the constructor refuses data with
+structural errors (duplicate ids, dangling edge ends, h that is not a
+positive rational, omega other than +-1, a negative internal generator
+count) by raising InvalidGraph, so every graph that exists is one the
+holonomy is defined on; ``validate`` then gives only the warnings. Graphs
+are immutable and all computations here are pure, so components may be
+processed in parallel without shared state.
 """
 
 from enum import Enum
@@ -26,7 +31,15 @@ from .errors import SpiralityError, Value, error, warning
 
 
 class InvalidGraph(SpiralityError):
-    """Operation requires a graph that passes validation."""
+    """The data of a decorated graph has structural errors.
+
+    ``diagnostics`` holds the errors, then the warnings ``validate`` would
+    give on the same data; the message joins the errors.
+    """
+
+    def __init__(self, diagnostics):
+        self.diagnostics = tuple(diagnostics)
+        super().__init__("; ".join(str(d) for d in self.diagnostics if d.is_error))
 
 
 class InvalidCycle(SpiralityError):
@@ -92,13 +105,19 @@ class DirectedCycle(Value):
 
 
 class DecoratedJSJGraph:
-    """Immutable decorated multigraph; loops and parallel edges are allowed."""
+    """Immutable decorated multigraph; loops and parallel edges are allowed.
+
+    Raises InvalidGraph when the data has structural errors.
+    """
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self._vertex_by_id = {v.id: v for v in self.vertices}
         self._edge_by_id = {e.id: e for e in self.edges}
+        errors = _errors(self)
+        if errors:
+            raise InvalidGraph(errors + validate(self))
 
     def vertex(self, vertex_id):
         return self._vertex_by_id[vertex_id]
@@ -114,28 +133,26 @@ class DecoratedJSJGraph:
             len(self.vertices), len(self.edges))
 
 
-# Diagnostic codes reported by validate().
-DANGLING_EDGE = "DanglingEdge"
-NON_POSITIVE_H = "NonPositiveH"
-NON_INTEGRAL_H = "NonIntegralH"
-BAD_OMEGA = "BadOmega"
+# Diagnostic codes: errors refused by the constructor, then the warnings
+# reported by validate().
 DUPLICATE_ID = "DuplicateId"
 BAD_INTERNAL_GENERATORS = "BadInternalGenerators"
+DANGLING_EDGE = "DanglingEdge"
+NON_RATIONAL_H = "NonRationalH"
+NON_POSITIVE_H = "NonPositiveH"
+BAD_OMEGA = "BadOmega"
+NON_INTEGRAL_H = "NonIntegralH"
 ELEMENTARY_ADJACENCY = "ElementaryAdjacency"
 OMEGA_AMBIGUITY = "OmegaAmbiguity"
 
 
-def _is_integral(h):
-    return isinstance(h, int) or getattr(h, "denominator", 1) == 1
+# The exact rationals an h may be.
+_RATIONAL = (int, Fraction)
 
 
-def validate(g):
-    """Structural diagnostics for a decorated graph.
-
-    Errors make the graph unusable for holonomy computations; warnings flag
-    data that is legal but suspicious for an almost fiber part. The empty
-    list means the graph is well-formed with nothing to remark.
-    """
+def _errors(g):
+    """The structural errors of a graph's data, each vertex's then each
+    edge's in order; without them every holonomy is a nonzero rational."""
     out = []
     seen = set()
     for v in g.vertices:
@@ -146,25 +163,44 @@ def validate(g):
             out.append(error(BAD_INTERNAL_GENERATORS,
                              "vertex %r has negative internal generator count" % v.id))
     seen = set()
+    vertex_ids = g._vertex_by_id
     for e in g.edges:
         if e.id in seen:
             out.append(error(DUPLICATE_ID, "duplicate edge id %r" % e.id))
         seen.add(e.id)
         for end in (e.from_vertex, e.to_vertex):
-            if not g.has_vertex(end):
+            if end not in vertex_ids:
                 out.append(error(DANGLING_EDGE,
                                  "edge %r references missing vertex %r" % (e.id, end)))
-        if e.h_ini <= 0 or e.h_ter <= 0:
+        if not (isinstance(e.h_ini, _RATIONAL) and isinstance(e.h_ter, _RATIONAL)):
+            out.append(error(NON_RATIONAL_H, "edge %r has non-rational h (%r, %r)"
+                             % (e.id, e.h_ini, e.h_ter)))
+        elif e.h_ini <= 0 or e.h_ter <= 0:
             out.append(error(NON_POSITIVE_H,
                              "edge %r has non-positive h (%s, %s)" % (e.id, e.h_ini, e.h_ter)))
-        elif not (_is_integral(e.h_ini) and _is_integral(e.h_ter)):
+        if e.omega not in (1, -1) or not isinstance(e.omega, int):
+            out.append(error(BAD_OMEGA, "edge %r has omega %r" % (e.id, e.omega)))
+    return out
+
+
+def validate(g):
+    """The warnings on a decorated graph: data that is legal but suspicious
+    for an almost fiber part. The empty list means there is nothing to
+    remark. Structural errors never reach here, since a graph with any
+    cannot be built; the constructor also runs this on the data it
+    refuses, so an edge end may be missing and h may be bad.
+    """
+    out = []
+    vertex_by_id = g._vertex_by_id
+    for e in g.edges:
+        if (isinstance(e.h_ini, _RATIONAL) and isinstance(e.h_ter, _RATIONAL)
+                and e.h_ini > 0 and e.h_ter > 0
+                and (e.h_ini.denominator != 1 or e.h_ter.denominator != 1)):
             out.append(warning(NON_INTEGRAL_H,
                                "edge %r carries non-integral h (%s, %s), accepted in "
                                "relaxed mode only" % (e.id, e.h_ini, e.h_ter)))
-        if e.omega not in (1, -1):
-            out.append(error(BAD_OMEGA, "edge %r has omega %r" % (e.id, e.omega)))
-        if g.has_vertex(e.from_vertex) and g.has_vertex(e.to_vertex):
-            u, v = g.vertex(e.from_vertex), g.vertex(e.to_vertex)
+        u, v = vertex_by_id.get(e.from_vertex), vertex_by_id.get(e.to_vertex)
+        if u is not None and v is not None:
             u_band = u.kind is VertexKind.ELEMENTARY_BAND
             v_band = v.kind is VertexKind.ELEMENTARY_BAND
             if u_band and v_band:
@@ -177,12 +213,6 @@ def validate(g):
                                    "non-orientable subsurface; omega sign data is taken "
                                    "as given" % e.id))
     return out
-
-
-def _require_valid(g):
-    problems = [d for d in validate(g) if d.is_error]
-    if problems:
-        raise InvalidGraph("; ".join(str(d) for d in problems))
 
 
 def _step_endpoints(g, step):
@@ -326,7 +356,6 @@ def character(g, forest=None):
     Which basis is produced depends on the forest, but aspirality and the
     value on any fixed homology class do not.
     """
-    _require_valid(g)
     if forest is None:
         forest = spanning_forest(g)
     else:

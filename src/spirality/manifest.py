@@ -12,9 +12,11 @@ A manifest is a UTF-8 JSON object that may carry any of these sections:
 Slopes are written as [a, b], or {"vector": [a, b], "mult": m} when the
 curve wraps; rationals as "p/q" strings (plain integers are accepted).
 Unknown fields are rejected in strict mode and downgraded to warnings
-otherwise. Schema violations raise ParseError; semantically suspect but
-well-typed data (say h = 0, or a dangling edge) parses fine and is left to
-the validators, which report diagnostics instead of raising.
+otherwise. Schema violations raise ParseError. Well-typed graph data with
+structural errors (say h = 0, or a dangling edge) parses to no graph, and
+``graph_diagnostics`` holds the constructor's diagnostics for the check to
+report; other suspect but well-typed data parses fine and is left to the
+validators, which report diagnostics instead of raising.
 """
 
 import json
@@ -39,16 +41,22 @@ class FdtcInput(Value):
 
 
 class ParsedManifest(Value):
-    __slots__ = ("graph", "flow", "loop", "fdtc", "expected", "warnings")
+    """A manifest's sections. ``graph`` is None when the graph section is
+    absent or its data has structural errors; then ``graph_diagnostics``
+    holds InvalidGraph's diagnostics, and is empty otherwise."""
+
+    __slots__ = ("graph", "flow", "loop", "fdtc", "expected", "warnings",
+                 "graph_diagnostics")
 
     def __init__(self, graph=None, flow=None, loop=None, fdtc=None, expected=None,
-                 warnings=()):
+                 warnings=(), graph_diagnostics=()):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "flow", flow)
         object.__setattr__(self, "loop", loop)
         object.__setattr__(self, "fdtc", fdtc)
         object.__setattr__(self, "expected", expected)
         object.__setattr__(self, "warnings", warnings)
+        object.__setattr__(self, "graph_diagnostics", graph_diagnostics)
 
     def replace(self, **changes):
         """A copy with the named fields changed."""
@@ -307,7 +315,10 @@ def _parse_graph(r, data):
         vertices.append(jsj.Vertex(vid, kind, orientable, generators))
     edges = [jsj.Edge(*r.record(e, _EDGE, "graph.edges[%d]", i))
              for i, e in enumerate(r.array(data.get("edges", []), "graph.edges"))]
-    return jsj.DecoratedJSJGraph(vertices, edges)
+    try:
+        return jsj.DecoratedJSJGraph(vertices, edges), ()
+    except jsj.InvalidGraph as err:
+        return None, err.diagnostics
 
 
 def _parse_flow(r, data):
@@ -367,7 +378,8 @@ def parse_manifest(text, strict=True, allow_rational_h=False):
     r = _Reader(strict, allow_rational_h)
     r.unknown(data, TOP_LEVEL_FIELDS, "manifest")
 
-    parsed_graph = _parse_graph(r, data["graph"]) if "graph" in data else None
+    parsed_graph, graph_diagnostics = (_parse_graph(r, data["graph"])
+                                       if "graph" in data else (None, ()))
     parsed_flow = None
     if "pieces" in data or "tori" in data:
         parsed_flow = _parse_flow(r, data)
@@ -376,7 +388,7 @@ def parse_manifest(text, strict=True, allow_rational_h=False):
     expected = (r.rational(data["expected"], "expected")
                 if "expected" in data else None)
     return ParsedManifest(parsed_graph, parsed_flow, parsed_loop, parsed_fdtc,
-                          expected, tuple(r.warnings))
+                          expected, tuple(r.warnings), graph_diagnostics)
 
 
 def _slope_to_json(s):

@@ -293,6 +293,32 @@ class TestOneCheck:
             assert all(row["label"] != "warning" for row in doc["results"])
 
 
+class TestOneValidation:
+    """A graph is validated once: its constructor refuses the errors, and
+    the check asks ``validate`` for the warnings."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        validate, calls = spirality.graph.validate, []
+
+        def counted(g):
+            calls.append(g)
+            return validate(g)
+        monkeypatch.setattr(spirality.graph, "validate", counted)
+        return calls
+
+    def test_aspiral_validates_a_graph_manifest_once(self, tmp_path, capsys, calls):
+        code, out = run(capsys, "aspiral", write(tmp_path, "g.json", GOOD_GRAPH))
+        assert code == 0 and "aspiral: yes" in out.out
+        assert len(calls) == 1
+
+    def test_character_runs_no_validation(self, calls):
+        g = spirality.parse_manifest(GOOD_GRAPH).graph
+        spirality.character(g)
+        spirality.character(g, spirality.graph.spanning_forest(g))
+        assert calls == []
+
+
 class TestGen:
     def test_twist_family_to_stdout_is_manifest(self, capsys):
         code, out = run(capsys, "gen", "twist-family")

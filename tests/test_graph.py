@@ -2,14 +2,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, VertexKind,
                        validate, cycle_spirality, character, verdict,
                        InvalidCycle, InvalidGraph)
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest,
-                             DANGLING_EDGE, NON_POSITIVE_H, BAD_OMEGA,
+                             DANGLING_EDGE, NON_POSITIVE_H, NON_RATIONAL_H, BAD_OMEGA,
                              ELEMENTARY_ADJACENCY, OMEGA_AMBIGUITY)
 from util import (PartialDilatation, compose, oracle_basis, oracle_cycle_value,
+                  oracle_validate,
                   random_graph, random_path_graph, random_closed_walk,
                   all_spanning_forests, seeded, evaluate_character, pullback,
                   cyclic_cover, regauge, GraphCover, CoverEdge, NotACovering,
@@ -33,21 +35,36 @@ def triangle(h_third=(4, 2)):
 TRIANGLE_CYCLE = DirectedCycle((("e1", FORWARD), ("e2", FORWARD), ("e3", FORWARD)))
 
 
+def refused(vertices, edges):
+    """The diagnostics of the InvalidGraph the constructor raises on the data."""
+    with pytest.raises(InvalidGraph) as info:
+        DecoratedJSJGraph(vertices, edges)
+    return info.value.diagnostics
+
+
 class TestValidate:
     def test_well_formed(self):
         assert validate(two_vertex_graph()) == []
 
     def test_dangling_edge(self):
-        g = DecoratedJSJGraph([Vertex("a")], [Edge("e", "a", "ghost", 1, 1)])
-        assert [d.code for d in validate(g)] == [DANGLING_EDGE]
+        diagnostics = refused([Vertex("a")], [Edge("e", "a", "ghost", 1, 1)])
+        assert [d.code for d in diagnostics] == [DANGLING_EDGE]
 
     def test_non_positive_h(self):
-        g = DecoratedJSJGraph([Vertex("a")], [Edge("e", "a", "a", 0, 2)])
-        assert [d.code for d in validate(g)] == [NON_POSITIVE_H]
+        diagnostics = refused([Vertex("a")], [Edge("e", "a", "a", 0, 2)])
+        assert [d.code for d in diagnostics] == [NON_POSITIVE_H]
 
     def test_bad_omega(self):
-        g = DecoratedJSJGraph([Vertex("a")], [Edge("e", "a", "a", 1, 1, omega=0)])
-        assert [d.code for d in validate(g)] == [BAD_OMEGA]
+        diagnostics = refused([Vertex("a")], [Edge("e", "a", "a", 1, 1, omega=0)])
+        assert [d.code for d in diagnostics] == [BAD_OMEGA]
+
+    @pytest.mark.parametrize("h_ini, omega, code", [(1.5, 1, NON_RATIONAL_H),
+                                                   ("2", 1, NON_RATIONAL_H),
+                                                   (1, 1.0, BAD_OMEGA)],
+                             ids=["float-h", "string-h", "float-omega"])
+    def test_non_rational_data_is_refused(self, h_ini, omega, code):
+        diagnostics = refused([Vertex("a")], [Edge("e", "a", "a", h_ini, 1, omega)])
+        assert [d.code for d in diagnostics] == [code]
 
     def test_elementary_band_warnings(self):
         g = DecoratedJSJGraph(
@@ -59,9 +76,58 @@ class TestValidate:
         assert all(not d.is_error for d in validate(g))
 
     def test_invalid_graph_blocks_character(self):
-        g = DecoratedJSJGraph([Vertex("a")], [Edge("e", "a", "a", 0, 1)])
-        with pytest.raises(InvalidGraph):
-            character(g)
+        # character never meets a graph with errors: none can be built
+        bands = [Vertex("a", VertexKind.ELEMENTARY_BAND),
+                 Vertex("b", VertexKind.ELEMENTARY_BAND)]
+        with pytest.raises(InvalidGraph) as info:
+            DecoratedJSJGraph(bands, [Edge("e1", "a", "b", 1, 1),
+                                      Edge("e2", "a", "b", 0, 1)])
+        assert [d.code for d in info.value.diagnostics] == [
+            NON_POSITIVE_H, ELEMENTARY_ADJACENCY, ELEMENTARY_ADJACENCY]
+        assert str(info.value) == "error: NonPositiveH: edge 'e2' has non-positive h (0, 1)"
+
+
+@st.composite
+def graph_data(draw):
+    """Vertex and edge lists of up to four vertices and five edges, each
+    field now and then given a fault: a repeated id, an end at a missing
+    vertex, h <= 0, omega off +-1, a negative internal generator count.
+    Fraction h and elementary bands beside non-orientable pieces give the
+    warnings."""
+    def pick(good, bad):
+        return draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 7 else good))
+
+    vertices = []
+    for i in range(draw(st.integers(0, 4))):
+        vid = pick(["v%d" % i], ["v%d" % j for j in range(i)] or ["v%d" % i])
+        vertices.append(Vertex(vid, draw(st.sampled_from(VertexKind)), draw(st.booleans()),
+                               pick([0, 1, 2], [-1, -2])))
+    ids = [v.id for v in vertices] or ["ghost"]
+    good_h = [1, 2, 3, Fraction(3, 2), Fraction(1, 3)]
+    bad_h = [0, -1, Fraction(-1, 2)]
+    edges = []
+    for i in range(draw(st.integers(0, 5))):
+        edges.append(Edge(pick(["e%d" % i], ["e%d" % j for j in range(i)] or ["e%d" % i]),
+                          pick(ids, ["ghost"]), pick(ids, ["ghost"]),
+                          pick(good_h, bad_h), pick(good_h, bad_h),
+                          pick([1, -1], [0, 2, -3])))
+    return vertices, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_data())
+def test_constructor_refuses_exactly_the_oracles_errors(data):
+    vertices, edges = data
+    expected = oracle_validate(vertices, edges)
+    errors = [d for d in expected if d.is_error]
+    warnings = [d for d in expected if not d.is_error]
+    if errors:
+        with pytest.raises(InvalidGraph) as info:
+            DecoratedJSJGraph(vertices, edges)
+        assert list(info.value.diagnostics) == errors + warnings
+        assert str(info.value) == "; ".join(str(d) for d in errors)
+    else:
+        assert validate(DecoratedJSJGraph(vertices, edges)) == expected
 
 
 class TestCycleSpirality:

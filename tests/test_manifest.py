@@ -82,7 +82,9 @@ class TestGraphSection:
         doc = json.loads(GRAPH_DOC)
         doc["graph"]["edges"][0]["h_ini"] = 0
         parsed = parse_manifest(doc)
-        assert NON_POSITIVE_H in {d.code for d in validate(parsed.graph)}
+        assert parsed.graph is None
+        assert [d.code for d in parsed.graph_diagnostics] == [NON_POSITIVE_H]
+        assert parse_manifest(GRAPH_DOC).graph_diagnostics == ()
 
     def test_rational_h_needs_flag(self):
         doc = json.loads(GRAPH_DOC)

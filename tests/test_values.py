@@ -47,7 +47,8 @@ SAMPLES = [
     (FlowFactors, (((1, 2),), (BOUNDARY,), (BOUNDARY,), ("P",))),
     (FdtcInput, (Slope((1, 1)), Slope((1, 0)), Slope((0, 1)), 2)),
     (ParsedManifest, (None, None, LoopItinerary((CROSSING,)), None, Fraction(1, 2),
-                      ("unknown field",))),
+                      ("unknown field",),
+                      (Diagnostic("error", "NonPositiveH", "edge 'e' has non-positive h (0, 1)"),))),
     (TwistFamilyParams, (1, 2, 3, 4, 3, 5)),
     (TwistFamilyInstance, (FlowManifest([], []), LoopItinerary((CROSSING,)),
                            Fraction(5, 7), Slope((1, 1)), Slope((1, 0)), Slope((0, 1)))),
@@ -135,7 +136,7 @@ def test_defaults():
     assert Torus("T", ("P", "b"), ("Q", "c")).frame == ""
     assert Slope((1, 0)).multiplicity == 1
     assert TwistFamilyParams(1, 1, 1, 2, 1).d == 1
-    assert ParsedManifest() == ParsedManifest(None, None, None, None, None, ())
+    assert ParsedManifest() == ParsedManifest(None, None, None, None, None, (), ())
     first, second = Report("rw", ""), Report("rw", "")
     first.add("row", "1")
     first.warn("careful")

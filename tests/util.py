@@ -4,7 +4,8 @@ The oracles here deliberately re-derive values by a different route than
 the library: intersection numbers by counting lattice points in a
 fundamental parallelogram, covering degrees by direct enumeration, cycle
 values by a hand-rolled integer product or by folding partial dilatations,
-fundamental cycles from both ends' full paths to the root, flow
+fundamental cycles from both ends' full paths to the root, a graph's
+errors and warnings from one interleaved pass over its data, flow
 spiralities as a product of one reduced Fraction per sigma and rho factor,
 and the loop check's diagnostics from a pass that looks every side up first.
 
@@ -23,11 +24,13 @@ from math import gcd, lcm
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, Slope,
                        FlowManifest, Piece, PieceBoundary, Crossing, LoopItinerary,
-                       character, intersection_number, validate, validate_itinerary,
-                       InvalidGraph, SpiralityError)
-from spirality.errors import error
+                       VertexKind, character, intersection_number, validate_itinerary,
+                       SpiralityError)
+from spirality.errors import error, warning
 from spirality.flow import DANGLING_REF, NOT_TRANSVERSE, PIECE_MISMATCH
-from spirality.graph import FORWARD, BACKWARD, spanning_forest
+from spirality.graph import (FORWARD, BACKWARD, spanning_forest, BAD_INTERNAL_GENERATORS,
+                             BAD_OMEGA, DANGLING_EDGE, DUPLICATE_ID, ELEMENTARY_ADJACENCY,
+                             NON_INTEGRAL_H, NON_POSITIVE_H, OMEGA_AMBIGUITY)
 
 
 # ---------------------------------------------------------------- lattice
@@ -296,9 +299,6 @@ def pullback(g, cover):
     value raises to the d-th power. Raises NotACovering when the data fails
     the local bijection on edge ends.
     """
-    problems = [d for d in validate(g) if d.is_error]
-    if problems:
-        raise InvalidGraph("; ".join(str(d) for d in problems))
     for cv, bv in cover.vertex_map.items():
         if not g.has_vertex(bv):
             raise NotACovering("cover vertex %r maps to unknown vertex %r" % (cv, bv))
@@ -394,6 +394,53 @@ def evaluate_character(char, cycle):
     for eid, v in zip(char.cycle_edges, char.values):
         value *= v ** counts[eid]
     return value
+
+
+def oracle_validate(vertices, edges):
+    """A graph's errors and warnings in one pass over its data, each vertex's
+    then each edge's in order, for integer or Fraction h and integer omega."""
+    out = []
+    by_id = {v.id: v for v in vertices}
+    seen = set()
+    for v in vertices:
+        if v.id in seen:
+            out.append(error(DUPLICATE_ID, "duplicate vertex id %r" % v.id))
+        seen.add(v.id)
+        if v.internal_omega_generators < 0:
+            out.append(error(BAD_INTERNAL_GENERATORS,
+                             "vertex %r has negative internal generator count" % v.id))
+    seen = set()
+    for e in edges:
+        if e.id in seen:
+            out.append(error(DUPLICATE_ID, "duplicate edge id %r" % e.id))
+        seen.add(e.id)
+        for end in (e.from_vertex, e.to_vertex):
+            if end not in by_id:
+                out.append(error(DANGLING_EDGE,
+                                 "edge %r references missing vertex %r" % (e.id, end)))
+        if e.h_ini <= 0 or e.h_ter <= 0:
+            out.append(error(NON_POSITIVE_H,
+                             "edge %r has non-positive h (%s, %s)" % (e.id, e.h_ini, e.h_ter)))
+        elif Fraction(e.h_ini).denominator != 1 or Fraction(e.h_ter).denominator != 1:
+            out.append(warning(NON_INTEGRAL_H,
+                               "edge %r carries non-integral h (%s, %s), accepted in "
+                               "relaxed mode only" % (e.id, e.h_ini, e.h_ter)))
+        if e.omega not in (1, -1):
+            out.append(error(BAD_OMEGA, "edge %r has omega %r" % (e.id, e.omega)))
+        if e.from_vertex in by_id and e.to_vertex in by_id:
+            u, v = by_id[e.from_vertex], by_id[e.to_vertex]
+            u_band = u.kind is VertexKind.ELEMENTARY_BAND
+            v_band = v.kind is VertexKind.ELEMENTARY_BAND
+            if u_band and v_band:
+                out.append(warning(ELEMENTARY_ADJACENCY,
+                                   "edge %r joins two elementary bands; such pieces "
+                                   "cannot be adjacent in a nonelementary manifold" % e.id))
+            if (u_band or v_band) and not (u.orientable and v.orientable):
+                out.append(warning(OMEGA_AMBIGUITY,
+                                   "edge %r touches an elementary band next to a "
+                                   "non-orientable subsurface; omega sign data is taken "
+                                   "as given" % e.id))
+    return out
 
 
 def oracle_cycle_value(g, cycle):
