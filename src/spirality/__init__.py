@@ -13,7 +13,7 @@ from .errors import SpiralityError, ParseError, Diagnostic
 from .lattice import Slope, intersection_number, fdtc, NotParallel
 from .graph import (DecoratedJSJGraph, Vertex, Edge, VertexKind, DirectedCycle,
                     SpiralityCharacter, validate, cycle_spirality, character,
-                    verdict, InvalidGraph, InvalidCycle)
+                    fundamental_cycle, verdict, InvalidGraph, InvalidCycle)
 from .flow import (FlowManifest, Piece, PieceBoundary, PieceType, Torus, Side,
                    Crossing, LoopItinerary, SideConvention,
                    flow_spirality,

@@ -196,8 +196,8 @@ def _graph_for_aspiral(parsed, factors, report):
 def cmd_aspiral(parsed, factors, report):
     g = _graph_for_aspiral(parsed, factors, report)
     char = jsj.character(g)
-    for cycle, value in zip(char.basis, char.values):
-        report.add("s(%s)" % cycle, format_rational(value))
+    for edge_id, value in zip(char.cycle_edges, char.values):
+        report.add("s(%s)" % edge_id, format_rational(value))
     for vertex_id, sign in char.internal_signs:
         report.add("s(internal loops at %s)" % vertex_id, format_rational(sign))
     v = jsj.Verdict.of(g, char)
@@ -368,7 +368,14 @@ _PATH_COMMANDS = (
 )
 
 
-def build_parser():
+_COMMANDS = tuple(name for name, _, _ in _PATH_COMMANDS) + ("gen", "crosscheck")
+
+
+def build_parser(command=None):
+    """The argument parser of every command, or of ``command`` alone when it
+    names one: that parser reads the command's argv, help and errors
+    included, as the whole one does, and costs one subparser to build."""
+    only = command if command in _COMMANDS else None
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "structured"), default="text",
                         help="report format (structured is JSON)")
@@ -390,39 +397,48 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="spirality",
         description="Exact spirality computations on combinatorial JSJ data.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # argparse refuses arguments the subparser leaves over in this parser's
+    # usage line, which must name all six commands whichever it holds
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{%s}" % ",".join(_COMMANDS))
 
     for name, help_text, compute in _PATH_COMMANDS:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("path")
-        p.set_defaults(func=_run_on_path, compute=compute)
+        if only in (None, name):
+            p = sub.add_parser(name, parents=[common], help=help_text)
+            p.add_argument("path")
+            p.set_defaults(func=_run_on_path, compute=compute)
 
-    p = sub.add_parser("gen", parents=[common],
-                       help="generate an example manifest")
-    p.add_argument("kind", choices=("twist-family", "matched-slopes"))
-    p.add_argument("--k", type=int, default=1, help="twist coefficient (twist-family)")
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--r-minus", type=int, default=None)
-    p.add_argument("--r-plus", type=int, default=None)
-    p.add_argument("--d", type=int, default=1, help="elevation degree (twist-family)")
-    p.add_argument("--n-pieces", type=int, default=3,
-                   help="number of pieces (matched-slopes)")
-    p.add_argument("--out", help="write the manifest here instead of stdout")
-    p.set_defaults(func=cmd_gen)
+    if only in (None, "gen"):
+        p = sub.add_parser("gen", parents=[common],
+                           help="generate an example manifest")
+        p.add_argument("kind", choices=("twist-family", "matched-slopes"))
+        p.add_argument("--k", type=int, default=1, help="twist coefficient (twist-family)")
+        p.add_argument("--p", type=int, default=1)
+        p.add_argument("--q", type=int, default=1)
+        p.add_argument("--r-minus", type=int, default=None)
+        p.add_argument("--r-plus", type=int, default=None)
+        p.add_argument("--d", type=int, default=1, help="elevation degree (twist-family)")
+        p.add_argument("--n-pieces", type=int, default=3,
+                       help="number of pieces (matched-slopes)")
+        p.add_argument("--out", help="write the manifest here instead of stdout")
+        p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("crosscheck", parents=[common],
-                       help="assert the direct formula and the decorated-graph "
-                            "route agree; exit 1 on any mismatch")
-    p.add_argument("paths", nargs="*")
-    p.add_argument("--random", type=int, metavar="N",
-                   help="check N seeded random manifests instead of files")
-    p.set_defaults(func=cmd_crosscheck)
+    if only in (None, "crosscheck"):
+        p = sub.add_parser("crosscheck", parents=[common],
+                           help="assert the direct formula and the decorated-graph "
+                                "route agree; exit 1 on any mismatch")
+        p.add_argument("paths", nargs="*")
+        p.add_argument("--random", type=int, metavar="N",
+                       help="check N seeded random manifests instead of files")
+        p.set_defaults(func=cmd_crosscheck)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

@@ -17,15 +17,16 @@ embedded, and in turn to being virtually a leaf of a taut foliation.
 
 A graph is checked when it is built: the constructor refuses data with
 structural errors (duplicate ids, dangling edge ends, h that is not a
-positive rational, omega other than +-1, a negative internal generator
-count) by raising InvalidGraph, so every graph that exists is one the
-holonomy is defined on; ``validate`` then gives only the warnings. Graphs
-are immutable and all computations here are pure, so components may be
-processed in parallel without shared state.
+positive rational, omega other than +-1, an internal generator count
+that is not a non-negative int) by raising InvalidGraph, so every graph
+that exists is one the holonomy is defined on; ``validate`` then gives
+only the warnings. Graphs are immutable and all computations here are
+pure, so components may be processed in parallel without shared state.
 """
 
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 from .errors import SpiralityError, Value, error, warning
 
@@ -159,7 +160,12 @@ def _errors(g):
         if v.id in seen:
             out.append(error(DUPLICATE_ID, "duplicate vertex id %r" % v.id))
         seen.add(v.id)
-        if v.internal_omega_generators < 0:
+        count = v.internal_omega_generators
+        if not isinstance(count, int) or isinstance(count, bool):
+            out.append(error(BAD_INTERNAL_GENERATORS,
+                             "vertex %r has internal generator count %r, not an integer"
+                             % (v.id, count)))
+        elif count < 0:
             out.append(error(BAD_INTERNAL_GENERATORS,
                              "vertex %r has negative internal generator count" % v.id))
     seen = set()
@@ -228,13 +234,6 @@ def _step_endpoints(g, step):
     raise InvalidCycle("bad direction %r on edge %r" % (direction, edge_id))
 
 
-def _factor(e, direction):
-    """Holonomy of one step along edge ``e``: h entering over h leaving, signed."""
-    if direction == FORWARD:
-        return Fraction(e.h_ini * e.omega, e.h_ter)
-    return Fraction(e.h_ter * e.omega, e.h_ini)
-
-
 def cycle_spirality(g, cycle):
     """Holonomy of a directed cycle: product of h(entering)/h(leaving), signed.
 
@@ -287,9 +286,10 @@ def spanning_forest(g):
 def _forest_walk(g, forest):
     """BFS over the forest from the first vertex of each component.
 
-    Maps each vertex to (step up to its parent, parent, depth, potential); a
-    root has neither step nor parent, depth 0 and potential 1. The potential
-    is the holonomy of the tree path from the root down to the vertex.
+    Maps each vertex to (step up to its parent, parent, depth, num, den); a
+    root has neither step nor parent, depth 0 and potential 1/1. The
+    potential num/den is the holonomy of the tree path from the root down to
+    the vertex, kept as a reduced integer pair with the sign in num.
     """
     adjacency = {v.id: [] for v in g.vertices}
     for e in g.edges:
@@ -300,15 +300,18 @@ def _forest_walk(g, forest):
     for root in (v.id for v in g.vertices):
         if root in tree:
             continue
-        tree[root] = (None, None, 0, Fraction(1))
+        tree[root] = (None, None, 0, 1, 1)
         queue = [root]
         for current in queue:
-            _, _, depth, potential = tree[current]
+            _, _, depth, num, den = tree[current]
             for e, d, other in adjacency[current]:
                 if other not in tree:
+                    h_in, h_out = (e.h_ini, e.h_ter) if d == FORWARD else (e.h_ter, e.h_ini)
+                    n = num * h_in.numerator * h_out.denominator * e.omega
+                    m = den * h_in.denominator * h_out.numerator
+                    common = gcd(n, m)
                     # stored step runs from the child back up to its parent
-                    tree[other] = ((e.id, -d), current, depth + 1,
-                                   potential * _factor(e, d))
+                    tree[other] = ((e.id, -d), current, depth + 1, n // common, m // common)
                     queue.append(other)
     return tree
 
@@ -326,22 +329,37 @@ def _tree_path(tree, start, end):
     return up + [(eid, -d) for eid, d in reversed(down)]
 
 
-class SpiralityCharacter(Value):
-    """The holonomy character on a fundamental cycle basis.
+def fundamental_cycle(g, forest, edge_id):
+    """The fundamental cycle of a non-tree edge: the edge forward, then up
+    from its end to the lowest common ancestor and down to its start.
 
-    ``basis[i]`` is the cycle closing up the non-tree edge ``cycle_edges[i]``
-    and ``values[i]`` its holonomy. ``internal_signs`` lists (vertex id, -1)
-    once per vertex contributing orientation-reversing internal loops; those
-    basis directions always have absolute value 1. Any cycle's value is
-    recoverable from its homology decomposition: the coefficient on the
-    basis cycle of a non-tree edge is the signed number of times the cycle
-    traverses that edge.
+    ``forest`` is a spanning forest of ``g``, such as a character's
+    ``forest``; a tree edge has no fundamental cycle and raises ValueError.
+    """
+    if edge_id in forest:
+        raise ValueError("%r is a tree edge" % (edge_id,))
+    e = g.edge(edge_id)
+    tree = _forest_walk(g, forest)
+    return DirectedCycle([(edge_id, FORWARD)] + _tree_path(tree, e.to_vertex, e.from_vertex))
+
+
+class SpiralityCharacter(Value):
+    """The holonomy character on the fundamental cycles of a spanning forest.
+
+    ``forest`` holds the tree edge ids; ``values[i]`` is the holonomy of the
+    fundamental cycle of the non-tree edge ``cycle_edges[i]``, which
+    ``fundamental_cycle(g, forest, cycle_edges[i])`` builds on demand.
+    ``internal_signs`` lists (vertex id, -1) once per vertex contributing
+    orientation-reversing internal loops; those directions always have
+    absolute value 1. Any cycle's value is recoverable from its homology
+    decomposition: the coefficient on the fundamental cycle of a non-tree
+    edge is the signed number of times the cycle traverses that edge.
     """
 
-    __slots__ = ("basis", "values", "cycle_edges", "internal_signs")
+    __slots__ = ("forest", "values", "cycle_edges", "internal_signs")
 
-    def __init__(self, basis, values, cycle_edges, internal_signs):
-        object.__setattr__(self, "basis", basis)
+    def __init__(self, forest, values, cycle_edges, internal_signs):
+        object.__setattr__(self, "forest", forest)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "cycle_edges", cycle_edges)
         object.__setattr__(self, "internal_signs", internal_signs)
@@ -354,7 +372,10 @@ def character(g, forest=None):
     passing one explicitly is supported so basis independence can be checked,
     and one that is not a spanning forest of ``g`` raises ValueError.
     Which basis is produced depends on the forest, but aspirality and the
-    value on any fixed homology class do not.
+    value on any fixed homology class do not. One walk of the forest gives
+    every vertex its potential, and each non-tree edge's value is one
+    reduction of an integer product, so the cost is O(V + E) operations on
+    the potentials; no cycle is built.
     """
     if forest is None:
         forest = spanning_forest(g)
@@ -369,25 +390,30 @@ def character(g, forest=None):
             raise ValueError("%s is not a spanning forest of the graph"
                              % sorted(forest, key=str))
     tree = _forest_walk(g, forest)
-    basis, values, cycle_edges = [], [], []
+    values, cycle_edges = [], []
     for e in sorted(g.edges, key=lambda e: e.id):
         if e.id in forest:
             continue
-        # the basis cycle runs e forward, up from its end and down to its start
-        basis.append(DirectedCycle(
-            [(e.id, FORWARD)] + _tree_path(tree, e.to_vertex, e.from_vertex)))
-        # a gauge: the tree holonomies cancel to potential(start) / potential(end)
-        values.append(_factor(e, FORWARD) * tree[e.from_vertex][3] / tree[e.to_vertex][3])
+        # a gauge: the tree holonomies around the fundamental cycle cancel
+        # to potential(start) / potential(end)
+        _, _, _, num_u, den_u = tree[e.from_vertex]
+        _, _, _, num_v, den_v = tree[e.to_vertex]
+        h_ini, h_ter = e.h_ini, e.h_ter
+        values.append(Fraction(
+            h_ini.numerator * h_ter.denominator * e.omega * num_u * den_v,
+            h_ini.denominator * h_ter.numerator * den_u * num_v))
         cycle_edges.append(e.id)
     internal = tuple((v.id, -1) for v in g.vertices if v.internal_omega_generators > 0)
-    return SpiralityCharacter(tuple(basis), tuple(values), tuple(cycle_edges), internal)
+    return SpiralityCharacter(forest, tuple(values), tuple(cycle_edges), internal)
 
 
 class Verdict(Value):
     """Embedding criterion verdict: the three properties are equivalent.
 
-    ``witness`` is a basis cycle whose value ``witness_value`` is not +-1,
-    present exactly when the graph is not aspiral.
+    ``witness`` is the fundamental cycle of the first non-tree edge, in the
+    character's order, whose value ``witness_value`` is not +-1; it is
+    present exactly when the graph is not aspiral, and it is the only cycle
+    the verdict builds.
     """
 
     __slots__ = ("aspiral", "vacuous", "witness", "witness_value")
@@ -410,13 +436,13 @@ class Verdict(Value):
     def of(cls, g, char):
         """The verdict on ``g`` read off its character ``char``."""
         vacuous = not g.vertices
-        for cycle, value in zip(char.basis, char.values):
+        for edge_id, value in zip(char.cycle_edges, char.values):
             if value != 1 and value != -1:
-                return cls(False, vacuous, cycle, value)
+                return cls(False, vacuous, fundamental_cycle(g, char.forest, edge_id), value)
         return cls(True, vacuous)
 
 
 def verdict(g):
-    """Aspiral iff every basis value is +-1; otherwise carries a witness cycle."""
+    """Aspiral iff every character value is +-1; otherwise carries a witness cycle."""
     return Verdict.of(g, character(g))
 

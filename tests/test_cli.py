@@ -601,3 +601,49 @@ def test_every_command_keeps_the_exit_contract(path, value):
     assert all(code in (0, 1, 2) for code, _ in results.values())
     if results["validate"][0] == 0:
         assert not any("status: invalid" in text for _, text in results.values())
+
+
+def _parse_outcome(parser, argv):
+    """What parsing ``argv`` prints and how it ends: stdout, stderr, exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as stop:
+            code = stop.code
+    return out.getvalue(), err.getvalue(), code
+
+
+_PARSE_CASES = [["--help"], [], ["bogus"], ["bogus", "x.json"]]
+for _command in ("validate", "aspiral", "rw", "fdtc"):
+    _PARSE_CASES += [[_command, "--help"], [_command], [_command, "--format", "xml", "x"],
+                     [_command, "--side-convention", "sideways", "x"],
+                     [_command, "x", "--seed", "one"], [_command, "x", "y"]]
+_PARSE_CASES += [["gen", "--help"], ["gen"], ["gen", "bogus"],
+                 ["gen", "twist-family", "--k"], ["gen", "twist-family", "--d", "two"],
+                 ["gen", "--format", "xml", "twist-family"],
+                 ["crosscheck", "--help"], ["crosscheck", "--random"],
+                 ["crosscheck", "--random", "many"], ["crosscheck", "--format", "xml"],
+                 ["crosscheck", "--side-convention", "sideways", "x"],
+                 ["gen", "twist-family", "extra"], ["gen", "twist-family", "--r", "1"],
+                 ["crosscheck", "--bogus"], ["aspiral", "-h"]]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
+def test_one_command_parser_reads_argv_as_the_whole_one(argv):
+    """Help, missing arguments and bad choices print the same bytes and exit
+    alike whether the parser holds the first token's command or all six."""
+    whole = spirality.cli.build_parser()
+    one = spirality.cli.build_parser(argv[0] if argv else None)
+    expected = _parse_outcome(whole, argv)
+    assert expected[2] is not None and (expected[0] or expected[1])
+    assert _parse_outcome(one, argv) == expected
+
+
+@pytest.mark.parametrize("command", spirality.cli._COMMANDS)
+def test_a_command_gets_a_parser_with_its_subparser_alone(command):
+    sub = spirality.cli.build_parser(command)._subparsers._group_actions[0]
+    assert list(sub.choices) == [command]
+    whole = spirality.cli.build_parser("bogus")._subparsers._group_actions[0]
+    assert list(whole.choices) == list(spirality.cli._COMMANDS)

@@ -8,8 +8,9 @@ hand-written graphs and fdtc documents of test_cli (one graph with both an
 error and warnings), and malformed inputs;
 each is run through validate, aspiral, rw and fdtc in both formats, next to
 gen, crosscheck and a few flag variants. A deep planted graph, whose
-spanning forest is a path, pins the basis cycles ``aspiral`` prints when
-they run far into the tree. Two loops at the benchmark's sizes, a twist
+spanning forest is a path, pins the character ``aspiral`` prints, one row
+per non-tree edge, and its witness cycle, which runs far into the tree;
+the rows name their edges and no longer pin the other fundamental cycles. Two loops at the benchmark's sizes, a twist
 elevation of degree 1000 and a three-piece loop of 260 crossings whose rho
 factors all differ from 1, pin ``rw`` and ``crosscheck`` on long products.
 Long manifests with faults far apart pin the order of the check's
@@ -470,7 +471,7 @@ def test_golden_corpus(tmp_path, monkeypatch):
     # Building the argument parser is most of a small case's time, and a
     # parser is reusable, so the corpus parses every argv with one parser.
     parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: parser)
     changed = []
     for case in corpus["cases"]:
         got = _capture(case["argv"])

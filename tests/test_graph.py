@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, VertexKind,
-                       validate, cycle_spirality, character, verdict,
-                       InvalidCycle, InvalidGraph)
+                       validate, cycle_spirality, character, fundamental_cycle,
+                       verdict, InvalidCycle, InvalidGraph)
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest,
-                             DANGLING_EDGE, NON_POSITIVE_H, NON_RATIONAL_H, BAD_OMEGA,
-                             ELEMENTARY_ADJACENCY, OMEGA_AMBIGUITY)
+                             BAD_INTERNAL_GENERATORS, DANGLING_EDGE, NON_POSITIVE_H,
+                             NON_RATIONAL_H, BAD_OMEGA, ELEMENTARY_ADJACENCY,
+                             OMEGA_AMBIGUITY)
 from util import (PartialDilatation, compose, oracle_basis, oracle_cycle_value,
                   oracle_validate,
                   random_graph, random_path_graph, random_closed_walk,
@@ -66,6 +67,21 @@ class TestValidate:
         diagnostics = refused([Vertex("a")], [Edge("e", "a", "a", h_ini, 1, omega)])
         assert [d.code for d in diagnostics] == [code]
 
+    @pytest.mark.parametrize("count", ["1", 1.5, True, None, -1],
+                             ids=["string", "float", "bool", "none", "negative"])
+    def test_bad_internal_generator_count_is_refused(self, count):
+        diagnostics = refused([Vertex("a", internal_omega_generators=count)], [])
+        assert [d.code for d in diagnostics] == [BAD_INTERNAL_GENERATORS]
+        assert diagnostics == tuple(oracle_validate(
+            [Vertex("a", internal_omega_generators=count)], []))
+
+    def test_int_subclass_internal_generator_count_is_accepted(self):
+        class Count(int):
+            pass
+
+        g = DecoratedJSJGraph([Vertex("a", internal_omega_generators=Count(2))], [])
+        assert character(g).internal_signs == (("a", -1),)
+
     def test_elementary_band_warnings(self):
         g = DecoratedJSJGraph(
             [Vertex("a", VertexKind.ELEMENTARY_BAND),
@@ -91,7 +107,8 @@ class TestValidate:
 def graph_data(draw):
     """Vertex and edge lists of up to four vertices and five edges, each
     field now and then given a fault: a repeated id, an end at a missing
-    vertex, h <= 0, omega off +-1, a negative internal generator count.
+    vertex, h <= 0, omega off +-1, an internal generator count that is
+    negative or not an int.
     Fraction h and elementary bands beside non-orientable pieces give the
     warnings."""
     def pick(good, bad):
@@ -101,7 +118,7 @@ def graph_data(draw):
     for i in range(draw(st.integers(0, 4))):
         vid = pick(["v%d" % i], ["v%d" % j for j in range(i)] or ["v%d" % i])
         vertices.append(Vertex(vid, draw(st.sampled_from(VertexKind)), draw(st.booleans()),
-                               pick([0, 1, 2], [-1, -2])))
+                               pick([0, 1, 2], [-1, -2, "1", 1.5, True])))
     ids = [v.id for v in vertices] or ["ghost"]
     good_h = [1, 2, 3, Fraction(3, 2), Fraction(1, 3)]
     bad_h = [0, -1, Fraction(-1, 2)]
@@ -186,7 +203,10 @@ class TestCharacter:
         g = two_vertex_graph()
         tree = DecoratedJSJGraph(g.vertices, g.edges[:1])
         char = character(tree)
-        assert char.basis == () and char.values == ()
+        assert char.forest == frozenset({"e1"})
+        assert char.cycle_edges == () and char.values == ()
+        with pytest.raises(ValueError):
+            fundamental_cycle(tree, char.forest, "e1")
 
     def test_single_loop(self):
         g = DecoratedJSJGraph([Vertex("a")], [Edge("e", "a", "a", 2, 3, omega=-1)])
@@ -194,8 +214,11 @@ class TestCharacter:
         assert char.values == (Fraction(-2, 3),)
 
     def test_triangle_basis(self):
-        char = character(triangle())
-        assert len(char.basis) == 1
+        g = triangle()
+        char = character(g)
+        assert char.forest == frozenset({"e1", "e2"}) and char.cycle_edges == ("e3",)
+        assert fundamental_cycle(g, char.forest, "e3") == DirectedCycle(
+            (("e3", FORWARD), ("e1", FORWARD), ("e2", FORWARD)))
         assert char.values == (Fraction(1),)
 
     def test_internal_signs(self):
@@ -457,10 +480,11 @@ def test_cycle_value_recoverable_from_any_basis():
 
 
 def _assert_character_matches_oracle(g, char):
-    forest = {e.id for e in g.edges} - set(char.cycle_edges)
-    basis = oracle_basis(g, forest)
-    assert list(char.basis) == basis
-    for cycle, value in zip(char.basis, char.values):
+    assert char.forest == {e.id for e in g.edges} - set(char.cycle_edges)
+    basis = oracle_basis(g, char.forest)
+    cycles = [fundamental_cycle(g, char.forest, eid) for eid in char.cycle_edges]
+    assert cycles == basis
+    for cycle, value in zip(cycles, char.values):
         assert value == oracle_cycle_value(g, cycle) == cycle_spirality(g, cycle)
 
 
@@ -478,3 +502,45 @@ def test_character_against_root_path_oracle():
         g = random_graph(rng, max_vertices=4, max_edges=6)
         for char in all_spanning_forests(g):
             _assert_character_matches_oracle(g, char)
+
+
+def _with_fraction_h(g, rng):
+    """``g`` with about a third of its h values divided by 2..5."""
+    def h(value):
+        return Fraction(value, rng.randint(2, 5)) if rng.random() < 0.35 else value
+
+    return DecoratedJSJGraph(g.vertices, [
+        Edge(e.id, e.from_vertex, e.to_vertex, h(e.h_ini), h(e.h_ter), e.omega)
+        for e in g.edges])
+
+
+def test_character_rows_are_their_fundamental_cycles_with_fraction_h():
+    rng = seeded(209)
+    tree_fraction = nontree_fraction = witnesses = 0
+    for i in range(200):
+        if i % 4:
+            g = random_graph(rng, max_vertices=8, max_edges=12)
+        else:
+            g = random_path_graph(rng, n_vertices=rng.randint(5, 30),
+                                  n_extra=rng.randint(1, 12))
+        g = _with_fraction_h(g, rng)
+        char = character(g)
+        for e in g.edges:
+            if e.h_ini.denominator != 1 or e.h_ter.denominator != 1:
+                if e.id in char.forest:
+                    tree_fraction += 1
+                else:
+                    nontree_fraction += 1
+        for eid, value in zip(char.cycle_edges, char.values):
+            assert value == cycle_spirality(g, fundamental_cycle(g, char.forest, eid))
+        v = verdict(g)
+        first = next(((eid, value) for eid, value in zip(char.cycle_edges, char.values)
+                      if abs(value) != 1), None)
+        if first is None:
+            assert v.aspiral and v.witness is None and v.witness_value is None
+        else:
+            witnesses += 1
+            assert not v.aspiral and v.witness_value == first[1]
+            assert v.witness == fundamental_cycle(g, char.forest, first[0])
+    # non-integral h was drawn on both kinds of edge, and both verdicts occurred
+    assert tree_fraction and nontree_fraction and 0 < witnesses < 200

@@ -406,7 +406,12 @@ def oracle_validate(vertices, edges):
         if v.id in seen:
             out.append(error(DUPLICATE_ID, "duplicate vertex id %r" % v.id))
         seen.add(v.id)
-        if v.internal_omega_generators < 0:
+        count = v.internal_omega_generators
+        if not isinstance(count, int) or isinstance(count, bool):
+            out.append(error(BAD_INTERNAL_GENERATORS,
+                             "vertex %r has internal generator count %r, not an integer"
+                             % (v.id, count)))
+        elif count < 0:
             out.append(error(BAD_INTERNAL_GENERATORS,
                              "vertex %r has negative internal generator count" % v.id))
     seen = set()
