@@ -643,7 +643,8 @@ def test_one_command_parser_reads_argv_as_the_whole_one(argv):
 
 @pytest.mark.parametrize("command", spirality.cli._COMMANDS)
 def test_a_command_gets_a_parser_with_its_subparser_alone(command):
-    sub = spirality.cli.build_parser(command)._subparsers._group_actions[0]
-    assert list(sub.choices) == [command]
-    whole = spirality.cli.build_parser("bogus")._subparsers._group_actions[0]
-    assert list(whole.choices) == list(spirality.cli._COMMANDS)
+    # --help exits 0 under a command the parser holds, 2 under one it lacks
+    one, whole = spirality.cli.build_parser(command), spirality.cli.build_parser("bogus")
+    for other in spirality.cli._COMMANDS:
+        assert _parse_outcome(one, [other, "--help"])[2] == (0 if other == command else 2)
+        assert _parse_outcome(whole, [other, "--help"])[2] == 0

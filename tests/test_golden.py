@@ -10,9 +10,10 @@ each is run through validate, aspiral, rw and fdtc in both formats, next to
 gen, crosscheck and a few flag variants. A deep planted graph, whose
 spanning forest is a path, pins the character ``aspiral`` prints, one row
 per non-tree edge, and its witness cycle, which runs far into the tree;
-the rows name their edges and no longer pin the other fundamental cycles. Two loops at the benchmark's sizes, a twist
-elevation of degree 1000 and a three-piece loop of 260 crossings whose rho
-factors all differ from 1, pin ``rw`` and ``crosscheck`` on long products.
+the rows name their edges, so no other fundamental cycle is pinned. Two
+loops at the benchmark's sizes, a twist elevation of degree 1000 and a
+three-piece loop of 260 crossings whose rho factors all differ from 1,
+pin ``rw`` and ``crosscheck`` on long products.
 Long manifests with faults far apart pin the order of the check's
 diagnostics on a 319-crossing loop, the field paths of parse errors deep
 in a manifest, and the order of ``--lenient`` warnings about unknown
