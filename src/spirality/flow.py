@@ -28,7 +28,7 @@ changes nothing.
 
 from enum import Enum
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .errors import Value, error, warning
 from .lattice import intersection_number
@@ -286,7 +286,8 @@ class FlowFactors(Value):
     @property
     def rhos(self):
         """rho of each segment: entry leaf length over exit leaf length."""
-        return tuple(entry.leaf_length / exit_.leaf_length
+        return tuple(Fraction(entry.leaf_length.numerator * exit_.leaf_length.denominator,
+                              entry.leaf_length.denominator * exit_.leaf_length.numerator)
                      for entry, exit_ in zip(self.entered[-1:] + self.entered[:-1],
                                              self.left))
 
@@ -360,33 +361,25 @@ def decorate_from_flow(factors, m):
     """Build the decorated dual graph along a loop from its FlowFactors; its
     cycle matches the loop's spirality.
 
-    One vertex per in-piece segment, one edge per crossing. The raw weight
-    at an edge end is i(curve, slope at that end) / leaf length at that
-    end, an exact rational; clearing the least common denominator across
-    all ends turns the weights into the positive integers h. The scaling
-    cancels in every cycle product, so the emitted cycle's holonomy equals
+    One vertex per in-piece segment, one edge per crossing. The weight at an
+    edge end is i(curve, slope at that end) / leaf length L at that end.
+    Vertex i, where ``entered[i - 1]`` and ``left[i]`` meet, scales both of
+    its ends by L(entered[i - 1]).num L(left[i]).num, which makes them the
+    integers h_ini(x_i) = n_leave(i) L(left[i]).den L(entered[i - 1]).num
+    and h_ter(x_i) = n_enter(i) L(entered[i]).den L(left[i + 1]).num. The
+    factor cancels in every cycle product, so the cycle's holonomy equals
     the spirality of the loop exactly.
     """
     n = len(factors.intersections)
-    weights = [(Fraction(n_leave * leave.leaf_length.denominator,
-                         leave.leaf_length.numerator),
-                Fraction(n_enter * enter.leaf_length.denominator,
-                         enter.leaf_length.numerator))
-               for (n_leave, n_enter), leave, enter
-               in zip(factors.intersections, factors.left, factors.entered)]
-    scale = lcm(*(w.denominator for pair in weights for w in pair))
-    vertices = []
-    for i, piece_id in enumerate(factors.pieces):
-        piece = m.piece(piece_id)
-        kind = (jsj.VertexKind.HORIZONTAL if piece.type is PieceType.SEIFERT
-                else jsj.VertexKind.GEOMETRICALLY_INFINITE)
-        vertices.append(jsj.Vertex("seg%03d" % i, kind))
-    edges = []
-    steps = []
-    for i, (w_leave, w_enter) in enumerate(weights):
-        edge_id = "x%03d" % i
-        edges.append(jsj.Edge(edge_id, "seg%03d" % i, "seg%03d" % ((i + 1) % n),
-                              w_leave.numerator * (scale // w_leave.denominator),
-                              w_enter.numerator * (scale // w_enter.denominator)))
-        steps.append((edge_id, jsj.FORWARD))
-    return jsj.DecoratedJSJGraph(vertices, edges), jsj.DirectedCycle(tuple(steps))
+    left = [b.leaf_length for b in factors.left]
+    entered = [b.leaf_length for b in factors.entered]
+    vertices = [jsj.Vertex("seg%03d" % i, jsj.VertexKind.HORIZONTAL
+                           if m.piece(piece_id).type is PieceType.SEIFERT
+                           else jsj.VertexKind.GEOMETRICALLY_INFINITE)
+                for i, piece_id in enumerate(factors.pieces)]
+    edges = [jsj.Edge("x%03d" % i, "seg%03d" % i, "seg%03d" % ((i + 1) % n),
+                      n_leave * left[i].denominator * entered[i - 1].numerator,
+                      n_enter * entered[i].denominator * left[(i + 1) % n].numerator)
+             for i, (n_leave, n_enter) in enumerate(factors.intersections)]
+    cycle = jsj.DirectedCycle(tuple((e.id, jsj.FORWARD) for e in edges))
+    return jsj.DecoratedJSJGraph(vertices, edges), cycle

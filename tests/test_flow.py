@@ -9,7 +9,7 @@ from spirality import (Slope, FlowManifest, Piece, PieceBoundary, PieceType,
                        normalize_itinerary,
                        validate_manifest, validate_itinerary,
                        cycle_spirality, gen_random_flow, gen_twist_family,
-                       TwistFamilyParams)
+                       intersection_number, TwistFamilyParams)
 from spirality.flow import SEIFERT_LEAF_MISMATCH, UNPAIRED_BOUNDARY, \
     PIECE_MISMATCH, NOT_TRANSVERSE
 from util import (FlowFault, Segment, factors_of, make_equiperiodic,
@@ -145,6 +145,12 @@ class TestRwSpirality:
         assert factors is None
 
 
+def decorated_cases():
+    """Random-flow seeds 0-199 and a twist elevation of degree 40."""
+    inst = gen_twist_family(TwistFamilyParams(2, 3, 2, 3, 1, 40))
+    return [gen_random_flow(seed) for seed in range(200)] + [(inst.manifest, inst.loop)]
+
+
 class TestOnePass:
     """The check's factors against the per-factor oracle of tests/util.py."""
 
@@ -167,12 +173,31 @@ class TestOnePass:
             reverse = reverse_itinerary(inst.loop)
             assert flow_spirality(factors_of(reverse, inst.manifest)) == 1 / value
 
-    def test_decorated_h_match_the_fraction_construction(self):
-        inst = gen_twist_family(TwistFamilyParams(2, 3, 2, 3, 1, 40))
-        cases = [gen_random_flow(seed) for seed in range(200)]
-        for m, loop in cases + [(inst.manifest, inst.loop)]:
+    def test_decorated_h_follow_the_per_vertex_gauge(self):
+        for m, loop in decorated_cases():
             g, _ = decorate_from_flow(factors_of(loop, m), m)
-            assert [(e.h_ini, e.h_ter) for e in g.edges] == oracle_decorated_h(loop, m)
+            ends = [[side_boundary(m, c.torus, side)[1]
+                     for side in (c.from_side, c.from_side.other)] for c in loop.crossings]
+            for i, (c, e) in enumerate(zip(loop.crossings, g.edges)):
+                leave, enter = ends[i]
+                assert e.h_ini == (intersection_number(c.curve, leave.degeneracy_slope)
+                                   * leave.leaf_length.denominator
+                                   * ends[i - 1][1].leaf_length.numerator)
+                assert e.h_ter == (intersection_number(c.curve, enter.degeneracy_slope)
+                                   * enter.leaf_length.denominator
+                                   * ends[(i + 1) % len(ends)][0].leaf_length.numerator)
+
+    def test_decorated_h_are_gauge_equivalent_to_the_fraction_construction(self):
+        """At every vertex, both ends that meet there are the global-lcm h
+        of tests/util.py times one common positive rational."""
+        for m, loop in decorated_cases():
+            g, _ = decorate_from_flow(factors_of(loop, m), m)
+            gauge = {}
+            for e, (h_ini, h_ter) in zip(g.edges, oracle_decorated_h(loop, m)):
+                gauge.setdefault(e.from_vertex, set()).add(Fraction(e.h_ini, h_ini))
+                gauge.setdefault(e.to_vertex, set()).add(Fraction(e.h_ter, h_ter))
+            assert len(gauge) == len(g.vertices)
+            assert all(len(factor) == 1 and min(factor) > 0 for factor in gauge.values())
 
 
 def mutated_loops(m, loop, rng):
