@@ -195,16 +195,20 @@ def gen_matched_slopes(n_pieces, seed):
     return _assemble(rng, piece_seq, matched=True, leaf_bound=9)
 
 
-def gen_random_flow(seed, max_crossings=8, leaf_bound=20):
+RANDOM_MAX_CROSSINGS = 8
+RANDOM_LEAF_BOUND = 20
+
+
+def gen_random_flow(seed):
     """An unconstrained random flow manifest with a valid transverse loop.
 
     Degeneracy slopes on the two sides of a torus are independent and leaf
     lengths are arbitrary positive rationals with numerator and denominator
-    up to ``leaf_bound``, so spiralities are generic; used for cross-checking
-    the direct formula against the decorated-graph route.
+    up to RANDOM_LEAF_BOUND, so spiralities are generic; used for
+    cross-checking the direct formula against the decorated-graph route.
     """
     rng = random.Random(seed)
-    n = rng.randint(1, max_crossings)
+    n = rng.randint(1, RANDOM_MAX_CROSSINGS)
     n_pieces = rng.randint(1, min(4, n))
     piece_seq = ["P%d" % rng.randrange(n_pieces) for _ in range(n)]
-    return _assemble(rng, piece_seq, matched=False, leaf_bound=leaf_bound)
+    return _assemble(rng, piece_seq, matched=False, leaf_bound=RANDOM_LEAF_BOUND)

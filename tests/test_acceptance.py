@@ -73,7 +73,7 @@ def test_criterion_3_bridge_identity():
     with criterion(3, "decorated-graph holonomy equals the direct flow formula "
                       "on 500 random manifests"):
         for seed in range(500):
-            m, loop = gen_random_flow(seed, max_crossings=8, leaf_bound=20)
+            m, loop = gen_random_flow(seed)
             g, cycle = decorate_from_flow(factors_of(loop, m), m)
             assert cycle_spirality(g, cycle) == flow_spirality(factors_of(loop, m))
 

@@ -8,6 +8,7 @@ from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
                        decorate_from_flow, character, verdict,
                        equiperiodic_rho_is_one, validate_manifest,
                        validate_itinerary)
+from spirality.generators import RANDOM_LEAF_BOUND, RANDOM_MAX_CROSSINGS
 from spirality.manifest import flow_to_dict, loop_to_list
 from util import (oracle_intersection, seeded, pullback, cyclic_cover, factors_of,
                   reverse_itinerary)
@@ -127,12 +128,12 @@ def test_generators_are_deterministic():
 
 def test_random_flow_respects_bounds():
     for seed in range(40):
-        m, loop = gen_random_flow(seed, max_crossings=8, leaf_bound=20)
-        assert 1 <= len(loop.crossings) <= 8
+        m, loop = gen_random_flow(seed)
+        assert 1 <= len(loop.crossings) <= RANDOM_MAX_CROSSINGS == 8
         for p in m.pieces:
             for b in p.boundaries:
-                assert 1 <= b.leaf_length.numerator <= 20
-                assert 1 <= b.leaf_length.denominator <= 20
+                assert 1 <= b.leaf_length.numerator <= RANDOM_LEAF_BOUND == 20
+                assert 1 <= b.leaf_length.denominator <= RANDOM_LEAF_BOUND
 
 
 def test_generated_manifests_are_on_contract():
