@@ -366,9 +366,9 @@ def decorate_from_flow(factors, m):
     Vertex i, where ``entered[i - 1]`` and ``left[i]`` meet, scales both of
     its ends by L(entered[i - 1]).num L(left[i]).num, which makes them the
     integers h_ini(x_i) = n_leave(i) L(left[i]).den L(entered[i - 1]).num
-    and h_ter(x_i) = n_enter(i) L(entered[i]).den L(left[i + 1]).num. The
-    factor cancels in every cycle product, so the cycle's holonomy equals
-    the spirality of the loop exactly.
+    and h_ter(x_i) = n_enter(i) L(entered[i]).den L(left[i + 1 mod n]).num.
+    The factor cancels in every cycle product, so the cycle's holonomy
+    equals the spirality of the loop exactly.
     """
     n = len(factors.intersections)
     left = [b.leaf_length for b in factors.left]

@@ -127,12 +127,13 @@ def test_generators_are_deterministic():
 
 
 def test_random_flow_respects_bounds():
+    assert (RANDOM_MAX_CROSSINGS, RANDOM_LEAF_BOUND) == (8, 20)
     for seed in range(40):
         m, loop = gen_random_flow(seed)
-        assert 1 <= len(loop.crossings) <= RANDOM_MAX_CROSSINGS == 8
+        assert 1 <= len(loop.crossings) <= RANDOM_MAX_CROSSINGS
         for p in m.pieces:
             for b in p.boundaries:
-                assert 1 <= b.leaf_length.numerator <= RANDOM_LEAF_BOUND == 20
+                assert 1 <= b.leaf_length.numerator <= RANDOM_LEAF_BOUND
                 assert 1 <= b.leaf_length.denominator <= RANDOM_LEAF_BOUND
 
 
