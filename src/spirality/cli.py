@@ -9,10 +9,17 @@ terminal and disabled by the SPIRALITY_NO_COLOR environment variable.
 """
 
 import argparse
-import hashlib
-import json
+import functools
 import os
 import sys
+
+try:  # the builtin sha256, without loading OpenSSL; renamed in Python 3.12
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import SpiralityError, ParseError, Value, error as diag_error
 from .rational import format_rational
@@ -55,6 +62,7 @@ class Report(Value):
 
 
 def _render(report, args):
+    """Write the whole report to stdout in one write."""
     if args.timestamps:
         # imported here: no report without --timestamps needs it
         from datetime import datetime, timezone
@@ -65,23 +73,24 @@ def _render(report, args):
             "digest": report.digest,
             "results": [{"label": label, "value": value}
                         for label, value, _ in report.results],
-            "warnings": list(report.warnings),
+            "warnings": report.warnings,
         }
-        print(json.dumps(doc, indent=2))
+        _write_stdout(mf.indented_json(doc) + "\n")
         return
     color_on = (sys.stdout.isatty()
                 and not os.environ.get("SPIRALITY_NO_COLOR"))
-    print("command: %s" % report.command)
-    print("digest: %s" % report.digest)
+    lines = ["command: %s" % report.command, "digest: %s" % report.digest]
     for label, value, color in report.results:
         shown = _style(value, color, color_on) if color else value
-        print("%s: %s" % (label, shown))
+        lines.append("%s: %s" % (label, shown))
     for message in report.warnings:
-        print("warning: %s" % _style(message, "yellow", color_on))
+        lines.append("warning: %s" % _style(message, "yellow", color_on))
+    lines.append("")
+    _write_stdout("\n".join(lines))
 
 
 def _digest(data):
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    return "sha256:" + sha256(data).hexdigest()
 
 
 def _read_file(path):
@@ -286,7 +295,7 @@ def _write_stdout(text):
         sys.stdout.write(text)
         return
     sys.stdout.flush()
-    data = memoryview(text.encode(sys.stdout.encoding))
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
     while data:
         data = data[out.write(data):]
 
@@ -374,8 +383,13 @@ _COMMANDS = tuple(name for name, _, _ in _PATH_COMMANDS) + ("gen", "crosscheck")
 def build_parser(command=None):
     """The argument parser of every command, or of ``command`` alone when it
     names one: that parser reads the command's argv, help and errors
-    included, as the whole one does, and costs one subparser to build."""
-    only = command if command in _COMMANDS else None
+    included, as the whole one does, and costs one subparser to build. Each
+    is built once per process; parsing leaves a parser as it was."""
+    return _parser(command if command in _COMMANDS else None)
+
+
+@functools.cache
+def _parser(only):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "structured"), default="text",
                         help="report format (structured is JSON)")

@@ -21,6 +21,7 @@ validators, which report diagnostics instead of raising.
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 from .errors import ParseError, Value
@@ -469,4 +470,54 @@ def manifest_to_dict(graph=None, flow_manifest=None, loop=None, fdtc=None,
 
 def dumps_manifest(**sections):
     """Serialize to deterministic, human-diffable JSON text."""
-    return json.dumps(manifest_to_dict(**sections), indent=2) + "\n"
+    return indented_json(manifest_to_dict(**sections)) + "\n"
+
+
+def indented_json(value):
+    """``json.dumps(value, indent=2)``, byte for byte, for str, int, bool and
+    None held in lists, tuples and dicts with str keys; anything else raises
+    TypeError. json writes indented text with its pure-Python encoder; this
+    builds one list of pieces and quotes strings with the C quoting function."""
+    pieces = []
+    _put_json(value, "\n", pieces.append)
+    return "".join(pieces)
+
+
+def _put_json(value, newline, put):
+    if isinstance(value, str):
+        put(_quote(value))
+    elif value is None:
+        put("null")
+    elif value is True:  # bool before int: True is an int too
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))  # as json prints an int subclass
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _put_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            put(sep + _quote(key) + ": ")
+            _put_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(value).__name__)

@@ -498,6 +498,21 @@ class TestReporting:
         assert proc.wait(timeout=60) == 2
         assert err == b""
 
+    def test_closed_pipe_on_unbuffered_stdout_mid_report_is_an_io_error(self, tmp_path,
+                                                                         capsys):
+        # a report is one write too, which an unbuffered stdout may take in part
+        target = str(tmp_path / "long.json")
+        run(capsys, "gen", "twist-family", "--d", "1500", "--out", target)
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=str(Path(spirality.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "spirality.cli", "rw", target],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"command: rw\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+        assert err == b""
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [["rw", "small.json"], ["rw", "long.json"],
                                       ["gen", "twist-family"]],
@@ -639,6 +654,22 @@ def test_one_command_parser_reads_argv_as_the_whole_one(argv):
     expected = _parse_outcome(whole, argv)
     assert expected[2] is not None and (expected[0] or expected[1])
     assert _parse_outcome(one, argv) == expected
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
+def test_a_cached_parser_reads_argv_the_same_twice(argv):
+    parser = spirality.cli.build_parser(argv[0] if argv else None)
+    assert _parse_outcome(parser, argv) == _parse_outcome(parser, argv)
+
+
+def test_each_parser_is_built_once_per_process():
+    build = spirality.cli.build_parser
+    for command in spirality.cli._COMMANDS + (None, "bogus"):
+        assert build(command) is build(command)
+    assert build(None) is build("bogus")
+    for i in range(1000):
+        build("unknown-%d" % i)
+    assert spirality.cli._parser.cache_info().currsize <= 7
 
 
 @pytest.mark.parametrize("command", spirality.cli._COMMANDS)

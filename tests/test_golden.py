@@ -474,10 +474,6 @@ def test_golden_corpus(tmp_path, monkeypatch):
     for name, text in corpus["inputs"].items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    # Building the argument parser is most of a small case's time, and a
-    # parser is reusable, so the corpus parses every argv with one parser.
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: parser)
     changed = []
     for case in corpus["cases"]:
         got = _capture(case["argv"])

@@ -12,7 +12,7 @@ from spirality import (ParseError, Slope, parse_manifest, dumps_manifest,
                        gen_twist_family, gen_matched_slopes, TwistFamilyParams,
                        parse_rational, format_rational, validate)
 from spirality.graph import NON_INTEGRAL_H, NON_POSITIVE_H
-from spirality.manifest import FdtcInput, loop_to_list, flow_to_dict
+from spirality.manifest import FdtcInput, loop_to_list, flow_to_dict, indented_json
 
 GRAPH_DOC = """
 {
@@ -273,6 +273,38 @@ def test_a_decoded_manifest_may_hold_str_and_int_subclasses():
                                                Name(boundary["leaf_length"]))
     parsed = parse_manifest(doc)
     assert dumps_manifest(flow_manifest=parsed.flow, loop=parsed.loop) == want
+
+
+class _Name(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+_strings = (st.text() | st.builds(_Name, st.text())
+            | st.sampled_from(["\x00\x1f\"\\\u2028", "\u00e9\u20ac\U0001d11e", "\ud800"]))
+_atoms = (_strings | st.none() | st.booleans() | st.integers()
+          | st.builds(_Count, st.integers()) | st.sampled_from([2**64, -2**100 - 1]))
+_json_data = st.recursive(
+    _atoms,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_strings, children, max_size=4)),
+    max_leaves=20)
+
+
+@given(_json_data)
+def test_indented_json_is_json_dumps_with_indent_2(value):
+    assert indented_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, [0, 0.0], {"a": [{"b": 1e9}]}, {1: "x"},
+                                   {"a": {None: 1}}, {True: 1}, [object()]])
+def test_indented_json_refuses_floats_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        indented_json(value)
 
 
 class TestRoundTrip:
