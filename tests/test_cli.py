@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -567,15 +568,20 @@ class TestStartup:
 
     def test_cli_import_set(self):
         """``import spirality.cli`` loads no dataclasses, inspect or datetime,
-        each costly to import on every CLI run, and loads every layer module:
-        perfbench's tracer (perfbench/tracing.py) wraps the layers it finds in
-        sys.modules and raises KeyError for a layer that is not yet loaded."""
+        each costly to import on every CLI run, nor OpenSSL's _hashlib where
+        the interpreter has its own sha256 module, and loads every layer
+        module: perfbench's tracer (perfbench/tracing.py) wraps the layers it
+        finds in sys.modules and raises KeyError for a layer that is not yet
+        loaded."""
         code = ("import sys; before = set(sys.modules); import spirality.cli; "
                 "print(' '.join(sorted(set(sys.modules) - before)))")
         env = dict(os.environ, PYTHONPATH=str(Path(spirality.__file__).parents[1]))
         loaded = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                     capture_output=True, text=True).stdout.split())
-        assert not loaded & {"dataclasses", "inspect", "datetime"}
+        unwanted = {"dataclasses", "inspect", "datetime"}
+        if any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")):
+            unwanted.add("_hashlib")
+        assert not loaded & unwanted
         assert {"spirality." + layer for layer in self.LAYERS} <= loaded
 
     def test_no_module_uses_dataclass(self):
