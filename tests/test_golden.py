@@ -19,7 +19,8 @@ decorated graph's character.
 Long manifests with faults far apart pin the order of the check's
 diagnostics on a 319-crossing loop, the field paths of parse errors deep
 in a manifest, and the order of ``--lenient`` warnings about unknown
-fields in many records.
+fields in many records. Eight manifests that each hold one value of the
+wrong type pin the parser's "must be ..." messages through ``validate``.
 
 When an output changes on purpose, regenerate the corpus with
 
@@ -128,6 +129,29 @@ def _hand_written():
         "bad-slope.json": {"fdtc": {"l_plus": [0, 0], "l_minus": [1, 0],
                                     "e": [0, 1]}},
         "bad-empty-loop.json": {"loop": []},
+    }
+
+
+def _type_faults():
+    """Manifests with one value of the wrong type, by file name, each with
+    the flags its ``validate`` runs with."""
+    def edge(**change):
+        return {"graph": {"vertices": [{"id": "a"}],
+                          "edges": [dict({"id": "e", "from": "a", "to": "a",
+                                          "h_ini": 1, "h_ter": 1}, **change)]}}
+
+    piece = {"type": "pseudo_anosov", "boundaries": 5, "id": "P"}
+    torus = {"id": "T", "plus": "J", "minus": {"piece": "P", "boundary": "b"}}
+    return {
+        "type-orientable.json": ({"graph": {"vertices": [
+            {"id": "a", "orientable": "yes"}]}}, []),
+        "type-loop-object.json": ({"loop": {}}, []),
+        "type-boundaries.json": ({"pieces": [piece]}, []),
+        "type-crossing.json": ({"loop": [5]}, []),
+        "type-torus-side.json": ({"tori": [torus]}, []),
+        "type-graph-array.json": ({"graph": []}, []),
+        "type-omega.json": (edge(omega=True), []),
+        "type-h-bool.json": (edge(h_ini=True), ["--allow-rational-h"]),
     }
 
 
@@ -346,6 +370,8 @@ def _build(work):
     inputs["graph-and-flow.json"] = _text(dict(twist, **GOOD_GRAPH))
     hand = _hand_written()
     inputs.update((name, _text(doc)) for name, doc in hand.items())
+    type_faults = _type_faults()
+    inputs.update((name, _text(doc)) for name, (doc, _) in type_faults.items())
     inputs["graph-deep.json"] = _text(_deep_graph())
     inputs["loop-260.json"] = _compact(_long_loop())
     faulty = _faulty_loops()
@@ -367,6 +393,9 @@ def _build(work):
     for name in [n for n in hand if n.startswith("bad-")]:
         for command in ("validate", "rw"):
             case("%s-text-%s" % (command, name), [command, name])
+
+    for name, (_, flags) in type_faults.items():
+        case("validate-text-" + name, ["validate"] + flags + [name])
 
     case("aspiral-text-graph-deep.json", ["aspiral", "graph-deep.json"])
     case("aspiral-structured-graph-deep.json",
