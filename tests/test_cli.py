@@ -433,6 +433,14 @@ class TestCrosscheck:
         assert ([(m.pieces, m.tori) for (m,) in checks]
                 == [(m.pieces, m.tori) for m, _ in generated])
 
+    def test_a_route_that_disagrees_is_a_mismatch(self, capsys, monkeypatch):
+        real = flow.flow_spirality
+        monkeypatch.setattr(flow, "flow_spirality", lambda factors: 2 * real(factors))
+        code, out = run(capsys, "crosscheck", "--random", "2", "--seed", "5")
+        assert code == 1
+        assert "seed 5: 15/52 != 15/104 MISMATCH\n" in out.out
+        assert out.out.endswith("checked: 2\nmismatches: 2\n")
+
     def test_random_mode_matches_the_same_manifests_read_from_files(self, tmp_path,
                                                                       capsys):
         n, seed = 5, 70

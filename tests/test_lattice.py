@@ -5,7 +5,7 @@ import pytest
 from spirality import Slope, intersection_number, fdtc, NotParallel
 from util import (SublatticeCover, GluingMatrix, slope_cover_degree, h_value,
                   change_frame, BadGluing, oracle_intersection, oracle_cover_degree,
-                  oracle_fdtc_scan, random_slope, random_primitive_slope,
+                  oracle_fdtc, oracle_fdtc_scan, random_slope, random_primitive_slope,
                   random_sublattice, random_unimodular, seeded)
 
 
@@ -192,6 +192,27 @@ def test_fdtc_agrees_with_divisibility_scan():
                 fdtc(l_plus, l_minus, e, 1)
         else:
             assert fdtc(l_plus, l_minus, e, 1) == k
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, NotParallel) as err:
+        return type(err), str(err)
+
+
+def test_fdtc_matches_the_oracle_on_a_grid():
+    # every triple of slopes Slope.of(a, b, k) with a, b in [-2, 2] and
+    # k = 1 or 2 (l+, l- and e), and m = 0..2
+    slopes = list(dict.fromkeys(Slope.of(a, b, k) for a in range(-2, 3)
+                                for b in range(-2, 3) if (a, b) != (0, 0)
+                                for k in (1, 2)))
+    for l_plus in slopes:
+        for l_minus in slopes:
+            for e in slopes:
+                for m in (0, 1, 2):
+                    assert (_outcome(fdtc, l_plus, l_minus, e, m)
+                            == _outcome(oracle_fdtc, l_plus, l_minus, e, m))
 
 
 def test_fdtc_vanishes_iff_slopes_match():

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, Slope,
                        FlowManifest, Piece, PieceBoundary, Crossing, LoopItinerary,
                        VertexKind, character, intersection_number, validate_itinerary,
-                       SpiralityError)
+                       NotParallel, SpiralityError)
 from spirality.errors import error, warning
 from spirality.flow import DANGLING_REF, NOT_TRANSVERSE, PIECE_MISMATCH
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest, BAD_INTERNAL_GENERATORS,
@@ -167,6 +167,32 @@ def oracle_fdtc_scan(l_plus, l_minus, e, bound=10 ** 4):
         if (k * e0, k * e1) == (d0, d1):
             return k
     return None
+
+
+def oracle_fdtc(l_plus, l_minus, e, m):
+    """``lattice.fdtc`` as it was written with a divisibility pre-check and
+    an early return for matching slopes: same values, same exceptions."""
+    if e.multiplicity != 1:
+        raise ValueError("reduction curve must have multiplicity 1")
+    if m < 1:
+        raise ValueError("power m must be positive")
+    p0, p1 = l_plus.total()
+    m0, m1 = l_minus.total()
+    d0, d1 = p0 - m0, p1 - m1
+    if d0 == 0 and d1 == 0:
+        return Fraction(0)
+    e0, e1 = e.vector
+    if e0 != 0:
+        if d0 % e0 != 0:
+            raise NotParallel("difference (%d, %d) is not a multiple of (%d, %d)"
+                              % (d0, d1, e0, e1))
+        k = d0 // e0
+    else:
+        k = d1 // e1
+    if (k * e0, k * e1) != (d0, d1):
+        raise NotParallel("difference (%d, %d) is not a multiple of (%d, %d)"
+                          % (d0, d1, e0, e1))
+    return Fraction(k, m)
 
 
 def random_slope(rng, bound=6, max_mult=3):
