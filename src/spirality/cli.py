@@ -289,13 +289,15 @@ def cmd_gen(args):
 def _write_stdout(text):
     """Write all of ``text`` to stdout. An unbuffered stdout (PYTHONUNBUFFERED)
     may take only part of one write, so the bytes are written until none is
-    left, and a closed reader raises BrokenPipeError."""
+    left, and a closed reader raises BrokenPipeError. A character stdout
+    cannot encode, such as a lone surrogate from a manifest's JSON escapes,
+    is written as its backslash escape."""
     out = getattr(sys.stdout, "buffer", None)
     if out is None:
         sys.stdout.write(text)
         return
     sys.stdout.flush()
-    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    data = memoryview(text.encode(sys.stdout.encoding, "backslashreplace"))
     while data:
         data = data[out.write(data):]
 
@@ -351,15 +353,11 @@ def cmd_crosscheck(args):
         direct = flow.flow_spirality(factors)
         g, cycle = flow.decorate_from_flow(factors, m)
         via_graph = jsj.cycle_spirality(g, cycle)
-        if direct == via_graph:
-            report.add(label, "%s == %s MATCH" % (format_rational(direct),
-                                                  format_rational(via_graph)),
-                       "green")
-        else:
-            mismatches += 1
-            report.add(label, "%s != %s MISMATCH" % (format_rational(direct),
-                                                     format_rational(via_graph)),
-                       "red")
+        match = direct == via_graph
+        mismatches += not match
+        relation, word, color = ("==", "MATCH", "green") if match else ("!=", "MISMATCH", "red")
+        report.add(label, "%s %s %s %s" % (format_rational(direct), relation,
+                                           format_rational(via_graph), word), color)
     report.add("checked", str(len(cases)))
     report.add("mismatches", str(mismatches), "red" if mismatches else "green")
     _render(report, args)

@@ -84,16 +84,8 @@ def fdtc(l_plus, l_minus, e, m):
     p0, p1 = l_plus.total()
     m0, m1 = l_minus.total()
     d0, d1 = p0 - m0, p1 - m1
-    if d0 == 0 and d1 == 0:
-        return Fraction(0)
     e0, e1 = e.vector
-    if e0 != 0:
-        if d0 % e0 != 0:
-            raise NotParallel("difference (%d, %d) is not a multiple of (%d, %d)"
-                              % (d0, d1, e0, e1))
-        k = d0 // e0
-    else:
-        k = d1 // e1
+    k = d0 // e0 if e0 else d1 // e1
     if (k * e0, k * e1) != (d0, d1):
         raise NotParallel("difference (%d, %d) is not a multiple of (%d, %d)"
                           % (d0, d1, e0, e1))

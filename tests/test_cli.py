@@ -522,6 +522,19 @@ class TestReporting:
         assert proc.wait(timeout=60) == 2
         assert err == b""
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_a_character_stdout_cannot_encode_is_escaped(self, tmp_path, unbuffered):
+        # a JSON escape can put a lone surrogate in an id; only a real byte
+        # stdout encodes the report, so this runs in a subprocess
+        path = write(tmp_path, "g.json", '{"graph": {"vertices": [{"id": "a"}], "edges": '
+                     '[{"id": "e\\ud800", "from": "a", "to": "a", "h_ini": 2, "h_ter": 3}]}}')
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=str(Path(spirality.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "spirality.cli", "aspiral", path],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert b"\ns(e\\ud800): 2/3\n" in proc.stdout
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [["rw", "small.json"], ["rw", "long.json"],
                                       ["gen", "twist-family"]],
