@@ -78,6 +78,19 @@ def _path(where, at, key):
     return "%s.%s" % (where % at, key)
 
 
+# The JSON types a value may be required to have, by the names messages use.
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", list: "an array",
+               dict: "an object"}
+
+
+def _expect(value, kind, where):
+    """``value`` if it is a ``kind``, a subclass included but a bool never an
+    integer; otherwise ParseError names the value's path and the type."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise ParseError("%s must be %s" % (where, _TYPE_NAMES[kind]))
+
+
 class _Reader:
     """The schema checks of one parse.
 
@@ -97,9 +110,7 @@ class _Reader:
         self.rationals = {}
 
     def unknown(self, obj, known, where):
-        if not isinstance(obj, dict):
-            raise ParseError("%s must be an object" % where)
-        for key in obj:
+        for key in _expect(obj, dict, where):
             if key not in known:
                 message = "unknown field %r in %s" % (key, where)
                 if self.strict:
@@ -110,12 +121,13 @@ class _Reader:
         """The checked values of an object's fields, in ``spec`` order; the
         object's path is ``where % at``."""
         values = []
-        for key, kind, default, check in spec:
+        for key, check, default in spec:
             value = obj.get(key, default)
-            if type(value) is not kind:
+            if type(value) is not check:
                 if value is _MISSING:
                     raise ParseError("missing field %r in %s" % (key, where % at))
-                value = check(self, value, where, at, key)
+                value = (_expect(value, check, _path(where, at, key))
+                         if isinstance(check, type) else check(self, value, where, at, key))
             values.append(value)
         return values
 
@@ -124,60 +136,16 @@ class _Reader:
             self.unknown(obj, spec.known, where % at)
         return self.fields(obj, spec, where, *at)
 
-    # The checks of a value and its path.
-
-    def string(self, value, where):
-        if not isinstance(value, str):
-            raise ParseError("%s must be a string" % where)
-        return value
-
-    def integer(self, value, where):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError("%s must be an integer" % where)
-        return value
-
-    def boolean(self, value, where):
-        if not isinstance(value, bool):
-            raise ParseError("%s must be a boolean" % where)
-        return value
-
-    def array(self, value, where):
-        if not isinstance(value, list):
-            raise ParseError("%s must be an array" % where)
-        return value
-
     def rational(self, value, where):
         try:
             return parse_rational(value)
         except ParseError as err:
             raise ParseError("%s: %s" % (where, err))
 
-    def h_field(self, value, where):
-        # positive integers by contract; rational strings only in relaxed mode
-        if isinstance(value, bool):
-            raise ParseError("%s must be an integer" % where)
-        if isinstance(value, int):
-            return value
-        if self.allow_rational_h and isinstance(value, str):
-            return self.rational(value, where)
-        raise ParseError("%s must be an integer (pass --allow-rational-h to "
-                         "accept \"p/q\" strings)" % where)
-
 
 # The checks of ``_Spec`` fields: each takes the reader, a raw value and
 # the parts of the field's path (the record's ``where`` and ``at``, then
 # the field's key), and returns the field's value or raises.
-
-def _typed(check):
-    """The check of a field of one type, for a value of another."""
-    def typed(r, value, where, at, key):
-        return check(r, value, _path(where, at, key))
-    return typed
-
-
-_TYPED = {str: _typed(_Reader.string), int: _typed(_Reader.integer),
-          bool: _typed(_Reader.boolean), list: _typed(_Reader.array)}
-
 
 def _member(members, message):
     """The check that a string names one of ``members``."""
@@ -186,7 +154,7 @@ def _member(members, message):
         if member is None:
             path = _path(where, at, key)
             try:
-                member = members[r.string(value, path)]
+                member = members[_expect(value, str, path)]
             except KeyError:
                 raise ParseError(message % {"where": path, "value": value})
         return member
@@ -194,10 +162,20 @@ def _member(members, message):
 
 
 def _h(r, value, where, at, key):
-    """A covering-degree ratio ``h``; see ``_Reader.h_field``."""
+    """A covering-degree ratio ``h``: an integer by contract, or a "p/q"
+    string when rational h is allowed. The message that names that option
+    is not given for a bool."""
     if type(value) is int:
         return value
-    return r.h_field(value, _path(where, at, key))
+    path = _path(where, at, key)
+    if r.allow_rational_h and isinstance(value, str):
+        return r.rational(value, path)
+    try:
+        return _expect(value, int, path)
+    except ParseError as err:
+        if isinstance(value, bool):
+            raise
+        raise ParseError("%s (pass --allow-rational-h to accept \"p/q\" strings)" % err)
 
 
 def _rational(r, value, where, at, key):
@@ -229,7 +207,7 @@ def _slope(r, value, where, at, key):
     a, b = vector
     if type(a) is not int or type(b) is not int:
         path = _path(where, at, key)
-        a, b = r.integer(a, path + "[0]"), r.integer(b, path + "[1]")
+        a, b = _expect(a, int, path + "[0]"), _expect(b, int, path + "[1]")
     slope = r.slopes.get((a, b, mult))
     if slope is None:
         try:
@@ -251,7 +229,7 @@ def _side(r, value, where, at, key):
 def _boundaries(r, value, where, at, key):
     """A piece's boundary records, checked before the piece's id."""
     if type(value) is not list:
-        r.array(value, _path(where, at, key))
+        _expect(value, list, _path(where, at, key))
     where += ".boundaries[%d]"
     boundaries = []
     for j, b in enumerate(value):
@@ -275,18 +253,15 @@ def _boundaries(r, value, where, at, key):
 class _Spec(tuple):
     """A record's fields in check order, (key, check) when required and
     (key, check, default) otherwise. A check that is a type is tested
-    inline, ``type(value) is check``; any other is called. ``known`` is
-    the set of the record's keys and ``take`` fetches its required fields
-    in one step."""
+    inline, ``type(value) is check``, and a value that fails goes to
+    ``_expect``; any other check is called. ``known`` is the set of the
+    record's keys and ``take`` fetches its required fields in one step."""
 
     def __new__(cls, *fields):
-        spec = super().__new__(cls, (
-            (key, check, default[0] if default else _MISSING, _TYPED[check])
-            if isinstance(check, type) else
-            (key, None, default[0] if default else _MISSING, check)
-            for key, check, *default in fields))
-        spec.known = frozenset(key for key, *_ in fields)
-        spec.take = itemgetter(*(key for key, _, default, _ in spec if default is _MISSING))
+        spec = super().__new__(cls, ((key, check, default[0] if default else _MISSING)
+                                     for key, check, *default in fields))
+        spec.known = frozenset(key for key, _, _ in spec)
+        spec.take = itemgetter(*(key for key, _, default in spec if default is _MISSING))
         return spec
 
 
@@ -311,11 +286,11 @@ _FDTC = _Spec(("m", int, 1), ("l_plus", _slope), ("l_minus", _slope), ("e", _slo
 def _parse_graph(r, data):
     r.unknown(data, {"vertices", "edges"}, "graph")
     vertices = []
-    for i, v in enumerate(r.array(data.get("vertices", []), "graph.vertices")):
+    for i, v in enumerate(_expect(data.get("vertices", []), list, "graph.vertices")):
         kind, vid, orientable, generators = r.record(v, _VERTEX, "graph.vertices[%d]", i)
         vertices.append(jsj.Vertex(vid, kind, orientable, generators))
     edges = [jsj.Edge(*r.record(e, _EDGE, "graph.edges[%d]", i))
-             for i, e in enumerate(r.array(data.get("edges", []), "graph.edges"))]
+             for i, e in enumerate(_expect(data.get("edges", []), list, "graph.edges"))]
     try:
         return jsj.DecoratedJSJGraph(vertices, edges), ()
     except jsj.InvalidGraph as err:
@@ -324,17 +299,17 @@ def _parse_graph(r, data):
 
 def _parse_flow(r, data):
     pieces = []
-    for i, p in enumerate(r.array(data.get("pieces", []), "pieces")):
+    for i, p in enumerate(_expect(data.get("pieces", []), list, "pieces")):
         piece_type, boundaries, pid = r.record(p, _PIECE, "pieces[%d]", i)
         pieces.append(flow.Piece(pid, piece_type, boundaries))
     tori = [flow.Torus(*r.record(t, _TORUS, "tori[%d]", i))
-            for i, t in enumerate(r.array(data.get("tori", []), "tori"))]
+            for i, t in enumerate(_expect(data.get("tori", []), list, "tori"))]
     return flow.FlowManifest(pieces, tori)
 
 
 def _parse_loop(r, data):
     crossings = []
-    for i, c in enumerate(r.array(data, "loop")):
+    for i, c in enumerate(_expect(data, list, "loop")):
         # the fast path of r.record(c, _CROSSING, "loop[%d]", i)
         if type(c) is not dict or not c.keys() <= _CROSSING.known:
             r.unknown(c, _CROSSING.known, "loop[%d]" % i)
