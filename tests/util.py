@@ -170,8 +170,8 @@ def oracle_fdtc_scan(l_plus, l_minus, e, bound=10 ** 4):
 
 
 def oracle_fdtc(l_plus, l_minus, e, m):
-    """``lattice.fdtc`` as it was written with a divisibility pre-check and
-    an early return for matching slopes: same values, same exceptions."""
+    """``lattice.fdtc`` with a divisibility pre-check on the first entry and
+    an early return for matching slopes; the same values and exceptions."""
     if e.multiplicity != 1:
         raise ValueError("reduction curve must have multiplicity 1")
     if m < 1:
