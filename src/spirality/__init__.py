@@ -12,7 +12,7 @@ the standard separable and non-separable example families.
 from .errors import SpiralityError, ParseError, Diagnostic
 from .lattice import Slope, intersection_number, fdtc, NotParallel
 from .graph import (DecoratedJSJGraph, Vertex, Edge, VertexKind, DirectedCycle,
-                    SpiralityCharacter, validate, cycle_spirality, character,
+                    SpiralityCharacter, cycle_spirality, character,
                     fundamental_cycle, verdict, InvalidGraph, InvalidCycle)
 from .flow import (FlowManifest, Piece, PieceBoundary, PieceType, Torus, Side,
                    Crossing, LoopItinerary, SideConvention,

@@ -15,13 +15,13 @@ The subsurface is aspiral exactly when every cycle has holonomy +-1, which
 by the embedding criterion is equivalent to the surface being virtually
 embedded, and in turn to being virtually a leaf of a taut foliation.
 
-A graph is checked when it is built: the constructor refuses data with
-structural errors (duplicate ids, dangling edge ends, h that is not a
-positive rational, omega other than +-1, an internal generator count
-that is not a non-negative int) by raising InvalidGraph, so every graph
-that exists is one the holonomy is defined on; ``validate`` then gives
-only the warnings. Graphs are immutable and all computations here are
-pure, so components may be processed in parallel without shared state.
+A graph is diagnosed once, when it is built: the constructor refuses data
+with structural errors (duplicate ids, dangling edge ends, h that is not a
+positive rational, omega other than +-1, an internal generator count that
+is not a non-negative int) by raising InvalidGraph, so every graph that
+exists is one the holonomy is defined on, and keeps the warnings of the
+same pass. Graphs are immutable and all computations here are pure, so
+components may be processed in parallel without shared state.
 """
 
 from enum import Enum
@@ -32,11 +32,8 @@ from .errors import SpiralityError, Value, error, warning
 
 
 class InvalidGraph(SpiralityError):
-    """The data of a decorated graph has structural errors.
-
-    ``diagnostics`` holds the errors, then the warnings ``validate`` would
-    give on the same data; the message joins the errors.
-    """
+    """The data of a decorated graph has structural errors: ``diagnostics``
+    holds them, then the data's warnings; the message joins the errors."""
 
     def __init__(self, diagnostics):
         self.diagnostics = tuple(diagnostics)
@@ -108,7 +105,8 @@ class DirectedCycle(Value):
 class DecoratedJSJGraph:
     """Immutable decorated multigraph; loops and parallel edges are allowed.
 
-    Raises InvalidGraph when the data has structural errors.
+    Raises InvalidGraph when the data has structural errors; ``warnings``
+    holds the data's warnings, legal but suspicious for an almost fiber part.
     """
 
     def __init__(self, vertices, edges):
@@ -116,9 +114,10 @@ class DecoratedJSJGraph:
         self.edges = tuple(edges)
         self._vertex_by_id = {v.id: v for v in self.vertices}
         self._edge_by_id = {e.id: e for e in self.edges}
-        errors = _errors(self)
+        errors, warnings = _diagnose(self)
         if errors:
-            raise InvalidGraph(errors + validate(self))
+            raise InvalidGraph(errors + warnings)
+        self.warnings = tuple(warnings)
 
     def vertex(self, vertex_id):
         return self._vertex_by_id[vertex_id]
@@ -134,8 +133,7 @@ class DecoratedJSJGraph:
             len(self.vertices), len(self.edges))
 
 
-# Diagnostic codes: errors refused by the constructor, then the warnings
-# reported by validate().
+# Diagnostic codes: the errors the constructor refuses, then the warnings.
 DUPLICATE_ID = "DuplicateId"
 BAD_INTERNAL_GENERATORS = "BadInternalGenerators"
 DANGLING_EDGE = "DanglingEdge"
@@ -149,76 +147,65 @@ OMEGA_AMBIGUITY = "OmegaAmbiguity"
 
 # The exact rationals an h may be.
 _RATIONAL = (int, Fraction)
+_BAND = VertexKind.ELEMENTARY_BAND
 
 
-def _errors(g):
-    """The structural errors of a graph's data, each vertex's then each
-    edge's in order; without them every holonomy is a nonzero rational."""
-    out = []
+def _diagnose(g):
+    """A graph's structural errors and warnings, vertex by vertex, then edge
+    by edge; without errors every holonomy is a nonzero rational."""
+    errors, warnings = [], []
     seen = set()
     for v in g.vertices:
         if v.id in seen:
-            out.append(error(DUPLICATE_ID, "duplicate vertex id %r" % v.id))
+            errors.append(error(DUPLICATE_ID, "duplicate vertex id %r" % v.id))
         seen.add(v.id)
         count = v.internal_omega_generators
         if not isinstance(count, int) or isinstance(count, bool):
-            out.append(error(BAD_INTERNAL_GENERATORS,
-                             "vertex %r has internal generator count %r, not an integer"
-                             % (v.id, count)))
+            errors.append(error(BAD_INTERNAL_GENERATORS,
+                                "vertex %r has internal generator count %r, not an integer"
+                                % (v.id, count)))
         elif count < 0:
-            out.append(error(BAD_INTERNAL_GENERATORS,
-                             "vertex %r has negative internal generator count" % v.id))
+            errors.append(error(BAD_INTERNAL_GENERATORS,
+                                "vertex %r has negative internal generator count" % v.id))
     seen = set()
-    vertex_ids = g._vertex_by_id
-    for e in g.edges:
-        if e.id in seen:
-            out.append(error(DUPLICATE_ID, "duplicate edge id %r" % e.id))
-        seen.add(e.id)
-        for end in (e.from_vertex, e.to_vertex):
-            if end not in vertex_ids:
-                out.append(error(DANGLING_EDGE,
-                                 "edge %r references missing vertex %r" % (e.id, end)))
-        if not (isinstance(e.h_ini, _RATIONAL) and isinstance(e.h_ter, _RATIONAL)):
-            out.append(error(NON_RATIONAL_H, "edge %r has non-rational h (%r, %r)"
-                             % (e.id, e.h_ini, e.h_ter)))
-        elif e.h_ini <= 0 or e.h_ter <= 0:
-            out.append(error(NON_POSITIVE_H,
-                             "edge %r has non-positive h (%s, %s)" % (e.id, e.h_ini, e.h_ter)))
-        if e.omega not in (1, -1) or not isinstance(e.omega, int):
-            out.append(error(BAD_OMEGA, "edge %r has omega %r" % (e.id, e.omega)))
-    return out
-
-
-def validate(g):
-    """The warnings on a decorated graph: data that is legal but suspicious
-    for an almost fiber part. The empty list means there is nothing to
-    remark. Structural errors never reach here, since a graph with any
-    cannot be built; the constructor also runs this on the data it
-    refuses, so an edge end may be missing and h may be bad.
-    """
-    out = []
     vertex_by_id = g._vertex_by_id
     for e in g.edges:
-        if (isinstance(e.h_ini, _RATIONAL) and isinstance(e.h_ter, _RATIONAL)
-                and e.h_ini > 0 and e.h_ter > 0
-                and (e.h_ini.denominator != 1 or e.h_ter.denominator != 1)):
-            out.append(warning(NON_INTEGRAL_H,
-                               "edge %r carries non-integral h (%s, %s), accepted in "
-                               "relaxed mode only" % (e.id, e.h_ini, e.h_ter)))
+        if e.id in seen:
+            errors.append(error(DUPLICATE_ID, "duplicate edge id %r" % e.id))
+        seen.add(e.id)
         u, v = vertex_by_id.get(e.from_vertex), vertex_by_id.get(e.to_vertex)
-        if u is not None and v is not None:
-            u_band = u.kind is VertexKind.ELEMENTARY_BAND
-            v_band = v.kind is VertexKind.ELEMENTARY_BAND
-            if u_band and v_band:
-                out.append(warning(ELEMENTARY_ADJACENCY,
-                                   "edge %r joins two elementary bands; such pieces "
-                                   "cannot be adjacent in a nonelementary manifold" % e.id))
-            if (u_band or v_band) and not (u.orientable and v.orientable):
-                out.append(warning(OMEGA_AMBIGUITY,
-                                   "edge %r touches an elementary band next to a "
-                                   "non-orientable subsurface; omega sign data is taken "
-                                   "as given" % e.id))
-    return out
+        if u is None or v is None:
+            errors.extend(error(DANGLING_EDGE, "edge %r references missing vertex %r"
+                                % (e.id, end))
+                          for end in (e.from_vertex, e.to_vertex) if end not in vertex_by_id)
+        h_ini, h_ter = e.h_ini, e.h_ter
+        # a pair of positive ints, the common case, is settled by the first test
+        if type(h_ini) is not int or type(h_ter) is not int or h_ini <= 0 or h_ter <= 0:
+            if not (isinstance(h_ini, _RATIONAL) and isinstance(h_ter, _RATIONAL)):
+                errors.append(error(NON_RATIONAL_H, "edge %r has non-rational h (%r, %r)"
+                                    % (e.id, h_ini, h_ter)))
+            elif h_ini <= 0 or h_ter <= 0:
+                errors.append(error(NON_POSITIVE_H, "edge %r has non-positive h (%s, %s)"
+                                    % (e.id, h_ini, h_ter)))
+            elif h_ini.denominator != 1 or h_ter.denominator != 1:
+                warnings.append(warning(NON_INTEGRAL_H,
+                                        "edge %r carries non-integral h (%s, %s), accepted "
+                                        "in relaxed mode only" % (e.id, h_ini, h_ter)))
+        if e.omega not in (1, -1) or not isinstance(e.omega, int):
+            errors.append(error(BAD_OMEGA, "edge %r has omega %r" % (e.id, e.omega)))
+        # last, so that an edge's h warning comes before its band warnings
+        if u is not None and v is not None and (u.kind is _BAND or v.kind is _BAND):
+            if u.kind is v.kind:  # both bands
+                warnings.append(warning(ELEMENTARY_ADJACENCY,
+                                        "edge %r joins two elementary bands; such pieces "
+                                        "cannot be adjacent in a nonelementary manifold"
+                                        % e.id))
+            if not (u.orientable and v.orientable):
+                warnings.append(warning(OMEGA_AMBIGUITY,
+                                        "edge %r touches an elementary band next to a "
+                                        "non-orientable subsurface; omega sign data is "
+                                        "taken as given" % e.id))
+    return errors, warnings
 
 
 def _step_endpoints(g, step):
@@ -381,12 +368,12 @@ def character(g, forest=None):
         forest = spanning_forest(g)
     else:
         forest = frozenset(forest)
-        # the spanning forest of the subgraph they form keeps all the edges
-        # only when each is known and none closes a cycle; they span when
-        # they are as many as the default forest's
-        own = spanning_forest(DecoratedJSJGraph(
-            g.vertices, [e for e in g.edges if e.id in forest]))
-        if not len(forest) == len(own) == len(spanning_forest(g)):
+        # a union-find over them joins once per edge only when each is known
+        # and none closes a cycle; they span when as many as the default's
+        parent = {v.id: v.id for v in g.vertices}
+        joined = sum(_union(parent, e.from_vertex, e.to_vertex)
+                     for e in g.edges if e.id in forest)
+        if not len(forest) == joined == len(spanning_forest(g)):
             raise ValueError("%s is not a spanning forest of the graph"
                              % sorted(forest, key=str))
     tree = _forest_walk(g, forest)

@@ -13,10 +13,10 @@ Slopes are written as [a, b], or {"vector": [a, b], "mult": m} when the
 curve wraps; rationals as "p/q" strings (plain integers are accepted).
 Unknown fields are rejected in strict mode and downgraded to warnings
 otherwise. Schema violations raise ParseError. Well-typed graph data with
-structural errors (say h = 0, or a dangling edge) parses to no graph, and
-``graph_diagnostics`` holds the constructor's diagnostics for the check to
-report; other suspect but well-typed data parses fine and is left to the
-validators, which report diagnostics instead of raising.
+structural errors (say h = 0, or a dangling edge) parses to no graph;
+``graph_diagnostics`` holds the graph constructor's diagnostics, or the
+built graph's warnings, for the check to report. Other suspect but
+well-typed data parses fine and is left to the validators.
 """
 
 import json
@@ -43,8 +43,8 @@ class FdtcInput(Value):
 
 class ParsedManifest(Value):
     """A manifest's sections. ``graph`` is None when the graph section is
-    absent or its data has structural errors; then ``graph_diagnostics``
-    holds InvalidGraph's diagnostics, and is empty otherwise."""
+    absent or its data has structural errors; ``graph_diagnostics`` holds
+    InvalidGraph's diagnostics then, and otherwise the graph's warnings."""
 
     __slots__ = ("graph", "flow", "loop", "fdtc", "expected", "warnings",
                  "graph_diagnostics")
@@ -136,12 +136,6 @@ class _Reader:
             self.unknown(obj, spec.known, where % at)
         return self.fields(obj, spec, where, *at)
 
-    def rational(self, value, where):
-        try:
-            return parse_rational(value)
-        except ParseError as err:
-            raise ParseError("%s: %s" % (where, err))
-
 
 # The checks of ``_Spec`` fields: each takes the reader, a raw value and
 # the parts of the field's path (the record's ``where`` and ``at``, then
@@ -167,9 +161,9 @@ def _h(r, value, where, at, key):
     is not given for a bool."""
     if type(value) is int:
         return value
-    path = _path(where, at, key)
     if r.allow_rational_h and isinstance(value, str):
-        return r.rational(value, path)
+        return _rational(r, value, where, at, key)
+    path = _path(where, at, key)
     try:
         return _expect(value, int, path)
     except ParseError as err:
@@ -292,9 +286,10 @@ def _parse_graph(r, data):
     edges = [jsj.Edge(*r.record(e, _EDGE, "graph.edges[%d]", i))
              for i, e in enumerate(_expect(data.get("edges", []), list, "graph.edges"))]
     try:
-        return jsj.DecoratedJSJGraph(vertices, edges), ()
+        g = jsj.DecoratedJSJGraph(vertices, edges)
     except jsj.InvalidGraph as err:
         return None, err.diagnostics
+    return g, g.warnings
 
 
 def _parse_flow(r, data):
@@ -336,11 +331,30 @@ def _parse_fdtc(r, data):
 TOP_LEVEL_FIELDS = {"graph", "pieces", "tori", "loop", "fdtc", "expected"}
 
 
+class _Literal:
+    """A JSON float, NaN or Infinity as written: no field takes one."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __repr__(self):
+        return self.text
+
+
+_DECODER = json.JSONDecoder(parse_float=_Literal, parse_constant=_Literal)
+
+
 def parse_manifest(text, strict=True, allow_rational_h=False):
     """Parse a manifest document (JSON text or an already-decoded dict)."""
     if isinstance(text, (str, bytes)):
         try:
-            data = json.loads(text)
+            # json.loads, with the one decoder
+            if isinstance(text, bytes):
+                text = text.decode(json.detect_encoding(text), "surrogatepass")
+            elif text.startswith("\ufeff"):
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                           text, 0)
+            data = _DECODER.decode(text)
         except json.JSONDecodeError as err:
             raise ParseError(err.msg, line=err.lineno, column=err.colno)
         except ValueError as err:  # an integer literal over the digit limit
@@ -361,8 +375,10 @@ def parse_manifest(text, strict=True, allow_rational_h=False):
         parsed_flow = _parse_flow(r, data)
     parsed_loop = _parse_loop(r, data["loop"]) if "loop" in data else None
     parsed_fdtc = _parse_fdtc(r, data["fdtc"]) if "fdtc" in data else None
-    expected = (r.rational(data["expected"], "expected")
-                if "expected" in data else None)
+    try:
+        expected = parse_rational(data["expected"]) if "expected" in data else None
+    except ParseError as err:
+        raise ParseError("expected: %s" % err)
     return ParsedManifest(parsed_graph, parsed_flow, parsed_loop, parsed_fdtc,
                           expected, tuple(r.warnings), graph_diagnostics)
 

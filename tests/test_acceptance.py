@@ -172,7 +172,7 @@ def test_criterion_6_fdtc_laws():
         for _ in range(200):  # vanishing iff the slopes match, scan agreement
             e = random_primitive_slope(rng)
             l_plus, l_minus = random_slope(rng), random_slope(rng)
-            k = oracle_fdtc_scan(l_plus, l_minus, e, bound=10 ** 4)
+            k = oracle_fdtc_scan(l_plus, l_minus, e)
             if k is None:
                 with pytest.raises(NotParallel):
                     fdtc(l_plus, l_minus, e, 1)

@@ -295,17 +295,17 @@ class TestOneCheck:
 
 
 class TestOneValidation:
-    """A graph is validated once: its constructor refuses the errors, and
-    the check asks ``validate`` for the warnings."""
+    """A graph is diagnosed once, where it is built: its constructor refuses
+    the errors and keeps the warnings, which the check reads off the parse."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        validate, calls = spirality.graph.validate, []
+        diagnose, calls = spirality.graph._diagnose, []
 
         def counted(g):
             calls.append(g)
-            return validate(g)
-        monkeypatch.setattr(spirality.graph, "validate", counted)
+            return diagnose(g)
+        monkeypatch.setattr(spirality.graph, "_diagnose", counted)
         return calls
 
     def test_aspiral_validates_a_graph_manifest_once(self, tmp_path, capsys, calls):
@@ -315,9 +315,10 @@ class TestOneValidation:
 
     def test_character_runs_no_validation(self, calls):
         g = spirality.parse_manifest(GOOD_GRAPH).graph
+        assert len(calls) == 1
         spirality.character(g)
         spirality.character(g, spirality.graph.spanning_forest(g))
-        assert calls == []
+        assert len(calls) == 1
 
 
 class TestGen:
@@ -623,18 +624,13 @@ _PATHS = list(_node_paths(FULL_MANIFEST))
 _values = json_values | st.sampled_from([_node(FULL_MANIFEST, p) for p in _PATHS])
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.sampled_from(_PATHS), _values)
-@example(("loop", 0, "torus"), "ghost")
-@example(("tori", 0, "plus", "piece"), "J_minus")
-def test_every_command_keeps_the_exit_contract(path, value):
-    """Any one-node change: exit 0, 1 or 2 and no exception from any command,
-    and no command finds invalid what validate accepts."""
-    doc = replace_node(FULL_MANIFEST, path, value)
+def _keeps_the_exit_contract(data):
+    """Run every path command on the manifest bytes ``data``: each exits 0, 1
+    or 2 with no exception, and none finds invalid what validate accepts."""
     with tempfile.TemporaryDirectory() as work:
         manifest = os.path.join(work, "m.json")
-        with open(manifest, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
+        with open(manifest, "wb") as handle:
+            handle.write(data)
         results = {}
         for command in ("validate", "aspiral", "rw", "fdtc", "crosscheck"):
             out = io.StringIO()
@@ -643,6 +639,52 @@ def test_every_command_keeps_the_exit_contract(path, value):
     assert all(code in (0, 1, 2) for code, _ in results.values())
     if results["validate"][0] == 0:
         assert not any("status: invalid" in text for _, text in results.values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(_PATHS), _values)
+@example(("loop", 0, "torus"), "ghost")
+@example(("tori", 0, "plus", "piece"), "J_minus")
+def test_every_command_keeps_the_exit_contract(path, value):
+    """Any one-node change keeps the exit contract."""
+    doc = replace_node(FULL_MANIFEST, path, value)
+    _keeps_the_exit_contract(json.dumps(doc).encode("utf-8"))
+
+
+# Golden inputs of each section: graphs with warnings, a flow manifest with
+# a loop, an fdtc section and an expected value.
+_GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "corpus.json")
+                     .read_text(encoding="utf-8"))["inputs"]
+_SEEDS = [_GOLDEN[name].encode("utf-8") for name in (
+    "graph-signed.json", "graph-error-and-warning.json", "twist-k1-p1-q1-d1.json",
+    "random-s165.json", "fdtc-sample.json")]
+
+
+@st.composite
+def _mutated(draw):
+    """Golden input bytes, truncated, with one byte flipped, spliced onto
+    another, behind a UTF-8 BOM, or with a byte that is not UTF-8 put in."""
+    data = draw(st.sampled_from(_SEEDS))
+    at = draw(st.integers(0, len(data) - 1))
+    how = draw(st.sampled_from(("truncate", "flip", "splice", "bom", "not-utf8")))
+    if how == "truncate":
+        return data[:at]
+    if how == "flip":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    if how == "splice":
+        other = draw(st.sampled_from(_SEEDS))
+        return data[:at] + other[draw(st.integers(0, len(other))):]
+    if how == "bom":
+        return b"\xef\xbb\xbf" + data
+    return data[:at] + bytes([draw(st.sampled_from((0x80, 0xbf, 0xc0, 0xf5, 0xff)))]) + data[at:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated())
+@example(b"\xef\xbb\xbf" + _SEEDS[0])
+@example(_SEEDS[2][:-2])
+def test_every_command_keeps_the_exit_contract_over_bytes(data):
+    _keeps_the_exit_contract(data)
 
 
 def _parse_outcome(parser, argv):

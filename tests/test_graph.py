@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, VertexKind,
-                       validate, cycle_spirality, character, fundamental_cycle,
+                       cycle_spirality, character, fundamental_cycle,
                        verdict, InvalidCycle, InvalidGraph)
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest,
                              BAD_INTERNAL_GENERATORS, DANGLING_EDGE, NON_POSITIVE_H,
@@ -45,7 +45,7 @@ def refused(vertices, edges):
 
 class TestValidate:
     def test_well_formed(self):
-        assert validate(two_vertex_graph()) == []
+        assert two_vertex_graph().warnings == ()
 
     def test_dangling_edge(self):
         diagnostics = refused([Vertex("a")], [Edge("e", "a", "ghost", 1, 1)])
@@ -87,9 +87,9 @@ class TestValidate:
             [Vertex("a", VertexKind.ELEMENTARY_BAND),
              Vertex("b", VertexKind.ELEMENTARY_BAND, orientable=False)],
             [Edge("e", "a", "b", 1, 1)])
-        codes = {d.code for d in validate(g)}
+        codes = {d.code for d in g.warnings}
         assert codes == {ELEMENTARY_ADJACENCY, OMEGA_AMBIGUITY}
-        assert all(not d.is_error for d in validate(g))
+        assert all(not d.is_error for d in g.warnings)
 
     def test_invalid_graph_blocks_character(self):
         # character never meets a graph with errors: none can be built
@@ -144,7 +144,7 @@ def test_constructor_refuses_exactly_the_oracles_errors(data):
         assert list(info.value.diagnostics) == errors + warnings
         assert str(info.value) == "; ".join(str(d) for d in errors)
     else:
-        assert validate(DecoratedJSJGraph(vertices, edges)) == expected
+        assert DecoratedJSJGraph(vertices, edges).warnings == tuple(expected)
 
 
 class TestCycleSpirality:

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from spirality import (ParseError, Slope, parse_manifest, dumps_manifest,
                        gen_twist_family, gen_matched_slopes, TwistFamilyParams,
-                       parse_rational, format_rational, validate)
+                       parse_rational, format_rational)
 from spirality.graph import NON_INTEGRAL_H, NON_POSITIVE_H
 from spirality.manifest import FdtcInput, loop_to_list, flow_to_dict, indented_json
 
@@ -58,7 +58,7 @@ class TestGraphSection:
         assert [v.id for v in g.vertices] == ["a", "b"]
         assert g.vertex("b").internal_omega_generators == 1
         assert g.edge("e2").omega == -1
-        assert validate(g) == []
+        assert g.warnings == () and parsed.graph_diagnostics == ()
 
     def test_unknown_field_strict(self):
         doc = json.loads(GRAPH_DOC)
@@ -93,7 +93,8 @@ class TestGraphSection:
             parse_manifest(doc)
         parsed = parse_manifest(doc, allow_rational_h=True)
         assert parsed.graph.edge("e1").h_ini == Fraction(3, 2)
-        diagnostics = validate(parsed.graph)
+        diagnostics = parsed.graph.warnings
+        assert parsed.graph_diagnostics == diagnostics
         assert NON_INTEGRAL_H in {d.code for d in diagnostics}
         assert not any(d.is_error for d in diagnostics)
 
@@ -105,6 +106,57 @@ class TestGraphSection:
     def test_non_object_rejected(self):
         with pytest.raises(ParseError):
             parse_manifest("[1, 2]")
+
+
+class TestFloatLiterals:
+    """A JSON number with a fraction or an exponent, NaN or Infinity is
+    never a value of a field, and a message names it as written."""
+
+    @pytest.mark.parametrize("literal", ["1e400", "1E+400", "1.50", "-0.0", "NaN",
+                                         "Infinity", "-Infinity"])
+    def test_a_float_is_named_as_written(self, literal):
+        with pytest.raises(ParseError) as info:
+            parse_manifest('{"expected": %s}' % literal)
+        assert str(info.value) == ('expected: malformed rational %s (expected "p" or "p/q")'
+                                   % literal)
+
+    @pytest.mark.parametrize("literal", ["1.0", "2e0", "NaN"])
+    @pytest.mark.parametrize("doc, message", [
+        ('{"graph": {"vertices": [{"id": %s}]}}', "graph.vertices[0].id must be a string"),
+        ('{"graph": {"vertices": [{"id": "a", "kind": %s}]}}',
+         "graph.vertices[0].kind must be a string"),
+        ('{"graph": {"vertices": [{"id": "a", "internal_omega_generators": %s}]}}',
+         "graph.vertices[0].internal_omega_generators must be an integer"),
+        ('{"graph": {"vertices": [{"id": "a"}], "edges": [{"id": "e", "from": "a", '
+         '"to": "a", "h_ini": 1, "h_ter": 1, "omega": %s}]}}',
+         "graph.edges[0].omega must be an integer"),
+        ('{"graph": {"vertices": [{"id": "a"}], "edges": [{"id": "e", "from": "a", '
+         '"to": "a", "h_ini": %s, "h_ter": 1}]}}',
+         "graph.edges[0].h_ini must be an integer (pass --allow-rational-h to accept "
+         '"p/q" strings)'),
+        ('{"fdtc": {"l_plus": [%s, 0], "l_minus": [1, 0], "e": [0, 1]}}',
+         "fdtc.l_plus[0] must be an integer"),
+        ('{"fdtc": {"l_plus": [1, 0], "l_minus": [1, 0], "e": [0, 1], "m": %s}}',
+         "fdtc.m must be an integer"),
+    ])
+    def test_a_float_never_passes_for_a_string_or_an_integer(self, doc, message, literal):
+        for allow_rational_h in (False, True):
+            with pytest.raises(ParseError) as info:
+                parse_manifest(doc % literal, allow_rational_h=allow_rational_h)
+            assert str(info.value) == message
+
+    def test_no_parse_builds_a_decoder(self, monkeypatch):
+        built, init = [], json.JSONDecoder.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(json.JSONDecoder, "__init__", counted)
+        parse_manifest(GRAPH_DOC)
+        parse_manifest(GRAPH_DOC.encode("utf-8"))
+        with pytest.raises(ParseError):
+            parse_manifest('{"expected": 1e400}')
+        assert built == []
 
 
 class TestSlopeField:

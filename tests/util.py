@@ -157,12 +157,15 @@ def oracle_cover_degree(c, cover):
     raise AssertionError("no degree up to |det| worked; oracle is wrong")
 
 
-def oracle_fdtc_scan(l_plus, l_minus, e, bound=10 ** 4):
-    """Scan |k| <= bound for total(l+) - total(l-) = k * e; None if no k fits."""
+def oracle_fdtc_scan(l_plus, l_minus, e):
+    """Scan k for total(l+) - total(l-) = d = k * e; None if no k fits. As e
+    is primitive, so nonzero, a fitting k has |k| <= max(|d0|, |d1|), and
+    the scan stops there."""
     p0, p1 = l_plus.total()
     m0, m1 = l_minus.total()
     d0, d1 = p0 - m0, p1 - m1
     e0, e1 = e.vector
+    bound = max(abs(d0), abs(d1))
     for k in range(-bound, bound + 1):
         if (k * e0, k * e1) == (d0, d1):
             return k
