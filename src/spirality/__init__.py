@@ -19,7 +19,7 @@ from .flow import (FlowManifest, Piece, PieceBoundary, PieceType, Torus, Side,
                    flow_spirality,
                    equiperiodic_rho_is_one,
                    decorate_from_flow, normalize_itinerary,
-                   validate_manifest, validate_itinerary)
+                   validate_itinerary, InvalidFlow)
 from .generators import (TwistFamilyParams, TwistFamilyInstance, gen_twist_family,
                          gen_matched_slopes, gen_random_flow, BadParams)
 from .manifest import parse_manifest, dumps_manifest, ParsedManifest

@@ -153,22 +153,16 @@ def _fdtc_diagnostics(data):
 
 def _check(parsed, report):
     """The one check of every manifest, read from a path or generated by
-    ``crosscheck --random``: the graph diagnostics the parse kept, the flow
-    manifest, the loop whenever the flow sections have no errors, and the
-    fdtc section. Warnings go to the report; errors become rows followed by
-    ``status: invalid``. Returns whether there is no error, and the loop's
-    FlowFactors from the check's one pass over it (None when the pass did
-    not run or found an error)."""
-    diagnostics, factors = list(parsed.graph_diagnostics), None
-    if parsed.loop is not None and parsed.flow is None:
-        diagnostics.append(diag_error(
-            "DanglingReference", "loop given without pieces/tori sections"))
-    if parsed.flow is not None:
-        flow_diagnostics = flow.validate_manifest(parsed.flow)
-        if parsed.loop is not None and not any(d.is_error for d in flow_diagnostics):
-            loop_diagnostics, factors = flow.validate_itinerary(parsed.loop, parsed.flow)
-            flow_diagnostics += loop_diagnostics
-        diagnostics += flow_diagnostics
+    ``crosscheck --random``: the diagnostics the parse kept, the loop
+    whenever there is a flow manifest (one without errors) to resolve it
+    on, and the fdtc section. Warnings go to the report; errors become rows
+    followed by ``status: invalid``. Returns whether there is no error, and
+    the loop's FlowFactors from the check's one pass over it (None when the
+    pass did not run or found an error)."""
+    diagnostics, factors = list(parsed.diagnostics), None
+    if parsed.flow is not None and parsed.loop is not None:
+        loop_diagnostics, factors = flow.validate_itinerary(parsed.loop, parsed.flow)
+        diagnostics += loop_diagnostics
     if parsed.fdtc is not None:
         diagnostics += _fdtc_diagnostics(parsed.fdtc)
     report.warnings.extend(parsed.warnings)
@@ -323,7 +317,8 @@ def cmd_crosscheck(args):
         sources = []
         for seed in range(args.seed, args.seed + args.random):
             m, loop = generators.gen_random_flow(seed)
-            sources.append(("seed %d" % seed, mf.ParsedManifest(flow=m, loop=loop)))
+            sources.append(("seed %d" % seed, mf.ParsedManifest(flow=m, loop=loop,
+                                                                 diagnostics=m.warnings)))
     elif args.paths:
         loaded = [_load(path, args) for path in args.paths]
         digest = _digest(b"".join(raw for raw, _ in loaded))

@@ -25,6 +25,15 @@ class ParseError(SpiralityError):
         return base
 
 
+class InvalidData(SpiralityError):
+    """Data refused where it is built, for structural errors: ``diagnostics``
+    holds them, then the data's warnings; the message joins the errors."""
+
+    def __init__(self, diagnostics):
+        self.diagnostics = tuple(diagnostics)
+        super().__init__("; ".join(str(d) for d in self.diagnostics if d.is_error))
+
+
 class Value:
     """Base of the immutable value types.
 

@@ -24,13 +24,18 @@ at ingestion.
 Leaf lengths are exact positive rationals supplied as data; only their
 ratios matter, and rescaling all lengths of one piece by a common factor
 changes nothing.
+
+A manifest is diagnosed once, when it is built: FlowManifest refuses data
+the formula is not defined on (say a one-sided torus, or a leaf length that
+is not positive) by raising InvalidFlow, and otherwise keeps the warnings
+and each torus's two sides, resolved once for every loop over it.
 """
 
 from enum import Enum
 from fractions import Fraction
 from math import prod
 
-from .errors import Value, error, warning
+from .errors import InvalidData, Value, error, warning
 from .lattice import intersection_number
 from . import graph as jsj
 
@@ -75,20 +80,14 @@ class PieceBoundary(Value):
 
 
 class Piece(Value):
-    __slots__ = ("id", "type", "boundaries", "_by_id")
+    __slots__ = ("id", "type", "boundaries")
 
     def __init__(self, id, type, boundaries):
         if isinstance(type, str):
             type = PieceType(type)
-        boundaries = tuple(boundaries)
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "type", type)
-        object.__setattr__(self, "boundaries", boundaries)
-        # indexed once; where an id repeats, the first boundary wins
-        object.__setattr__(self, "_by_id", {b.id: b for b in reversed(boundaries)})
-
-    def boundary(self, boundary_id):
-        return self._by_id[boundary_id]
+        object.__setattr__(self, "boundaries", tuple(boundaries))
 
 
 class Torus(Value):
@@ -102,24 +101,21 @@ class Torus(Value):
         object.__setattr__(self, "minus", minus)
         object.__setattr__(self, "frame", frame)
 
-    def side(self, which):
-        return self.plus if which is Side.PLUS else self.minus
+
+class InvalidFlow(InvalidData):
+    """The data of a flow manifest has structural errors."""
 
 
 class FlowManifest:
-    """Immutable pseudo graph manifold data: pieces and two-sided tori."""
+    """Immutable pseudo graph manifold data, diagnosed when it is built."""
 
     def __init__(self, pieces, tori):
         self.pieces = tuple(pieces)
         self.tori = tuple(tori)
-        self._piece_by_id = {p.id: p for p in self.pieces}
-        self._torus_by_id = {t.id: t for t in self.tori}
-
-    def piece(self, piece_id):
-        return self._piece_by_id[piece_id]
-
-    def torus(self, torus_id):
-        return self._torus_by_id[torus_id]
+        errors, warnings, self._sides = _diagnose(self)
+        if errors:
+            raise InvalidFlow(errors + warnings)
+        self.warnings = tuple(warnings)
 
     def __repr__(self):
         return "FlowManifest(%d pieces, %d tori)" % (len(self.pieces), len(self.tori))
@@ -173,76 +169,77 @@ PIECE_MISMATCH = "PieceMismatch"
 NOT_TRANSVERSE = "NotFlowTransverse"
 
 
-def validate_manifest(m):
-    """Structural diagnostics: two-sided tori, positive lengths, Seifert fibers."""
-    out = []
-    seen = set()
-    side_refs = {}
+def _diagnose(m):
+    """A flow manifest's structural errors and warnings: piece by piece, torus
+    by torus, then each boundary no torus side claims; and ``sides``, each
+    torus id's plus and minus sides resolved to (piece id, PieceBoundary)."""
+    errors, warnings = [], []
+    torus_ids = {t.id for t in m.tori}
+    # each piece id's boundaries by id; the last piece and first boundary win
+    boundaries = {}
     for p in m.pieces:
-        if p.id in seen:
-            out.append(error(DUPLICATE_ID, "duplicate piece id %r" % p.id))
-        seen.add(p.id)
-        bseen = set()
+        if p.id in boundaries:
+            errors.append(error(DUPLICATE_ID, "duplicate piece id %r" % p.id))
+        own = boundaries[p.id] = {}
         for b in p.boundaries:
-            if b.id in bseen:
-                out.append(error(DUPLICATE_ID,
-                                 "duplicate boundary id %r on piece %r" % (b.id, p.id)))
-            bseen.add(b.id)
+            if b.id in own:
+                errors.append(error(DUPLICATE_ID,
+                                    "duplicate boundary id %r on piece %r" % (b.id, p.id)))
+            own.setdefault(b.id, b)
             if b.leaf_length.numerator <= 0:  # a Fraction's denominator is positive
-                out.append(error(NON_POSITIVE_LEAF,
-                                 "boundary %r of piece %r has leaf length %s"
-                                 % (b.id, p.id, b.leaf_length)))
-            if b.torus not in m._torus_by_id:
-                out.append(error(DANGLING_REF,
-                                 "boundary %r of piece %r references missing torus %r"
-                                 % (b.id, p.id, b.torus)))
+                errors.append(error(NON_POSITIVE_LEAF,
+                                    "boundary %r of piece %r has leaf length %s"
+                                    % (b.id, p.id, b.leaf_length)))
+            if b.torus not in torus_ids:
+                errors.append(error(DANGLING_REF,
+                                    "boundary %r of piece %r references missing torus %r"
+                                    % (b.id, p.id, b.torus)))
             if b.degeneracy_slope.multiplicity != 1:
-                out.append(warning(SLOPE_MULTIPLICITY,
-                                   "degeneracy slope on %r/%r has multiplicity %d; "
-                                   "closed leaves are primitive curves"
-                                   % (p.id, b.id, b.degeneracy_slope.multiplicity)))
+                warnings.append(warning(SLOPE_MULTIPLICITY,
+                                        "degeneracy slope on %r/%r has multiplicity %d; "
+                                        "closed leaves are primitive curves"
+                                        % (p.id, b.id, b.degeneracy_slope.multiplicity)))
         if p.type is PieceType.SEIFERT and not _one_leaf_length(p):
-            out.append(error(SEIFERT_LEAF_MISMATCH,
-                             "Seifert piece %r has unequal boundary leaf lengths "
-                             "(the ordinary fiber has one length)" % p.id))
-    seen = set()
+            errors.append(error(SEIFERT_LEAF_MISMATCH,
+                                "Seifert piece %r has unequal boundary leaf lengths "
+                                "(the ordinary fiber has one length)" % p.id))
+    sides = {}
+    claimed = set()
     for t in m.tori:
-        if t.id in seen:
-            out.append(error(DUPLICATE_ID, "duplicate torus id %r" % t.id))
-        seen.add(t.id)
-        for side in (Side.PLUS, Side.MINUS):
-            piece_id, boundary_id = t.side(side)
-            piece = m._piece_by_id.get(piece_id)
-            if piece is None:
-                out.append(error(DANGLING_REF,
-                                 "torus %r %s side references missing piece %r"
-                                 % (t.id, side.value, piece_id)))
+        if t.id in sides:
+            errors.append(error(DUPLICATE_ID, "duplicate torus id %r" % t.id))
+        sides[t.id] = resolved = []
+        for name, (piece_id, boundary_id) in (("plus", t.plus), ("minus", t.minus)):
+            own = boundaries.get(piece_id)
+            if own is None:
+                errors.append(error(DANGLING_REF,
+                                    "torus %r %s side references missing piece %r"
+                                    % (t.id, name, piece_id)))
                 continue
-            try:
-                b = piece.boundary(boundary_id)
-            except KeyError:
-                out.append(error(DANGLING_REF,
-                                 "torus %r %s side references missing boundary %r/%r"
-                                 % (t.id, side.value, piece_id, boundary_id)))
+            b = own.get(boundary_id)
+            if b is None:
+                errors.append(error(DANGLING_REF,
+                                    "torus %r %s side references missing boundary %r/%r"
+                                    % (t.id, name, piece_id, boundary_id)))
                 continue
             if b.torus != t.id:
-                out.append(error(DANGLING_REF,
-                                 "torus %r %s side uses boundary %r/%r which belongs "
-                                 "to torus %r" % (t.id, side.value, piece_id,
-                                                  boundary_id, b.torus)))
-            key = (piece_id, boundary_id)
-            if key in side_refs:
-                out.append(error(UNPAIRED_BOUNDARY,
-                                 "boundary %r/%r is claimed by two torus sides"
-                                 % key))
-            side_refs[key] = t.id
+                errors.append(error(DANGLING_REF,
+                                    "torus %r %s side uses boundary %r/%r which belongs "
+                                    "to torus %r" % (t.id, name, piece_id, boundary_id,
+                                                     b.torus)))
+            if (piece_id, boundary_id) in claimed:
+                errors.append(error(UNPAIRED_BOUNDARY,
+                                    "boundary %r/%r is claimed by two torus sides"
+                                    % (piece_id, boundary_id)))
+            claimed.add((piece_id, boundary_id))
+            resolved.append((piece_id, b))
     for p in m.pieces:
         for b in p.boundaries:
-            if b.torus in m._torus_by_id and (p.id, b.id) not in side_refs:
-                out.append(error(UNPAIRED_BOUNDARY,
-                                 "boundary %r/%r is not a side of any torus"
-                                 % (p.id, b.id)))
-    return out
+            if b.torus in torus_ids and (p.id, b.id) not in claimed:
+                errors.append(error(UNPAIRED_BOUNDARY,
+                                    "boundary %r/%r is not a side of any torus"
+                                    % (p.id, b.id)))
+    return errors, warnings, sides
 
 
 def equiperiodic_rho_is_one(m):
@@ -305,25 +302,22 @@ def validate_itinerary(itinerary, m):
     missing torus; failing that, crossing by crossing in loop order, each
     degeneracy slope a crossing is parallel to and a piece it enters that
     the next crossing does not leave. ``factors`` is the loop's FlowFactors,
-    or None when there is a diagnostic. The manifest must be one that
-    validate_manifest finds no error in.
+    or None when there is a diagnostic.
     """
     crossings = itinerary.crossings
+    sides = m._sides
     out = [error(DANGLING_REF, "crossing %d references missing torus %r" % (i, c.torus))
-           for i, c in enumerate(crossings) if c.torus not in m._torus_by_id]
+           for i, c in enumerate(crossings) if c.torus not in sides]
     if out:
         return out, None
-    torus_by_id, piece_by_id = m._torus_by_id, m._piece_by_id
+    plus = Side.PLUS
     intersections, left, entered, left_pieces = [], [], [], []
     for i, c in enumerate(crossings):
-        torus = torus_by_id[c.torus]
-        (leave_piece, left_id), (enter_piece, entered_id) = (
-            (torus.plus, torus.minus) if c.from_side is Side.PLUS
-            else (torus.minus, torus.plus))
+        pair = sides[c.torus]
+        (leave_piece, leave), (enter_piece, enter) = (
+            pair if c.from_side is plus else pair[::-1])
         if i and entered_piece != leave_piece:
             out.append(_piece_mismatch(i - 1, entered_piece, i, leave_piece))
-        leave = piece_by_id[leave_piece].boundary(left_id)
-        enter = piece_by_id[enter_piece].boundary(entered_id)
         n_leave = intersection_number(c.curve, leave.degeneracy_slope)
         n_enter = intersection_number(c.curve, enter.degeneracy_slope)
         if n_leave == 0 or n_enter == 0:
@@ -373,9 +367,9 @@ def decorate_from_flow(factors, m):
     n = len(factors.intersections)
     left = [b.leaf_length for b in factors.left]
     entered = [b.leaf_length for b in factors.entered]
-    vertices = [jsj.Vertex("seg%03d" % i, jsj.VertexKind.HORIZONTAL
-                           if m.piece(piece_id).type is PieceType.SEIFERT
-                           else jsj.VertexKind.GEOMETRICALLY_INFINITE)
+    kinds = {p.id: jsj.VertexKind.HORIZONTAL if p.type is PieceType.SEIFERT
+             else jsj.VertexKind.GEOMETRICALLY_INFINITE for p in m.pieces}
+    vertices = [jsj.Vertex("seg%03d" % i, kinds[piece_id])
                 for i, piece_id in enumerate(factors.pieces)]
     edges = [jsj.Edge("x%03d" % i, "seg%03d" % i, "seg%03d" % ((i + 1) % n),
                       n_leave * left[i].denominator * entered[i - 1].numerator,

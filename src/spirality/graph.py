@@ -28,16 +28,11 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .errors import SpiralityError, Value, error, warning
+from .errors import InvalidData, SpiralityError, Value, error, warning
 
 
-class InvalidGraph(SpiralityError):
-    """The data of a decorated graph has structural errors: ``diagnostics``
-    holds them, then the data's warnings; the message joins the errors."""
-
-    def __init__(self, diagnostics):
-        self.diagnostics = tuple(diagnostics)
-        super().__init__("; ".join(str(d) for d in self.diagnostics if d.is_error))
+class InvalidGraph(InvalidData):
+    """The data of a decorated graph has structural errors."""
 
 
 class InvalidCycle(SpiralityError):

@@ -12,11 +12,11 @@ A manifest is a UTF-8 JSON object that may carry any of these sections:
 Slopes are written as [a, b], or {"vector": [a, b], "mult": m} when the
 curve wraps; rationals as "p/q" strings (plain integers are accepted).
 Unknown fields are rejected in strict mode and downgraded to warnings
-otherwise. Schema violations raise ParseError. Well-typed graph data with
-structural errors (say h = 0, or a dangling edge) parses to no graph;
-``graph_diagnostics`` holds the graph constructor's diagnostics, or the
-built graph's warnings, for the check to report. Other suspect but
-well-typed data parses fine and is left to the validators.
+otherwise. Schema violations raise ParseError. Well-typed graph or flow
+data with structural errors (say h = 0, or a one-sided torus) parses to no
+graph or no flow manifest; ``diagnostics`` holds each constructor's
+refusal, or the built data's warnings, and an error for a loop given
+without pieces/tori sections, for the check to report.
 """
 
 import json
@@ -24,7 +24,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
-from .errors import ParseError, Value
+from .errors import ParseError, Value, error
 from .rational import parse_rational, format_rational
 from .lattice import Slope
 from . import graph as jsj
@@ -42,22 +42,22 @@ class FdtcInput(Value):
 
 
 class ParsedManifest(Value):
-    """A manifest's sections. ``graph`` is None when the graph section is
-    absent or its data has structural errors; ``graph_diagnostics`` holds
-    InvalidGraph's diagnostics then, and otherwise the graph's warnings."""
+    """A manifest's sections. ``graph`` and ``flow`` are None when absent or
+    refused; ``diagnostics`` holds the graph's, then an error for a loop
+    without pieces/tori sections, then the flow manifest's."""
 
     __slots__ = ("graph", "flow", "loop", "fdtc", "expected", "warnings",
-                 "graph_diagnostics")
+                 "diagnostics")
 
     def __init__(self, graph=None, flow=None, loop=None, fdtc=None, expected=None,
-                 warnings=(), graph_diagnostics=()):
+                 warnings=(), diagnostics=()):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "flow", flow)
         object.__setattr__(self, "loop", loop)
         object.__setattr__(self, "fdtc", fdtc)
         object.__setattr__(self, "expected", expected)
         object.__setattr__(self, "warnings", warnings)
-        object.__setattr__(self, "graph_diagnostics", graph_diagnostics)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
     def replace(self, **changes):
         """A copy with the named fields changed."""
@@ -299,7 +299,11 @@ def _parse_flow(r, data):
         pieces.append(flow.Piece(pid, piece_type, boundaries))
     tori = [flow.Torus(*r.record(t, _TORUS, "tori[%d]", i))
             for i, t in enumerate(_expect(data.get("tori", []), list, "tori"))]
-    return flow.FlowManifest(pieces, tori)
+    try:
+        m = flow.FlowManifest(pieces, tori)
+    except flow.InvalidFlow as err:
+        return None, err.diagnostics
+    return m, m.warnings
 
 
 def _parse_loop(r, data):
@@ -368,11 +372,14 @@ def parse_manifest(text, strict=True, allow_rational_h=False):
     r = _Reader(strict, allow_rational_h)
     r.unknown(data, TOP_LEVEL_FIELDS, "manifest")
 
-    parsed_graph, graph_diagnostics = (_parse_graph(r, data["graph"])
-                                       if "graph" in data else (None, ()))
+    parsed_graph, diagnostics = (_parse_graph(r, data["graph"])
+                                 if "graph" in data else (None, ()))
     parsed_flow = None
     if "pieces" in data or "tori" in data:
-        parsed_flow = _parse_flow(r, data)
+        parsed_flow, flow_diagnostics = _parse_flow(r, data)
+        diagnostics += flow_diagnostics
+    elif "loop" in data:
+        diagnostics += (error(flow.DANGLING_REF, "loop given without pieces/tori sections"),)
     parsed_loop = _parse_loop(r, data["loop"]) if "loop" in data else None
     parsed_fdtc = _parse_fdtc(r, data["fdtc"]) if "fdtc" in data else None
     try:
@@ -380,7 +387,7 @@ def parse_manifest(text, strict=True, allow_rational_h=False):
     except ParseError as err:
         raise ParseError("expected: %s" % err)
     return ParsedManifest(parsed_graph, parsed_flow, parsed_loop, parsed_fdtc,
-                          expected, tuple(r.warnings), graph_diagnostics)
+                          expected, tuple(r.warnings), diagnostics)
 
 
 def _slope_to_json(s):

@@ -295,8 +295,9 @@ class TestOneCheck:
 
 
 class TestOneValidation:
-    """A graph is diagnosed once, where it is built: its constructor refuses
-    the errors and keeps the warnings, which the check reads off the parse."""
+    """A graph or a flow manifest is diagnosed once, where it is built: its
+    constructor refuses the errors and keeps the warnings, which the check
+    reads off the parse."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -319,6 +320,15 @@ class TestOneValidation:
         spirality.character(g)
         spirality.character(g, spirality.graph.spanning_forest(g))
         assert len(calls) == 1
+
+    def test_a_flow_manifest_is_diagnosed_once(self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "twist.json")
+        run(capsys, "gen", "twist-family", "--out", path)
+        diagnoses = TestCrosscheck.calls_to(monkeypatch, "_diagnose")
+        for command in ("validate", "rw", "aspiral"):
+            code, out = run(capsys, command, path)
+            assert code == 0
+        assert len(diagnoses) == 3
 
 
 class TestGen:
@@ -425,14 +435,15 @@ class TestCrosscheck:
         assert len(directs) == 2
 
     def test_generated_manifests_take_the_one_check(self, capsys, monkeypatch):
-        checks = self.calls_to(monkeypatch, "validate_manifest")
+        diagnoses = self.calls_to(monkeypatch, "_diagnose")
         resolves = self.calls_to(monkeypatch, "validate_itinerary")
         code, out = run(capsys, "crosscheck", "--random", "3", "--seed", "40")
         assert code == 0 and "mismatches: 0" in out.out
+        # each generated manifest is diagnosed once, where it is built
+        built = [(m.pieces, m.tori) for (m,) in diagnoses]
         generated = [gen_random_flow(40 + i) for i in range(3)]
         assert [loop for loop, _ in resolves] == [loop for _, loop in generated]
-        assert ([(m.pieces, m.tori) for (m,) in checks]
-                == [(m.pieces, m.tori) for m, _ in generated])
+        assert built == [(m.pieces, m.tori) for m, _ in generated]
 
     def test_a_route_that_disagrees_is_a_mismatch(self, capsys, monkeypatch):
         real = flow.flow_spirality

@@ -7,13 +7,14 @@ from spirality import (Slope, FlowManifest, Piece, PieceBoundary, PieceType,
                        flow_spirality,
                        equiperiodic_rho_is_one, decorate_from_flow,
                        normalize_itinerary,
-                       validate_manifest, validate_itinerary,
-                       cycle_spirality, gen_random_flow, gen_twist_family,
-                       intersection_number, TwistFamilyParams)
-from spirality.flow import SEIFERT_LEAF_MISMATCH, UNPAIRED_BOUNDARY, \
-    PIECE_MISMATCH, NOT_TRANSVERSE
+                       validate_itinerary, InvalidFlow,
+                       cycle_spirality, gen_matched_slopes, gen_random_flow,
+                       gen_twist_family, intersection_number, TwistFamilyParams)
+from spirality.flow import (DANGLING_REF, DUPLICATE_ID, NON_POSITIVE_LEAF,
+                            SEIFERT_LEAF_MISMATCH, SLOPE_MULTIPLICITY, UNPAIRED_BOUNDARY,
+                            PIECE_MISMATCH, NOT_TRANSVERSE)
 from util import (FlowFault, Segment, factors_of, make_equiperiodic,
-                  oracle_decorated_h, oracle_flow_spirality,
+                  oracle_decorated_h, oracle_flow_spirality, oracle_validate_manifest,
                   oracle_validate_itinerary, reverse_itinerary, rho, seeded,
                   segments_of, side_boundary, sigma)
 
@@ -87,9 +88,9 @@ class TestRho:
     def test_seifert_piece_always_one(self):
         # the manifest invariant forces one fiber length on a Seifert piece
         piece = Piece("S", PieceType.SEIFERT,
-                      [PieceBoundary("x", "T0", Slope((1, 0)), Fraction(5, 3)),
-                       PieceBoundary("y", "T1", Slope((1, 0)), Fraction(5, 3))])
-        m = FlowManifest([piece], [])
+                      [PieceBoundary("x", "T", Slope((1, 0)), Fraction(5, 3)),
+                       PieceBoundary("y", "T", Slope((1, 0)), Fraction(5, 3))])
+        m = FlowManifest([piece], [Torus("T", plus=("S", "x"), minus=("S", "y"))])
         assert rho(Segment("S", "x", "y"), m) == 1
 
     def test_missing_boundary_rejected(self):
@@ -323,25 +324,45 @@ class TestSideConvention:
             assert normalized == loop
 
 
+def refusal_codes(pieces, tori):
+    with pytest.raises(InvalidFlow) as info:
+        FlowManifest(pieces, tori)
+    return {d.code for d in info.value.diagnostics}
+
+
 class TestValidation:
     def test_clean_manifest(self):
         m, loop = chain_manifest({})
-        assert validate_manifest(m) == []
+        assert m.warnings == ()
         assert validate_itinerary(loop, m)[0] == []
 
     def test_seifert_leaf_mismatch(self):
         piece = Piece("S", PieceType.SEIFERT,
                       [PieceBoundary("x", "T", Slope((1, 0)), Fraction(1)),
                        PieceBoundary("y", "T", Slope((1, 0)), Fraction(2))])
-        m = FlowManifest([piece], [Torus("T", plus=("S", "x"), minus=("S", "y"))])
-        assert SEIFERT_LEAF_MISMATCH in {d.code for d in validate_manifest(m)}
+        tori = [Torus("T", plus=("S", "x"), minus=("S", "y"))]
+        assert SEIFERT_LEAF_MISMATCH in refusal_codes([piece], tori)
 
     def test_unpaired_boundary(self):
         piece = Piece("P", PA, [PieceBoundary("x", "T", Slope((1, 0)), Fraction(1)),
                                 PieceBoundary("y", "T", Slope((1, 0)), Fraction(1)),
                                 PieceBoundary("z", "T", Slope((1, 0)), Fraction(1))])
-        m = FlowManifest([piece], [Torus("T", plus=("P", "x"), minus=("P", "y"))])
-        assert UNPAIRED_BOUNDARY in {d.code for d in validate_manifest(m)}
+        tori = [Torus("T", plus=("P", "x"), minus=("P", "y"))]
+        assert UNPAIRED_BOUNDARY in refusal_codes([piece], tori)
+
+    def test_refusal_names_the_errors_then_keeps_the_warnings(self):
+        piece = Piece("P", PA, [PieceBoundary("x", "T", Slope((1, 0), 2), Fraction(1)),
+                                PieceBoundary("y", "T", Slope((1, 0)), Fraction(0))])
+        tori = [Torus("T", plus=("P", "x"), minus=("P", "y"))]
+        with pytest.raises(InvalidFlow) as info:
+            FlowManifest([piece], tori)
+        assert [d.code for d in info.value.diagnostics] == [NON_POSITIVE_LEAF,
+                                                            SLOPE_MULTIPLICITY]
+        assert str(info.value) == str(info.value.diagnostics[0])
+        piece = Piece("P", PA, [piece.boundaries[0],
+                                PieceBoundary("y", "T", Slope((1, 0)), Fraction(1))])
+        m = FlowManifest([piece], tori)
+        assert [d.code for d in m.warnings] == [SLOPE_MULTIPLICITY]
 
     def test_itinerary_diagnostics(self):
         m, _ = chain_manifest({})
@@ -355,5 +376,97 @@ class TestValidation:
     def test_generated_manifests_validate(self):
         for seed in range(25):
             m, loop = gen_random_flow(seed)
-            assert not any(d.is_error for d in validate_manifest(m))
             assert not any(d.is_error for d in validate_itinerary(loop, m)[0])
+
+
+def _with_boundary(pieces, i, j, **fields):
+    """``pieces`` with fields of boundary j of piece i replaced."""
+    p = pieces[i]
+    boundaries = list(p.boundaries)
+    b = boundaries[j]
+    boundaries[j] = PieceBoundary(**dict(zip(b._fields, b._astuple()), **fields))
+    return pieces[:i] + [Piece(p.id, p.type, boundaries)] + pieces[i + 1:]
+
+
+def _mutations(pieces, tori, rng):
+    """Broken copies of a manifest's data, each with one fault, named by
+    the code it is built to raise."""
+    i = rng.randrange(len(pieces))
+    j = rng.randrange(len(pieces[i].boundaries))
+    b = pieces[i].boundaries[j]
+    t = rng.randrange(len(tori))
+    yield DUPLICATE_ID, pieces + [pieces[i]], tori
+    yield DUPLICATE_ID, pieces, tori + [tori[t]]
+    if len(pieces[i].boundaries) > 1:
+        other = pieces[i].boundaries[j - 1].id
+        yield DUPLICATE_ID, _with_boundary(pieces, i, j, id=other), tori
+    yield DANGLING_REF, _with_boundary(pieces, i, j, torus="ghost"), tori
+    side = tori[t]
+    yield DANGLING_REF, pieces, tori[:t] + [Torus(side.id, ("ghost", side.plus[1]),
+                                                  side.minus)] + tori[t + 1:]
+    yield DANGLING_REF, pieces, tori[:t] + [Torus(side.id, side.plus,
+                                                  (side.minus[0], "ghost"))] + tori[t + 1:]
+    if len(tori) > 1:
+        swapped = Torus(side.id, tori[t - 1].plus, side.minus)
+        yield DANGLING_REF, pieces, tori[:t] + [swapped] + tori[t + 1:]
+    for length in (-b.leaf_length, Fraction(0)):
+        yield NON_POSITIVE_LEAF, _with_boundary(pieces, i, j, leaf_length=length), tori
+    if len(pieces[i].boundaries) > 1:
+        seifert = [Piece(p.id, PieceType.SEIFERT, p.boundaries) for p in pieces]
+        length = b.leaf_length + 1
+        yield SEIFERT_LEAF_MISMATCH, _with_boundary(seifert, i, j, leaf_length=length), tori
+    extra = PieceBoundary("extra", b.torus, b.degeneracy_slope, b.leaf_length)
+    p = pieces[i]
+    yield UNPAIRED_BOUNDARY, (pieces[:i] + [Piece(p.id, p.type, p.boundaries + (extra,))]
+                              + pieces[i + 1:]), tori
+    wrapped = Slope(b.degeneracy_slope.vector, 2)
+    yield SLOPE_MULTIPLICITY, _with_boundary(pieces, i, j, degeneracy_slope=wrapped), tori
+
+
+class TestDiagnosis:
+    """The constructor's one pass finds what the interleaved oracle finds:
+    it refuses exactly the data the oracle reports an error in, with the
+    oracle's errors and then its warnings, and keeps its warnings otherwise."""
+
+    @staticmethod
+    def agrees(pieces, tori):
+        expected = oracle_validate_manifest(pieces, tori)
+        errors = [d for d in expected if d.is_error]
+        warnings = tuple(d for d in expected if not d.is_error)
+        if errors:
+            with pytest.raises(InvalidFlow) as info:
+                FlowManifest(pieces, tori)
+            assert info.value.diagnostics == tuple(errors) + warnings
+        else:
+            assert FlowManifest(pieces, tori).warnings == warnings
+        return {d.code for d in expected}
+
+    def test_generated_manifests(self):
+        for seed in range(200):
+            m, _ = gen_random_flow(seed)
+            assert self.agrees(list(m.pieces), list(m.tori)) == set()
+        for n_pieces in range(1, 6):
+            for seed in range(20):
+                m, _ = gen_matched_slopes(n_pieces, seed)
+                assert self.agrees(list(m.pieces), list(m.tori)) == set()
+
+    def test_each_code_of_the_diagnosis(self):
+        rng = seeded(1717)
+        found = set()
+        for seed in range(60):
+            m, _ = gen_random_flow(seed)
+            for code, pieces, tori in _mutations(list(m.pieces), list(m.tori), rng):
+                codes = self.agrees(pieces, tori)
+                assert code in codes
+                found |= codes
+        assert found == {DUPLICATE_ID, DANGLING_REF, NON_POSITIVE_LEAF,
+                         SEIFERT_LEAF_MISMATCH, UNPAIRED_BOUNDARY, SLOPE_MULTIPLICITY}
+
+    def test_two_faults_at_once(self):
+        rng = seeded(1718)
+        for seed in range(40):
+            m, _ = gen_random_flow(seed)
+            pieces, tori = list(m.pieces), list(m.tori)
+            for _ in range(2):
+                _, pieces, tori = rng.choice(list(_mutations(pieces, tori, rng)))
+            self.agrees(pieces, tori)

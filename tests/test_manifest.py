@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from spirality import (ParseError, Slope, parse_manifest, dumps_manifest,
                        gen_twist_family, gen_matched_slopes, TwistFamilyParams,
                        parse_rational, format_rational)
+from spirality.flow import DANGLING_REF, UNPAIRED_BOUNDARY
 from spirality.graph import NON_INTEGRAL_H, NON_POSITIVE_H
 from spirality.manifest import FdtcInput, loop_to_list, flow_to_dict, indented_json
 
@@ -58,7 +59,7 @@ class TestGraphSection:
         assert [v.id for v in g.vertices] == ["a", "b"]
         assert g.vertex("b").internal_omega_generators == 1
         assert g.edge("e2").omega == -1
-        assert g.warnings == () and parsed.graph_diagnostics == ()
+        assert g.warnings == () and parsed.diagnostics == ()
 
     def test_unknown_field_strict(self):
         doc = json.loads(GRAPH_DOC)
@@ -83,8 +84,8 @@ class TestGraphSection:
         doc["graph"]["edges"][0]["h_ini"] = 0
         parsed = parse_manifest(doc)
         assert parsed.graph is None
-        assert [d.code for d in parsed.graph_diagnostics] == [NON_POSITIVE_H]
-        assert parse_manifest(GRAPH_DOC).graph_diagnostics == ()
+        assert [d.code for d in parsed.diagnostics] == [NON_POSITIVE_H]
+        assert parse_manifest(GRAPH_DOC).diagnostics == ()
 
     def test_rational_h_needs_flag(self):
         doc = json.loads(GRAPH_DOC)
@@ -94,9 +95,25 @@ class TestGraphSection:
         parsed = parse_manifest(doc, allow_rational_h=True)
         assert parsed.graph.edge("e1").h_ini == Fraction(3, 2)
         diagnostics = parsed.graph.warnings
-        assert parsed.graph_diagnostics == diagnostics
+        assert parsed.diagnostics == diagnostics
         assert NON_INTEGRAL_H in {d.code for d in diagnostics}
         assert not any(d.is_error for d in diagnostics)
+
+    def test_diagnostics_of_each_section_in_order(self):
+        broken_graph = json.loads(GRAPH_DOC)
+        broken_graph["graph"]["edges"][0]["h_ini"] = 0
+        loop = [{"torus": "T", "curve": [1, 0], "from_side": "plus"}]
+        parsed = parse_manifest(dict(broken_graph, loop=loop))
+        assert [d.code for d in parsed.diagnostics] == [NON_POSITIVE_H, DANGLING_REF]
+        assert parsed.diagnostics[1].message == "loop given without pieces/tori sections"
+        inst = gen_twist_family(TwistFamilyParams(k=1, p=1, q=1, r_minus=2, r_plus=1))
+        flow_doc = json.loads(dumps_manifest(flow_manifest=inst.manifest, loop=inst.loop))
+        flow_doc["tori"][0]["plus"]["boundary"] = "ghost"
+        parsed = parse_manifest(dict(broken_graph, **flow_doc))
+        assert parsed.flow is None and parsed.loop is not None
+        assert [d.code for d in parsed.diagnostics] == [NON_POSITIVE_H, DANGLING_REF,
+                                                        UNPAIRED_BOUNDARY]
+        assert "missing boundary" in parsed.diagnostics[1].message
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError) as info:

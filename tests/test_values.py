@@ -186,19 +186,10 @@ class TestValidation:
         piece = Piece("P", "pseudo_anosov", [BOUNDARY])
         assert piece.type is PieceType.PSEUDO_ANOSOV
         assert piece.boundaries == (BOUNDARY,)
-        assert piece.boundary("b") is BOUNDARY
         with pytest.raises(ValueError):
             Piece("P", "hyperbolic", [])
         with pytest.raises(TypeError):
             Piece("P", PieceType.SEIFERT, None)
-
-    def test_piece_boundary_index_is_not_a_field(self):
-        first = PieceBoundary("b", "T", SLOPE, Fraction(1))
-        second = PieceBoundary("b", "U", SLOPE, Fraction(2))
-        piece = Piece("P", PieceType.SEIFERT, [first, second])
-        assert piece.boundary("b") is first
-        assert piece == Piece("P", PieceType.SEIFERT, (first, second))
-        assert "_by_id" not in repr(piece)
 
     def test_crossing(self):
         assert Crossing("T", SLOPE, "plus").from_side is Side.PLUS

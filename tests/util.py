@@ -5,9 +5,10 @@ the library: intersection numbers by counting lattice points in a
 fundamental parallelogram, covering degrees by direct enumeration, cycle
 values by a hand-rolled integer product or by folding partial dilatations,
 fundamental cycles from both ends' full paths to the root, a graph's
-errors and warnings from one interleaved pass over its data, flow
-spiralities as a product of one reduced Fraction per sigma and rho factor,
-and the loop check's diagnostics from a pass that looks every side up first.
+errors and warnings from one interleaved pass over its data, a flow
+manifest's likewise, with indexes of its own, flow spiralities as a product
+of one reduced Fraction per sigma and rho factor, and the loop check's
+diagnostics from a pass that looks every side up first.
 
 It also holds the constructions that only the tests need, not the CLI or
 the manifest: torus covers and their slope degrees, frame changes, graph
@@ -23,11 +24,14 @@ from itertools import combinations
 from math import gcd, lcm
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, Slope,
-                       FlowManifest, Piece, PieceBoundary, Crossing, LoopItinerary,
-                       VertexKind, character, intersection_number, validate_itinerary,
-                       NotParallel, SpiralityError)
+                       FlowManifest, Piece, PieceBoundary, PieceType, Crossing,
+                       LoopItinerary, Side, VertexKind, character, intersection_number,
+                       validate_itinerary, NotParallel, SpiralityError)
 from spirality.errors import error, warning
-from spirality.flow import DANGLING_REF, NOT_TRANSVERSE, PIECE_MISMATCH
+from spirality.flow import (DANGLING_REF, NON_POSITIVE_LEAF, NOT_TRANSVERSE,
+                            PIECE_MISMATCH, SEIFERT_LEAF_MISMATCH, SLOPE_MULTIPLICITY,
+                            UNPAIRED_BOUNDARY)
+from spirality.flow import DUPLICATE_ID as DUPLICATE_FLOW_ID
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest, BAD_INTERNAL_GENERATORS,
                              BAD_OMEGA, DANGLING_EDGE, DUPLICATE_ID, ELEMENTARY_ADJACENCY,
                              NON_INTEGRAL_H, NON_POSITIVE_H, OMEGA_AMBIGUITY)
@@ -656,11 +660,92 @@ def factors_of(itinerary, m):
     return factors
 
 
+def first_with_id(records, record_id):
+    """The first of ``records`` with the id, found by a scan, or None."""
+    return next((r for r in records if r.id == record_id), None)
+
+
 def side_boundary(m, torus_id, side):
     """The (piece, boundary) records on one side of a torus."""
-    piece_id, boundary_id = m.torus(torus_id).side(side)
-    piece = m.piece(piece_id)
-    return piece, piece.boundary(boundary_id)
+    torus = first_with_id(m.tori, torus_id)
+    piece_id, boundary_id = torus.plus if side is Side.PLUS else torus.minus
+    piece = first_with_id(m.pieces, piece_id)
+    return piece, first_with_id(piece.boundaries, boundary_id)
+
+
+def oracle_validate_manifest(pieces, tori):
+    """A flow manifest's errors and warnings in one interleaved pass: each
+    piece's, then each torus's, then the boundaries no torus side claims.
+    Where an id repeats, the last piece and torus and the first boundary of
+    a piece are the ones looked up."""
+    out = []
+    torus_by_id = {t.id: t for t in tori}
+    piece_by_id = {p.id: p for p in pieces}
+    seen = set()
+    for p in pieces:
+        if p.id in seen:
+            out.append(error(DUPLICATE_FLOW_ID, "duplicate piece id %r" % p.id))
+        seen.add(p.id)
+        bseen = set()
+        for b in p.boundaries:
+            if b.id in bseen:
+                out.append(error(DUPLICATE_FLOW_ID,
+                                 "duplicate boundary id %r on piece %r" % (b.id, p.id)))
+            bseen.add(b.id)
+            if b.leaf_length <= 0:
+                out.append(error(NON_POSITIVE_LEAF,
+                                 "boundary %r of piece %r has leaf length %s"
+                                 % (b.id, p.id, b.leaf_length)))
+            if b.torus not in torus_by_id:
+                out.append(error(DANGLING_REF,
+                                 "boundary %r of piece %r references missing torus %r"
+                                 % (b.id, p.id, b.torus)))
+            if b.degeneracy_slope.multiplicity != 1:
+                out.append(warning(SLOPE_MULTIPLICITY,
+                                   "degeneracy slope on %r/%r has multiplicity %d; "
+                                   "closed leaves are primitive curves"
+                                   % (p.id, b.id, b.degeneracy_slope.multiplicity)))
+        if (p.type is PieceType.SEIFERT
+                and len({b.leaf_length for b in p.boundaries}) > 1):
+            out.append(error(SEIFERT_LEAF_MISMATCH,
+                             "Seifert piece %r has unequal boundary leaf lengths "
+                             "(the ordinary fiber has one length)" % p.id))
+    seen = set()
+    side_refs = set()
+    for t in tori:
+        if t.id in seen:
+            out.append(error(DUPLICATE_FLOW_ID, "duplicate torus id %r" % t.id))
+        seen.add(t.id)
+        for name, (piece_id, boundary_id) in (("plus", t.plus), ("minus", t.minus)):
+            piece = piece_by_id.get(piece_id)
+            if piece is None:
+                out.append(error(DANGLING_REF,
+                                 "torus %r %s side references missing piece %r"
+                                 % (t.id, name, piece_id)))
+                continue
+            b = first_with_id(piece.boundaries, boundary_id)
+            if b is None:
+                out.append(error(DANGLING_REF,
+                                 "torus %r %s side references missing boundary %r/%r"
+                                 % (t.id, name, piece_id, boundary_id)))
+                continue
+            if b.torus != t.id:
+                out.append(error(DANGLING_REF,
+                                 "torus %r %s side uses boundary %r/%r which belongs "
+                                 "to torus %r" % (t.id, name, piece_id, boundary_id,
+                                                  b.torus)))
+            if (piece_id, boundary_id) in side_refs:
+                out.append(error(UNPAIRED_BOUNDARY,
+                                 "boundary %r/%r is claimed by two torus sides"
+                                 % (piece_id, boundary_id)))
+            side_refs.add((piece_id, boundary_id))
+    for p in pieces:
+        for b in p.boundaries:
+            if b.torus in torus_by_id and (p.id, b.id) not in side_refs:
+                out.append(error(UNPAIRED_BOUNDARY,
+                                 "boundary %r/%r is not a side of any torus"
+                                 % (p.id, b.id)))
+    return out
 
 
 def oracle_validate_itinerary(itinerary, m):
@@ -737,12 +822,13 @@ def segments_of(itinerary, m):
 
 def rho(segment, m):
     """Leaf-length ratio of a segment: entry boundary over exit boundary."""
-    piece = m.piece(segment.piece)
-    try:
-        entry = piece.boundary(segment.entry_boundary)
-        exit_ = piece.boundary(segment.exit_boundary)
-    except KeyError as missing:
-        raise FlowFault("boundary %s is not on piece %r" % (missing, segment.piece))
+    piece = first_with_id(m.pieces, segment.piece)
+    entry = first_with_id(piece.boundaries, segment.entry_boundary)
+    exit_ = first_with_id(piece.boundaries, segment.exit_boundary)
+    for boundary, boundary_id in ((entry, segment.entry_boundary),
+                                  (exit_, segment.exit_boundary)):
+        if boundary is None:
+            raise FlowFault("boundary %r is not on piece %r" % (boundary_id, segment.piece))
     return entry.leaf_length / exit_.leaf_length
 
 
