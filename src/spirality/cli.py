@@ -27,7 +27,7 @@ from . import graph as jsj
 from . import flow
 from . import generators
 from . import manifest as mf
-from .lattice import fdtc as fdtc_value
+from .lattice import NotParallel, fdtc as fdtc_value
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -140,7 +140,9 @@ def _yesno(flag):
 
 
 def _fdtc_diagnostics(data):
-    """What the fdtc section must satisfy, for validate and fdtc alike."""
+    """What the fdtc section must satisfy, for validate and fdtc alike: a
+    primitive reduction curve, a positive power, and a slope difference
+    that lattice.fdtc finds a multiple of the curve."""
     out = []
     if data.e.multiplicity != 1:
         out.append(diag_error(
@@ -148,6 +150,11 @@ def _fdtc_diagnostics(data):
     if data.m < 1:
         out.append(diag_error(
             "NonPositivePower", "fdtc power m must be positive, got %d" % data.m))
+    if not out:
+        try:
+            fdtc_value(data.l_plus, data.l_minus, data.e, data.m)
+        except NotParallel as err:
+            out.append(diag_error("NotParallel", str(err)))
     return out
 
 

@@ -209,10 +209,11 @@ class TestFdtc:
     def test_not_parallel(self, tmp_path, capsys):
         path = write(tmp_path, "f.json",
                      '{"fdtc": {"l_plus": [2, 1], "l_minus": [1, 0], "e": [0, 1]}}')
-        code, out = run(capsys, "fdtc", path)
-        assert code == 1
-        assert "not a multiple" in out.err
-
+        for command in ("validate", "fdtc"):
+            code, out = run(capsys, command, path)
+            assert code == 1
+            assert ("error: NotParallel: difference (1, 1) is not a multiple of (0, 1)\n"
+                    "status: invalid\n") in out.out and out.err == ""
 
     def test_non_positive_power(self, tmp_path, capsys):
         path = write(tmp_path, "f.json", FDTC_DOC.replace('"m": 2', '"m": 0'))
@@ -650,12 +651,24 @@ def _keeps_the_exit_contract(data):
     assert all(code in (0, 1, 2) for code, _ in results.values())
     if results["validate"][0] == 0:
         assert not any("status: invalid" in text for _, text in results.values())
+        # what validate accepts, each command that has its sections computes
+        sections = json.loads(data)
+        flow_loop = "pieces" in sections and "loop" in sections
+        if "fdtc" in sections:
+            assert results["fdtc"][0] == 0
+        if "graph" in sections or flow_loop:
+            assert results["aspiral"][0] == 0
+        if flow_loop:
+            assert results["crosscheck"][0] == 0
+            rw_code, rw_text = results["rw"]
+            assert rw_code == 0 or "matches expected: no" in rw_text
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(_PATHS), _values)
 @example(("loop", 0, "torus"), "ghost")
 @example(("tori", 0, "plus", "piece"), "J_minus")
+@example(("fdtc", "e"), [1, 0])
 def test_every_command_keeps_the_exit_contract(path, value):
     """Any one-node change keeps the exit contract."""
     doc = replace_node(FULL_MANIFEST, path, value)
