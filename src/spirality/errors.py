@@ -103,3 +103,18 @@ def error(code, message):
 
 def warning(code, message):
     return Diagnostic(WARNING, code, message)
+
+
+UNHASHABLE_ID = "UnhashableId"
+
+
+def unhashable_ids(fields):
+    """An error for each (record, field, value) whose value cannot key an
+    index, such as a list given for an id."""
+    out = []
+    for record, field, value in fields:
+        try:
+            hash(value)
+        except TypeError:
+            out.append(error(UNHASHABLE_ID, "%s has unhashable %s %r" % (record, field, value)))
+    return out

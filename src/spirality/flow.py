@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from math import prod
 
-from .errors import InvalidData, Value, error, warning
+from .errors import InvalidData, Value, error, unhashable_ids, warning
 from .lattice import intersection_number
 from . import graph as jsj
 
@@ -112,7 +112,13 @@ class FlowManifest:
     def __init__(self, pieces, tori):
         self.pieces = tuple(pieces)
         self.tori = tuple(tori)
-        errors, warnings, self._sides = _diagnose(self)
+        try:
+            errors, warnings, self._sides = _diagnose(self)
+        except TypeError:
+            # an id or a reference that cannot key an index
+            errors, warnings = _unhashable(self), []
+            if not errors:
+                raise
         if errors:
             raise InvalidFlow(errors + warnings)
         self.warnings = tuple(warnings)
@@ -240,6 +246,17 @@ def _diagnose(m):
                                     "boundary %r/%r is not a side of any torus"
                                     % (p.id, b.id)))
     return errors, warnings, sides
+
+
+def _unhashable(m):
+    return unhashable_ids(
+        [("piece %d" % i, "id", p.id) for i, p in enumerate(m.pieces)]
+        + [("boundary %d of piece %d" % (j, i), field, value)
+           for i, p in enumerate(m.pieces) for j, b in enumerate(p.boundaries)
+           for field, value in (("id", b.id), ("torus", b.torus))]
+        + [("torus %d" % i, field, value) for i, t in enumerate(m.tori)
+           for field, value in (("id", t.id), ("plus side", t.plus),
+                                ("minus side", t.minus))])
 
 
 def equiperiodic_rho_is_one(m):

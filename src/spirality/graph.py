@@ -16,11 +16,11 @@ by the embedding criterion is equivalent to the surface being virtually
 embedded, and in turn to being virtually a leaf of a taut foliation.
 
 A graph is diagnosed once, when it is built: the constructor refuses data
-with structural errors (duplicate ids, dangling edge ends, h that is not a
-positive rational, omega other than +-1, an internal generator count that
-is not a non-negative int) by raising InvalidGraph, so every graph that
-exists is one the holonomy is defined on, and keeps the warnings of the
-same pass. Graphs are immutable and all computations here are pure, so
+with structural errors (duplicate or unhashable ids, dangling edge ends, h
+that is not a positive rational, omega other than +-1, an internal
+generator count that is not a non-negative int) by raising InvalidGraph,
+so every graph that exists is one the holonomy is defined on, and keeps
+the warnings of the same pass. Graphs are immutable and all computations here are pure, so
 components may be processed in parallel without shared state.
 """
 
@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidData, SpiralityError, Value, error, warning
+from .errors import InvalidData, SpiralityError, Value, error, unhashable_ids, warning
 
 
 class InvalidGraph(InvalidData):
@@ -107,9 +107,15 @@ class DecoratedJSJGraph:
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
-        self._vertex_by_id = {v.id: v for v in self.vertices}
-        self._edge_by_id = {e.id: e for e in self.edges}
-        errors, warnings = _diagnose(self)
+        try:
+            self._vertex_by_id = {v.id: v for v in self.vertices}
+            self._edge_by_id = {e.id: e for e in self.edges}
+            errors, warnings = _diagnose(self)
+        except TypeError:
+            # an id or an edge end that cannot key an index
+            errors, warnings = _unhashable(self), []
+            if not errors:
+                raise
         if errors:
             raise InvalidGraph(errors + warnings)
         self.warnings = tuple(warnings)
@@ -201,6 +207,13 @@ def _diagnose(g):
                                         "non-orientable subsurface; omega sign data is "
                                         "taken as given" % e.id))
     return errors, warnings
+
+
+def _unhashable(g):
+    return unhashable_ids(
+        [("vertex %d" % i, "id", v.id) for i, v in enumerate(g.vertices)]
+        + [("edge %d" % i, field, value) for i, e in enumerate(g.edges)
+           for field, value in (("id", e.id), ("end", e.from_vertex), ("end", e.to_vertex))])
 
 
 def _step_endpoints(g, step):

@@ -350,6 +350,28 @@ class TestValidation:
         tori = [Torus("T", plus=("P", "x"), minus=("P", "y"))]
         assert UNPAIRED_BOUNDARY in refusal_codes([piece], tori)
 
+    @pytest.mark.parametrize("where, message", [
+        ("piece", "piece 1 has unhashable id ['Jp']"),
+        ("boundary", "boundary 0 of piece 0 has unhashable torus ['T']"),
+        ("torus", "torus 0 has unhashable id ['T']"),
+        ("side", "torus 0 has unhashable plus side ('Jp', ['bp'])"),
+    ])
+    def test_unhashable_id_is_refused(self, where, message):
+        m = one_torus_manifest(Slope((1, 0)), Slope((1, 1)))
+        pieces, (t,) = list(m.pieces), m.tori
+        if where == "piece":
+            pieces[1] = Piece(["Jp"], PA, pieces[1].boundaries)
+        elif where == "boundary":
+            (b,) = pieces[0].boundaries
+            pieces[0] = Piece("Jm", PA, [PieceBoundary(b.id, ["T"], b.degeneracy_slope,
+                                                       b.leaf_length)])
+        tori = [Torus(["T"] if where == "torus" else t.id,
+                      ("Jp", ["bp"]) if where == "side" else t.plus, t.minus)]
+        with pytest.raises(InvalidFlow) as info:
+            FlowManifest(pieces, tori)
+        assert [str(d) for d in info.value.diagnostics] == [
+            "error: UnhashableId: " + message]
+
     def test_refusal_names_the_errors_then_keeps_the_warnings(self):
         piece = Piece("P", PA, [PieceBoundary("x", "T", Slope((1, 0), 2), Fraction(1)),
                                 PieceBoundary("y", "T", Slope((1, 0)), Fraction(0))])

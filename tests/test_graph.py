@@ -67,6 +67,16 @@ class TestValidate:
         diagnostics = refused([Vertex("a")], [Edge("e", "a", "a", h_ini, 1, omega)])
         assert [d.code for d in diagnostics] == [code]
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ([Vertex(["a"])], [], "vertex 0 has unhashable id ['a']"),
+        ([Vertex("a")], [Edge("e", "a", ["a"], 1, 1)], "edge 0 has unhashable end ['a']"),
+        ([Vertex("a")], [Edge("e", ["a"], "a", 1, 1)], "edge 0 has unhashable end ['a']"),
+        ([Vertex("a")], [Edge({}, "a", "a", 1, 1)], "edge 0 has unhashable id {}"),
+    ], ids=["vertex-id", "edge-to", "edge-from", "edge-id"])
+    def test_unhashable_id_is_refused(self, vertices, edges, message):
+        diagnostics = refused(vertices, edges)
+        assert [str(d) for d in diagnostics] == ["error: UnhashableId: " + message]
+
     @pytest.mark.parametrize("count", ["1", 1.5, True, None, -1],
                              ids=["string", "float", "bool", "none", "negative"])
     def test_bad_internal_generator_count_is_refused(self, count):
