@@ -349,13 +349,12 @@ _DECODER = json.JSONDecoder(parse_float=_Literal, parse_constant=_Literal)
 
 
 def parse_manifest(text, strict=True, allow_rational_h=False):
-    """Parse a manifest document (JSON text or an already-decoded dict)."""
-    if isinstance(text, (str, bytes)):
+    """Parse a manifest document: JSON text (a str; bytes are refused, the
+    caller decodes them) or an already-decoded dict."""
+    if isinstance(text, str):
         try:
             # json.loads, with the one decoder
-            if isinstance(text, bytes):
-                text = text.decode(json.detect_encoding(text), "surrogatepass")
-            elif text.startswith("\ufeff"):
+            if text.startswith("\ufeff"):
                 raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
                                            text, 0)
             data = _DECODER.decode(text)

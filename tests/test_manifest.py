@@ -170,10 +170,14 @@ class TestFloatLiterals:
             init(self, *args, **kwargs)
         monkeypatch.setattr(json.JSONDecoder, "__init__", counted)
         parse_manifest(GRAPH_DOC)
-        parse_manifest(GRAPH_DOC.encode("utf-8"))
         with pytest.raises(ParseError):
             parse_manifest('{"expected": 1e400}')
         assert built == []
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16"])
+    def test_bytes_are_refused(self, encoding):
+        with pytest.raises(ParseError):
+            parse_manifest(GRAPH_DOC.encode(encoding))
 
 
 class TestSlopeField:
