@@ -20,8 +20,9 @@ with structural errors (duplicate or unhashable ids, dangling edge ends, h
 that is not a positive rational, omega other than +-1, an internal
 generator count that is not a non-negative int) by raising InvalidGraph,
 so every graph that exists is one the holonomy is defined on, and keeps
-the warnings of the same pass. Graphs are immutable and all computations here are pure, so
-components may be processed in parallel without shared state.
+the warnings of the same pass. Graphs are immutable and all computations
+here are pure, so components may be processed in parallel without shared
+state.
 """
 
 from enum import Enum
