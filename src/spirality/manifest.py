@@ -97,9 +97,10 @@ class _Reader:
     ``record`` checks a record's fields in order and raises the first
     fault; a field's path is formatted only in the raise. Equal raw slopes
     and rational strings are normalised once, in memos that die with the
-    reader. The loop's crossings and the pieces' boundaries, the bulk of a
-    long loop's manifest, and torus sides first take a fast path that
-    fetches their fields in one step.
+    reader. The bulk records of a manifest, a graph's vertices and edges,
+    the loop's crossings and the pieces' boundaries, and torus sides first
+    take a fast path that fetches their fields in one step; a record that
+    fails it goes to ``fields``.
     """
 
     def __init__(self, strict, allow_rational_h=False):
@@ -281,10 +282,30 @@ def _parse_graph(r, data):
     r.unknown(data, {"vertices", "edges"}, "graph")
     vertices = []
     for i, v in enumerate(_expect(data.get("vertices", []), list, "graph.vertices")):
-        kind, vid, orientable, generators = r.record(v, _VERTEX, "graph.vertices[%d]", i)
+        # the fast path of r.record(v, _VERTEX, "graph.vertices[%d]", i)
+        if type(v) is not dict or not v.keys() <= _VERTEX.known:
+            r.unknown(v, _VERTEX.known, "graph.vertices[%d]" % i)
+        kind, vid = v.get("kind", "horizontal"), v.get("id")
+        orientable, generators = v.get("orientable", True), v.get("internal_omega_generators", 0)
+        kind = _KINDS.get(kind) if type(kind) is str else None
+        if (kind is None or type(vid) is not str or type(orientable) is not bool
+                or type(generators) is not int):
+            kind, vid, orientable, generators = r.fields(v, _VERTEX, "graph.vertices[%d]", i)
         vertices.append(jsj.Vertex(vid, kind, orientable, generators))
-    edges = [jsj.Edge(*r.record(e, _EDGE, "graph.edges[%d]", i))
-             for i, e in enumerate(_expect(data.get("edges", []), list, "graph.edges"))]
+    edges = []
+    for i, e in enumerate(_expect(data.get("edges", []), list, "graph.edges")):
+        # the fast path of r.record(e, _EDGE, "graph.edges[%d]", i)
+        if type(e) is not dict or not e.keys() <= _EDGE.known:
+            r.unknown(e, _EDGE.known, "graph.edges[%d]" % i)
+        try:
+            eid, a, b, h_ini, h_ter = _EDGE.take(e)
+        except KeyError:
+            eid = None
+        omega = e.get("omega", 1)
+        if (type(eid) is not str or type(a) is not str or type(b) is not str
+                or type(h_ini) is not int or type(h_ter) is not int or type(omega) is not int):
+            eid, a, b, h_ini, h_ter, omega = r.fields(e, _EDGE, "graph.edges[%d]", i)
+        edges.append(jsj.Edge(eid, a, b, h_ini, h_ter, omega))
     try:
         g = jsj.DecoratedJSJGraph(vertices, edges)
     except jsj.InvalidGraph as err:

@@ -1,6 +1,7 @@
 import copy
 import gc
 import json
+import random
 import re
 import weakref
 from fractions import Fraction
@@ -13,7 +14,9 @@ from spirality import (ParseError, Slope, parse_manifest, dumps_manifest,
                        parse_rational, format_rational)
 from spirality.flow import DANGLING_REF, UNPAIRED_BOUNDARY
 from spirality.graph import NON_INTEGRAL_H, NON_POSITIVE_H
+from spirality import manifest
 from spirality.manifest import FdtcInput, loop_to_list, flow_to_dict, indented_json
+from util import oracle_parse_graph, random_path_graph
 
 GRAPH_DOC = """
 {
@@ -344,8 +347,74 @@ def test_a_decoded_manifest_may_hold_str_and_int_subclasses():
     torus["frame"] = Name(torus.get("frame", ""))
     boundary["id"], boundary["leaf_length"] = (Name(boundary["id"]),
                                                Name(boundary["leaf_length"]))
+    doc.update(json.loads(GRAPH_DOC))
+    for v in doc["graph"]["vertices"]:
+        v["id"], v["kind"] = Name(v["id"]), Name(v["kind"])
+        v["internal_omega_generators"] = Count(v.get("internal_omega_generators", 0))
+    for e in doc["graph"]["edges"]:
+        e.update({key: Name(e[key]) for key in ("id", "from", "to")})
+        e.update({key: Count(e[key]) for key in ("h_ini", "h_ter", "omega")})
     parsed = parse_manifest(doc)
     assert dumps_manifest(flow_manifest=parsed.flow, loop=parsed.loop) == want
+    plain = parse_manifest(GRAPH_DOC).graph
+    assert parsed.graph.vertices == plain.vertices and parsed.graph.edges == plain.edges
+    assert dumps_manifest(graph=parsed.graph) == dumps_manifest(graph=plain)
+
+
+# One field of a GRAPH_DOC vertex or edge, or a key no record has.
+_GRAPH_FIELDS = st.sampled_from(
+    [("vertices", i, key) for i in (0, 1)
+     for key in ("kind", "id", "orientable", "internal_omega_generators", "color")]
+    + [("edges", i, key) for i in (0, 1)
+       for key in ("id", "from", "to", "h_ini", "h_ter", "omega", "color")])
+_DELETE = object()
+_FIELD_VALUES = st.sampled_from([
+    _DELETE, True, False, 1.5, 1e400, [1], {"a": 1}, "3/2", "-1/2", "0/1",
+    "vertical", "elementary_band", "a", "b", 0, 2, -1])
+
+
+@given(st.lists(st.tuples(_GRAPH_FIELDS, _FIELD_VALUES), min_size=1, max_size=2),
+       st.booleans(), st.booleans())
+def test_the_graph_fast_path_reads_as_the_generic_reader(edits, strict, allow_rational_h):
+    doc = json.loads(GRAPH_DOC)["graph"]
+    for (section, i, key), value in edits:
+        if value is _DELETE:
+            doc[section][i].pop(key, None)
+        else:
+            doc[section][i][key] = value
+    # decoded as a manifest is, so that a float stays a literal
+    data = manifest._DECODER.decode(json.dumps(doc))
+    outcomes = []
+    for parse in (manifest._parse_graph, oracle_parse_graph):
+        r = manifest._Reader(strict, allow_rational_h)
+        try:
+            g, diagnostics = parse(r, data)
+        except ParseError as err:
+            outcomes.append(str(err))
+        else:
+            outcomes.append((g and (g.vertices, g.edges), diagnostics, r.warnings))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("every_field", [True, False])
+def test_a_well_formed_graph_never_leaves_the_fast_path(monkeypatch, every_field):
+    # graph-deep's size: V = 40, E = 120
+    g = random_path_graph(random.Random(18), n_vertices=40, n_extra=81)
+    doc = json.loads(dumps_manifest(graph=g))
+    if not every_field:  # the optional fields left to their defaults
+        for record in doc["graph"]["vertices"] + doc["graph"]["edges"]:
+            for key in ("kind", "orientable", "omega"):
+                if record.get(key) in ("horizontal", True, 1):
+                    del record[key]
+    calls, real = [], manifest._Reader.fields
+
+    def counted(r, obj, spec, where, *at):
+        calls.append(where % at)
+        return real(r, obj, spec, where, *at)
+    monkeypatch.setattr(manifest._Reader, "fields", counted)
+    parsed = parse_manifest(json.dumps(doc))
+    assert parsed.graph.vertices == g.vertices and parsed.graph.edges == g.edges
+    assert calls == []
 
 
 class _Name(str):

@@ -7,8 +7,9 @@ values by a hand-rolled integer product or by folding partial dilatations,
 fundamental cycles from both ends' full paths to the root, a graph's
 errors and warnings from one interleaved pass over its data, a flow
 manifest's likewise, with indexes of its own, flow spiralities as a product
-of one reduced Fraction per sigma and rho factor, and the loop check's
-diagnostics from a pass that looks every side up first.
+of one reduced Fraction per sigma and rho factor, the loop check's
+diagnostics from a pass that looks every side up first, and a graph
+section read record by record by the manifest reader's generic check.
 
 It also holds the constructions that only the tests need, not the CLI or
 the manifest: torus covers and their slope degrees, frame changes, graph
@@ -34,7 +35,8 @@ from spirality.flow import (DANGLING_REF, NON_POSITIVE_LEAF, NOT_TRANSVERSE,
 from spirality.flow import DUPLICATE_ID as DUPLICATE_FLOW_ID
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest, BAD_INTERNAL_GENERATORS,
                              BAD_OMEGA, DANGLING_EDGE, DUPLICATE_ID, ELEMENTARY_ADJACENCY,
-                             NON_INTEGRAL_H, NON_POSITIVE_H, OMEGA_AMBIGUITY)
+                             NON_INTEGRAL_H, NON_POSITIVE_H, OMEGA_AMBIGUITY, InvalidGraph)
+from spirality.manifest import _EDGE, _VERTEX, _expect
 
 
 # ---------------------------------------------------------------- lattice
@@ -479,6 +481,23 @@ def oracle_validate(vertices, edges):
                                    "non-orientable subsurface; omega sign data is taken "
                                    "as given" % e.id))
     return out
+
+
+def oracle_parse_graph(r, data):
+    """``manifest._parse_graph`` with no fast path: every vertex and edge
+    goes through the reader ``r``'s generic ``record``."""
+    r.unknown(data, {"vertices", "edges"}, "graph")
+    vertices = []
+    for i, v in enumerate(_expect(data.get("vertices", []), list, "graph.vertices")):
+        kind, vid, orientable, generators = r.record(v, _VERTEX, "graph.vertices[%d]", i)
+        vertices.append(Vertex(vid, kind, orientable, generators))
+    edges = [Edge(*r.record(e, _EDGE, "graph.edges[%d]", i))
+             for i, e in enumerate(_expect(data.get("edges", []), list, "graph.edges"))]
+    try:
+        g = DecoratedJSJGraph(vertices, edges)
+    except InvalidGraph as err:
+        return None, err.diagnostics
+    return g, g.warnings
 
 
 def oracle_cycle_value(g, cycle):
