@@ -269,10 +269,11 @@ def equiperiodic_rho_is_one(m):
 
 
 def _one_leaf_length(piece):
-    """Whether all boundaries of the piece have one leaf length; compared
-    with the first, so a mismatch ends the scan."""
+    """Whether all boundaries of the piece have one leaf length. Each is
+    compared with the first by ``list.count``, which tests identity before
+    equality, and equal lengths are often one object."""
     lengths = [b.leaf_length for b in piece.boundaries]
-    return all(length == lengths[0] for length in lengths)
+    return not lengths or lengths.count(lengths[0]) == len(lengths)
 
 
 class FlowFactors(Value):
@@ -316,15 +317,22 @@ def validate_itinerary(itinerary, m):
     are looked up, and its two intersection numbers taken, once.
 
     Returns (diagnostics, factors). The diagnostics name the crossings on a
-    missing torus; failing that, crossing by crossing in loop order, each
-    degeneracy slope a crossing is parallel to and a piece it enters that
-    the next crossing does not leave. ``factors`` is the loop's FlowFactors,
+    missing torus, or those whose torus id is unhashable; failing that,
+    crossing by crossing in loop order, each degeneracy slope a crossing is
+    parallel to and a piece it enters that the next crossing does not leave. ``factors`` is the loop's FlowFactors,
     or None when there is a diagnostic.
     """
     crossings = itinerary.crossings
     sides = m._sides
-    out = [error(DANGLING_REF, "crossing %d references missing torus %r" % (i, c.torus))
-           for i, c in enumerate(crossings) if c.torus not in sides]
+    try:
+        out = [error(DANGLING_REF, "crossing %d references missing torus %r" % (i, c.torus))
+               for i, c in enumerate(crossings) if c.torus not in sides]
+    except TypeError:
+        # a torus id that cannot key an index
+        out = unhashable_ids([("crossing %d" % i, "torus", c.torus)
+                              for i, c in enumerate(crossings)])
+        if not out:
+            raise
     if out:
         return out, None
     plus = Side.PLUS

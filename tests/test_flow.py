@@ -343,6 +343,19 @@ class TestValidation:
         tori = [Torus("T", plus=("S", "x"), minus=("S", "y"))]
         assert SEIFERT_LEAF_MISMATCH in refusal_codes([piece], tori)
 
+    def test_one_leaf_length_is_equality_not_identity(self):
+        # equal lengths as distinct objects and of other types, and no length
+        piece = Piece("S", PieceType.SEIFERT,
+                      [PieceBoundary("x", "T", Slope((1, 0)), Fraction(1, 2)),
+                       PieceBoundary("y", "T", Slope((1, 0)), Fraction(2, 4))])
+        m = FlowManifest([piece, Piece("E", PieceType.SEIFERT, [])],
+                         [Torus("T", plus=("S", "x"), minus=("S", "y"))])
+        assert m.warnings == () and equiperiodic_rho_is_one(m)
+        piece = Piece("S", PieceType.SEIFERT,
+                      [PieceBoundary("x", "T", Slope((1, 0)), 1),
+                       PieceBoundary("y", "T", Slope((1, 0)), Fraction(1))])
+        assert equiperiodic_rho_is_one(FlowManifest([piece], m.tori))
+
     def test_unpaired_boundary(self):
         piece = Piece("P", PA, [PieceBoundary("x", "T", Slope((1, 0)), Fraction(1)),
                                 PieceBoundary("y", "T", Slope((1, 0)), Fraction(1)),
@@ -371,6 +384,15 @@ class TestValidation:
             FlowManifest(pieces, tori)
         assert [str(d) for d in info.value.diagnostics] == [
             "error: UnhashableId: " + message]
+
+    def test_unhashable_torus_id_in_the_loop_is_refused(self):
+        m, _ = chain_manifest({})
+        loop = LoopItinerary([Crossing("T0", Slope((1, 1)), Side.PLUS),
+                              Crossing(["T"], Slope((0, 1)), "plus")])
+        diagnostics, factors = validate_itinerary(loop, m)
+        assert [str(d) for d in diagnostics] == [
+            "error: UnhashableId: crossing 1 has unhashable torus ['T']"]
+        assert factors is None
 
     def test_refusal_names_the_errors_then_keeps_the_warnings(self):
         piece = Piece("P", PA, [PieceBoundary("x", "T", Slope((1, 0), 2), Fraction(1)),
