@@ -129,8 +129,8 @@ def _run_on_path(args):
     """Load and check the manifest, let the command compute, render once."""
     raw, parsed = _load(args.path, args)
     report = Report(args.command, _digest(raw))
-    valid, factors = _check(parsed, report)
-    code = args.compute(parsed, factors, report) if valid else EXIT_DOMAIN
+    valid, computed = _check(parsed, report)
+    code = args.compute(parsed, computed, report) if valid else EXIT_DOMAIN
     _render(report, args)
     return code
 
@@ -142,7 +142,9 @@ def _yesno(flag):
 def _fdtc_diagnostics(data):
     """What the fdtc section must satisfy, for validate and fdtc alike: a
     primitive reduction curve, a positive power, and a slope difference
-    that lattice.fdtc finds a multiple of the curve."""
+    that lattice.fdtc finds a multiple of the curve. Returns (diagnostics,
+    value), the value being lattice.fdtc's, or None when there is a
+    diagnostic."""
     out = []
     if data.e.multiplicity != 1:
         out.append(diag_error(
@@ -150,12 +152,12 @@ def _fdtc_diagnostics(data):
     if data.m < 1:
         out.append(diag_error(
             "NonPositivePower", "fdtc power m must be positive, got %d" % data.m))
-    if not out:
-        try:
-            fdtc_value(data.l_plus, data.l_minus, data.e, data.m)
-        except NotParallel as err:
-            out.append(diag_error("NotParallel", str(err)))
-    return out
+    if out:
+        return out, None
+    try:
+        return [], fdtc_value(data.l_plus, data.l_minus, data.e, data.m)
+    except NotParallel as err:
+        return [diag_error("NotParallel", str(err))], None
 
 
 def _check(parsed, report):
@@ -164,14 +166,16 @@ def _check(parsed, report):
     whenever there is a flow manifest (one without errors) to resolve it
     on, and the fdtc section. Warnings go to the report; errors become rows
     followed by ``status: invalid``. Returns whether there is no error, and
-    the loop's FlowFactors from the check's one pass over it (None when the
-    pass did not run or found an error)."""
-    diagnostics, factors = list(parsed.diagnostics), None
+    what the check computed for the commands: the pair (the loop's
+    FlowFactors from the check's one pass over it, the fdtc section's
+    value), each None when its check did not run or found an error."""
+    diagnostics, factors, value = list(parsed.diagnostics), None, None
     if parsed.flow is not None and parsed.loop is not None:
         loop_diagnostics, factors = flow.validate_itinerary(parsed.loop, parsed.flow)
         diagnostics += loop_diagnostics
     if parsed.fdtc is not None:
-        diagnostics += _fdtc_diagnostics(parsed.fdtc)
+        fdtc_diagnostics, value = _fdtc_diagnostics(parsed.fdtc)
+        diagnostics += fdtc_diagnostics
     report.warnings.extend(parsed.warnings)
     for d in diagnostics:
         row = "%s: %s" % (d.code, d.message)
@@ -182,10 +186,10 @@ def _check(parsed, report):
     invalid = any(d.is_error for d in diagnostics)
     if invalid:
         report.add("status", "invalid", "red")
-    return not invalid, factors
+    return not invalid, (factors, value)
 
 
-def cmd_validate(parsed, factors, report):
+def cmd_validate(parsed, computed, report):
     report.add("status", "ok", "green")
     return EXIT_OK
 
@@ -199,7 +203,8 @@ def _graph_for_aspiral(parsed, factors, report):
     raise SpiralityError("manifest carries neither a graph nor a flow+loop pair")
 
 
-def cmd_aspiral(parsed, factors, report):
+def cmd_aspiral(parsed, computed, report):
+    factors, _ = computed
     g = _graph_for_aspiral(parsed, factors, report)
     char = jsj.character(g)
     for edge_id, value in zip(char.cycle_edges, char.values):
@@ -228,8 +233,9 @@ def _require_flow_loop(parsed):
                              "(\"pieces\", \"tori\" and \"loop\" sections)")
 
 
-def cmd_rw(parsed, factors, report):
+def cmd_rw(parsed, computed, report):
     _require_flow_loop(parsed)
+    factors, _ = computed
     for i, (crossing, value) in enumerate(zip(parsed.loop.crossings, factors.sigmas)):
         report.add("sigma[%d] (torus %s)" % (i, crossing.torus), format_rational(value))
     for i, (piece, value) in enumerate(zip(factors.pieces, factors.rhos)):
@@ -247,11 +253,10 @@ def cmd_rw(parsed, factors, report):
     return EXIT_OK if matches else EXIT_DOMAIN
 
 
-def cmd_fdtc(parsed, factors, report):
-    data = parsed.fdtc
-    if data is None:
+def cmd_fdtc(parsed, computed, report):
+    if parsed.fdtc is None:
         raise SpiralityError("this command needs an \"fdtc\" section")
-    value = fdtc_value(data.l_plus, data.l_minus, data.e, data.m)
+    _, value = computed
     report.add("fdtc", format_rational(value))
     if value == 0:
         report.add("note", "degeneracy slopes match; the coefficient vanishes")
@@ -335,7 +340,7 @@ def cmd_crosscheck(args):
     report = Report("crosscheck", digest)
     cases = []
     for label, parsed in sources:
-        valid, factors = _check(parsed, report)
+        valid, (factors, _) = _check(parsed, report)
         if not valid:
             # the first manifest that fails the check ends the run
             report.add("invalid manifest", label, "red")

@@ -230,6 +230,18 @@ class TestFdtc:
         assert code == 1
         assert "error: BadReductionCurve" in out.out and out.err == ""
 
+    def test_one_run_computes_the_coefficient_once(self, tmp_path, capsys, monkeypatch):
+        calls, real = [], spirality.cli.fdtc_value
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(spirality.cli, "fdtc_value", counted)
+        path = write(tmp_path, "fdtc-sample.json", _GOLDEN["fdtc-sample.json"])
+        code, out = run(capsys, "fdtc", path)
+        assert code == 0 and "fdtc: 3/2\n" in out.out
+        assert len(calls) == 1
+
 
 class TestOneCheck:
     """Every command runs validate's check on every manifest it reads."""
