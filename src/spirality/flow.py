@@ -319,8 +319,9 @@ def validate_itinerary(itinerary, m):
     Returns (diagnostics, factors). The diagnostics name the crossings on a
     missing torus, or those whose torus id is unhashable; failing that,
     crossing by crossing in loop order, each degeneracy slope a crossing is
-    parallel to and a piece it enters that the next crossing does not leave. ``factors`` is the loop's FlowFactors,
-    or None when there is a diagnostic.
+    parallel to and a piece it enters that the next crossing does not leave.
+    ``factors`` is the loop's FlowFactors, or None when there is a
+    diagnostic.
     """
     crossings = itinerary.crossings
     sides = m._sides

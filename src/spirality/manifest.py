@@ -286,7 +286,8 @@ def _parse_graph(r, data):
         if type(v) is not dict or not v.keys() <= _VERTEX.known:
             r.unknown(v, _VERTEX.known, "graph.vertices[%d]" % i)
         kind, vid = v.get("kind", "horizontal"), v.get("id")
-        orientable, generators = v.get("orientable", True), v.get("internal_omega_generators", 0)
+        orientable = v.get("orientable", True)
+        generators = v.get("internal_omega_generators", 0)
         kind = _KINDS.get(kind) if type(kind) is str else None
         if (kind is None or type(vid) is not str or type(orientable) is not bool
                 or type(generators) is not int):
