@@ -13,9 +13,12 @@ per non-tree edge, and its witness cycle, which runs far into the tree;
 the rows name their edges, so no other fundamental cycle is pinned. Two
 loops at the benchmark's sizes, a twist elevation of degree 1000 and a
 three-piece loop of 260 crossings whose rho factors all differ from 1,
-pin ``rw`` and ``crosscheck`` on long products; ``aspiral`` on the second,
-where every vertex of the dual graph has its own gauge factor, pins the
-decorated graph's character.
+pin ``rw`` and ``crosscheck`` on long products. ``aspiral`` on the first
+pins the decorated ids past 999 (``seg1000``, ``x1999``), which order the
+lowest-id spanning tree and leave ``x999`` its one non-tree edge, the h
+values and a witness of 2000 steps; on the second, where every vertex of
+the dual graph has its own gauge factor, it pins the decorated graph's
+character.
 Long manifests with faults far apart pin the order of the check's
 diagnostics on a 319-crossing loop, the field paths of parse errors deep
 in a manifest, and the order of ``--lenient`` warnings about unknown
@@ -448,9 +451,9 @@ def _build(work):
             case("%s-text-%s" % (command, name), [command, name])
             case("%s-structured-%s" % (command, name),
                  [command, "--format", "structured", name])
-    case("aspiral-text-loop-260.json", ["aspiral", "loop-260.json"])
-    case("aspiral-structured-loop-260.json",
-         ["aspiral", "--format", "structured", "loop-260.json"])
+    for name in ("twist-d1000.json", "loop-260.json"):
+        case("aspiral-text-" + name, ["aspiral", name])
+        case("aspiral-structured-" + name, ["aspiral", "--format", "structured", name])
     for name in faulty:
         for command in ("validate", "rw"):
             case("%s-text-%s" % (command, name), [command, name])
