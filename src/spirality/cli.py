@@ -22,7 +22,7 @@ except ImportError:
         from hashlib import sha256
 
 from .errors import SpiralityError, ParseError, Value, error as diag_error
-from .rational import format_rational
+from .rational import format_ratio, format_rational
 from . import graph as jsj
 from . import flow
 from . import generators
@@ -49,10 +49,11 @@ class Report(Value):
     __hash__ = None  # the lists grow
 
     def __init__(self, command, digest, results=None, warnings=None):
-        object.__setattr__(self, "command", command)
-        object.__setattr__(self, "digest", digest)
-        object.__setattr__(self, "results", [] if results is None else results)
-        object.__setattr__(self, "warnings", [] if warnings is None else warnings)
+        set_command, set_digest, set_results, set_warnings = self._setters
+        set_command(self, command)
+        set_digest(self, digest)
+        set_results(self, [] if results is None else results)
+        set_warnings(self, [] if warnings is None else warnings)
 
     def add(self, label, value, color=None):
         self.results.append((label, value, color))
@@ -236,10 +237,12 @@ def _require_flow_loop(parsed):
 def cmd_rw(parsed, computed, report):
     _require_flow_loop(parsed)
     factors, _ = computed
-    for i, (crossing, value) in enumerate(zip(parsed.loop.crossings, factors.sigmas)):
-        report.add("sigma[%d] (torus %s)" % (i, crossing.torus), format_rational(value))
-    for i, (piece, value) in enumerate(zip(factors.pieces, factors.rhos)):
-        report.add("rho[%d] (piece %s)" % (i, piece), format_rational(value))
+    # each row is written from the integer pair FlowFactors.sigmas/rhos reduce
+    for i, (crossing, pair) in enumerate(zip(parsed.loop.crossings,
+                                             factors.intersections)):
+        report.add("sigma[%d] (torus %s)" % (i, crossing.torus), format_ratio(*pair))
+    for i, (piece, pair) in enumerate(zip(factors.pieces, factors.rho_pairs())):
+        report.add("rho[%d] (piece %s)" % (i, piece), format_ratio(*pair))
     if flow.equiperiodic_rho_is_one(parsed.flow):
         report.add("note", "leaf lengths are constant per piece; "
                            "the rho factors are all 1")

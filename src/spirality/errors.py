@@ -38,16 +38,24 @@ class Value:
     """Base of the immutable value types.
 
     A subclass lists its fields in ``__slots__`` (a slot whose name starts
-    with "_" is a cache, not a field) and sets them in ``__init__`` with
-    ``object.__setattr__``. Values are equal, and hash alike, when they are
-    of one class and their fields are equal; the repr lists the fields.
-    Values can be weakly referenced, copied and pickled.
+    with "_" is a cache, not a field). Its fields are those of every class
+    in its MRO, base classes first, and ``_setters`` holds the ``__set__``
+    of each field's slot, in the same order: ``__init__`` unpacks
+    ``self._setters`` once and calls each setter with the instance and the
+    value, which bypasses the ``__setattr__`` that refuses assignment. A
+    subclass that adds fields sets all of them in its own ``__init__``.
+    Values are equal, and hash alike, when they are of one class and their
+    fields are equal; the repr lists the fields. Values can be weakly
+    referenced, copied and pickled.
     """
 
     __slots__ = ("__weakref__",)
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._fields = tuple(name for klass in reversed(cls.__mro__)
+                            for name in klass.__dict__.get("__slots__", ())
+                            if name[0] != "_")
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
@@ -85,9 +93,10 @@ class Diagnostic(Value):
     __slots__ = ("severity", "code", "message")
 
     def __init__(self, severity, code, message):
-        object.__setattr__(self, "severity", severity)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
+        set_severity, set_code, set_message = self._setters
+        set_severity(self, severity)
+        set_code(self, code)
+        set_message(self, message)
 
     @property
     def is_error(self):

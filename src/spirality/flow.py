@@ -73,10 +73,11 @@ class PieceBoundary(Value):
     __slots__ = ("id", "torus", "degeneracy_slope", "leaf_length")
 
     def __init__(self, id, torus, degeneracy_slope, leaf_length):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "torus", torus)
-        object.__setattr__(self, "degeneracy_slope", degeneracy_slope)
-        object.__setattr__(self, "leaf_length", leaf_length)
+        set_id, set_torus, set_degeneracy_slope, set_leaf_length = self._setters
+        set_id(self, id)
+        set_torus(self, torus)
+        set_degeneracy_slope(self, degeneracy_slope)
+        set_leaf_length(self, leaf_length)
 
 
 class Piece(Value):
@@ -85,9 +86,10 @@ class Piece(Value):
     def __init__(self, id, type, boundaries):
         if isinstance(type, str):
             type = PieceType(type)
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "boundaries", tuple(boundaries))
+        set_id, set_type, set_boundaries = self._setters
+        set_id(self, id)
+        set_type(self, type)
+        set_boundaries(self, tuple(boundaries))
 
 
 class Torus(Value):
@@ -96,10 +98,11 @@ class Torus(Value):
     __slots__ = ("id", "plus", "minus", "frame")
 
     def __init__(self, id, plus, minus, frame=""):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
-        object.__setattr__(self, "frame", frame)
+        set_id, set_plus, set_minus, set_frame = self._setters
+        set_id(self, id)
+        set_plus(self, plus)
+        set_minus(self, minus)
+        set_frame(self, frame)
 
 
 class InvalidFlow(InvalidData):
@@ -139,9 +142,10 @@ class Crossing(Value):
     def __init__(self, torus, curve, from_side):
         if isinstance(from_side, str):
             from_side = Side(from_side)
-        object.__setattr__(self, "torus", torus)
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "from_side", from_side)
+        set_torus, set_curve, set_from_side = self._setters
+        set_torus(self, torus)
+        set_curve(self, curve)
+        set_from_side(self, from_side)
 
 
 class LoopItinerary(Value):
@@ -153,7 +157,8 @@ class LoopItinerary(Value):
         crossings = tuple(crossings)
         if not crossings:
             raise ValueError("itinerary needs at least one crossing")
-        object.__setattr__(self, "crossings", crossings)
+        (set_crossings,) = self._setters
+        set_crossings(self, crossings)
 
 
 def normalize_itinerary(itinerary, convention):
@@ -288,10 +293,11 @@ class FlowFactors(Value):
     __slots__ = ("intersections", "left", "entered", "pieces")
 
     def __init__(self, intersections, left, entered, pieces):
-        object.__setattr__(self, "intersections", intersections)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "entered", entered)
-        object.__setattr__(self, "pieces", pieces)
+        set_intersections, set_left, set_entered, set_pieces = self._setters
+        set_intersections(self, intersections)
+        set_left(self, left)
+        set_entered(self, entered)
+        set_pieces(self, pieces)
 
     @property
     def sigmas(self):
@@ -301,10 +307,15 @@ class FlowFactors(Value):
     @property
     def rhos(self):
         """rho of each segment: entry leaf length over exit leaf length."""
-        return tuple(Fraction(entry.leaf_length.numerator * exit_.leaf_length.denominator,
-                              entry.leaf_length.denominator * exit_.leaf_length.numerator)
-                     for entry, exit_ in zip(self.entered[-1:] + self.entered[:-1],
-                                             self.left))
+        return tuple(Fraction(*pair) for pair in self.rho_pairs())
+
+    def rho_pairs(self):
+        """Each segment's rho as an unreduced (numerator, denominator) pair of
+        positive ints."""
+        for entry, exit_ in zip(self.entered[-1:] + self.entered[:-1], self.left):
+            entry, exit_ = entry.leaf_length, exit_.leaf_length
+            yield (entry.numerator * exit_.denominator,
+                   entry.denominator * exit_.numerator)
 
 
 def _piece_mismatch(i, entered_piece, j, left_piece):
@@ -390,16 +401,21 @@ def decorate_from_flow(factors, m):
     The factor cancels in every cycle product, so the cycle's holonomy
     equals the spirality of the loop exactly.
     """
-    n = len(factors.intersections)
     left = [b.leaf_length for b in factors.left]
     entered = [b.leaf_length for b in factors.entered]
+    left_num, left_den = [x.numerator for x in left], [x.denominator for x in left]
+    entered_num = [x.numerator for x in entered]
+    entered_den = [x.denominator for x in entered]
     kinds = {p.id: jsj.VertexKind.HORIZONTAL if p.type is PieceType.SEIFERT
              else jsj.VertexKind.GEOMETRICALLY_INFINITE for p in m.pieces}
-    vertices = [jsj.Vertex("seg%03d" % i, kinds[piece_id])
-                for i, piece_id in enumerate(factors.pieces)]
-    edges = [jsj.Edge("x%03d" % i, "seg%03d" % i, "seg%03d" % ((i + 1) % n),
-                      n_leave * left[i].denominator * entered[i - 1].numerator,
-                      n_enter * entered[i].denominator * left[(i + 1) % n].numerator)
+    ids = ["seg%03d" % i for i in range(len(left))]
+    Vertex, Edge = jsj.Vertex, jsj.Edge
+    vertices = [Vertex(i, kinds[piece_id]) for i, piece_id in zip(ids, factors.pieces)]
+    # index i + 1 - n is (i + 1) mod n, and index -1 is n - 1
+    n = len(ids)
+    edges = [Edge("x%03d" % i, ids[i], ids[i + 1 - n],
+                  n_leave * left_den[i] * entered_num[i - 1],
+                  n_enter * entered_den[i] * left_num[i + 1 - n])
              for i, (n_leave, n_enter) in enumerate(factors.intersections)]
     cycle = jsj.DirectedCycle(tuple((e.id, jsj.FORWARD) for e in edges))
     return jsj.DecoratedJSJGraph(vertices, edges), cycle

@@ -38,12 +38,13 @@ class TwistFamilyParams(Value):
     __slots__ = ("k", "p", "q", "r_minus", "r_plus", "d")
 
     def __init__(self, k, p, q, r_minus, r_plus, d=1):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r_minus", r_minus)
-        object.__setattr__(self, "r_plus", r_plus)
-        object.__setattr__(self, "d", d)
+        set_k, set_p, set_q, set_r_minus, set_r_plus, set_d = self._setters
+        set_k(self, k)
+        set_p(self, p)
+        set_q(self, q)
+        set_r_minus(self, r_minus)
+        set_r_plus(self, r_plus)
+        set_d(self, d)
 
     def check(self):
         if self.k == 0:
@@ -68,12 +69,14 @@ class TwistFamilyInstance(Value):
     __slots__ = ("manifest", "loop", "expected", "l_plus", "l_minus", "reduction_curve")
 
     def __init__(self, manifest, loop, expected, l_plus, l_minus, reduction_curve):
-        object.__setattr__(self, "manifest", manifest)
-        object.__setattr__(self, "loop", loop)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "l_plus", l_plus)
-        object.__setattr__(self, "l_minus", l_minus)
-        object.__setattr__(self, "reduction_curve", reduction_curve)
+        (set_manifest, set_loop, set_expected, set_l_plus, set_l_minus,
+         set_reduction_curve) = self._setters
+        set_manifest(self, manifest)
+        set_loop(self, loop)
+        set_expected(self, expected)
+        set_l_plus(self, l_plus)
+        set_l_minus(self, l_minus)
+        set_reduction_curve(self, reduction_curve)
 
 
 def gen_twist_family(params):

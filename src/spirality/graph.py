@@ -60,10 +60,11 @@ class Vertex(Value):
                  internal_omega_generators=0):
         if isinstance(kind, str):
             kind = VertexKind(kind)
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "orientable", orientable)
-        object.__setattr__(self, "internal_omega_generators", internal_omega_generators)
+        set_id, set_kind, set_orientable, set_internal_omega_generators = self._setters
+        set_id(self, id)
+        set_kind(self, kind)
+        set_orientable(self, orientable)
+        set_internal_omega_generators(self, internal_omega_generators)
 
 
 class Edge(Value):
@@ -72,12 +73,14 @@ class Edge(Value):
     __slots__ = ("id", "from_vertex", "to_vertex", "h_ini", "h_ter", "omega")
 
     def __init__(self, id, from_vertex, to_vertex, h_ini, h_ter, omega=1):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "from_vertex", from_vertex)
-        object.__setattr__(self, "to_vertex", to_vertex)
-        object.__setattr__(self, "h_ini", h_ini)
-        object.__setattr__(self, "h_ter", h_ter)
-        object.__setattr__(self, "omega", omega)
+        (set_id, set_from_vertex, set_to_vertex, set_h_ini, set_h_ter,
+         set_omega) = self._setters
+        set_id(self, id)
+        set_from_vertex(self, from_vertex)
+        set_to_vertex(self, to_vertex)
+        set_h_ini(self, h_ini)
+        set_h_ter(self, h_ter)
+        set_omega(self, omega)
 
 
 FORWARD = 1
@@ -90,7 +93,8 @@ class DirectedCycle(Value):
     __slots__ = ("steps",)
 
     def __init__(self, steps):
-        object.__setattr__(self, "steps", tuple(map(tuple, steps)))
+        (set_steps,) = self._setters
+        set_steps(self, tuple(map(tuple, steps)))
 
     def __str__(self):
         if not self.steps:
@@ -355,10 +359,11 @@ class SpiralityCharacter(Value):
     __slots__ = ("forest", "values", "cycle_edges", "internal_signs")
 
     def __init__(self, forest, values, cycle_edges, internal_signs):
-        object.__setattr__(self, "forest", forest)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "cycle_edges", cycle_edges)
-        object.__setattr__(self, "internal_signs", internal_signs)
+        set_forest, set_values, set_cycle_edges, set_internal_signs = self._setters
+        set_forest(self, forest)
+        set_values(self, values)
+        set_cycle_edges(self, cycle_edges)
+        set_internal_signs(self, internal_signs)
 
 
 def character(g, forest=None):
@@ -415,10 +420,11 @@ class Verdict(Value):
     __slots__ = ("aspiral", "vacuous", "witness", "witness_value")
 
     def __init__(self, aspiral, vacuous=False, witness=None, witness_value=None):
-        object.__setattr__(self, "aspiral", aspiral)
-        object.__setattr__(self, "vacuous", vacuous)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "witness_value", witness_value)
+        set_aspiral, set_vacuous, set_witness, set_witness_value = self._setters
+        set_aspiral(self, aspiral)
+        set_vacuous(self, vacuous)
+        set_witness(self, witness)
+        set_witness_value(self, witness_value)
 
     @property
     def virtually_embedded(self):

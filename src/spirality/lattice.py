@@ -28,8 +28,9 @@ class Slope(Value):
             raise ValueError("stored slope vector must be primitive; use Slope.of")
         if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "multiplicity", multiplicity)
+        set_vector, set_multiplicity = self._setters
+        set_vector(self, vector)
+        set_multiplicity(self, multiplicity)
 
     @classmethod
     def of(cls, a, b, multiplicity=1):
@@ -42,8 +43,9 @@ class Slope(Value):
         # the quotient is primitive by construction, so the constructor's
         # own check (a second gcd) is skipped
         slope = object.__new__(cls)
-        object.__setattr__(slope, "vector", (a // g, b // g))
-        object.__setattr__(slope, "multiplicity", multiplicity * g)
+        set_vector, set_multiplicity = cls._setters
+        set_vector(slope, (a // g, b // g))
+        set_multiplicity(slope, multiplicity * g)
         return slope
 
     def total(self):

@@ -35,10 +35,11 @@ class FdtcInput(Value):
     __slots__ = ("l_plus", "l_minus", "e", "m")
 
     def __init__(self, l_plus, l_minus, e, m):
-        object.__setattr__(self, "l_plus", l_plus)
-        object.__setattr__(self, "l_minus", l_minus)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "m", m)
+        set_l_plus, set_l_minus, set_e, set_m = self._setters
+        set_l_plus(self, l_plus)
+        set_l_minus(self, l_minus)
+        set_e(self, e)
+        set_m(self, m)
 
 
 class ParsedManifest(Value):
@@ -51,13 +52,15 @@ class ParsedManifest(Value):
 
     def __init__(self, graph=None, flow=None, loop=None, fdtc=None, expected=None,
                  warnings=(), diagnostics=()):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "flow", flow)
-        object.__setattr__(self, "loop", loop)
-        object.__setattr__(self, "fdtc", fdtc)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "warnings", warnings)
-        object.__setattr__(self, "diagnostics", diagnostics)
+        (set_graph, set_flow, set_loop, set_fdtc, set_expected, set_warnings,
+         set_diagnostics) = self._setters
+        set_graph(self, graph)
+        set_flow(self, flow)
+        set_loop(self, loop)
+        set_fdtc(self, fdtc)
+        set_expected(self, expected)
+        set_warnings(self, warnings)
+        set_diagnostics(self, diagnostics)
 
     def replace(self, **changes):
         """A copy with the named fields changed."""

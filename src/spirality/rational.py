@@ -11,6 +11,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError, SpiralityError
 
@@ -40,7 +41,17 @@ def format_rational(value):
     raises SpiralityError naming its digit count.
     """
     # both types carry the normal form already, so no Fraction is built
-    num, den = value.numerator, value.denominator
+    return _write(value.numerator, value.denominator)
+
+
+def format_ratio(num, den):
+    """Render the ratio of two ints, ``den`` > 0, as format_rational renders
+    ``Fraction(num, den)``, without building the Fraction."""
+    g = gcd(num, den)
+    return _write(num // g, den // g)
+
+
+def _write(num, den):
     try:
         if den == 1:
             return str(num)
