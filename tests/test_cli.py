@@ -14,9 +14,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spirality
-from spirality import dumps_manifest, flow, gen_random_flow
+from spirality import (TwistFamilyParams, dumps_manifest, flow, format_rational,
+                       gen_random_flow, gen_twist_family)
 from spirality.cli import main
+from test_golden import CORPUS, _capture
 from test_manifest import FULL_MANIFEST, _node_paths, json_values, replace_node
+from util import factors_of
 
 GOOD_GRAPH = """
 {
@@ -189,6 +192,52 @@ class TestRw:
         code, out = run(capsys, "rw", path)
         assert code == 1
         assert "loop" in out.err
+
+    @staticmethod
+    def _rows_are_the_factors(tmp_path, capsys, m, loop):
+        """rw's sigma and rho rows are format_rational of FlowFactors.sigmas
+        and rhos, row by row."""
+        path = write(tmp_path, "loop.json", dumps_manifest(flow_manifest=m, loop=loop))
+        code, out = run(capsys, "rw", path)
+        assert code == 0
+        factors = factors_of(loop, m)
+        for kind, values in (("sigma", factors.sigmas), ("rho", factors.rhos)):
+            rows = [line.rpartition(": ")[2] for line in out.out.splitlines()
+                    if line.startswith(kind + "[")]
+            assert rows == [format_rational(value) for value in values]
+
+    def test_rows_of_random_loops(self, tmp_path, capsys):
+        for seed in range(200):
+            self._rows_are_the_factors(tmp_path, capsys, *gen_random_flow(seed))
+
+    def test_rows_of_twist_elevations(self, tmp_path, capsys):
+        for k, p, q in ((1, 1, 1), (-2, 2, 3), (3, 3, 2)):
+            r_minus = 1 + max(0, k)
+            for d in range(1, 41):
+                instance = gen_twist_family(TwistFamilyParams(k, p, q, r_minus,
+                                                              r_minus - k, d))
+                self._rows_are_the_factors(tmp_path, capsys, instance.manifest,
+                                           instance.loop)
+
+    def test_rows_build_no_fraction_per_crossing(self, tmp_path, monkeypatch):
+        """With FlowFactors.sigmas and rhos refused, rw still prints the
+        golden bytes of the two long loops."""
+        def refuse(factors):
+            raise AssertionError("rw built a Fraction per crossing")
+
+        monkeypatch.setattr(flow.FlowFactors, "sigmas", property(refuse))
+        monkeypatch.setattr(flow.FlowFactors, "rhos", property(refuse))
+        corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+        monkeypatch.chdir(tmp_path)
+        checked = 0
+        for name in ("twist-d1000.json", "loop-260.json"):
+            (tmp_path / name).write_text(corpus["inputs"][name], encoding="utf-8")
+            for case in corpus["cases"]:
+                if case["argv"][0] == "rw" and case["argv"][-1] == name:
+                    recorded = {key: case[key] for key in ("stdout", "stderr", "code")}
+                    assert _capture(case["argv"]) == recorded, case["name"]
+                    checked += 1
+        assert checked == 4
 
 
 class TestFdtc:

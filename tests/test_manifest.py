@@ -3,6 +3,7 @@ import gc
 import json
 import random
 import re
+import sys
 import weakref
 from fractions import Fraction
 
@@ -13,9 +14,11 @@ from spirality import (ParseError, Slope, parse_manifest, dumps_manifest,
                        gen_twist_family, gen_matched_slopes, TwistFamilyParams,
                        parse_rational, format_rational)
 from spirality.flow import DANGLING_REF, UNPAIRED_BOUNDARY
+from spirality.errors import SpiralityError
 from spirality.graph import NON_INTEGRAL_H, NON_POSITIVE_H
 from spirality import manifest
 from spirality.manifest import FdtcInput, loop_to_list, flow_to_dict, indented_json
+from spirality.rational import format_ratio
 from util import oracle_parse_graph, random_path_graph
 
 GRAPH_DOC = """
@@ -53,6 +56,28 @@ class TestRationalFormat:
         assert format_rational(Fraction(-3, 2)) == "-3/2"
         assert format_rational(Fraction(4, 2)) == "2"
         assert format_rational(5) == "5"
+
+    @given(st.integers(-2 ** 130, 2 ** 130), st.integers(1, 2 ** 130),
+           st.integers(1, 2 ** 70))
+    def test_ratio_is_the_format_of_its_fraction(self, num, den, common):
+        for n, d in ((num, den), (num * common, den * common)):
+            assert format_ratio(n, d) == format_rational(Fraction(n, d))
+
+    def test_ratio_over_the_digit_limit_raises_as_the_fraction_does(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the interpreter has no integer digit limit")
+        big = 10 ** (limit + 10) + 1
+        for num, den in ((big, 3), (-7, big), (6 * big, 4), (big, big + 1)):
+            with pytest.raises(SpiralityError) as by_ratio:
+                format_ratio(num, den)
+            with pytest.raises(SpiralityError) as by_fraction:
+                format_rational(Fraction(num, den))
+            assert str(by_ratio.value) == str(by_fraction.value)
+            assert str(by_ratio.value).startswith("cannot print a rational of %d digits"
+                                                  % (limit + 11))
+        # over the limit unreduced, under it once reduced
+        assert format_ratio(6 * big, 4 * big) == "3/2"
 
 
 class TestGraphSection:
