@@ -410,7 +410,7 @@ def decorate_from_flow(factors, m):
              else jsj.VertexKind.GEOMETRICALLY_INFINITE for p in m.pieces}
     ids = ["seg%03d" % i for i in range(len(left))]
     Vertex, Edge = jsj.Vertex, jsj.Edge
-    vertices = [Vertex(i, kinds[piece_id]) for i, piece_id in zip(ids, factors.pieces)]
+    vertices = [Vertex(seg, kinds[piece_id]) for seg, piece_id in zip(ids, factors.pieces)]
     # index i + 1 - n is (i + 1) mod n, and index -1 is n - 1
     n = len(ids)
     edges = [Edge("x%03d" % i, ids[i], ids[i + 1 - n],

@@ -9,7 +9,7 @@ import gc
 
 import pytest
 
-from spirality import Edge, Slope
+from spirality import Edge
 
 from test_values import IDS, SAMPLES
 
@@ -22,10 +22,6 @@ def test_one_setter_per_field(cls, values):
         setter(built, value)
     assert built == cls(*values)
     assert repr(built) == repr(cls(*values))
-
-
-def test_slope_of_sets_both_fields():
-    assert Slope.of(4, -6, 2)._astuple() == ((2, -3), 4)
 
 
 def _check_subclasses():
