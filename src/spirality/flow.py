@@ -27,13 +27,14 @@ changes nothing.
 
 A manifest is diagnosed once, when it is built: FlowManifest refuses data
 the formula is not defined on (say a one-sided torus, or a leaf length that
-is not positive) by raising InvalidFlow, and otherwise keeps the warnings
-and each torus's two sides, resolved once for every loop over it.
+is not positive) by raising InvalidFlow, and otherwise keeps the warnings, each
+torus's two sides and each leaf length as an int pair, read once for all loops.
 """
 
 from enum import Enum
 from fractions import Fraction
 from math import prod
+from operator import attrgetter, itemgetter, mul
 
 from .errors import InvalidData, Value, error, unhashable_ids, warning
 from .lattice import intersection_number
@@ -68,9 +69,11 @@ class PieceType(Enum):
 
 
 class PieceBoundary(Value):
-    """One boundary torus of a piece, with its degeneracy slope and leaf length."""
+    """One boundary torus of a piece, with its degeneracy slope and leaf length.
+    A FlowManifest's diagnosis caches the leaf length in ``_length``, as a
+    reduced (numerator, denominator) pair of ints, or None if not a rational."""
 
-    __slots__ = ("id", "torus", "degeneracy_slope", "leaf_length")
+    __slots__ = ("id", "torus", "degeneracy_slope", "leaf_length", "_length")
 
     def __init__(self, id, torus, degeneracy_slope, leaf_length):
         set_id, set_torus, set_degeneracy_slope, set_leaf_length = self._setters
@@ -78,6 +81,16 @@ class PieceBoundary(Value):
         set_torus(self, torus)
         set_degeneracy_slope(self, degeneracy_slope)
         set_leaf_length(self, leaf_length)
+
+
+_length, _set_length = attrgetter("_length"), PieceBoundary._length.__set__
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+def _lengths(boundaries):
+    """The boundaries' cached leaf lengths: a list of numerators, one of denominators."""
+    pairs = list(map(_length, boundaries))
+    return list(map(_first, pairs)), list(map(_second, pairs))
 
 
 class Piece(Value):
@@ -126,6 +139,10 @@ class FlowManifest:
             raise InvalidFlow(errors + warnings)
         self.warnings = tuple(warnings)
 
+    def __reduce__(self):
+        # copy and pickle diagnose the copy, which caches its boundaries' lengths
+        return FlowManifest, (self.pieces, self.tori)
+
     def __repr__(self):
         return "FlowManifest(%d pieces, %d tori)" % (len(self.pieces), len(self.tori))
 
@@ -172,6 +189,7 @@ def normalize_itinerary(itinerary, convention):
 # Diagnostic codes for manifest/itinerary validation.
 DUPLICATE_ID = "DuplicateId"
 DANGLING_REF = "DanglingReference"
+NON_RATIONAL_LEAF = "NonRationalLeafLength"
 NON_POSITIVE_LEAF = "NonPositiveLeafLength"
 SEIFERT_LEAF_MISMATCH = "SeifertLeafMismatch"
 UNPAIRED_BOUNDARY = "UnpairedBoundary"
@@ -197,10 +215,17 @@ def _diagnose(m):
                 errors.append(error(DUPLICATE_ID,
                                     "duplicate boundary id %r on piece %r" % (b.id, p.id)))
             own.setdefault(b.id, b)
-            if b.leaf_length.numerator <= 0:  # a Fraction's denominator is positive
-                errors.append(error(NON_POSITIVE_LEAF,
-                                    "boundary %r of piece %r has leaf length %s"
-                                    % (b.id, p.id, b.leaf_length)))
+            length = b.leaf_length
+            # the test an h passes, which the first settles for a Fraction
+            pair = (length.as_integer_ratio() if type(length) is Fraction
+                    or isinstance(length, jsj._RATIONAL) else None)
+            _set_length(b, pair)
+            if pair is None:
+                errors.append(error(NON_RATIONAL_LEAF, "boundary %r of piece %r has "
+                                    "non-rational leaf length %r" % (b.id, p.id, length)))
+            elif pair[0] <= 0:  # a Fraction's denominator is positive
+                errors.append(error(NON_POSITIVE_LEAF, "boundary %r of piece %r has "
+                                    "leaf length %s" % (b.id, p.id, length)))
             if b.torus not in torus_ids:
                 errors.append(error(DANGLING_REF,
                                     "boundary %r of piece %r references missing torus %r"
@@ -274,11 +299,10 @@ def equiperiodic_rho_is_one(m):
 
 
 def _one_leaf_length(piece):
-    """Whether all boundaries of the piece have one leaf length. Each is
-    compared with the first by ``list.count``, which tests identity before
-    equality, and equal lengths are often one object."""
-    lengths = [b.leaf_length for b in piece.boundaries]
-    return not lengths or lengths.count(lengths[0]) == len(lengths)
+    """Whether all boundaries of the piece have one cached leaf length: the
+    list compare stops at the first length that is not the first one."""
+    lengths = list(map(_length, piece.boundaries))
+    return lengths[:1] * len(lengths) == lengths
 
 
 class FlowFactors(Value):
@@ -287,7 +311,8 @@ class FlowFactors(Value):
     Crossing i leaves boundary ``left[i]`` of piece ``pieces[i]`` and enters
     ``entered[i]``; its curve meets their degeneracy slopes
     ``intersections[i] = (n_leave, n_enter)`` times. Segment i runs in
-    ``pieces[i]`` from ``entered[i - 1]`` to ``left[i]``.
+    ``pieces[i]`` from ``entered[i - 1]`` to ``left[i]``. The boundaries are
+    those of a FlowManifest, whose diagnosis cached their leaf lengths.
     """
 
     __slots__ = ("intersections", "left", "entered", "pieces")
@@ -312,10 +337,9 @@ class FlowFactors(Value):
     def rho_pairs(self):
         """Each segment's rho as an unreduced (numerator, denominator) pair of
         positive ints."""
-        for entry, exit_ in zip(self.entered[-1:] + self.entered[:-1], self.left):
-            entry, exit_ = entry.leaf_length, exit_.leaf_length
-            yield (entry.numerator * exit_.denominator,
-                   entry.denominator * exit_.numerator)
+        entry_num, entry_den = _lengths(self.entered[-1:] + self.entered[:-1])
+        exit_num, exit_den = _lengths(self.left)
+        return zip(map(mul, entry_num, exit_den), map(mul, entry_den, exit_num))
 
 
 def _piece_mismatch(i, entered_piece, j, left_piece):
@@ -379,13 +403,12 @@ def flow_spirality(factors):
     and rho, multiplied as integers and reduced once. Each entered boundary
     is one segment's entry and each left boundary one segment's exit, so the
     rhos multiply to entered over left lengths."""
-    num = (prod(n for n, _ in factors.intersections)
-           * prod(b.leaf_length.numerator for b in factors.entered)
-           * prod(b.leaf_length.denominator for b in factors.left))
-    den = (prod(n for _, n in factors.intersections)
-           * prod(b.leaf_length.denominator for b in factors.entered)
-           * prod(b.leaf_length.numerator for b in factors.left))
-    return Fraction(num, den)
+    intersections = factors.intersections
+    n_leave, n_enter = map(_first, intersections), map(_second, intersections)
+    entered_num, entered_den = _lengths(factors.entered)
+    left_num, left_den = _lengths(factors.left)
+    return Fraction(prod(n_leave) * prod(entered_num) * prod(left_den),
+                    prod(n_enter) * prod(entered_den) * prod(left_num))
 
 
 def decorate_from_flow(factors, m):
@@ -401,14 +424,11 @@ def decorate_from_flow(factors, m):
     The factor cancels in every cycle product, so the cycle's holonomy
     equals the spirality of the loop exactly.
     """
-    left = [b.leaf_length for b in factors.left]
-    entered = [b.leaf_length for b in factors.entered]
-    left_num, left_den = [x.numerator for x in left], [x.denominator for x in left]
-    entered_num = [x.numerator for x in entered]
-    entered_den = [x.denominator for x in entered]
+    left_num, left_den = _lengths(factors.left)
+    entered_num, entered_den = _lengths(factors.entered)
     kinds = {p.id: jsj.VertexKind.HORIZONTAL if p.type is PieceType.SEIFERT
              else jsj.VertexKind.GEOMETRICALLY_INFINITE for p in m.pieces}
-    ids = ["seg%03d" % i for i in range(len(left))]
+    ids = ["seg%03d" % i for i in range(len(left_num))]
     Vertex, Edge = jsj.Vertex, jsj.Edge
     vertices = [Vertex(seg, kinds[piece_id]) for seg, piece_id in zip(ids, factors.pieces)]
     # index i + 1 - n is (i + 1) mod n, and index -1 is n - 1

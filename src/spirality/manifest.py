@@ -100,10 +100,9 @@ class _Reader:
     ``record`` checks a record's fields in order and raises the first
     fault; a field's path is formatted only in the raise. Equal raw slopes
     and rational strings are normalised once, in memos that die with the
-    reader. The bulk records of a manifest, a graph's vertices and edges,
-    the loop's crossings and the pieces' boundaries, and torus sides first
-    take a fast path that fetches their fields in one step; a record that
-    fails it goes to ``fields``.
+    reader. The records of a flow or graph section, torus sides and wrapped
+    slopes first take a fast path that fetches their fields in one step and
+    tests plain types inline; a record that fails it goes to ``fields``.
     """
 
     def __init__(self, strict, allow_rational_h=False):
@@ -196,7 +195,11 @@ def _slope(r, value, where, at, key):
     if isinstance(value, list):
         vector, mult = value, 1
     elif isinstance(value, dict):
-        vector, mult = r.record(value, _SLOPE, "%s.%s" % (where, key), *at)
+        # the fast path of r.record(value, _SLOPE, ...)
+        vector, mult = value.get("vector"), value.get("mult", 1)
+        if (type(vector) is not list or type(mult) is not int or type(value) is not dict
+                or not value.keys() <= _SLOPE.known):
+            vector, mult = r.record(value, _SLOPE, "%s.%s" % (where, key), *at)
     else:
         raise ParseError("%s must be [a, b] or {\"vector\": [a, b], \"mult\": m}"
                          % _path(where, at, key))
@@ -320,10 +323,27 @@ def _parse_graph(r, data):
 def _parse_flow(r, data):
     pieces = []
     for i, p in enumerate(_expect(data.get("pieces", []), list, "pieces")):
-        piece_type, boundaries, pid = r.record(p, _PIECE, "pieces[%d]", i)
+        # the fast path of r.record(p, _PIECE, "pieces[%d]", i)
+        if type(p) is not dict or not p.keys() <= _PIECE.known:
+            r.unknown(p, _PIECE.known, "pieces[%d]" % i)
+        piece_type, boundaries, pid = p.get("type"), p.get("boundaries"), p.get("id")
+        piece_type = _PIECE_TYPES.get(piece_type) if type(piece_type) is str else None
+        if piece_type is None or type(boundaries) is not list or type(pid) is not str:
+            piece_type, boundaries, pid = r.fields(p, _PIECE, "pieces[%d]", i)
+        else:
+            boundaries = _boundaries(r, boundaries, "pieces[%d]", (i,), "boundaries")
         pieces.append(flow.Piece(pid, piece_type, boundaries))
-    tori = [flow.Torus(*r.record(t, _TORUS, "tori[%d]", i))
-            for i, t in enumerate(_expect(data.get("tori", []), list, "tori"))]
+    tori = []
+    for i, t in enumerate(_expect(data.get("tori", []), list, "tori")):
+        # the fast path of r.record(t, _TORUS, "tori[%d]", i)
+        if type(t) is not dict or not t.keys() <= _TORUS.known:
+            r.unknown(t, _TORUS.known, "tori[%d]" % i)
+        tid, plus, minus, frame = t.get("id"), t.get("plus"), t.get("minus"), t.get("frame", "")
+        if type(tid) is type(frame) is str and type(plus) is type(minus) is dict:
+            tori.append(flow.Torus(tid, _side(r, plus, "tori[%d]", (i,), "plus"),
+                                   _side(r, minus, "tori[%d]", (i,), "minus"), frame))
+        else:
+            tori.append(flow.Torus(*r.fields(t, _TORUS, "tori[%d]", i)))
     try:
         m = flow.FlowManifest(pieces, tori)
     except flow.InvalidFlow as err:

@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,12 +12,14 @@ from spirality import (Slope, FlowManifest, Piece, PieceBoundary, PieceType,
                        normalize_itinerary,
                        validate_itinerary, InvalidFlow,
                        cycle_spirality, gen_matched_slopes, gen_random_flow,
-                       gen_twist_family, intersection_number, TwistFamilyParams)
-from spirality.flow import (DANGLING_REF, DUPLICATE_ID, NON_POSITIVE_LEAF,
+                       gen_twist_family, intersection_number, TwistFamilyParams,
+                       parse_manifest)
+from spirality.flow import (DANGLING_REF, DUPLICATE_ID, NON_POSITIVE_LEAF, NON_RATIONAL_LEAF,
                             SEIFERT_LEAF_MISMATCH, SLOPE_MULTIPLICITY, UNPAIRED_BOUNDARY,
                             PIECE_MISMATCH, NOT_TRANSVERSE)
 from util import (FlowFault, Segment, factors_of, make_equiperiodic,
-                  oracle_decorated_h, oracle_flow_spirality, oracle_validate_manifest,
+                  oracle_decorated_h, oracle_equiperiodic, oracle_flow_spirality,
+                  oracle_validate_manifest,
                   oracle_validate_itinerary, reverse_itinerary, rho, seeded,
                   segments_of, side_boundary, sigma)
 
@@ -147,9 +152,11 @@ class TestRwSpirality:
 
 
 def decorated_cases():
-    """Random-flow seeds 0-199 and a twist elevation of degree 40."""
-    inst = gen_twist_family(TwistFamilyParams(2, 3, 2, 3, 1, 40))
-    return [gen_random_flow(seed) for seed in range(200)] + [(inst.manifest, inst.loop)]
+    """Random-flow seeds 0-199 and twist elevations of degree 1 to 40."""
+    twists = [gen_twist_family(TwistFamilyParams(k, p, q, 1 + max(0, k), 1 + max(0, k) - k, d))
+              for k, p, q in ((1, 1, 1), (-2, 2, 3), (2, 3, 2)) for d in range(1, 41)]
+    return ([gen_random_flow(seed) for seed in range(200)]
+            + [(inst.manifest, inst.loop) for inst in twists])
 
 
 class TestOnePass:
@@ -277,6 +284,90 @@ class TestEquiperiodic:
             for c in loop.crossings:
                 sigmas *= sigma(c, m)
             assert flow_spirality(factors_of(loop, m)) == sigmas
+
+
+def self_glued(lengths, piece_type=PieceType.SEIFERT):
+    """The pieces and tori of one piece with a boundary per leaf length,
+    glued to itself in pairs, so that ``lengths`` has an even count."""
+    boundaries = [PieceBoundary("b%d" % i, "T%d" % (i // 2), Slope((1, 0)), length)
+                  for i, length in enumerate(lengths)]
+    tori = [Torus("T%d" % i, plus=("S", "b%d" % (2 * i)), minus=("S", "b%d" % (2 * i + 1)))
+            for i in range(len(lengths) // 2)]
+    return [Piece("S", piece_type, boundaries)], tori
+
+
+class TestLeafLengthPairs:
+    """Each boundary's leaf length, read once by the diagnosis as a reduced
+    pair of ints, against the Fraction it was given as."""
+
+    def test_each_pair_is_the_reduced_fraction(self):
+        for m, _ in decorated_cases():
+            for p in m.pieces:
+                for b in p.boundaries:
+                    num, den = b._length
+                    assert type(num) is int and type(den) is int
+                    assert (num, den) == (Fraction(b.leaf_length).numerator,
+                                          Fraction(b.leaf_length).denominator)
+
+    def test_unreduced_and_integer_lengths_are_read_reduced(self):
+        boundaries = [{"id": "b%d" % i, "torus": "T%d" % (i // 2),
+                       "degeneracy_slope": [1, i], "leaf_length": length}
+                      for i, length in enumerate(["3/6", 4, "12/8", "-7/-2"])]
+        tori = [{"id": "T%d" % i, "plus": {"piece": "P", "boundary": "b%d" % (2 * i)},
+                 "minus": {"piece": "P", "boundary": "b%d" % (2 * i + 1)}} for i in (0, 1)]
+        m = parse_manifest(json.dumps({"pieces": [{"id": "P", "type": "pseudo_anosov",
+                                                   "boundaries": boundaries}],
+                                       "tori": tori})).flow
+        assert [b._length for b in m.pieces[0].boundaries] == [(1, 2), (4, 1), (3, 2), (7, 2)]
+        m = FlowManifest(*self_glued([4, True], PA))
+        assert [b._length for b in m.pieces[0].boundaries] == [(4, 1), (1, 1)]
+
+    def test_consumers_match_the_fraction_oracles(self):
+        rng = seeded(311)
+        # the decorated h against oracle_decorated_h: TestOnePass, on the same cases
+        for m, loop in decorated_cases():
+            factors = factors_of(loop, m)
+            value = oracle_flow_spirality(loop, m)
+            assert flow_spirality(factors) == value
+            assert ([Fraction(*pair) for pair in factors.rho_pairs()]
+                    == [rho(seg, m) for seg in segments_of(loop, m)])
+            g, cycle = decorate_from_flow(factors, m)
+            assert cycle_spirality(g, cycle) == value
+            for candidate in (m, make_equiperiodic(m, rng)):
+                assert equiperiodic_rho_is_one(candidate) == oracle_equiperiodic(candidate)
+
+    def test_equiperiodic_sees_a_last_unequal_length(self):
+        for last, want in ((Fraction(1, 2), True), (Fraction(1, 3), False)):
+            lengths = [Fraction(1, 2)] * 7 + [last]
+            m = FlowManifest(*self_glued(lengths, PA))
+            assert equiperiodic_rho_is_one(m) is want is oracle_equiperiodic(m)
+
+    def test_a_seifert_piece_with_equal_lengths_as_distinct_objects_is_accepted(self):
+        lengths = [Fraction(3, 7) for _ in range(5)] + [Fraction(6, 14)]
+        assert len(set(map(id, lengths))) == len(lengths)
+        m = FlowManifest(*self_glued(lengths))
+        assert m.warnings == () and equiperiodic_rho_is_one(m)
+        assert SEIFERT_LEAF_MISMATCH in refusal_codes(
+            *self_glued(lengths[:-1] + [Fraction(3, 8)]))
+
+    @pytest.mark.parametrize("length", ["1/2", 0.5, None])
+    def test_a_leaf_length_that_is_not_rational_is_refused(self, length):
+        m = one_torus_manifest(Slope((1, 0)), Slope((1, 1)))
+        pieces = [Piece("Jm", PA, [PieceBoundary("bm", "T", Slope((1, 0)), length)]),
+                  m.pieces[1]]
+        with pytest.raises(InvalidFlow) as info:
+            FlowManifest(pieces, m.tori)
+        assert [str(d) for d in info.value.diagnostics] == [
+            "error: NonRationalLeafLength: boundary 'bm' of piece 'Jm' has non-rational "
+            "leaf length %r" % (length,)]
+
+    def test_a_copied_manifest_has_its_pairs(self):
+        m, loop = gen_random_flow(7)
+        value = flow_spirality(factors_of(loop, m))
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin.pieces == m.pieces and twin.tori == m.tori
+            assert flow_spirality(factors_of(loop, twin)) == value
+            assert equiperiodic_rho_is_one(twin) == equiperiodic_rho_is_one(m)
 
 
 class TestDecorate:
@@ -438,6 +529,8 @@ def _mutations(pieces, tori, rng):
     i = rng.randrange(len(pieces))
     j = rng.randrange(len(pieces[i].boundaries))
     b = pieces[i].boundaries[j]
+    # a length an earlier mutation made non-rational is read as 1 here
+    length = b.leaf_length if isinstance(b.leaf_length, (int, Fraction)) else Fraction(1)
     t = rng.randrange(len(tori))
     yield DUPLICATE_ID, pieces + [pieces[i]], tori
     yield DUPLICATE_ID, pieces, tori + [tori[t]]
@@ -453,12 +546,14 @@ def _mutations(pieces, tori, rng):
     if len(tori) > 1:
         swapped = Torus(side.id, tori[t - 1].plus, side.minus)
         yield DANGLING_REF, pieces, tori[:t] + [swapped] + tori[t + 1:]
-    for length in (-b.leaf_length, Fraction(0)):
-        yield NON_POSITIVE_LEAF, _with_boundary(pieces, i, j, leaf_length=length), tori
+    for bad in (-length, Fraction(0)):
+        yield NON_POSITIVE_LEAF, _with_boundary(pieces, i, j, leaf_length=bad), tori
+    for bad in ("1/2", 0.5, None):
+        yield NON_RATIONAL_LEAF, _with_boundary(pieces, i, j, leaf_length=bad), tori
     if len(pieces[i].boundaries) > 1:
         seifert = [Piece(p.id, PieceType.SEIFERT, p.boundaries) for p in pieces]
-        length = b.leaf_length + 1
-        yield SEIFERT_LEAF_MISMATCH, _with_boundary(seifert, i, j, leaf_length=length), tori
+        yield SEIFERT_LEAF_MISMATCH, _with_boundary(seifert, i, j,
+                                                    leaf_length=length + 1), tori
     extra = PieceBoundary("extra", b.torus, b.degeneracy_slope, b.leaf_length)
     p = pieces[i]
     yield UNPAIRED_BOUNDARY, (pieces[:i] + [Piece(p.id, p.type, p.boundaries + (extra,))]
@@ -503,7 +598,7 @@ class TestDiagnosis:
                 codes = self.agrees(pieces, tori)
                 assert code in codes
                 found |= codes
-        assert found == {DUPLICATE_ID, DANGLING_REF, NON_POSITIVE_LEAF,
+        assert found == {DUPLICATE_ID, DANGLING_REF, NON_POSITIVE_LEAF, NON_RATIONAL_LEAF,
                          SEIFERT_LEAF_MISMATCH, UNPAIRED_BOUNDARY, SLOPE_MULTIPLICITY}
 
     def test_two_faults_at_once(self):

@@ -19,7 +19,8 @@ from spirality.graph import NON_INTEGRAL_H, NON_POSITIVE_H
 from spirality import manifest
 from spirality.manifest import FdtcInput, loop_to_list, flow_to_dict, indented_json
 from spirality.rational import format_ratio
-from util import oracle_parse_graph, random_path_graph
+from test_golden import _long_loop
+from util import oracle_parse_flow, oracle_parse_graph, oracle_slope, random_path_graph
 
 GRAPH_DOC = """
 {
@@ -440,6 +441,83 @@ def test_a_well_formed_graph_never_leaves_the_fast_path(monkeypatch, every_field
     monkeypatch.setattr(manifest._Reader, "fields", counted)
     parsed = parse_manifest(json.dumps(doc))
     assert parsed.graph.vertices == g.vertices and parsed.graph.edges == g.edges
+    assert calls == []
+
+
+FLOW_DOC = {
+    "pieces": [
+        {"id": "P", "type": "pseudo_anosov", "boundaries": [
+            {"id": "a", "torus": "T", "degeneracy_slope": [1, 0], "leaf_length": "3/2"},
+            {"id": "b", "torus": "U", "degeneracy_slope": {"vector": [0, 1], "mult": 1},
+             "leaf_length": 2}]},
+        {"id": "Q", "type": "seifert", "boundaries": [
+            {"id": "c", "torus": "T", "degeneracy_slope": [1, 1], "leaf_length": "1"},
+            {"id": "d", "torus": "U", "degeneracy_slope": [1, -1], "leaf_length": "1"}]}],
+    "tori": [
+        {"id": "T", "plus": {"piece": "Q", "boundary": "c"},
+         "minus": {"piece": "P", "boundary": "a"}, "frame": "(l, e)"},
+        {"id": "U", "plus": {"piece": "P", "boundary": "b"},
+         "minus": {"piece": "Q", "boundary": "d"}}],
+    "loop": [{"torus": "T", "from_side": "minus", "curve": {"vector": [2, 1], "mult": 2}}],
+}
+# A field of a FLOW_DOC piece, torus, torus side or wrapped curve, or a key
+# no record has.
+_FLOW_FIELDS = st.sampled_from(
+    [("pieces", i, key) for i in (0, 1) for key in ("id", "type", "boundaries", "note")]
+    + [("tori", i, key) for i in (0, 1) for key in ("id", "plus", "minus", "frame", "label")]
+    + [("tori", i, side, key) for i in (0, 1) for side in ("plus", "minus")
+       for key in ("piece", "boundary", "why")]
+    + [("loop", 0, "curve", key) for key in ("vector", "mult", "tag")])
+_FLOW_VALUES = st.sampled_from([
+    _DELETE, True, False, 1.5, 1e400, [1], [2, 1], [1, True], [0, 0], {"a": 1},
+    {"piece": "Q", "boundary": "c"}, 3, 0, 2, -1, "P", "Q", "a", "d", "T", "seifert",
+    "round", ""])
+
+
+@given(st.lists(st.tuples(_FLOW_FIELDS, _FLOW_VALUES), min_size=1, max_size=3),
+       st.booleans())
+def test_the_flow_fast_paths_read_as_the_generic_reader(edits, strict):
+    doc = json.loads(json.dumps(FLOW_DOC))
+    for path, value in edits:
+        try:
+            record = doc
+            for step in path[:-1]:
+                record = record[step]
+            if value is _DELETE:
+                record.pop(path[-1], None)
+            else:
+                record[path[-1]] = value
+        except (KeyError, IndexError, TypeError, AttributeError):
+            pass  # an earlier edit replaced a record on the path
+    # decoded as a manifest is, so that a float stays a literal
+    data = manifest._DECODER.decode(json.dumps(doc))
+    outcomes = []
+    for parse_flow, slope in ((manifest._parse_flow, manifest._slope),
+                              (oracle_parse_flow, oracle_slope)):
+        r = manifest._Reader(strict)
+        try:
+            m, diagnostics = parse_flow(r, data)
+            curve = slope(r, data["loop"][0]["curve"], "loop[%d]", (0,), "curve")
+        except ParseError as err:
+            outcomes.append(str(err))
+        else:
+            outcomes.append((m and (m.pieces, m.tori), diagnostics, curve, r.warnings))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_a_well_formed_long_loop_never_leaves_the_fast_path(monkeypatch):
+    # flow-long's random loops: 260 crossings over three pieces, a torus each
+    text = _long_loop()
+    assert any(isinstance(c["curve"], dict) for c in json.loads(text)["loop"])
+    calls, real = [], manifest._Reader.fields
+
+    def counted(r, obj, spec, where, *at):
+        calls.append(where % at)
+        return real(r, obj, spec, where, *at)
+    monkeypatch.setattr(manifest._Reader, "fields", counted)
+    parsed = parse_manifest(text)
+    assert len(parsed.flow.tori) == len(parsed.loop.crossings) == 260
+    assert dumps_manifest(flow_manifest=parsed.flow, loop=parsed.loop) == text
     assert calls == []
 
 

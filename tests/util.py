@@ -8,8 +8,10 @@ fundamental cycles from both ends' full paths to the root, a graph's
 errors and warnings from one interleaved pass over its data, a flow
 manifest's likewise, with indexes of its own, flow spiralities as a product
 of one reduced Fraction per sigma and rho factor, the loop check's
-diagnostics from a pass that looks every side up first, and a graph
-section read record by record by the manifest reader's generic check.
+diagnostics from a pass that looks every side up first, a graph
+section, a flow manifest's pieces and tori, and a slope read record by
+record by the manifest reader's generic check, and the equiperiodic test
+on the leaf lengths as Fractions.
 
 It also holds the constructions that only the tests need, not the CLI or
 the manifest: torus covers and their slope degrees, frame changes, graph
@@ -28,15 +30,15 @@ from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, Slope,
                        FlowManifest, Piece, PieceBoundary, PieceType, Crossing,
                        LoopItinerary, Side, VertexKind, character, intersection_number,
                        validate_itinerary, NotParallel, SpiralityError)
-from spirality.errors import error, warning
-from spirality.flow import (DANGLING_REF, NON_POSITIVE_LEAF, NOT_TRANSVERSE,
-                            PIECE_MISMATCH, SEIFERT_LEAF_MISMATCH, SLOPE_MULTIPLICITY,
-                            UNPAIRED_BOUNDARY)
+from spirality.errors import ParseError, error, warning
+from spirality.flow import (DANGLING_REF, NON_POSITIVE_LEAF, NON_RATIONAL_LEAF,
+                            NOT_TRANSVERSE, PIECE_MISMATCH, SEIFERT_LEAF_MISMATCH,
+                            SLOPE_MULTIPLICITY, UNPAIRED_BOUNDARY, InvalidFlow, Torus)
 from spirality.flow import DUPLICATE_ID as DUPLICATE_FLOW_ID
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest, BAD_INTERNAL_GENERATORS,
                              BAD_OMEGA, DANGLING_EDGE, DUPLICATE_ID, ELEMENTARY_ADJACENCY,
                              NON_INTEGRAL_H, NON_POSITIVE_H, OMEGA_AMBIGUITY, InvalidGraph)
-from spirality.manifest import _EDGE, _VERTEX, _expect
+from spirality.manifest import _EDGE, _PIECE, _SLOPE, _TORUS, _VERTEX, _expect, _path
 
 
 # ---------------------------------------------------------------- lattice
@@ -500,6 +502,47 @@ def oracle_parse_graph(r, data):
     return g, g.warnings
 
 
+def oracle_parse_flow(r, data):
+    """``manifest._parse_flow`` with no fast path for pieces and tori: each
+    goes through the reader ``r``'s generic ``record``."""
+    pieces = []
+    for i, p in enumerate(_expect(data.get("pieces", []), list, "pieces")):
+        piece_type, boundaries, pid = r.record(p, _PIECE, "pieces[%d]", i)
+        pieces.append(Piece(pid, piece_type, boundaries))
+    tori = [Torus(*r.record(t, _TORUS, "tori[%d]", i))
+            for i, t in enumerate(_expect(data.get("tori", []), list, "tori"))]
+    try:
+        m = FlowManifest(pieces, tori)
+    except InvalidFlow as err:
+        return None, err.diagnostics
+    return m, m.warnings
+
+
+def oracle_slope(r, value, where, at, key):
+    """``manifest._slope`` with no fast path: a wrapped slope goes through
+    the reader ``r``'s generic ``record``."""
+    if isinstance(value, list):
+        vector, mult = value, 1
+    elif isinstance(value, dict):
+        vector, mult = r.record(value, _SLOPE, "%s.%s" % (where, key), *at)
+    else:
+        raise ParseError("%s must be [a, b] or {\"vector\": [a, b], \"mult\": m}"
+                         % _path(where, at, key))
+    if len(vector) != 2:
+        raise ParseError("%s must have exactly two entries" % _path(where, at, key))
+    a, b = vector
+    if type(a) is not int or type(b) is not int:
+        path = _path(where, at, key)
+        a, b = _expect(a, int, path + "[0]"), _expect(b, int, path + "[1]")
+    slope = r.slopes.get((a, b, mult))
+    if slope is None:
+        try:
+            slope = r.slopes[a, b, mult] = Slope.of(a, b, mult)
+        except ValueError as err:
+            raise ParseError("%s: %s" % (_path(where, at, key), err))
+    return slope
+
+
 def oracle_cycle_value(g, cycle):
     """Hand-rolled holonomy product on raw integers, reduced once at the end."""
     num, den, sign = 1, 1, 1
@@ -711,7 +754,11 @@ def oracle_validate_manifest(pieces, tori):
                 out.append(error(DUPLICATE_FLOW_ID,
                                  "duplicate boundary id %r on piece %r" % (b.id, p.id)))
             bseen.add(b.id)
-            if b.leaf_length <= 0:
+            if not isinstance(b.leaf_length, (int, Fraction)):
+                out.append(error(NON_RATIONAL_LEAF,
+                                 "boundary %r of piece %r has non-rational leaf length %r"
+                                 % (b.id, p.id, b.leaf_length)))
+            elif b.leaf_length <= 0:
                 out.append(error(NON_POSITIVE_LEAF,
                                  "boundary %r of piece %r has leaf length %s"
                                  % (b.id, p.id, b.leaf_length)))
@@ -724,8 +771,10 @@ def oracle_validate_manifest(pieces, tori):
                                    "degeneracy slope on %r/%r has multiplicity %d; "
                                    "closed leaves are primitive curves"
                                    % (p.id, b.id, b.degeneracy_slope.multiplicity)))
-        if (p.type is PieceType.SEIFERT
-                and len({b.leaf_length for b in p.boundaries}) > 1):
+        # a length that is not a rational reads as no length, None
+        if (p.type is PieceType.SEIFERT and len({
+                b.leaf_length if isinstance(b.leaf_length, (int, Fraction)) else None
+                for b in p.boundaries}) > 1):
             out.append(error(SEIFERT_LEAF_MISMATCH,
                              "Seifert piece %r has unequal boundary leaf lengths "
                              "(the ordinary fiber has one length)" % p.id))
@@ -874,6 +923,11 @@ def oracle_decorated_h(itinerary, m):
         weights.append(pair)
     scale = lcm(*(w.denominator for pair in weights for w in pair))
     return [(int(w_leave * scale), int(w_enter * scale)) for w_leave, w_enter in weights]
+
+
+def oracle_equiperiodic(m):
+    """Whether every piece has one leaf length, compared as Fractions."""
+    return all(len({Fraction(b.leaf_length) for b in p.boundaries}) <= 1 for p in m.pieces)
 
 
 def make_equiperiodic(m, rng, bound=9):
