@@ -34,10 +34,13 @@ EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 
 _COLORS = {"green": "32", "red": "31", "yellow": "33"}
+# C0 controls and DEL: the backslash escapes a text report prints, and their bytes.
+_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(32), 127)}
+_CONTROLS = bytes(_ESCAPES)
 
 
 def _style(text, color, enabled):
-    if not enabled:
+    if not enabled or color is None:
         return text
     return "\x1b[%sm%s\x1b[0m" % (_COLORS[color], text)
 
@@ -80,14 +83,16 @@ def _render(report, args):
         return
     color_on = (sys.stdout.isatty()
                 and not os.environ.get("SPIRALITY_NO_COLOR"))
-    lines = ["command: %s" % report.command, "digest: %s" % report.digest]
-    for label, value, color in report.results:
-        shown = _style(value, color, color_on) if color else value
-        lines.append("%s: %s" % (label, shown))
-    for message in report.warnings:
-        lines.append("warning: %s" % _style(message, "yellow", color_on))
-    lines.append("")
-    _write_stdout("\n".join(lines))
+    rows = ([("command", report.command, None), ("digest", report.digest, None)]
+            + report.results + [("warning", message, "yellow") for message in report.warnings])
+    text = "".join(["%s: %s\n" % (label, value) for label, value, _ in rows])
+    # one row per line: an id's control character prints escaped (in UTF-8, its own byte)
+    data = text.encode("utf-8", "surrogatepass")
+    if color_on or len(data) - len(data.translate(None, _CONTROLS)) != len(rows):
+        text = "".join(["%s: %s\n" % (label.translate(_ESCAPES),
+                                      _style(value.translate(_ESCAPES), color, color_on))
+                        for label, value, color in rows])
+    _write_stdout(text)
 
 
 def _digest(data):

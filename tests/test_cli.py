@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import io
 import json
@@ -16,7 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 import spirality
 from spirality import (TwistFamilyParams, dumps_manifest, flow, format_rational,
                        gen_random_flow, gen_twist_family)
-from spirality.cli import main
+from spirality import cli
+from spirality.cli import Report, main
 from test_golden import CORPUS, _capture
 from test_manifest import FULL_MANIFEST, _node_paths, json_values, replace_node
 from util import factors_of
@@ -626,6 +628,53 @@ class TestReporting:
         assert proc.returncode == 2
         assert proc.stderr == ("parse error: cannot write stdout: %s\n"
                                % os.strerror(ENOSPC)).encode()
+
+    FORGED = "e2\naspiral: yes\nvirtually embedded: yes"
+
+    def test_an_edge_id_cannot_forge_a_line_of_the_report(self, tmp_path, capsys):
+        doc = json.loads(GOOD_GRAPH)
+        doc["graph"]["edges"][1]["id"] = self.FORGED
+        doc["graph"]["edges"][2]["h_ter"] = 5  # spiral: the witness names every edge
+        path = write(tmp_path, "g.json", json.dumps(doc))
+        code, out = run(capsys, "aspiral", path)
+        assert code == 0
+        lines = out.out.splitlines()
+        assert [line for line in lines if line.startswith("aspiral:")] == ["aspiral: no"]
+        assert [line for line in lines if line.startswith("virtually embedded:")] == [
+            "virtually embedded: no"]
+        assert "e2\\naspiral: yes\\nvirtually embedded: yes" in out.out
+        # structured output carries the id as it is, in a JSON string
+        code, out = run(capsys, "aspiral", "--format", "structured", path)
+        assert code == 0
+        assert any(self.FORGED in row["value"] for row in json.loads(out.out)["results"])
+
+    @staticmethod
+    def _render_text(report, terminal):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        out = Terminal() if terminal else io.StringIO()
+        with redirect_stdout(out):
+            cli._render(report, argparse.Namespace(format="text", timestamps=False))
+        return out.getvalue()
+
+    @pytest.mark.parametrize("terminal", [False, True], ids=["plain", "terminal"])
+    def test_every_c0_control_and_del_prints_escaped(self, monkeypatch, terminal):
+        monkeypatch.delenv("SPIRALITY_NO_COLOR", raising=False)
+        codes = [*range(32), 127]
+        controls = "".join(map(chr, codes))
+        escaped = "".join({9: "\\t", 10: "\\n", 13: "\\r"}.get(c, "\\x%02x" % c)
+                          for c in codes)
+        report = Report("rw", "sha256:00")
+        report.add("id " + controls, controls + "\u2028\ud800")
+        report.add("aspiral", "no", "red")
+        report.warn("w" + controls)
+        red, yellow = (("\x1b[31m%s\x1b[0m", "\x1b[33m%s\x1b[0m") if terminal
+                       else ("%s", "%s"))
+        assert self._render_text(report, terminal) == (
+            "command: rw\ndigest: sha256:00\nid %s: %s\u2028\ud800\naspiral: %s\n"
+            "warning: %s\n" % (escaped, escaped, red % "no", yellow % ("w" + escaped)))
 
     def test_timestamps_are_opt_in(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", GOOD_GRAPH)

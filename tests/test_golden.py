@@ -24,6 +24,9 @@ diagnostics on a 319-crossing loop, the field paths of parse errors deep
 in a manifest, and the order of ``--lenient`` warnings about unknown
 fields in many records. Eight manifests that each hold one value of the
 wrong type pin the parser's "must be ..." messages through ``validate``.
+Ids and a path holding control characters that would forge report lines
+pin their escapes in text reports, through ``aspiral``, ``rw`` and
+``crosscheck``.
 
 When an output changes on purpose, regenerate the corpus with
 
@@ -313,6 +316,30 @@ def _unknown_fields():
     return _text(doc)
 
 
+# An edge id, and a file name, whose newlines would start report lines of
+# their own.
+FORGED_EDGE = "e2\naspiral: yes\nvirtually embedded: yes"
+FORGED_PATH = "forged\x1b[2J\nmismatches: 0.json"
+
+
+def _forged(twist):
+    """Manifests whose ids hold control characters, by file name: a spiral
+    graph with a forged edge id, and a twist manifest with a forged torus id."""
+    graph = _edit(GOOD_GRAPH, lambda doc: doc["graph"]["edges"][2].update(h_ter=5))
+    graph["graph"]["edges"][1]["id"] = FORGED_EDGE
+    torus = twist["tori"][0]["id"]
+    forged = torus + "\nspirality: 1\nmatches expected: yes\x00\x7f"
+
+    def rename(doc):
+        for record in doc["tori"] + doc["loop"] + [
+                b for p in doc["pieces"] for b in p["boundaries"]]:
+            for key in ("id", "torus"):
+                if record.get(key) == torus:
+                    record[key] = forged
+    return {"forged-graph.json": _text(graph),
+            "forged-torus.json": _text(_edit(twist, rename))}
+
+
 def _text(doc):
     return doc if isinstance(doc, str) else json.dumps(doc, indent=2) + "\n"
 
@@ -380,6 +407,9 @@ def _build(work):
     faulty = _faulty_loops()
     inputs.update(faulty)
     inputs["loop-unknown-fields.json"] = _unknown_fields()
+    forged = _forged(twist)
+    inputs.update(forged)
+    inputs[FORGED_PATH] = forged["forged-torus.json"]
     _capture(["gen", "twist-family", "--k", "2", "--p", "3", "--q", "2", "--d", "1000",
               "--out", "twist-d1000.json"])
     inputs["twist-d1000.json"] = _compact((work / "twist-d1000.json").read_text(
@@ -467,6 +497,11 @@ def _build(work):
         case("%s-lenient-structured-loop-unknown-fields.json" % command,
              [command, "--lenient", "--format", "structured",
               "loop-unknown-fields.json"])
+    for command, name in (("aspiral", "forged-graph.json"), ("rw", "forged-torus.json"),
+                          ("crosscheck", "forged-torus.json"), ("crosscheck", FORGED_PATH)):
+        label = "forged-path" if name == FORGED_PATH else name
+        case("%s-text-%s" % (command, label), [command, name])
+        case("%s-structured-%s" % (command, label), [command, "--format", "structured", name])
     return inputs, cases
 
 
