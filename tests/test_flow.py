@@ -324,7 +324,7 @@ class TestLeafLengthPairs:
 
     def test_consumers_match_the_fraction_oracles(self):
         rng = seeded(311)
-        # the decorated h against oracle_decorated_h: TestOnePass, on the same cases
+        # TestOnePass checks the decorated h against oracle_decorated_h on these cases
         for m, loop in decorated_cases():
             factors = factors_of(loop, m)
             value = oracle_flow_spirality(loop, m)
