@@ -13,7 +13,7 @@ from .errors import SpiralityError, ParseError, Diagnostic
 from .lattice import Slope, intersection_number, fdtc, NotParallel
 from .graph import (DecoratedJSJGraph, Vertex, Edge, VertexKind, DirectedCycle,
                     SpiralityCharacter, cycle_spirality, character,
-                    fundamental_cycle, verdict, InvalidGraph, InvalidCycle)
+                    verdict, InvalidGraph, InvalidCycle)
 from .flow import (FlowManifest, Piece, PieceBoundary, PieceType, Torus, Side,
                    Crossing, LoopItinerary, SideConvention,
                    flow_spirality,

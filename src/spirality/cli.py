@@ -242,7 +242,7 @@ def _require_flow_loop(parsed):
 def cmd_rw(parsed, computed, report):
     _require_flow_loop(parsed)
     factors, _ = computed
-    # each row is written from the integer pair FlowFactors.sigmas/rhos reduce
+    # each row is written from its integer pair, reduced as it is printed
     for i, (crossing, pair) in enumerate(zip(parsed.loop.crossings,
                                              factors.intersections)):
         report.add("sigma[%d] (torus %s)" % (i, crossing.torus), format_ratio(*pair))

@@ -27,8 +27,9 @@ changes nothing.
 
 A manifest is diagnosed once, when it is built: FlowManifest refuses data
 the formula is not defined on (say a one-sided torus, or a leaf length that
-is not positive) by raising InvalidFlow, and otherwise keeps the warnings, each
-torus's two sides and each leaf length as an int pair, read once for all loops.
+is not positive) by raising InvalidFlow, and otherwise keeps the warnings and
+each torus's two sides, read once for all loops. Each boundary reads its leaf
+length once, when it is built, as an int pair.
 """
 
 from enum import Enum
@@ -70,8 +71,8 @@ class PieceType(Enum):
 
 class PieceBoundary(Value):
     """One boundary torus of a piece, with its degeneracy slope and leaf length.
-    A FlowManifest's diagnosis caches the leaf length in ``_length``, as a
-    reduced (numerator, denominator) pair of ints, or None if not a rational."""
+    The constructor caches the leaf length in ``_length``, as a reduced
+    (numerator, denominator) pair of ints, or None if not a rational."""
 
     __slots__ = ("id", "torus", "degeneracy_slope", "leaf_length", "_length")
 
@@ -81,6 +82,9 @@ class PieceBoundary(Value):
         set_torus(self, torus)
         set_degeneracy_slope(self, degeneracy_slope)
         set_leaf_length(self, leaf_length)
+        # the test an h passes, which the first settles for a Fraction
+        _set_length(self, leaf_length.as_integer_ratio() if type(leaf_length) is Fraction
+                    or isinstance(leaf_length, jsj._RATIONAL) else None)
 
 
 _length, _set_length = attrgetter("_length"), PieceBoundary._length.__set__
@@ -138,10 +142,6 @@ class FlowManifest:
         if errors:
             raise InvalidFlow(errors + warnings)
         self.warnings = tuple(warnings)
-
-    def __reduce__(self):
-        # copy and pickle diagnose the copy, which caches its boundaries' lengths
-        return FlowManifest, (self.pieces, self.tori)
 
     def __repr__(self):
         return "FlowManifest(%d pieces, %d tori)" % (len(self.pieces), len(self.tori))
@@ -215,17 +215,14 @@ def _diagnose(m):
                 errors.append(error(DUPLICATE_ID,
                                     "duplicate boundary id %r on piece %r" % (b.id, p.id)))
             own.setdefault(b.id, b)
-            length = b.leaf_length
-            # the test an h passes, which the first settles for a Fraction
-            pair = (length.as_integer_ratio() if type(length) is Fraction
-                    or isinstance(length, jsj._RATIONAL) else None)
-            _set_length(b, pair)
+            pair = b._length
             if pair is None:
                 errors.append(error(NON_RATIONAL_LEAF, "boundary %r of piece %r has "
-                                    "non-rational leaf length %r" % (b.id, p.id, length)))
+                                    "non-rational leaf length %r"
+                                    % (b.id, p.id, b.leaf_length)))
             elif pair[0] <= 0:  # a Fraction's denominator is positive
                 errors.append(error(NON_POSITIVE_LEAF, "boundary %r of piece %r has "
-                                    "leaf length %s" % (b.id, p.id, length)))
+                                    "leaf length %s" % (b.id, p.id, b.leaf_length)))
             if b.torus not in torus_ids:
                 errors.append(error(DANGLING_REF,
                                     "boundary %r of piece %r references missing torus %r"
@@ -312,7 +309,8 @@ class FlowFactors(Value):
     ``entered[i]``; its curve meets their degeneracy slopes
     ``intersections[i] = (n_leave, n_enter)`` times. Segment i runs in
     ``pieces[i]`` from ``entered[i - 1]`` to ``left[i]``. The boundaries are
-    those of a FlowManifest, whose diagnosis cached their leaf lengths.
+    those of a FlowManifest, whose diagnosis refused every leaf length that is
+    not a positive rational.
     """
 
     __slots__ = ("intersections", "left", "entered", "pieces")
@@ -323,16 +321,6 @@ class FlowFactors(Value):
         set_left(self, left)
         set_entered(self, entered)
         set_pieces(self, pieces)
-
-    @property
-    def sigmas(self):
-        """sigma of each crossing: n_leave / n_enter."""
-        return tuple(Fraction(*pair) for pair in self.intersections)
-
-    @property
-    def rhos(self):
-        """rho of each segment: entry leaf length over exit leaf length."""
-        return tuple(Fraction(*pair) for pair in self.rho_pairs())
 
     def rho_pairs(self):
         """Each segment's rho as an unreduced (numerator, denominator) pair of

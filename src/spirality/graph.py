@@ -113,7 +113,6 @@ class DecoratedJSJGraph:
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         try:
-            self._vertex_by_id = {v.id: v for v in self.vertices}
             self._edge_by_id = {e.id: e for e in self.edges}
             errors, warnings = _diagnose(self)
         except TypeError:
@@ -125,14 +124,8 @@ class DecoratedJSJGraph:
             raise InvalidGraph(errors + warnings)
         self.warnings = tuple(warnings)
 
-    def vertex(self, vertex_id):
-        return self._vertex_by_id[vertex_id]
-
     def edge(self, edge_id):
         return self._edge_by_id[edge_id]
-
-    def has_vertex(self, vertex_id):
-        return vertex_id in self._vertex_by_id
 
     def __repr__(self):
         return "DecoratedJSJGraph(%d vertices, %d edges)" % (
@@ -174,7 +167,7 @@ def _diagnose(g):
             errors.append(error(BAD_INTERNAL_GENERATORS,
                                 "vertex %r has negative internal generator count" % v.id))
     seen = set()
-    vertex_by_id = g._vertex_by_id
+    vertex_by_id = {v.id: v for v in g.vertices}
     for e in g.edges:
         if e.id in seen:
             errors.append(error(DUPLICATE_ID, "duplicate edge id %r" % e.id))
@@ -277,10 +270,16 @@ def _union(parent, u, v):
 
 
 def spanning_forest(g):
-    """Tree edge ids of the deterministic spanning forest (lowest id first)."""
+    """The deterministic spanning forest, lowest edge id first: its tree edge
+    ids, and the other edges in id order."""
     parent = {v.id: v.id for v in g.vertices}
-    return frozenset(e.id for e in sorted(g.edges, key=lambda e: e.id)
-                     if _union(parent, e.from_vertex, e.to_vertex))
+    tree, others = [], []
+    for e in sorted(g.edges, key=lambda e: e.id):
+        if _union(parent, e.from_vertex, e.to_vertex):
+            tree.append(e.id)
+        else:
+            others.append(e)
+    return frozenset(tree), others
 
 
 def _forest_walk(g, forest):
@@ -329,92 +328,70 @@ def _tree_path(tree, start, end):
     return up + [(eid, -d) for eid, d in reversed(down)]
 
 
-def fundamental_cycle(g, forest, edge_id):
-    """The fundamental cycle of a non-tree edge: the edge forward, then up
-    from its end to the lowest common ancestor and down to its start.
-
-    ``forest`` is a spanning forest of ``g``, such as a character's
-    ``forest``; a tree edge has no fundamental cycle and raises ValueError.
-    """
-    if edge_id in forest:
-        raise ValueError("%r is a tree edge" % (edge_id,))
-    e = g.edge(edge_id)
-    tree = _forest_walk(g, forest)
-    return DirectedCycle([(edge_id, FORWARD)] + _tree_path(tree, e.to_vertex, e.from_vertex))
-
-
 class SpiralityCharacter(Value):
     """The holonomy character on the fundamental cycles of a spanning forest.
 
     ``forest`` holds the tree edge ids; ``values[i]`` is the holonomy of the
-    fundamental cycle of the non-tree edge ``cycle_edges[i]``, which
-    ``fundamental_cycle(g, forest, cycle_edges[i])`` builds on demand.
-    ``internal_signs`` lists (vertex id, -1) once per vertex contributing
-    orientation-reversing internal loops; those directions always have
-    absolute value 1. Any cycle's value is recoverable from its homology
-    decomposition: the coefficient on the fundamental cycle of a non-tree
-    edge is the signed number of times the cycle traverses that edge.
+    fundamental cycle of the non-tree edge ``cycle_edges[i]``: the edge
+    forward, then up from its end to the lowest common ancestor and down to
+    its start. ``internal_signs`` lists (vertex id, -1) once per vertex
+    contributing orientation-reversing internal loops; those directions
+    always have absolute value 1. ``witness`` is the fundamental cycle of
+    the first value that is not +-1, or None when there is none. Any
+    cycle's value is recoverable from its homology decomposition: the
+    coefficient on the fundamental cycle of a non-tree edge is the signed
+    number of times the cycle traverses that edge.
     """
 
-    __slots__ = ("forest", "values", "cycle_edges", "internal_signs")
+    __slots__ = ("forest", "values", "cycle_edges", "internal_signs", "witness")
 
-    def __init__(self, forest, values, cycle_edges, internal_signs):
-        set_forest, set_values, set_cycle_edges, set_internal_signs = self._setters
+    def __init__(self, forest, values, cycle_edges, internal_signs, witness):
+        (set_forest, set_values, set_cycle_edges, set_internal_signs,
+         set_witness) = self._setters
         set_forest(self, forest)
         set_values(self, values)
         set_cycle_edges(self, cycle_edges)
         set_internal_signs(self, internal_signs)
+        set_witness(self, witness)
 
 
-def character(g, forest=None):
-    """Compute the spirality character on the fundamental cycles of a forest.
+def character(g):
+    """Compute the spirality character on the fundamental cycles of the
+    spanning forest that takes the lowest edge ids first.
 
-    The forest defaults to the deterministic lowest-edge-id-first choice;
-    passing one explicitly is supported so basis independence can be checked,
-    and one that is not a spanning forest of ``g`` raises ValueError.
-    Which basis is produced depends on the forest, but aspirality and the
-    value on any fixed homology class do not. One walk of the forest gives
-    every vertex its potential, and each non-tree edge's value is one
-    reduction of an integer product, so the cost is O(V + E) operations on
-    the potentials; no cycle is built.
+    Aspirality and the value on any fixed homology class do not depend on
+    the forest. One walk of the forest gives every vertex its potential, and
+    each non-tree edge's value is one reduction of an integer product, so
+    the cost is O(V + E) operations on the potentials; the only cycle built
+    is the witness, walked out on the same walk's parent pointers.
     """
-    if forest is None:
-        forest = spanning_forest(g)
-    else:
-        forest = frozenset(forest)
-        # a union-find over them joins once per edge only when each is known
-        # and none closes a cycle; they span when as many as the default's
-        parent = {v.id: v.id for v in g.vertices}
-        joined = sum(_union(parent, e.from_vertex, e.to_vertex)
-                     for e in g.edges if e.id in forest)
-        if not len(forest) == joined == len(spanning_forest(g)):
-            raise ValueError("%s is not a spanning forest of the graph"
-                             % sorted(forest, key=str))
+    forest, others = spanning_forest(g)
     tree = _forest_walk(g, forest)
-    values, cycle_edges = [], []
-    for e in sorted(g.edges, key=lambda e: e.id):
-        if e.id in forest:
-            continue
+    values, witness = [], None
+    for e in others:
         # a gauge: the tree holonomies around the fundamental cycle cancel
         # to potential(start) / potential(end)
         _, _, _, num_u, den_u = tree[e.from_vertex]
         _, _, _, num_v, den_v = tree[e.to_vertex]
         h_ini, h_ter = e.h_ini, e.h_ter
-        values.append(Fraction(
-            h_ini.numerator * h_ter.denominator * e.omega * num_u * den_v,
-            h_ini.denominator * h_ter.numerator * den_u * num_v))
-        cycle_edges.append(e.id)
+        num = h_ini.numerator * h_ter.denominator * e.omega * num_u * den_v
+        den = h_ini.denominator * h_ter.numerator * den_u * num_v
+        # the value is +-1 exactly when |num| = |den|
+        if witness is None and abs(num) != abs(den):
+            witness = DirectedCycle([(e.id, FORWARD)]
+                                    + _tree_path(tree, e.to_vertex, e.from_vertex))
+        values.append(Fraction(num, den))
     internal = tuple((v.id, -1) for v in g.vertices if v.internal_omega_generators > 0)
-    return SpiralityCharacter(forest, tuple(values), tuple(cycle_edges), internal)
+    return SpiralityCharacter(forest, tuple(values), tuple(e.id for e in others),
+                              internal, witness)
 
 
 class Verdict(Value):
     """Embedding criterion verdict: the three properties are equivalent.
 
-    ``witness`` is the fundamental cycle of the first non-tree edge, in the
-    character's order, whose value ``witness_value`` is not +-1; it is
-    present exactly when the graph is not aspiral, and it is the only cycle
-    the verdict builds.
+    ``witness`` is the character's witness, the fundamental cycle of the
+    first non-tree edge whose value ``witness_value`` is not +-1; it is
+    present exactly when the graph is not aspiral.
     """
 
     __slots__ = ("aspiral", "vacuous", "witness", "witness_value")
@@ -438,10 +415,12 @@ class Verdict(Value):
     def of(cls, g, char):
         """The verdict on ``g`` read off its character ``char``."""
         vacuous = not g.vertices
-        for edge_id, value in zip(char.cycle_edges, char.values):
-            if value != 1 and value != -1:
-                return cls(False, vacuous, fundamental_cycle(g, char.forest, edge_id), value)
-        return cls(True, vacuous)
+        witness = char.witness
+        if witness is None:
+            return cls(True, vacuous)
+        # the witness runs its non-tree edge first
+        value = char.values[char.cycle_edges.index(witness.steps[0][0])]
+        return cls(False, vacuous, witness, value)
 
 
 def verdict(g):

@@ -16,8 +16,8 @@ from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
                        fdtc, Slope, NotParallel, DecoratedJSJGraph, DirectedCycle,
                        Vertex, Edge)
 from spirality.graph import FORWARD
-from util import (PartialDilatation, compose, oracle_cycle_value, oracle_fdtc_scan,
-                  random_graph, random_closed_walk, random_slope,
+from util import (PartialDilatation, compose, oracle_basis, oracle_cycle_value,
+                  oracle_fdtc_scan, random_graph, random_closed_walk, random_slope,
                   random_primitive_slope, all_spanning_forests, make_equiperiodic,
                   seeded, sigma, pullback, cyclic_cover, factors_of, reversed_cycle)
 
@@ -147,8 +147,9 @@ def test_criterion_5_character_laws():
         for _ in range(200):  # aspirality over every spanning forest
             g = random_graph(rng, max_vertices=4, max_edges=6)
             expected = verdict(g).aspiral
-            for char in all_spanning_forests(g):
-                assert all(v in (1, -1) for v in char.values) == expected
+            for forest in all_spanning_forests(g):
+                values = [oracle_cycle_value(g, cycle) for cycle in oracle_basis(g, forest)]
+                assert all(v in (1, -1) for v in values) == expected
 
 
 def test_criterion_6_fdtc_laws():

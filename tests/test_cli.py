@@ -19,9 +19,9 @@ from spirality import (TwistFamilyParams, dumps_manifest, flow, format_rational,
                        gen_random_flow, gen_twist_family)
 from spirality import cli
 from spirality.cli import Report, main
-from test_golden import CORPUS, _capture
+from test_golden import _deep_graph
 from test_manifest import FULL_MANIFEST, _node_paths, json_values, replace_node
-from util import factors_of
+from util import rho, segments_of, sigma
 
 GOOD_GRAPH = """
 {
@@ -160,6 +160,27 @@ class TestAspiral:
         assert code == 1
         assert "DanglingEdge" in out.out
 
+    @pytest.mark.parametrize("kind, answer", [("planted", "aspiral: no"),
+                                              ("triangle", "aspiral: yes"),
+                                              ("twist", "aspiral: no")])
+    def test_one_character_and_one_forest_walk(self, tmp_path, capsys, monkeypatch,
+                                               kind, answer):
+        if kind == "twist":
+            path = str(tmp_path / "twist.json")
+            run(capsys, "gen", "twist-family", "--d", "5", "--out", path)
+        else:
+            path = write(tmp_path, "g.json", GOOD_GRAPH if kind == "triangle"
+                         else json.dumps(_deep_graph()))
+        calls = {}
+        for name in ("character", "_forest_walk"):
+            def counted(*args, name=name, real=getattr(spirality.graph, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+            monkeypatch.setattr(spirality.graph, name, counted)
+        code, out = run(capsys, "aspiral", path)
+        assert code == 0 and answer in out.out
+        assert calls == {"character": 1, "_forest_walk": 1}
+
 
 class TestRw:
     def test_twist_family_defaults(self, tmp_path, capsys):
@@ -197,13 +218,13 @@ class TestRw:
 
     @staticmethod
     def _rows_are_the_factors(tmp_path, capsys, m, loop):
-        """rw's sigma and rho rows are format_rational of FlowFactors.sigmas
-        and rhos, row by row."""
+        """rw's sigma and rho rows are format_rational of the sigma and rho
+        oracles, row by row."""
         path = write(tmp_path, "loop.json", dumps_manifest(flow_manifest=m, loop=loop))
         code, out = run(capsys, "rw", path)
         assert code == 0
-        factors = factors_of(loop, m)
-        for kind, values in (("sigma", factors.sigmas), ("rho", factors.rhos)):
+        for kind, values in (("sigma", [sigma(c, m) for c in loop.crossings]),
+                             ("rho", [rho(seg, m) for seg in segments_of(loop, m)])):
             rows = [line.rpartition(": ")[2] for line in out.out.splitlines()
                     if line.startswith(kind + "[")]
             assert rows == [format_rational(value) for value in values]
@@ -220,26 +241,6 @@ class TestRw:
                                                               r_minus - k, d))
                 self._rows_are_the_factors(tmp_path, capsys, instance.manifest,
                                            instance.loop)
-
-    def test_rows_build_no_fraction_per_crossing(self, tmp_path, monkeypatch):
-        """With FlowFactors.sigmas and rhos refused, rw still prints the
-        golden bytes of the two long loops."""
-        def refuse(factors):
-            raise AssertionError("rw built a Fraction per crossing")
-
-        monkeypatch.setattr(flow.FlowFactors, "sigmas", property(refuse))
-        monkeypatch.setattr(flow.FlowFactors, "rhos", property(refuse))
-        corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
-        monkeypatch.chdir(tmp_path)
-        checked = 0
-        for name in ("twist-d1000.json", "loop-260.json"):
-            (tmp_path / name).write_text(corpus["inputs"][name], encoding="utf-8")
-            for case in corpus["cases"]:
-                if case["argv"][0] == "rw" and case["argv"][-1] == name:
-                    recorded = {key: case[key] for key in ("stdout", "stderr", "code")}
-                    assert _capture(case["argv"]) == recorded, case["name"]
-                    checked += 1
-        assert checked == 4
 
 
 class TestFdtc:
@@ -382,7 +383,6 @@ class TestOneValidation:
         g = spirality.parse_manifest(GOOD_GRAPH).graph
         assert len(calls) == 1
         spirality.character(g)
-        spirality.character(g, spirality.graph.spanning_forest(g))
         assert len(calls) == 1
 
     def test_a_flow_manifest_is_diagnosed_once(self, tmp_path, capsys, monkeypatch):

@@ -151,6 +151,16 @@ class TestRwSpirality:
         assert factors is None
 
 
+def _sigmas(factors):
+    """Each crossing's sigma, n_leave / n_enter, as a Fraction."""
+    return tuple(Fraction(*pair) for pair in factors.intersections)
+
+
+def _rhos(factors):
+    """Each segment's rho, entry over exit leaf length, as a Fraction."""
+    return tuple(Fraction(*pair) for pair in factors.rho_pairs())
+
+
 def decorated_cases():
     """Random-flow seeds 0-199 and twist elevations of degree 1 to 40."""
     twists = [gen_twist_family(TwistFamilyParams(k, p, q, 1 + max(0, k), 1 + max(0, k) - k, d))
@@ -167,9 +177,9 @@ class TestOnePass:
             m, loop = gen_random_flow(seed)
             factors = factors_of(loop, m)
             segments = segments_of(loop, m)
-            assert factors.sigmas == tuple(sigma(c, m) for c in loop.crossings)
+            assert _sigmas(factors) == tuple(sigma(c, m) for c in loop.crossings)
             assert factors.pieces == tuple(seg.piece for seg in segments)
-            assert factors.rhos == tuple(rho(seg, m) for seg in segments)
+            assert _rhos(factors) == tuple(rho(seg, m) for seg in segments)
             assert flow_spirality(factors) == oracle_flow_spirality(loop, m)
 
     def test_twist_family_product_matches_the_oracle(self):
@@ -249,14 +259,14 @@ class TestResolver:
                     assert factors is None
                     continue
                 crossings = candidate.crossings
-                assert factors.sigmas == tuple(sigma(c, m) for c in crossings)
+                assert _sigmas(factors) == tuple(sigma(c, m) for c in crossings)
                 assert factors.left == tuple(side_boundary(m, c.torus, c.from_side)[1]
                                              for c in crossings)
                 assert factors.entered == tuple(
                     side_boundary(m, c.torus, c.from_side.other)[1] for c in crossings)
                 segments = segments_of(candidate, m)
                 assert factors.pieces == tuple(seg.piece for seg in segments)
-                assert factors.rhos == tuple(rho(seg, m) for seg in segments)
+                assert _rhos(factors) == tuple(rho(seg, m) for seg in segments)
                 assert flow_spirality(factors) == oracle_flow_spirality(candidate, m)
         assert faulty > 150
 
@@ -368,6 +378,16 @@ class TestLeafLengthPairs:
             assert twin.pieces == m.pieces and twin.tori == m.tori
             assert flow_spirality(factors_of(loop, twin)) == value
             assert equiperiodic_rho_is_one(twin) == equiperiodic_rho_is_one(m)
+
+    def test_copied_factors_have_their_pairs(self):
+        for m, loop in (gen_random_flow(7), chain_manifest({"b0m": Fraction(3, 2)})):
+            factors = factors_of(loop, m)
+            value, rhos = flow_spirality(factors), list(factors.rho_pairs())
+            g, _ = decorate_from_flow(factors, m)
+            for twin in (copy.deepcopy(factors), pickle.loads(pickle.dumps(factors))):
+                assert twin == factors
+                assert flow_spirality(twin) == value and list(twin.rho_pairs()) == rhos
+                assert decorate_from_flow(twin, m)[0].edges == g.edges
 
 
 class TestDecorate:

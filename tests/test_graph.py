@@ -1,18 +1,16 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, VertexKind,
-                       cycle_spirality, character, fundamental_cycle,
-                       verdict, InvalidCycle, InvalidGraph)
+                       cycle_spirality, character, verdict, InvalidCycle, InvalidGraph)
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest,
                              BAD_INTERNAL_GENERATORS, DANGLING_EDGE, NON_POSITIVE_H,
                              NON_RATIONAL_H, BAD_OMEGA, ELEMENTARY_ADJACENCY,
                              OMEGA_AMBIGUITY)
-from util import (PartialDilatation, compose, oracle_basis, oracle_cycle_value,
-                  oracle_validate,
+from util import (PartialDilatation, compose, oracle_basis, oracle_character,
+                  oracle_cycle_value, oracle_validate,
                   random_graph, random_path_graph, random_closed_walk,
                   all_spanning_forests, seeded, evaluate_character, pullback,
                   cyclic_cover, regauge, GraphCover, CoverEdge, NotACovering,
@@ -214,9 +212,7 @@ class TestCharacter:
         tree = DecoratedJSJGraph(g.vertices, g.edges[:1])
         char = character(tree)
         assert char.forest == frozenset({"e1"})
-        assert char.cycle_edges == () and char.values == ()
-        with pytest.raises(ValueError):
-            fundamental_cycle(tree, char.forest, "e1")
+        assert char.cycle_edges == () and char.values == () and char.witness is None
 
     def test_single_loop(self):
         g = DecoratedJSJGraph([Vertex("a")], [Edge("e", "a", "a", 2, 3, omega=-1)])
@@ -227,9 +223,9 @@ class TestCharacter:
         g = triangle()
         char = character(g)
         assert char.forest == frozenset({"e1", "e2"}) and char.cycle_edges == ("e3",)
-        assert fundamental_cycle(g, char.forest, "e3") == DirectedCycle(
-            (("e3", FORWARD), ("e1", FORWARD), ("e2", FORWARD)))
-        assert char.values == (Fraction(1),)
+        assert oracle_basis(g, char.forest) == [DirectedCycle(
+            (("e3", FORWARD), ("e1", FORWARD), ("e2", FORWARD)))]
+        assert char.values == (Fraction(1),) and char.witness is None
 
     def test_internal_signs(self):
         g = DecoratedJSJGraph(
@@ -243,55 +239,8 @@ class TestCharacter:
         g = DecoratedJSJGraph(
             [Vertex("a"), Vertex("b")],
             [Edge("e1", "a", "b", 5, 7), Edge("e0", "a", "b", 1, 1)])
-        assert spanning_forest(g) == frozenset({"e0"})
+        assert spanning_forest(g) == (frozenset({"e0"}), [g.edge("e1")])
         assert character(g).cycle_edges == ("e1",)
-
-    def test_explicit_forest_must_be_spanning(self):
-        g = triangle()
-        with pytest.raises(ValueError):
-            character(g, forest={"e1"})
-        with pytest.raises(ValueError):
-            character(g, forest={"e1", "e2", "e3"})
-        # every edge subset, alone and with an unknown id, against the count
-        # of components: a spanning forest S of (V, E) leaves |V| - |S| of
-        # them, as many as (V, E) has
-        rng = seeded(208)
-        for _ in range(40):
-            g = random_graph(rng, max_vertices=5, max_edges=7)
-            whole = _components(g, g.edges)
-            for size in range(len(g.edges) + 1):
-                for subset in combinations(g.edges, size):
-                    named = {e.id for e in subset}
-                    spanning = (len(g.vertices) - size == _components(g, subset)
-                                == whole)
-                    for forest, known in ((named, True), (named | {"ghost"}, False)):
-                        if spanning and known:
-                            char = character(g, forest=forest)
-                            assert set(char.cycle_edges) == {e.id for e in g.edges} - named
-                        else:
-                            with pytest.raises(ValueError):
-                                character(g, forest=forest)
-
-
-def _components(g, edges):
-    """The number of connected components of (vertices of g, edges), by BFS."""
-    neighbours = {v.id: [] for v in g.vertices}
-    for e in edges:
-        neighbours[e.from_vertex].append(e.to_vertex)
-        neighbours[e.to_vertex].append(e.from_vertex)
-    seen, count = set(), 0
-    for root in neighbours:
-        if root in seen:
-            continue
-        count += 1
-        seen.add(root)
-        queue = [root]
-        for v in queue:
-            for w in neighbours[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return count
 
 
 class TestAspiralityAndVerdict:
@@ -471,8 +420,9 @@ def test_aspirality_independent_of_forest():
     for _ in range(60):
         g = random_graph(rng, max_vertices=4, max_edges=6)
         expected = verdict(g).aspiral
-        for char in all_spanning_forests(g):
-            assert all(v in (1, -1) for v in char.values) == expected
+        for forest in all_spanning_forests(g):
+            char = oracle_character(g, forest)
+            assert all(v in (1, -1) for v in char.values) == (char.witness is None) == expected
 
 
 def test_cycle_value_recoverable_from_any_basis():
@@ -485,17 +435,16 @@ def test_cycle_value_recoverable_from_any_basis():
             continue
         checked += 1
         expected = cycle_spirality(g, cycle)
-        for char in all_spanning_forests(g):
-            assert evaluate_character(char, cycle) == expected
+        assert evaluate_character(character(g), cycle) == expected
+        for forest in all_spanning_forests(g):
+            assert evaluate_character(oracle_character(g, forest), cycle) == expected
 
 
 def _assert_character_matches_oracle(g, char):
     assert char.forest == {e.id for e in g.edges} - set(char.cycle_edges)
-    basis = oracle_basis(g, char.forest)
-    cycles = [fundamental_cycle(g, char.forest, eid) for eid in char.cycle_edges]
-    assert cycles == basis
-    for cycle, value in zip(cycles, char.values):
-        assert value == oracle_cycle_value(g, cycle) == cycle_spirality(g, cycle)
+    assert char == oracle_character(g, char.forest)
+    for cycle, value in zip(oracle_basis(g, char.forest), char.values):
+        assert value == cycle_spirality(g, cycle)
 
 
 def test_character_against_root_path_oracle():
@@ -510,8 +459,39 @@ def test_character_against_root_path_oracle():
         _assert_character_matches_oracle(g, character(g))
     for _ in range(30):
         g = random_graph(rng, max_vertices=4, max_edges=6)
-        for char in all_spanning_forests(g):
-            _assert_character_matches_oracle(g, char)
+        assert character(g).forest in set(all_spanning_forests(g))
+
+
+def _planted(g, rng, twisted):
+    """``g`` with each edge u -> v carrying h = (a(v), a(u)) for random a, so
+    every cycle has value +-1; when ``twisted``, one edge's h_ini is tripled."""
+    a = {v.id: rng.randint(1, 9) for v in g.vertices}
+    twist = rng.choice(g.edges).id if twisted else None
+    return DecoratedJSJGraph(g.vertices, [
+        Edge(e.id, e.from_vertex, e.to_vertex,
+             a[e.to_vertex] * (3 if e.id == twist else 1), a[e.from_vertex], e.omega)
+        for e in g.edges])
+
+
+def test_witness_is_the_first_oracle_cycle_off_one():
+    rng = seeded(210)
+    aspiral = 0
+    for i in range(200):
+        if i % 4:
+            g = random_graph(rng, max_vertices=8, max_edges=12)
+        else:
+            g = random_path_graph(rng, n_vertices=rng.randint(5, 30),
+                                  n_extra=rng.randint(1, 12))
+        g = _planted(g, rng, twisted=i % 2)
+        char = character(g)
+        first = next((cycle for cycle in oracle_basis(g, char.forest)
+                      if abs(oracle_cycle_value(g, cycle)) != 1), None)
+        assert char.witness == first
+        assert (first is None) == verdict(g).aspiral
+        aspiral += first is None
+    # the 100 untwisted graphs are aspiral; a twisted one is too when its
+    # twist sits on a bridge, which no cycle crosses, and both cases occurred
+    assert 100 < aspiral < 200
 
 
 def _with_fraction_h(g, rng):
@@ -541,16 +521,14 @@ def test_character_rows_are_their_fundamental_cycles_with_fraction_h():
                     tree_fraction += 1
                 else:
                     nontree_fraction += 1
-        for eid, value in zip(char.cycle_edges, char.values):
-            assert value == cycle_spirality(g, fundamental_cycle(g, char.forest, eid))
+        basis = oracle_basis(g, char.forest)
+        values = [cycle_spirality(g, cycle) for cycle in basis]
+        assert list(char.values) == values
+        first = next(((cycle, value) for cycle, value in zip(basis, values)
+                      if abs(value) != 1), (None, None))
         v = verdict(g)
-        first = next(((eid, value) for eid, value in zip(char.cycle_edges, char.values)
-                      if abs(value) != 1), None)
-        if first is None:
-            assert v.aspiral and v.witness is None and v.witness_value is None
-        else:
-            witnesses += 1
-            assert not v.aspiral and v.witness_value == first[1]
-            assert v.witness == fundamental_cycle(g, char.forest, first[0])
+        assert char.witness == v.witness == first[0] and v.witness_value == first[1]
+        assert v.aspiral == (first[0] is None)
+        witnesses += first[0] is not None
     # non-integral h was drawn on both kinds of edge, and both verdicts occurred
     assert tree_fraction and nontree_fraction and 0 < witnesses < 200

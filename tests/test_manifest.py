@@ -86,7 +86,7 @@ class TestGraphSection:
         parsed = parse_manifest(GRAPH_DOC)
         g = parsed.graph
         assert [v.id for v in g.vertices] == ["a", "b"]
-        assert g.vertex("b").internal_omega_generators == 1
+        assert {v.id: v for v in g.vertices}["b"].internal_omega_generators == 1
         assert g.edge("e2").omega == -1
         assert g.warnings == () and parsed.diagnostics == ()
 

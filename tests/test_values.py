@@ -37,7 +37,8 @@ SAMPLES = [
     (Vertex, ("v", VertexKind.ELEMENTARY_BAND, False, 2)),
     (Edge, ("e", "u", "v", 2, 3, -1)),
     (DirectedCycle, ((("e1", 1), ("e2", -1)),)),
-    (SpiralityCharacter, (frozenset({"e2"}), (Fraction(2, 3),), ("e1",), (("v", -1),))),
+    (SpiralityCharacter, (frozenset({"e2"}), (Fraction(2, 3),), ("e1",), (("v", -1),),
+                          CYCLE)),
     (Verdict, (False, False, CYCLE, Fraction(2, 3))),
     (PieceBoundary, ("b", "T", SLOPE, Fraction(3, 2))),
     (Piece, ("P", PieceType.SEIFERT, (BOUNDARY,))),

@@ -4,8 +4,10 @@ The oracles here deliberately re-derive values by a different route than
 the library: intersection numbers by counting lattice points in a
 fundamental parallelogram, covering degrees by direct enumeration, cycle
 values by a hand-rolled integer product or by folding partial dilatations,
-fundamental cycles from both ends' full paths to the root, a graph's
-errors and warnings from one interleaved pass over its data, a flow
+fundamental cycles from both ends' full paths to the root and, valued
+by that product, a graph's character on any of its spanning forests, which
+are found by counting components, a graph's errors and warnings from one
+interleaved pass over its data, a flow
 manifest's likewise, with indexes of its own, flow spiralities as a product
 of one reduced Fraction per sigma and rho factor, the loop check's
 diagnostics from a pass that looks every side up first, a graph
@@ -28,14 +30,15 @@ from math import gcd, lcm
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, Slope,
                        FlowManifest, Piece, PieceBoundary, PieceType, Crossing,
-                       LoopItinerary, Side, VertexKind, character, intersection_number,
-                       validate_itinerary, NotParallel, SpiralityError)
+                       LoopItinerary, Side, SpiralityCharacter, VertexKind,
+                       intersection_number, validate_itinerary, NotParallel,
+                       SpiralityError)
 from spirality.errors import ParseError, error, warning
 from spirality.flow import (DANGLING_REF, NON_POSITIVE_LEAF, NON_RATIONAL_LEAF,
                             NOT_TRANSVERSE, PIECE_MISMATCH, SEIFERT_LEAF_MISMATCH,
                             SLOPE_MULTIPLICITY, UNPAIRED_BOUNDARY, InvalidFlow, Torus)
 from spirality.flow import DUPLICATE_ID as DUPLICATE_FLOW_ID
-from spirality.graph import (FORWARD, BACKWARD, spanning_forest, BAD_INTERNAL_GENERATORS,
+from spirality.graph import (FORWARD, BACKWARD, BAD_INTERNAL_GENERATORS,
                              BAD_OMEGA, DANGLING_EDGE, DUPLICATE_ID, ELEMENTARY_ADJACENCY,
                              NON_INTEGRAL_H, NON_POSITIVE_H, OMEGA_AMBIGUITY, InvalidGraph)
 from spirality.manifest import _EDGE, _PIECE, _SLOPE, _TORUS, _VERTEX, _expect, _path
@@ -336,8 +339,9 @@ def pullback(g, cover):
     value raises to the d-th power. Raises NotACovering when the data fails
     the local bijection on edge ends.
     """
+    vertex_by_id = {v.id: v for v in g.vertices}
     for cv, bv in cover.vertex_map.items():
-        if not g.has_vertex(bv):
+        if bv not in vertex_by_id:
             raise NotACovering("cover vertex %r maps to unknown vertex %r" % (cv, bv))
     base_ends = {v.id: [] for v in g.vertices}
     for e in g.edges:
@@ -367,7 +371,7 @@ def pullback(g, cover):
 
     vertices = []
     for cv in cover.vertex_map:
-        bv = g.vertex(cover.vertex_map[cv])
+        bv = vertex_by_id[cover.vertex_map[cv]]
         vertices.append(Vertex(cv, bv.kind, bv.orientable, bv.internal_omega_generators))
     edges = []
     for ce in cover.edges:
@@ -670,15 +674,47 @@ def _shortest_steps(g, start, goal):
     return steps
 
 
-def all_spanning_forests(g):
-    """Characters over every spanning forest of a small graph."""
-    rank = len(spanning_forest(g))
-    ids = [e.id for e in g.edges]
-    for subset in combinations(ids, rank):
-        try:
-            yield character(g, forest=subset)
-        except ValueError:
+def oracle_character(g, forest):
+    """The character on the fundamental cycles of ``forest``, a spanning
+    forest of ``g``: oracle_basis's cycles valued by oracle_cycle_value, and
+    the witness, the first of them whose value is not +-1."""
+    basis = oracle_basis(g, forest)
+    values = tuple(oracle_cycle_value(g, cycle) for cycle in basis)
+    witness = next((cycle for cycle, value in zip(basis, values) if abs(value) != 1), None)
+    return SpiralityCharacter(
+        frozenset(forest), values, tuple(cycle.steps[0][0] for cycle in basis),
+        tuple((v.id, -1) for v in g.vertices if v.internal_omega_generators > 0), witness)
+
+
+def _components(g, edges):
+    """The number of connected components of (vertices of g, edges), by BFS."""
+    neighbours = {v.id: [] for v in g.vertices}
+    for e in edges:
+        neighbours[e.from_vertex].append(e.to_vertex)
+        neighbours[e.to_vertex].append(e.from_vertex)
+    seen, count = set(), 0
+    for root in neighbours:
+        if root in seen:
             continue
+        count += 1
+        seen.add(root)
+        queue = [root]
+        for v in queue:
+            for w in neighbours[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return count
+
+
+def all_spanning_forests(g):
+    """Every spanning forest of a small graph, as a frozenset of edge ids: the
+    edge sets that leave as many components as the graph has, with one edge
+    fewer than vertices per component."""
+    whole = _components(g, g.edges)
+    for subset in combinations(g.edges, len(g.vertices) - whole):
+        if _components(g, subset) == whole:
+            yield frozenset(e.id for e in subset)
 
 
 def random_closed_walk(g, rng, start=None, max_length=8):
