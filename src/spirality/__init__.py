@@ -12,8 +12,7 @@ the standard separable and non-separable example families.
 from .errors import SpiralityError, ParseError, Diagnostic
 from .lattice import Slope, intersection_number, fdtc, NotParallel
 from .graph import (DecoratedJSJGraph, Vertex, Edge, VertexKind, DirectedCycle,
-                    SpiralityCharacter, cycle_spirality, character,
-                    verdict, InvalidGraph, InvalidCycle)
+                    SpiralityCharacter, character, verdict, InvalidGraph)
 from .flow import (FlowManifest, Piece, PieceBoundary, PieceType, Torus, Side,
                    Crossing, LoopItinerary, SideConvention,
                    flow_spirality,

@@ -12,6 +12,8 @@ import argparse
 import functools
 import os
 import sys
+from fractions import Fraction
+from math import prod
 
 try:  # the builtin sha256, without loading OpenSSL; renamed in Python 3.12
     from _sha256 import sha256
@@ -205,7 +207,7 @@ def _graph_for_aspiral(parsed, factors, report):
         return parsed.graph
     if parsed.flow is not None and parsed.loop is not None:
         report.add("note", "graph decorated from the flow manifest along the loop")
-        return flow.decorate_from_flow(factors, parsed.flow)[0]
+        return flow.decorate_from_flow(factors, parsed.flow)
     raise SpiralityError("manifest carries neither a graph nor a flow+loop pair")
 
 
@@ -358,12 +360,14 @@ def cmd_crosscheck(args):
     for _, parsed in sources:
         _require_flow_loop(parsed)
     # both routes start from the check's factors: the direct one multiplies
-    # them out, the graph one takes the holonomy of the decorated cycle
+    # them out, the graph one takes the holonomy of the loop on the decorated
+    # graph, whose edges the loop runs forward once each
     mismatches = 0
     for label, m, factors in cases:
         direct = flow.flow_spirality(factors)
-        g, cycle = flow.decorate_from_flow(factors, m)
-        via_graph = jsj.cycle_spirality(g, cycle)
+        edges = flow.decorate_from_flow(factors, m).edges
+        via_graph = Fraction(prod(e.omega * e.h_ini for e in edges),
+                             prod(e.h_ter for e in edges))
         match = direct == via_graph
         mismatches += not match
         relation, word, color = ("==", "MATCH", "green") if match else ("!=", "MISMATCH", "red")

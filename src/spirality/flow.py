@@ -400,17 +400,18 @@ def flow_spirality(factors):
 
 
 def decorate_from_flow(factors, m):
-    """Build the decorated dual graph along a loop from its FlowFactors; its
-    cycle matches the loop's spirality.
+    """Build the decorated dual graph along a loop from its FlowFactors.
 
-    One vertex per in-piece segment, one edge per crossing. The weight at an
-    edge end is i(curve, slope at that end) / leaf length L at that end.
+    One vertex per in-piece segment, one edge per crossing, in loop order
+    and pointing forward along the loop, so the loop runs each edge forward
+    once. The weight at an edge end is i(curve, slope at that end) / leaf
+    length L at that end.
     Vertex i, where ``entered[i - 1]`` and ``left[i]`` meet, scales both of
     its ends by L(entered[i - 1]).num L(left[i]).num, which makes them the
     integers h_ini(x_i) = n_leave(i) L(left[i]).den L(entered[i - 1]).num
     and h_ter(x_i) = n_enter(i) L(entered[i]).den L(left[i + 1 mod n]).num.
-    The factor cancels in every cycle product, so the cycle's holonomy
-    equals the spirality of the loop exactly.
+    The factor cancels in every cycle product, so the loop's holonomy
+    equals its spirality exactly.
     """
     left_num, left_den = _lengths(factors.left)
     entered_num, entered_den = _lengths(factors.entered)
@@ -425,5 +426,4 @@ def decorate_from_flow(factors, m):
                   n_leave * left_den[i] * entered_num[i - 1],
                   n_enter * entered_den[i] * left_num[i + 1 - n])
              for i, (n_leave, n_enter) in enumerate(factors.intersections)]
-    cycle = jsj.DirectedCycle(tuple((e.id, jsj.FORWARD) for e in edges))
-    return jsj.DecoratedJSJGraph(vertices, edges), cycle
+    return jsj.DecoratedJSJGraph(vertices, edges)

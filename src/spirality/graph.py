@@ -29,15 +29,11 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidData, SpiralityError, Value, error, unhashable_ids, warning
+from .errors import InvalidData, Value, error, unhashable_ids, warning
 
 
 class InvalidGraph(InvalidData):
     """The data of a decorated graph has structural errors."""
-
-
-class InvalidCycle(SpiralityError):
-    """Cycle steps are not a closed edge path of the graph."""
 
 
 class VertexKind(Enum):
@@ -88,7 +84,8 @@ BACKWARD = -1
 
 
 class DirectedCycle(Value):
-    """A closed edge path: steps (edge id, +1 forward / -1 backward)."""
+    """A closed edge path, the character's witness: steps (edge id, +1
+    forward / -1 backward)."""
 
     __slots__ = ("steps",)
 
@@ -113,7 +110,6 @@ class DecoratedJSJGraph:
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         try:
-            self._edge_by_id = {e.id: e for e in self.edges}
             errors, warnings = _diagnose(self)
         except TypeError:
             # an id or an edge end that cannot key an index
@@ -123,9 +119,6 @@ class DecoratedJSJGraph:
         if errors:
             raise InvalidGraph(errors + warnings)
         self.warnings = tuple(warnings)
-
-    def edge(self, edge_id):
-        return self._edge_by_id[edge_id]
 
     def __repr__(self):
         return "DecoratedJSJGraph(%d vertices, %d edges)" % (
@@ -212,45 +205,6 @@ def _unhashable(g):
         [("vertex %d" % i, "id", v.id) for i, v in enumerate(g.vertices)]
         + [("edge %d" % i, field, value) for i, e in enumerate(g.edges)
            for field, value in (("id", e.id), ("end", e.from_vertex), ("end", e.to_vertex))])
-
-
-def _step_endpoints(g, step):
-    edge_id, direction = step
-    try:
-        e = g.edge(edge_id)
-    except KeyError:
-        raise InvalidCycle("unknown edge %r" % edge_id)
-    if direction == FORWARD:
-        return e, e.from_vertex, e.to_vertex
-    if direction == BACKWARD:
-        return e, e.to_vertex, e.from_vertex
-    raise InvalidCycle("bad direction %r on edge %r" % (direction, edge_id))
-
-
-def cycle_spirality(g, cycle):
-    """Holonomy of a directed cycle: product of h(entering)/h(leaving), signed.
-
-    Traversing an edge forward enters at the ini end and leaves at the ter
-    end; backward traversal swaps them. The empty cycle has value 1. The
-    product is taken over the integers and reduced once.
-    """
-    num = den = 1
-    at = None
-    start = None
-    for step in cycle.steps:
-        e, s, t = _step_endpoints(g, step)
-        if at is None:
-            start = s
-        elif s != at:
-            raise InvalidCycle("steps do not chain at %r (edge %r starts at %r)"
-                               % (at, step[0], s))
-        at = t
-        h_enter, h_leave = (e.h_ini, e.h_ter) if step[1] == FORWARD else (e.h_ter, e.h_ini)
-        num *= h_enter * e.omega
-        den *= h_leave
-    if at is not None and at != start:
-        raise InvalidCycle("cycle is not closed: ends at %r, started at %r" % (at, start))
-    return Fraction(num, den)
 
 
 def _find(parent, x):

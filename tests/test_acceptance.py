@@ -12,14 +12,15 @@ import pytest
 
 from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
                        gen_random_flow, flow_spirality, decorate_from_flow,
-                       cycle_spirality, character, verdict, equiperiodic_rho_is_one,
+                       character, verdict, equiperiodic_rho_is_one,
                        fdtc, Slope, NotParallel, DecoratedJSJGraph, DirectedCycle,
                        Vertex, Edge)
 from spirality.graph import FORWARD
-from util import (PartialDilatation, compose, oracle_basis, oracle_cycle_value,
-                  oracle_fdtc_scan, random_graph, random_closed_walk, random_slope,
-                  random_primitive_slope, all_spanning_forests, make_equiperiodic,
-                  seeded, sigma, pullback, cyclic_cover, factors_of, reversed_cycle)
+from util import (PartialDilatation, compose, edges_by_id, evaluate_character,
+                  oracle_basis, oracle_cycle_value, oracle_fdtc_scan, random_graph,
+                  random_closed_walk, random_slope, random_primitive_slope,
+                  all_spanning_forests, make_equiperiodic, seeded, sigma, pullback,
+                  cyclic_cover, factors_of, reversed_cycle)
 
 
 @contextmanager
@@ -53,7 +54,7 @@ def test_criterion_1_closed_form_family():
             assert value == closed_form
             assert value != 1 and value != -1
             m = inst.manifest
-            g, _ = decorate_from_flow(factors_of(inst.loop, m), m)
+            g = decorate_from_flow(factors_of(inst.loop, m), m)
             v = verdict(g)
             assert not v.virtually_embedded and not v.virtually_taut_leaf
 
@@ -64,18 +65,24 @@ def test_criterion_2_matched_slopes_scenario():
         for seed in range(100):
             m, loop = gen_matched_slopes(1 + seed % 5, seed)
             assert flow_spirality(factors_of(loop, m)) == 1
-            g, _ = decorate_from_flow(factors_of(loop, m), m)
+            g = decorate_from_flow(factors_of(loop, m), m)
             v = verdict(g)
             assert v.virtually_embedded and v.virtually_taut_leaf
 
 
 def test_criterion_3_bridge_identity():
-    with criterion(3, "decorated-graph holonomy equals the direct flow formula "
-                      "on 500 random manifests"):
-        for seed in range(500):
-            m, loop = gen_random_flow(seed)
-            g, cycle = decorate_from_flow(factors_of(loop, m), m)
-            assert cycle_spirality(g, cycle) == flow_spirality(factors_of(loop, m))
+    with criterion(3, "the character of the decorated loop graph is the direct "
+                      "flow formula on 500 random manifests and 3 long twists"):
+        cases = [gen_random_flow(seed) for seed in range(500)]
+        # 998, 1000 and 1002 crossings: from x1000 on, edge ids sort out of
+        # loop order, and the spanning forest changes shape
+        for d in (499, 500, 501):
+            inst = gen_twist_family(TwistFamilyParams(2, 3, 2, 3, 1, d))
+            cases.append((inst.manifest, inst.loop))
+        for m, loop in cases:
+            factors = factors_of(loop, m)
+            g = decorate_from_flow(factors, m)
+            assert character(g).values == (flow_spirality(factors),)
 
 
 def test_criterion_4_holonomy_oracles():
@@ -89,11 +96,11 @@ def test_criterion_4_holonomy_oracles():
             if cycle is None or not cycle.steps:
                 continue
             checked += 1
-            value = cycle_spirality(g, cycle)
+            value = evaluate_character(character(g), cycle)
             assert value == oracle_cycle_value(g, cycle)
-            folded = None
+            folded, by_id = None, edges_by_id(g)
             for edge_id, direction in cycle.steps:
-                e = g.edge(edge_id)
+                e = by_id[edge_id]
                 h_in, h_out = ((e.h_ini, e.h_ter) if direction == FORWARD
                                else (e.h_ter, e.h_ini))
                 step = PartialDilatation(e.omega * h_in, h_out)
@@ -112,15 +119,16 @@ def test_criterion_5_character_laws():
             first = random_closed_walk(g, rng)
             if first is None or not first.steps:
                 continue
-            e0 = g.edge(first.steps[0][0])
+            e0 = edges_by_id(g)[first.steps[0][0]]
             base = e0.from_vertex if first.steps[0][1] == FORWARD else e0.to_vertex
             second = random_closed_walk(g, rng, start=base)
             if second is None:
                 continue
             checked += 1
             joined = DirectedCycle(first.steps + second.steps)
-            assert cycle_spirality(g, joined) == \
-                cycle_spirality(g, first) * cycle_spirality(g, second)
+            char = character(g)
+            assert evaluate_character(char, joined) == \
+                evaluate_character(char, first) * evaluate_character(char, second)
 
         checked = 0
         while checked < 200:  # reversal inverts
@@ -129,8 +137,9 @@ def test_criterion_5_character_laws():
             if cycle is None or not cycle.steps:
                 continue
             checked += 1
-            assert (cycle_spirality(g, reversed_cycle(cycle))
-                    == 1 / cycle_spirality(g, cycle))
+            char = character(g)
+            assert (evaluate_character(char, reversed_cycle(cycle))
+                    == 1 / evaluate_character(char, cycle))
 
         checked = 0
         while checked < 200:  # sign is the product of the omegas
@@ -139,10 +148,10 @@ def test_criterion_5_character_laws():
             if cycle is None or not cycle.steps:
                 continue
             checked += 1
-            sign = 1
+            sign, by_id = 1, edges_by_id(g)
             for edge_id, _ in cycle.steps:
-                sign *= g.edge(edge_id).omega
-            assert (cycle_spirality(g, cycle) > 0) == (sign == 1)
+                sign *= by_id[edge_id].omega
+            assert (evaluate_character(character(g), cycle) > 0) == (sign == 1)
 
         for _ in range(200):  # aspirality over every spanning forest
             g = random_graph(rng, max_vertices=4, max_edges=6)

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spirality
-from spirality import (TwistFamilyParams, dumps_manifest, flow, format_rational,
-                       gen_random_flow, gen_twist_family)
+from spirality import (DecoratedJSJGraph, Edge, TwistFamilyParams, dumps_manifest, flow,
+                       format_rational, gen_random_flow, gen_twist_family)
 from spirality import cli
 from spirality.cli import Report, main
 from test_golden import _deep_graph
@@ -515,6 +515,25 @@ class TestCrosscheck:
         code, out = run(capsys, "crosscheck", "--random", "2", "--seed", "5")
         assert code == 1
         assert "seed 5: 15/52 != 15/104 MISMATCH\n" in out.out
+        assert out.out.endswith("checked: 2\nmismatches: 2\n")
+
+    @pytest.mark.parametrize("h_scale, omega, graph_value",
+                             [(2, 1, "15/52"), (1, -1, "-15/104")],
+                             ids=["double-h_ini", "flip-omega"])
+    def test_the_graph_route_reads_the_decorated_weights(self, capsys, monkeypatch,
+                                                          h_scale, omega, graph_value):
+        real = flow.decorate_from_flow
+
+        def corrupted(factors, m):
+            g = real(factors, m)
+            e = g.edges[0]
+            first = Edge(e.id, e.from_vertex, e.to_vertex, h_scale * e.h_ini, e.h_ter,
+                         omega * e.omega)
+            return DecoratedJSJGraph(g.vertices, (first,) + g.edges[1:])
+        monkeypatch.setattr(flow, "decorate_from_flow", corrupted)
+        code, out = run(capsys, "crosscheck", "--random", "2", "--seed", "5")
+        assert code == 1
+        assert "seed 5: 15/104 != %s MISMATCH\n" % graph_value in out.out
         assert out.out.endswith("checked: 2\nmismatches: 2\n")
 
     def test_random_mode_matches_the_same_manifests_read_from_files(self, tmp_path,

@@ -11,7 +11,7 @@ from spirality import (Slope, FlowManifest, Piece, PieceBoundary, PieceType,
                        equiperiodic_rho_is_one, decorate_from_flow,
                        normalize_itinerary,
                        validate_itinerary, InvalidFlow,
-                       cycle_spirality, gen_matched_slopes, gen_random_flow,
+                       character, gen_matched_slopes, gen_random_flow,
                        gen_twist_family, intersection_number, TwistFamilyParams,
                        parse_manifest)
 from spirality.flow import (DANGLING_REF, DUPLICATE_ID, NON_POSITIVE_LEAF, NON_RATIONAL_LEAF,
@@ -193,7 +193,7 @@ class TestOnePass:
 
     def test_decorated_h_follow_the_per_vertex_gauge(self):
         for m, loop in decorated_cases():
-            g, _ = decorate_from_flow(factors_of(loop, m), m)
+            g = decorate_from_flow(factors_of(loop, m), m)
             ends = [[side_boundary(m, c.torus, side)[1]
                      for side in (c.from_side, c.from_side.other)] for c in loop.crossings]
             for i, (c, e) in enumerate(zip(loop.crossings, g.edges)):
@@ -209,7 +209,7 @@ class TestOnePass:
         """At every vertex, both ends that meet there are the global-lcm h
         of tests/util.py times one common positive rational."""
         for m, loop in decorated_cases():
-            g, _ = decorate_from_flow(factors_of(loop, m), m)
+            g = decorate_from_flow(factors_of(loop, m), m)
             gauge = {}
             for e, (h_ini, h_ter) in zip(g.edges, oracle_decorated_h(loop, m)):
                 gauge.setdefault(e.from_vertex, set()).add(Fraction(e.h_ini, h_ini))
@@ -341,8 +341,7 @@ class TestLeafLengthPairs:
             assert flow_spirality(factors) == value
             assert ([Fraction(*pair) for pair in factors.rho_pairs()]
                     == [rho(seg, m) for seg in segments_of(loop, m)])
-            g, cycle = decorate_from_flow(factors, m)
-            assert cycle_spirality(g, cycle) == value
+            assert character(decorate_from_flow(factors, m)).values == (value,)
             for candidate in (m, make_equiperiodic(m, rng)):
                 assert equiperiodic_rho_is_one(candidate) == oracle_equiperiodic(candidate)
 
@@ -383,25 +382,39 @@ class TestLeafLengthPairs:
         for m, loop in (gen_random_flow(7), chain_manifest({"b0m": Fraction(3, 2)})):
             factors = factors_of(loop, m)
             value, rhos = flow_spirality(factors), list(factors.rho_pairs())
-            g, _ = decorate_from_flow(factors, m)
+            g = decorate_from_flow(factors, m)
             for twin in (copy.deepcopy(factors), pickle.loads(pickle.dumps(factors))):
                 assert twin == factors
                 assert flow_spirality(twin) == value and list(twin.rho_pairs()) == rhos
-                assert decorate_from_flow(twin, m)[0].edges == g.edges
+                assert decorate_from_flow(twin, m).edges == g.edges
 
 
 class TestDecorate:
     def test_matched_manifest_gives_balanced_edges(self):
         m, loop = chain_manifest({})
-        g, cycle = decorate_from_flow(factors_of(loop, m), m)
+        g = decorate_from_flow(factors_of(loop, m), m)
         assert all(e.h_ini == e.h_ter for e in g.edges)
-        assert cycle_spirality(g, cycle) == 1
+        assert character(g).values == (1,)
+
+    def test_edges_run_the_loop_forward_in_loop_order(self):
+        # 1002 crossings: ids from x1000 on sort out of loop order
+        inst = gen_twist_family(TwistFamilyParams(2, 3, 2, 3, 1, 501))
+        cases = [(inst.manifest, inst.loop), chain_manifest({})]
+        cases += [gen_random_flow(seed) for seed in range(40)]
+        for m, loop in cases:
+            g = decorate_from_flow(factors_of(loop, m), m)
+            n = len(loop.crossings)
+            assert [e.id for e in g.edges] == ["x%03d" % i for i in range(n)]
+            assert [v.id for v in g.vertices] == ["seg%03d" % i for i in range(n)]
+            assert all(e.from_vertex == g.vertices[i].id
+                       and e.to_vertex == g.vertices[(i + 1) % n].id
+                       for i, e in enumerate(g.edges))
 
     def test_emitted_h_are_positive_integers(self):
         rng = seeded(303)
         for seed in range(60):
             m, loop = gen_random_flow(rng.randrange(10 ** 6))
-            g, _ = decorate_from_flow(factors_of(loop, m), m)
+            g = decorate_from_flow(factors_of(loop, m), m)
             for e in g.edges:
                 assert isinstance(e.h_ini, int) and e.h_ini >= 1
                 assert isinstance(e.h_ter, int) and e.h_ter >= 1
@@ -410,8 +423,8 @@ class TestDecorate:
         rng = seeded(304)
         for seed in range(120):
             m, loop = gen_random_flow(rng.randrange(10 ** 6))
-            g, cycle = decorate_from_flow(factors_of(loop, m), m)
-            assert cycle_spirality(g, cycle) == flow_spirality(factors_of(loop, m))
+            factors = factors_of(loop, m)
+            assert character(decorate_from_flow(factors, m)).values == (flow_spirality(factors),)
 
     def test_parallel_curve_rejected(self):
         m = one_torus_manifest(Slope((1, 0)), Slope((1, 1)))

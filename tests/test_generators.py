@@ -77,7 +77,7 @@ def test_closed_form_and_negative_verdict():
         assert value == inst.expected
         assert value not in (1, -1)
         m = inst.manifest
-        g, _ = decorate_from_flow(factors_of(inst.loop, m), m)
+        g = decorate_from_flow(factors_of(inst.loop, m), m)
         assert not verdict(g).virtually_embedded
 
 
@@ -90,8 +90,8 @@ def test_elevation_degree_via_pullback():
         d = rng.randint(1, 6)
         inst = gen_twist_family(params)
         m = inst.manifest
-        g, cycle = decorate_from_flow(factors_of(inst.loop, m), m)
-        lifted = pullback(g, cyclic_cover(g, {cycle.steps[0][0]: 1}, d))
+        g = decorate_from_flow(factors_of(inst.loop, m), m)
+        lifted = pullback(g, cyclic_cover(g, {g.edges[0].id: 1}, d))
         values = character(lifted).values
         assert len(values) == 1
         assert values[0] == inst.expected ** d
@@ -107,7 +107,7 @@ def test_matched_slopes_always_trivial():
             assert flow_spirality(factors_of(loop, m)) == 1
             assert flow_spirality(factors_of(reverse_itinerary(loop), m)) == 1
             assert equiperiodic_rho_is_one(m)
-            g, _ = decorate_from_flow(factors_of(loop, m), m)
+            g = decorate_from_flow(factors_of(loop, m), m)
             v = verdict(g)
             assert v.virtually_embedded and v.virtually_taut_leaf
 

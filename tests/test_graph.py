@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, VertexKind,
-                       cycle_spirality, character, verdict, InvalidCycle, InvalidGraph)
+                       character, verdict, InvalidGraph)
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest,
                              BAD_INTERNAL_GENERATORS, DANGLING_EDGE, NON_POSITIVE_H,
                              NON_RATIONAL_H, BAD_OMEGA, ELEMENTARY_ADJACENCY,
                              OMEGA_AMBIGUITY)
-from util import (PartialDilatation, compose, oracle_basis, oracle_character,
+from util import (PartialDilatation, compose, edges_by_id, oracle_basis, oracle_character,
                   oracle_cycle_value, oracle_validate,
                   random_graph, random_path_graph, random_closed_walk,
                   all_spanning_forests, seeded, evaluate_character, pullback,
@@ -32,6 +32,11 @@ def triangle(h_third=(4, 2)):
 
 
 TRIANGLE_CYCLE = DirectedCycle((("e1", FORWARD), ("e2", FORWARD), ("e3", FORWARD)))
+
+
+def holonomy(g, cycle):
+    """The value of ``cycle`` read off the character of ``g``."""
+    return evaluate_character(character(g), cycle)
 
 
 def refused(vertices, edges):
@@ -157,47 +162,35 @@ def test_constructor_refuses_exactly_the_oracles_errors(data):
 
 class TestCycleSpirality:
     def test_triangle_telescopes_to_one(self):
-        assert cycle_spirality(triangle(), TRIANGLE_CYCLE) == 1
+        assert holonomy(triangle(), TRIANGLE_CYCLE) == 1
 
     def test_triangle_with_mismatch(self):
-        assert cycle_spirality(triangle(h_third=(4, 5)), TRIANGLE_CYCLE) == Fraction(2, 5)
+        assert holonomy(triangle(h_third=(4, 5)), TRIANGLE_CYCLE) == Fraction(2, 5)
 
     def test_back_and_forth_cancels(self):
         g = triangle(h_third=(4, 5))
         there_and_back = DirectedCycle((("e1", FORWARD), ("e1", BACKWARD)))
-        assert cycle_spirality(g, there_and_back) == 1
+        assert holonomy(g, there_and_back) == 1
 
     def test_reversal_inverts(self):
         g = triangle(h_third=(4, 5))
-        assert cycle_spirality(g, reversed_cycle(TRIANGLE_CYCLE)) == Fraction(5, 2)
+        assert holonomy(g, reversed_cycle(TRIANGLE_CYCLE)) == Fraction(5, 2)
 
     def test_omega_signs_multiply(self):
         g = DecoratedJSJGraph(
             [Vertex("a"), Vertex("b")],
             [Edge("e1", "a", "b", 1, 1, omega=-1), Edge("e2", "b", "a", 1, 1, omega=-1)])
         cycle = DirectedCycle((("e1", FORWARD), ("e2", FORWARD)))
-        assert cycle_spirality(g, cycle) == 1
+        assert holonomy(g, cycle) == 1
         lollipop = DirectedCycle((("e1", FORWARD), ("e1", BACKWARD)))
-        assert cycle_spirality(g, lollipop) == 1
+        assert holonomy(g, lollipop) == 1
 
     def test_single_negative_edge(self):
         g = DecoratedJSJGraph([Vertex("a")], [Edge("e", "a", "a", 2, 3, omega=-1)])
-        assert cycle_spirality(g, DirectedCycle((("e", FORWARD),))) == Fraction(-2, 3)
-
-    def test_not_closed_rejected(self):
-        with pytest.raises(InvalidCycle):
-            cycle_spirality(two_vertex_graph(), DirectedCycle((("e1", FORWARD),)))
-
-    def test_not_chained_rejected(self):
-        with pytest.raises(InvalidCycle):
-            cycle_spirality(triangle(), DirectedCycle((("e1", FORWARD), ("e3", FORWARD))))
-
-    def test_unknown_edge_rejected(self):
-        with pytest.raises(InvalidCycle):
-            cycle_spirality(triangle(), DirectedCycle((("zz", FORWARD),)))
+        assert holonomy(g, DirectedCycle((("e", FORWARD),))) == Fraction(-2, 3)
 
     def test_empty_cycle_is_trivial(self):
-        assert cycle_spirality(triangle(), DirectedCycle(())) == 1
+        assert holonomy(triangle(), DirectedCycle(())) == 1
 
     def test_steps_from_lists_are_stored_as_pairs(self):
         listed = DirectedCycle([[e, d] for e, d in TRIANGLE_CYCLE.steps])
@@ -239,7 +232,7 @@ class TestCharacter:
         g = DecoratedJSJGraph(
             [Vertex("a"), Vertex("b")],
             [Edge("e1", "a", "b", 5, 7), Edge("e0", "a", "b", 1, 1)])
-        assert spanning_forest(g) == (frozenset({"e0"}), [g.edge("e1")])
+        assert spanning_forest(g) == (frozenset({"e0"}), [g.edges[0]])
         assert character(g).cycle_edges == ("e1",)
 
 
@@ -254,7 +247,7 @@ class TestAspiralityAndVerdict:
         result = verdict(triangle(h_third=(4, 5)))
         assert not result.aspiral
         assert result.witness_value == Fraction(2, 5)
-        assert cycle_spirality(triangle(h_third=(4, 5)), result.witness) == Fraction(2, 5)
+        assert oracle_cycle_value(triangle(h_third=(4, 5)), result.witness) == Fraction(2, 5)
 
     def test_minus_one_values_are_allowed(self):
         g = DecoratedJSJGraph(
@@ -339,7 +332,7 @@ def test_regauge_preserves_cycle_values():
         cycle = random_closed_walk(g, rng)
         if cycle is None:
             continue
-        assert cycle_spirality(g, cycle) == cycle_spirality(flipped, cycle)
+        assert holonomy(g, cycle) == holonomy(flipped, cycle)
 
 
 def test_homomorphism_on_concatenations():
@@ -350,15 +343,14 @@ def test_homomorphism_on_concatenations():
         first = random_closed_walk(g, rng)
         if first is None or not first.steps:
             continue
-        base_vertex = g.edge(first.steps[0][0]).from_vertex \
-            if first.steps[0][1] == FORWARD else g.edge(first.steps[0][0]).to_vertex
+        e0 = edges_by_id(g)[first.steps[0][0]]
+        base_vertex = e0.from_vertex if first.steps[0][1] == FORWARD else e0.to_vertex
         second = random_closed_walk(g, rng, start=base_vertex)
         if second is None:
             continue
         checked += 1
         joined = DirectedCycle(first.steps + second.steps)
-        assert cycle_spirality(g, joined) == \
-            cycle_spirality(g, first) * cycle_spirality(g, second)
+        assert holonomy(g, joined) == holonomy(g, first) * holonomy(g, second)
 
 
 def test_reversal_inverts_on_random_walks():
@@ -370,7 +362,7 @@ def test_reversal_inverts_on_random_walks():
         if cycle is None:
             continue
         checked += 1
-        assert cycle_spirality(g, reversed_cycle(cycle)) == 1 / cycle_spirality(g, cycle)
+        assert holonomy(g, reversed_cycle(cycle)) == 1 / holonomy(g, cycle)
 
 
 def test_sign_is_product_of_omegas():
@@ -382,10 +374,10 @@ def test_sign_is_product_of_omegas():
         if cycle is None or not cycle.steps:
             continue
         checked += 1
-        sign = 1
+        sign, by_id = 1, edges_by_id(g)
         for edge_id, _ in cycle.steps:
-            sign *= g.edge(edge_id).omega
-        assert (cycle_spirality(g, cycle) > 0) == (sign == 1)
+            sign *= by_id[edge_id].omega
+        assert (holonomy(g, cycle) > 0) == (sign == 1)
 
 
 def test_cycle_value_against_independent_oracles():
@@ -398,15 +390,16 @@ def test_cycle_value_against_independent_oracles():
         if cycle is None or not cycle.steps:
             continue
         checked += 1
+        by_id = edges_by_id(g)
         directions.update(d for _, d in cycle.steps)
-        omegas.update(g.edge(e).omega for e, _ in cycle.steps)
-        value = cycle_spirality(g, cycle)
-        assert value == oracle_cycle_value(g, cycle)
+        omegas.update(by_id[e].omega for e, _ in cycle.steps)
+        value = oracle_cycle_value(g, cycle)
+        assert holonomy(g, cycle) == value
         there_and_back = DirectedCycle(cycle.steps + reversed_cycle(cycle).steps)
-        assert cycle_spirality(g, there_and_back) == oracle_cycle_value(g, there_and_back)
+        assert oracle_cycle_value(g, there_and_back) == 1
         folded = None
         for edge_id, direction in cycle.steps:
-            e = g.edge(edge_id)
+            e = by_id[edge_id]
             h_in, h_out = (e.h_ini, e.h_ter) if direction == FORWARD else (e.h_ter, e.h_ini)
             step = PartialDilatation(e.omega * h_in, h_out)
             folded = step if folded is None else compose(folded, step)
@@ -434,7 +427,7 @@ def test_cycle_value_recoverable_from_any_basis():
         if cycle is None:
             continue
         checked += 1
-        expected = cycle_spirality(g, cycle)
+        expected = oracle_cycle_value(g, cycle)
         assert evaluate_character(character(g), cycle) == expected
         for forest in all_spanning_forests(g):
             assert evaluate_character(oracle_character(g, forest), cycle) == expected
@@ -443,8 +436,6 @@ def test_cycle_value_recoverable_from_any_basis():
 def _assert_character_matches_oracle(g, char):
     assert char.forest == {e.id for e in g.edges} - set(char.cycle_edges)
     assert char == oracle_character(g, char.forest)
-    for cycle, value in zip(oracle_basis(g, char.forest), char.values):
-        assert value == cycle_spirality(g, cycle)
 
 
 def test_character_against_root_path_oracle():
@@ -522,7 +513,7 @@ def test_character_rows_are_their_fundamental_cycles_with_fraction_h():
                 else:
                     nontree_fraction += 1
         basis = oracle_basis(g, char.forest)
-        values = [cycle_spirality(g, cycle) for cycle in basis]
+        values = [oracle_cycle_value(g, cycle) for cycle in basis]
         assert list(char.values) == values
         first = next(((cycle, value) for cycle, value in zip(basis, values)
                       if abs(value) != 1), (None, None))

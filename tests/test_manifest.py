@@ -87,7 +87,7 @@ class TestGraphSection:
         g = parsed.graph
         assert [v.id for v in g.vertices] == ["a", "b"]
         assert {v.id: v for v in g.vertices}["b"].internal_omega_generators == 1
-        assert g.edge("e2").omega == -1
+        assert {e.id: e for e in g.edges}["e2"].omega == -1
         assert g.warnings == () and parsed.diagnostics == ()
 
     def test_unknown_field_strict(self):
@@ -122,7 +122,7 @@ class TestGraphSection:
         with pytest.raises(ParseError):
             parse_manifest(doc)
         parsed = parse_manifest(doc, allow_rational_h=True)
-        assert parsed.graph.edge("e1").h_ini == Fraction(3, 2)
+        assert {e.id: e for e in parsed.graph.edges}["e1"].h_ini == Fraction(3, 2)
         diagnostics = parsed.graph.warnings
         assert parsed.diagnostics == diagnostics
         assert NON_INTEGRAL_H in {d.code for d in diagnostics}

@@ -348,10 +348,11 @@ def pullback(g, cover):
         base_ends[e.from_vertex].append((e.id, "ini"))
         base_ends[e.to_vertex].append((e.id, "ter"))
 
+    edge_by_id = edges_by_id(g)
     lifted_ends = {cv: [] for cv in cover.vertex_map}
     for ce in cover.edges:
         try:
-            base = g.edge(ce.over)
+            base = edge_by_id[ce.over]
         except KeyError:
             raise NotACovering("cover edge %r lies over unknown edge %r" % (ce.id, ce.over))
         for end, base_end in ((ce.from_vertex, base.from_vertex),
@@ -375,7 +376,7 @@ def pullback(g, cover):
         vertices.append(Vertex(cv, bv.kind, bv.orientable, bv.internal_omega_generators))
     edges = []
     for ce in cover.edges:
-        base = g.edge(ce.over)
+        base = edge_by_id[ce.over]
         edges.append(Edge(ce.id, ce.from_vertex, ce.to_vertex,
                           base.h_ini, base.h_ter, base.omega))
     return DecoratedJSJGraph(vertices, edges)
@@ -547,17 +548,20 @@ def oracle_slope(r, value, where, at, key):
     return slope
 
 
+def edges_by_id(g):
+    return {e.id: e for e in g.edges}
+
+
 def oracle_cycle_value(g, cycle):
-    """Hand-rolled holonomy product on raw integers, reduced once at the end."""
+    """Hand-rolled holonomy product on raw integers, the numerators and
+    denominators of the h, reduced once at the end."""
     num, den, sign = 1, 1, 1
+    edge_by_id = edges_by_id(g)
     for edge_id, direction in cycle.steps:
-        e = g.edge(edge_id)
-        if direction == FORWARD:
-            num *= e.h_ini
-            den *= e.h_ter
-        else:
-            num *= e.h_ter
-            den *= e.h_ini
+        e = edge_by_id[edge_id]
+        h_in, h_out = (e.h_ini, e.h_ter) if direction == FORWARD else (e.h_ter, e.h_ini)
+        num *= h_in.numerator * h_out.denominator
+        den *= h_in.denominator * h_out.numerator
         if e.omega == -1:
             sign = -sign
     g_ = gcd(num, den)
@@ -600,8 +604,9 @@ def _root_paths(g, forest):
     """BFS over the forest from the first vertex of each component:
     vertex -> its steps up to the root, each step from child to parent."""
     adjacency = {v.id: [] for v in g.vertices}
+    edge_by_id = edges_by_id(g)
     for eid in sorted(forest):
-        e = g.edge(eid)
+        e = edge_by_id[eid]
         adjacency[e.from_vertex].append(((eid, FORWARD), e.to_vertex))
         adjacency[e.to_vertex].append(((eid, BACKWARD), e.from_vertex))
     paths = {}
