@@ -26,7 +26,8 @@ fields in many records. Eight manifests that each hold one value of the
 wrong type pin the parser's "must be ..." messages through ``validate``.
 Ids and a path holding control characters that would forge report lines
 pin their escapes in text reports, through ``aspiral``, ``rw`` and
-``crosscheck``.
+``crosscheck``; so do ids and a path holding the line separators (NEL,
+LS, PS) that ``str.splitlines`` also breaks at.
 
 When an output changes on purpose, regenerate the corpus with
 
@@ -320,15 +321,19 @@ def _unknown_fields():
 # their own.
 FORGED_EDGE = "e2\naspiral: yes\nvirtually embedded: yes"
 FORGED_PATH = "forged\x1b[2J\nmismatches: 0.json"
+# The same with the line separators only str.splitlines breaks at.
+SEPARATED_EDGE = "e2\u2028aspiral: yes\u2029virtually embedded: yes\x85"
+SEPARATED_PATH = "separated\u2028mismatches: 0.json"
 
 
-def _forged(twist):
+def _forged(twist, prefix="forged", edge=FORGED_EDGE, tail="\n%s\n%s\x00\x7f"):
     """Manifests whose ids hold control characters, by file name: a spiral
-    graph with a forged edge id, and a twist manifest with a forged torus id."""
+    graph with a forged edge id, and a twist manifest with a forged torus id
+    whose rows are joined by ``tail``."""
     graph = _edit(GOOD_GRAPH, lambda doc: doc["graph"]["edges"][2].update(h_ter=5))
-    graph["graph"]["edges"][1]["id"] = FORGED_EDGE
+    graph["graph"]["edges"][1]["id"] = edge
     torus = twist["tori"][0]["id"]
-    forged = torus + "\nspirality: 1\nmatches expected: yes\x00\x7f"
+    forged = torus + tail % ("spirality: 1", "matches expected: yes")
 
     def rename(doc):
         for record in doc["tori"] + doc["loop"] + [
@@ -336,8 +341,8 @@ def _forged(twist):
             for key in ("id", "torus"):
                 if record.get(key) == torus:
                     record[key] = forged
-    return {"forged-graph.json": _text(graph),
-            "forged-torus.json": _text(_edit(twist, rename))}
+    return {prefix + "-graph.json": _text(graph),
+            prefix + "-torus.json": _text(_edit(twist, rename))}
 
 
 def _text(doc):
@@ -410,6 +415,9 @@ def _build(work):
     forged = _forged(twist)
     inputs.update(forged)
     inputs[FORGED_PATH] = forged["forged-torus.json"]
+    separated = _forged(twist, "separated", SEPARATED_EDGE, "\u2028%s\u2029%s\x85")
+    inputs.update(separated)
+    inputs[SEPARATED_PATH] = separated["separated-torus.json"]
     _capture(["gen", "twist-family", "--k", "2", "--p", "3", "--q", "2", "--d", "1000",
               "--out", "twist-d1000.json"])
     inputs["twist-d1000.json"] = _compact((work / "twist-d1000.json").read_text(
@@ -498,8 +506,12 @@ def _build(work):
              [command, "--lenient", "--format", "structured",
               "loop-unknown-fields.json"])
     for command, name in (("aspiral", "forged-graph.json"), ("rw", "forged-torus.json"),
-                          ("crosscheck", "forged-torus.json"), ("crosscheck", FORGED_PATH)):
-        label = "forged-path" if name == FORGED_PATH else name
+                          ("crosscheck", "forged-torus.json"), ("crosscheck", FORGED_PATH),
+                          ("aspiral", "separated-graph.json"),
+                          ("rw", "separated-torus.json"),
+                          ("crosscheck", "separated-torus.json"),
+                          ("crosscheck", SEPARATED_PATH)):
+        label = {FORGED_PATH: "forged-path", SEPARATED_PATH: "separated-path"}.get(name, name)
         case("%s-text-%s" % (command, label), [command, name])
         case("%s-structured-%s" % (command, label), [command, "--format", "structured", name])
     return inputs, cases
