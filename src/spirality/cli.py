@@ -248,7 +248,7 @@ def cmd_rw(parsed, computed, report):
     for i, (crossing, pair) in enumerate(zip(parsed.loop.crossings,
                                              factors.intersections)):
         report.add("sigma[%d] (torus %s)" % (i, crossing.torus), format_ratio(*pair))
-    for i, (piece, pair) in enumerate(zip(factors.pieces, factors.rho_pairs())):
+    for i, (piece, pair) in enumerate(zip(factors.pieces, factors.rhos)):
         report.add("rho[%d] (piece %s)" % (i, piece), format_ratio(*pair))
     if flow.equiperiodic_rho_is_one(parsed.flow):
         report.add("note", "leaf lengths are constant per piece; "

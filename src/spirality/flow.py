@@ -35,7 +35,7 @@ length once, when it is built, as an int pair.
 from enum import Enum
 from fractions import Fraction
 from math import prod
-from operator import attrgetter, itemgetter, mul
+from operator import attrgetter, itemgetter
 
 from .errors import InvalidData, Value, error, unhashable_ids, warning
 from .lattice import intersection_number
@@ -89,12 +89,6 @@ class PieceBoundary(Value):
 
 _length, _set_length = attrgetter("_length"), PieceBoundary._length.__set__
 _first, _second = itemgetter(0), itemgetter(1)
-
-
-def _lengths(boundaries):
-    """The boundaries' cached leaf lengths: a list of numerators, one of denominators."""
-    pairs = list(map(_length, boundaries))
-    return list(map(_first, pairs)), list(map(_second, pairs))
 
 
 class Piece(Value):
@@ -303,31 +297,23 @@ def _one_leaf_length(piece):
 
 
 class FlowFactors(Value):
-    """A loop's crossings resolved once, in loop order.
+    """A loop's factors, computed once, in loop order.
 
-    Crossing i leaves boundary ``left[i]`` of piece ``pieces[i]`` and enters
-    ``entered[i]``; its curve meets their degeneracy slopes
-    ``intersections[i] = (n_leave, n_enter)`` times. Segment i runs in
-    ``pieces[i]`` from ``entered[i - 1]`` to ``left[i]``. The boundaries are
-    those of a FlowManifest, whose diagnosis refused every leaf length that is
-    not a positive rational.
+    Crossing i leaves piece ``pieces[i]``; its curve meets the degeneracy
+    slopes of the boundaries it leaves and enters ``intersections[i] =
+    (n_leave, n_enter)`` times. Segment i runs in ``pieces[i]`` from the
+    boundary crossing i - 1 enters to the one crossing i leaves; its rho is
+    ``rhos[i] = (entry.num exit.den, entry.den exit.num)``, an unreduced pair
+    of positive ints made from the leaf lengths at those two boundaries.
     """
 
-    __slots__ = ("intersections", "left", "entered", "pieces")
+    __slots__ = ("intersections", "rhos", "pieces")
 
-    def __init__(self, intersections, left, entered, pieces):
-        set_intersections, set_left, set_entered, set_pieces = self._setters
+    def __init__(self, intersections, rhos, pieces):
+        set_intersections, set_rhos, set_pieces = self._setters
         set_intersections(self, intersections)
-        set_left(self, left)
-        set_entered(self, entered)
+        set_rhos(self, rhos)
         set_pieces(self, pieces)
-
-    def rho_pairs(self):
-        """Each segment's rho as an unreduced (numerator, denominator) pair of
-        positive ints."""
-        entry_num, entry_den = _lengths(self.entered[-1:] + self.entered[:-1])
-        exit_num, exit_den = _lengths(self.left)
-        return zip(map(mul, entry_num, exit_den), map(mul, entry_den, exit_num))
 
 
 def _piece_mismatch(i, entered_piece, j, left_piece):
@@ -360,7 +346,7 @@ def validate_itinerary(itinerary, m):
     if out:
         return out, None
     plus = Side.PLUS
-    intersections, left, entered, left_pieces = [], [], [], []
+    intersections, left_lengths, entered_lengths, left_pieces = [], [], [], []
     for i, c in enumerate(crossings):
         pair = sides[c.torus]
         (leave_piece, leave), (enter_piece, enter) = (
@@ -376,27 +362,27 @@ def validate_itinerary(itinerary, m):
                                      "crossing %d on torus %r is parallel to the "
                                      "degeneracy slope it %s" % (i, c.torus, role)))
         intersections.append((n_leave, n_enter))
-        left.append(leave)
-        entered.append(enter)
+        left_lengths.append(leave._length)
+        entered_lengths.append(enter._length)
         left_pieces.append(leave_piece)
         entered_piece = enter_piece
     if entered_piece != left_pieces[0]:
         out.append(_piece_mismatch(len(crossings) - 1, entered_piece, 0, left_pieces[0]))
-    return out, None if out else FlowFactors(tuple(intersections), tuple(left),
-                                             tuple(entered), tuple(left_pieces))
+    if out:
+        return out, None
+    # segment i enters where crossing i - 1 enters and exits where crossing i leaves
+    ends = zip(entered_lengths[-1:] + entered_lengths[:-1], left_lengths)
+    rhos = tuple([(entry_num * exit_den, entry_den * exit_num)
+                  for (entry_num, entry_den), (exit_num, exit_den) in ends])
+    return out, FlowFactors(tuple(intersections), rhos, tuple(left_pieces))
 
 
 def flow_spirality(factors):
     """Spirality of a flow-transverse loop from its FlowFactors: every sigma
-    and rho, multiplied as integers and reduced once. Each entered boundary
-    is one segment's entry and each left boundary one segment's exit, so the
-    rhos multiply to entered over left lengths."""
-    intersections = factors.intersections
-    n_leave, n_enter = map(_first, intersections), map(_second, intersections)
-    entered_num, entered_den = _lengths(factors.entered)
-    left_num, left_den = _lengths(factors.left)
-    return Fraction(prod(n_leave) * prod(entered_num) * prod(left_den),
-                    prod(n_enter) * prod(entered_den) * prod(left_num))
+    and rho, multiplied as integers and reduced once."""
+    intersections, rhos = factors.intersections, factors.rhos
+    return Fraction(prod(map(_first, intersections)) * prod(map(_first, rhos)),
+                    prod(map(_second, intersections)) * prod(map(_second, rhos)))
 
 
 def decorate_from_flow(factors, m):
@@ -406,24 +392,20 @@ def decorate_from_flow(factors, m):
     and pointing forward along the loop, so the loop runs each edge forward
     once. The weight at an edge end is i(curve, slope at that end) / leaf
     length L at that end.
-    Vertex i, where ``entered[i - 1]`` and ``left[i]`` meet, scales both of
-    its ends by L(entered[i - 1]).num L(left[i]).num, which makes them the
-    integers h_ini(x_i) = n_leave(i) L(left[i]).den L(entered[i - 1]).num
-    and h_ter(x_i) = n_enter(i) L(entered[i]).den L(left[i + 1 mod n]).num.
-    The factor cancels in every cycle product, so the loop's holonomy
-    equals its spirality exactly.
+    Vertex i scales both of its ends by the numerators of segment i's entry
+    and exit leaf lengths, which makes them the integers h_ini(x_i) =
+    n_leave(i) rho_num(i) and h_ter(x_i) = n_enter(i) rho_den(i + 1 mod n),
+    where ``rhos[i] = (rho_num(i), rho_den(i))``. The factor cancels in every
+    cycle product, so the loop's holonomy equals its spirality exactly.
     """
-    left_num, left_den = _lengths(factors.left)
-    entered_num, entered_den = _lengths(factors.entered)
     kinds = {p.id: jsj.VertexKind.HORIZONTAL if p.type is PieceType.SEIFERT
              else jsj.VertexKind.GEOMETRICALLY_INFINITE for p in m.pieces}
-    ids = ["seg%03d" % i for i in range(len(left_num))]
+    ids = ["seg%03d" % i for i in range(len(factors.pieces))]
     Vertex, Edge = jsj.Vertex, jsj.Edge
     vertices = [Vertex(seg, kinds[piece_id]) for seg, piece_id in zip(ids, factors.pieces)]
-    # index i + 1 - n is (i + 1) mod n, and index -1 is n - 1
-    n = len(ids)
+    # index i + 1 - n is (i + 1) mod n
+    rhos, n = factors.rhos, len(ids)
     edges = [Edge("x%03d" % i, ids[i], ids[i + 1 - n],
-                  n_leave * left_den[i] * entered_num[i - 1],
-                  n_enter * entered_den[i] * left_num[i + 1 - n])
+                  n_leave * rhos[i][0], n_enter * rhos[i + 1 - n][1])
              for i, (n_leave, n_enter) in enumerate(factors.intersections)]
     return jsj.DecoratedJSJGraph(vertices, edges)

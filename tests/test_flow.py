@@ -158,7 +158,7 @@ def _sigmas(factors):
 
 def _rhos(factors):
     """Each segment's rho, entry over exit leaf length, as a Fraction."""
-    return tuple(Fraction(*pair) for pair in factors.rho_pairs())
+    return tuple(Fraction(*pair) for pair in factors.rhos)
 
 
 def decorated_cases():
@@ -242,6 +242,18 @@ def mutated_loops(m, loop, rng):
     return LoopItinerary(crossings)
 
 
+def _unreduced_rhos(m, crossings):
+    """Each segment's rho as the check's unreduced pair, (entry.num exit.den,
+    entry.den exit.num), from the boundaries side_boundary finds on the loop."""
+    pairs = []
+    for before, after in zip(crossings[-1:] + crossings[:-1], crossings):
+        entry = Fraction(side_boundary(m, before.torus, before.from_side.other)[1].leaf_length)
+        exit_ = Fraction(side_boundary(m, after.torus, after.from_side)[1].leaf_length)
+        pairs.append((entry.numerator * exit_.denominator,
+                      entry.denominator * exit_.numerator))
+    return tuple(pairs)
+
+
 class TestResolver:
     """validate_itinerary's one pass against the two-pass check and the
     per-factor oracle of tests/util.py."""
@@ -260,10 +272,7 @@ class TestResolver:
                     continue
                 crossings = candidate.crossings
                 assert _sigmas(factors) == tuple(sigma(c, m) for c in crossings)
-                assert factors.left == tuple(side_boundary(m, c.torus, c.from_side)[1]
-                                             for c in crossings)
-                assert factors.entered == tuple(
-                    side_boundary(m, c.torus, c.from_side.other)[1] for c in crossings)
+                assert factors.rhos == _unreduced_rhos(m, crossings)
                 segments = segments_of(candidate, m)
                 assert factors.pieces == tuple(seg.piece for seg in segments)
                 assert _rhos(factors) == tuple(rho(seg, m) for seg in segments)
@@ -339,7 +348,7 @@ class TestLeafLengthPairs:
             factors = factors_of(loop, m)
             value = oracle_flow_spirality(loop, m)
             assert flow_spirality(factors) == value
-            assert ([Fraction(*pair) for pair in factors.rho_pairs()]
+            assert ([Fraction(*pair) for pair in factors.rhos]
                     == [rho(seg, m) for seg in segments_of(loop, m)])
             assert character(decorate_from_flow(factors, m)).values == (value,)
             for candidate in (m, make_equiperiodic(m, rng)):
@@ -381,11 +390,11 @@ class TestLeafLengthPairs:
     def test_copied_factors_have_their_pairs(self):
         for m, loop in (gen_random_flow(7), chain_manifest({"b0m": Fraction(3, 2)})):
             factors = factors_of(loop, m)
-            value, rhos = flow_spirality(factors), list(factors.rho_pairs())
+            value, rhos = flow_spirality(factors), factors.rhos
             g = decorate_from_flow(factors, m)
             for twin in (copy.deepcopy(factors), pickle.loads(pickle.dumps(factors))):
                 assert twin == factors
-                assert flow_spirality(twin) == value and list(twin.rho_pairs()) == rhos
+                assert flow_spirality(twin) == value and twin.rhos == rhos
                 assert decorate_from_flow(twin, m).edges == g.edges
 
 

@@ -45,7 +45,7 @@ SAMPLES = [
     (Torus, ("T", ("P", "b"), ("Q", "c"), "(l, e)")),
     (Crossing, ("T", SLOPE, Side.PLUS)),
     (LoopItinerary, ((CROSSING,),)),
-    (FlowFactors, (((1, 2),), (BOUNDARY,), (BOUNDARY,), ("P",))),
+    (FlowFactors, (((1, 2),), ((3, 4),), ("P",))),
     (FdtcInput, (Slope((1, 1)), Slope((1, 0)), Slope((0, 1)), 2)),
     (ParsedManifest, (None, None, LoopItinerary((CROSSING,)), None, Fraction(1, 2),
                       ("unknown field",),
