@@ -36,9 +36,11 @@ EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 
 _COLORS = {"green": "32", "red": "31", "yellow": "33"}
-# C0 controls and DEL: the backslash escapes a text report prints, and their bytes.
-_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(32), 127)}
-_CONTROLS = bytes(_ESCAPES)
+# The backslash escapes a text report prints: of C0 controls and DEL, whose
+# bytes are _CONTROLS, and of the other line breaks str.splitlines sees.
+_BREAKS = "\x85\u2028\u2029"
+_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(32), 127, *map(ord, _BREAKS))}
+_CONTROLS = bytes(range(32)) + b"\x7f"
 
 
 def _style(text, color, enabled):
@@ -88,9 +90,11 @@ def _render(report, args):
     rows = ([("command", report.command, None), ("digest", report.digest, None)]
             + report.results + [("warning", message, "yellow") for message in report.warnings])
     text = "".join(["%s: %s\n" % (label, value) for label, value, _ in rows])
-    # one row per line: an id's control character prints escaped (in UTF-8, its own byte)
+    # one row per line: an id's control character prints escaped (in UTF-8, its own
+    # byte), and so does a line separator
     data = text.encode("utf-8", "surrogatepass")
-    if color_on or len(data) - len(data.translate(None, _CONTROLS)) != len(rows):
+    if (color_on or len(data) - len(data.translate(None, _CONTROLS)) != len(rows)
+            or any(map(text.__contains__, _BREAKS))):
         text = "".join(["%s: %s\n" % (label.translate(_ESCAPES),
                                       _style(value.translate(_ESCAPES), color, color_on))
                         for label, value, color in rows])

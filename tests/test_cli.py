@@ -667,6 +667,21 @@ class TestReporting:
         assert code == 0
         assert any(self.FORGED in row["value"] for row in json.loads(out.out)["results"])
 
+    def test_a_torus_id_cannot_forge_a_line_for_splitlines(self, tmp_path, capsys):
+        _, out = run(capsys, "gen", "twist-family", "--k", "1")
+        doc = json.loads(out.out)
+        torus, forged = doc["tori"][0]["id"], "T\u2028spirality: 1\u2028x"
+        for record in doc["tori"] + doc["loop"] + [
+                b for p in doc["pieces"] for b in p["boundaries"]]:
+            for key in ("id", "torus"):
+                if record.get(key) == torus:
+                    record[key] = forged
+        code, out = run(capsys, "rw", write(tmp_path, "t.json", json.dumps(doc)))
+        assert code == 0
+        assert [line for line in out.out.splitlines() if line.startswith("spirality:")] == [
+            "spirality: 3/2"]
+        assert "(torus T\\u2028spirality: 1\\u2028x)" in out.out
+
     @staticmethod
     def _render_text(report, terminal):
         class Terminal(io.StringIO):
@@ -692,8 +707,15 @@ class TestReporting:
         red, yellow = (("\x1b[31m%s\x1b[0m", "\x1b[33m%s\x1b[0m") if terminal
                        else ("%s", "%s"))
         assert self._render_text(report, terminal) == (
-            "command: rw\ndigest: sha256:00\nid %s: %s\u2028\ud800\naspiral: %s\n"
+            "command: rw\ndigest: sha256:00\nid %s: %s\\u2028\ud800\naspiral: %s\n"
             "warning: %s\n" % (escaped, escaped, red % "no", yellow % ("w" + escaped)))
+
+    def test_a_line_separator_alone_prints_escaped(self):
+        # no control character marks the report; str.splitlines breaks at these
+        report = Report("rw", "sha256:00")
+        report.add("id \x85\u2028\u2029", "\u2028é")
+        assert self._render_text(report, False) == (
+            "command: rw\ndigest: sha256:00\nid \\x85\\u2028\\u2029: \\u2028é\n")
 
     def test_timestamps_are_opt_in(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", GOOD_GRAPH)
