@@ -327,9 +327,9 @@ SEPARATED_PATH = "separated\u2028mismatches: 0.json"
 
 
 def _forged(twist, prefix="forged", edge=FORGED_EDGE, tail="\n%s\n%s\x00\x7f"):
-    """Manifests whose ids hold control characters, by file name: a spiral
-    graph with a forged edge id, and a twist manifest with a forged torus id
-    whose rows are joined by ``tail``."""
+    """Manifests whose ids hold control characters or line separators, by
+    file name: a spiral graph with a forged edge id, and a twist manifest
+    with a forged torus id whose rows are joined by ``tail``."""
     graph = _edit(GOOD_GRAPH, lambda doc: doc["graph"]["edges"][2].update(h_ter=5))
     graph["graph"]["edges"][1]["id"] = edge
     torus = twist["tori"][0]["id"]
