@@ -7,9 +7,10 @@ degree), matched-slope and random-flow manifests (seed 165 among them), the
 hand-written graphs and fdtc documents of test_cli (one graph with both an
 error and warnings), and malformed inputs;
 each is run through validate, aspiral, rw and fdtc in both formats, next to
-gen, crosscheck and a few flag variants. A deep planted graph, whose
-spanning forest is a path, pins the character ``aspiral`` prints, one row
-per non-tree edge, and its witness cycle, which runs far into the tree;
+gen, crosscheck and a few flag variants; ``gen`` of both kinds is also
+run with ``--side-convention from-enters``, to stdout and to a file. A
+deep planted graph, whose spanning forest is a path, pins the character
+``aspiral`` prints, one row per non-tree edge, and its witness cycle, which runs far into the tree;
 the rows name their edges, so no other fundamental cycle is pinned. Two
 loops at the benchmark's sizes, a twist elevation of degree 1000 and a
 three-piece loop of 260 crossings whose rho factors all differ from 1,
@@ -465,6 +466,13 @@ def _build(work):
     case("gen-out-missing-dir", ["gen", "twist-family", "--out", "no-such-dir/x.json"])
     case("gen-out-structured", ["gen", "twist-family", "--k", "3", "--format",
                                 "structured", "--out", "written.json"])
+    for name, argv in (("twist-from-enters.json", ["gen", "twist-family", "--k", "2"]),
+                       ("matched-from-enters.json", ["gen", "matched-slopes",
+                                                     "--n-pieces", "3", "--seed", "1"])):
+        argv += ["--side-convention", "from-enters"]
+        run_gen(name, argv + ["--out", name])
+        case("gen-out-" + name, argv + ["--out", "written.json"], writes=name)
+        case("gen-stdout-" + name, argv)
 
     for name in flows + twists[:4]:
         case("crosscheck-" + name, ["crosscheck", name])
