@@ -223,19 +223,19 @@ def cmd_aspiral(parsed, computed, report):
         report.add("s(%s)" % edge_id, format_rational(value))
     for vertex_id, sign in char.internal_signs:
         report.add("s(internal loops at %s)" % vertex_id, format_rational(sign))
-    v = jsj.Verdict.of(g, char)
-    if v.aspiral and parsed.graph is None:
+    if char.aspiral and parsed.graph is None:
         # one loop of value +-1 says nothing of the loops elsewhere
         for label in ("aspiral", "virtually embedded", "virtually a taut-foliation leaf"):
             report.add(label, "inconclusive (one loop)", "yellow")
         return EXIT_OK
-    answer = "yes (vacuous)" if v.aspiral and v.vacuous else _yesno(v.aspiral)[0]
-    report.add("aspiral", answer, "green" if v.aspiral else "red")
-    if not v.aspiral:
-        report.add("witness cycle", str(v.witness))
-        report.add("witness value", format_rational(v.witness_value))
-    report.add("virtually embedded", *_yesno(v.virtually_embedded))
-    report.add("virtually a taut-foliation leaf", *_yesno(v.virtually_taut_leaf))
+    answer = "yes (vacuous)" if char.aspiral and not g.vertices else _yesno(char.aspiral)[0]
+    report.add("aspiral", answer, "green" if char.aspiral else "red")
+    if not char.aspiral:
+        report.add("witness cycle", str(char.witness))
+        report.add("witness value", format_rational(char.witness_value))
+    # embedding criterion: virtually embedded, and a virtual taut leaf, iff aspiral
+    for label in ("virtually embedded", "virtually a taut-foliation leaf"):
+        report.add(label, *_yesno(char.aspiral))
     return EXIT_OK
 
 

@@ -308,6 +308,21 @@ class SpiralityCharacter(Value):
         set_internal_signs(self, internal_signs)
         set_witness(self, witness)
 
+    @property
+    def aspiral(self):
+        """Every value is +-1. By the embedding criterion this holds exactly
+        when the subsurface is virtually embedded, and so virtually a leaf
+        of a taut foliation."""
+        return self.witness is None
+
+    @property
+    def witness_value(self):
+        """The witness's value, or None when there is no witness."""
+        if self.witness is None:
+            return None
+        # the witness runs its non-tree edge first
+        return self.values[self.cycle_edges.index(self.witness.steps[0][0])]
+
 
 def character(g):
     """Compute the spirality character on the fundamental cycles of the
@@ -338,46 +353,3 @@ def character(g):
     internal = tuple((v.id, -1) for v in g.vertices if v.internal_omega_generators > 0)
     return SpiralityCharacter(forest, tuple(values), tuple(e.id for e in others),
                               internal, witness)
-
-
-class Verdict(Value):
-    """Embedding criterion verdict: the three properties are equivalent.
-
-    ``witness`` is the character's witness, the fundamental cycle of the
-    first non-tree edge whose value ``witness_value`` is not +-1; it is
-    present exactly when the graph is not aspiral.
-    """
-
-    __slots__ = ("aspiral", "vacuous", "witness", "witness_value")
-
-    def __init__(self, aspiral, vacuous=False, witness=None, witness_value=None):
-        set_aspiral, set_vacuous, set_witness, set_witness_value = self._setters
-        set_aspiral(self, aspiral)
-        set_vacuous(self, vacuous)
-        set_witness(self, witness)
-        set_witness_value(self, witness_value)
-
-    @property
-    def virtually_embedded(self):
-        return self.aspiral
-
-    @property
-    def virtually_taut_leaf(self):
-        return self.aspiral
-
-    @classmethod
-    def of(cls, g, char):
-        """The verdict on ``g`` read off its character ``char``."""
-        vacuous = not g.vertices
-        witness = char.witness
-        if witness is None:
-            return cls(True, vacuous)
-        # the witness runs its non-tree edge first
-        value = char.values[char.cycle_edges.index(witness.steps[0][0])]
-        return cls(False, vacuous, witness, value)
-
-
-def verdict(g):
-    """Aspiral iff every character value is +-1; otherwise carries a witness cycle."""
-    return Verdict.of(g, character(g))
-

@@ -12,7 +12,7 @@ import pytest
 
 from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
                        gen_random_flow, flow_spirality, decorate_from_flow,
-                       character, verdict, equiperiodic_rho_is_one,
+                       character, equiperiodic_rho_is_one,
                        fdtc, Slope, NotParallel, DecoratedJSJGraph, DirectedCycle,
                        Vertex, Edge)
 from spirality.graph import FORWARD
@@ -55,8 +55,7 @@ def test_criterion_1_closed_form_family():
             assert value != 1 and value != -1
             m = inst.manifest
             g = decorate_from_flow(factors_of(inst.loop, m), m)
-            v = verdict(g)
-            assert not v.virtually_embedded and not v.virtually_taut_leaf
+            assert not character(g).aspiral
 
 
 def test_criterion_2_matched_slopes_scenario():
@@ -66,8 +65,7 @@ def test_criterion_2_matched_slopes_scenario():
             m, loop = gen_matched_slopes(1 + seed % 5, seed)
             assert flow_spirality(factors_of(loop, m)) == 1
             g = decorate_from_flow(factors_of(loop, m), m)
-            v = verdict(g)
-            assert v.virtually_embedded and v.virtually_taut_leaf
+            assert character(g).aspiral
 
 
 def test_criterion_3_bridge_identity():
@@ -155,7 +153,7 @@ def test_criterion_5_character_laws():
 
         for _ in range(200):  # aspirality over every spanning forest
             g = random_graph(rng, max_vertices=4, max_edges=6)
-            expected = verdict(g).aspiral
+            expected = character(g).aspiral
             for forest in all_spanning_forests(g):
                 values = [oracle_cycle_value(g, cycle) for cycle in oracle_basis(g, forest)]
                 assert all(v in (1, -1) for v in values) == expected

@@ -5,7 +5,7 @@ import pytest
 from spirality import (TwistFamilyParams, gen_twist_family, gen_matched_slopes,
                        gen_random_flow, BadParams, intersection_number, fdtc,
                        flow_spirality,
-                       decorate_from_flow, character, verdict,
+                       decorate_from_flow, character,
                        equiperiodic_rho_is_one, validate_itinerary)
 from spirality.generators import RANDOM_LEAF_BOUND, RANDOM_MAX_CROSSINGS
 from spirality.manifest import flow_to_dict, loop_to_list
@@ -78,7 +78,7 @@ def test_closed_form_and_negative_verdict():
         assert value not in (1, -1)
         m = inst.manifest
         g = decorate_from_flow(factors_of(inst.loop, m), m)
-        assert not verdict(g).virtually_embedded
+        assert not character(g).aspiral
 
 
 def test_elevation_degree_via_pullback():
@@ -108,8 +108,7 @@ def test_matched_slopes_always_trivial():
             assert flow_spirality(factors_of(reverse_itinerary(loop), m)) == 1
             assert equiperiodic_rho_is_one(m)
             g = decorate_from_flow(factors_of(loop, m), m)
-            v = verdict(g)
-            assert v.virtually_embedded and v.virtually_taut_leaf
+            assert character(g).aspiral
 
 
 def test_matched_slopes_rejects_bad_count():

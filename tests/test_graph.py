@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, VertexKind,
-                       character, verdict, InvalidGraph)
+                       character, InvalidGraph)
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest,
                              BAD_INTERNAL_GENERATORS, DANGLING_EDGE, NON_POSITIVE_H,
                              NON_RATIONAL_H, BAD_OMEGA, ELEMENTARY_ADJACENCY,
@@ -226,7 +226,7 @@ class TestCharacter:
             [Edge("e", "a", "b", 1, 1)])
         char = character(g)
         assert char.internal_signs == (("a", -1),)
-        assert verdict(g).aspiral
+        assert char.aspiral
 
     def test_forest_is_lowest_edge_id_first(self):
         g = DecoratedJSJGraph(
@@ -241,10 +241,10 @@ class TestAspiralityAndVerdict:
         g = DecoratedJSJGraph(
             [Vertex("a"), Vertex("b")],
             [Edge("e1", "a", "b", 4, 4), Edge("e2", "b", "a", 9, 9)])
-        assert verdict(g).aspiral
+        assert character(g).aspiral
 
     def test_witness_on_failure(self):
-        result = verdict(triangle(h_third=(4, 5)))
+        result = character(triangle(h_third=(4, 5)))
         assert not result.aspiral
         assert result.witness_value == Fraction(2, 5)
         assert oracle_cycle_value(triangle(h_third=(4, 5)), result.witness) == Fraction(2, 5)
@@ -253,24 +253,24 @@ class TestAspiralityAndVerdict:
         g = DecoratedJSJGraph(
             [Vertex("a")],
             [Edge("e1", "a", "a", 3, 3, omega=-1), Edge("e2", "a", "a", 1, 1)])
-        assert verdict(g).aspiral
+        assert character(g).aspiral
 
     def test_verdict_maps_aspirality(self):
-        good = verdict(triangle())
-        assert good.aspiral and good.virtually_embedded and good.virtually_taut_leaf
-        bad = verdict(triangle(h_third=(4, 5)))
-        assert not bad.virtually_embedded and not bad.virtually_taut_leaf
+        good = character(triangle())
+        assert good.aspiral and good.witness_value is None
+        bad = character(triangle(h_third=(4, 5)))
+        assert not bad.aspiral
         assert bad.witness is not None
 
     def test_empty_graph_is_vacuously_aspiral(self):
-        v = verdict(DecoratedJSJGraph([], []))
-        assert v.aspiral and v.vacuous and v.virtually_embedded
+        g = DecoratedJSJGraph([], [])
+        assert character(g).aspiral and not g.vertices
 
     def test_disconnected_components_aggregate(self):
         g = DecoratedJSJGraph(
             [Vertex("a"), Vertex("b")],
             [Edge("e1", "a", "a", 1, 1), Edge("e2", "b", "b", 2, 5)])
-        result = verdict(g)
+        result = character(g)
         assert not result.aspiral
         assert result.witness.steps == (("e2", FORWARD),)
 
@@ -412,7 +412,7 @@ def test_aspirality_independent_of_forest():
     rng = seeded(205)
     for _ in range(60):
         g = random_graph(rng, max_vertices=4, max_edges=6)
-        expected = verdict(g).aspiral
+        expected = character(g).aspiral
         for forest in all_spanning_forests(g):
             char = oracle_character(g, forest)
             assert all(v in (1, -1) for v in char.values) == (char.witness is None) == expected
@@ -478,7 +478,7 @@ def test_witness_is_the_first_oracle_cycle_off_one():
         first = next((cycle for cycle in oracle_basis(g, char.forest)
                       if abs(oracle_cycle_value(g, cycle)) != 1), None)
         assert char.witness == first
-        assert (first is None) == verdict(g).aspiral
+        assert (first is None) == char.aspiral
         aspiral += first is None
     # the 100 untwisted graphs are aspiral; a twisted one is too when its
     # twist sits on a bridge, which no cycle crosses, and both cases occurred
@@ -517,9 +517,8 @@ def test_character_rows_are_their_fundamental_cycles_with_fraction_h():
         assert list(char.values) == values
         first = next(((cycle, value) for cycle, value in zip(basis, values)
                       if abs(value) != 1), (None, None))
-        v = verdict(g)
-        assert char.witness == v.witness == first[0] and v.witness_value == first[1]
-        assert v.aspiral == (first[0] is None)
+        assert char.witness == first[0] and char.witness_value == first[1]
+        assert char.aspiral == (first[0] is None)
         witnesses += first[0] is not None
     # non-integral h was drawn on both kinds of edge, and both verdicts occurred
     assert tree_fraction and nontree_fraction and 0 < witnesses < 200

@@ -22,7 +22,6 @@ from spirality import (Crossing, Diagnostic, DirectedCycle, Edge, FlowManifest,
 from spirality.cli import Report
 from spirality.errors import Value
 from spirality.flow import FlowFactors
-from spirality.graph import Verdict
 from spirality.manifest import FdtcInput
 
 SLOPE = Slope((1, 2))
@@ -39,7 +38,6 @@ SAMPLES = [
     (DirectedCycle, ((("e1", 1), ("e2", -1)),)),
     (SpiralityCharacter, (frozenset({"e2"}), (Fraction(2, 3),), ("e1",), (("v", -1),),
                           CYCLE)),
-    (Verdict, (False, False, CYCLE, Fraction(2, 3))),
     (PieceBoundary, ("b", "T", SLOPE, Fraction(3, 2))),
     (Piece, ("P", PieceType.SEIFERT, (BOUNDARY,))),
     (Torus, ("T", ("P", "b"), ("Q", "c"), "(l, e)")),
@@ -128,7 +126,6 @@ def test_reprs():
 def test_one_field_changes_equality():
     assert Edge("e", "u", "v", 2, 3) != Edge("e", "u", "v", 2, 3, -1)
     assert Slope((1, 2)) != Slope((1, 2), 2)
-    assert Verdict(True) == Verdict(True, False, None, None)
 
 
 def test_defaults():
