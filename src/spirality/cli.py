@@ -279,23 +279,23 @@ def cmd_fdtc(parsed, computed, report):
 
 def cmd_gen(args):
     if args.kind == "twist-family":
-        params = _twist_family_params(args)
-        instance = generators.gen_twist_family(params)
-        text = mf.dumps_manifest(flow_manifest=instance.manifest,
-                                 loop=instance.loop,
-                                 fdtc=mf.FdtcInput(instance.l_plus, instance.l_minus,
-                                                   instance.reduction_curve, 1),
-                                 expected=instance.expected)
+        instance = generators.gen_twist_family(_twist_family_params(args))
+        m, loop, expected = instance.manifest, instance.loop, instance.expected
+        fdtc = mf.FdtcInput(instance.l_plus, instance.l_minus, instance.reduction_curve, 1)
     else:
         m, loop = generators.gen_matched_slopes(args.n_pieces, args.seed)
-        text = mf.dumps_manifest(flow_manifest=m, loop=loop, expected=1)
+        fdtc, expected = None, 1
+    # the loop is written in the reading --side-convention names; the
+    # rewrite is its own inverse
+    loop = flow.normalize_itinerary(loop, flow.SideConvention(args.side_convention))
+    text = mf.dumps_manifest(flow_manifest=m, loop=loop, fdtc=fdtc, expected=expected)
     if args.out:
         _write_file(args.out, text)
         report = Report("gen", _digest(text.encode("utf-8")))
         report.add("kind", args.kind)
         report.add("wrote", args.out)
         if args.kind == "twist-family":
-            report.add("expected", format_rational(instance.expected))
+            report.add("expected", format_rational(expected))
         _render(report, args)
     else:
         _write_stdout(text)

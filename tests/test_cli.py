@@ -443,6 +443,25 @@ class TestGen:
         assert code == 0
         assert "matches expected: yes" in out.out
 
+    @pytest.mark.parametrize("convention", ["from-leaves", "from-enters"])
+    @pytest.mark.parametrize("kind", [["twist-family", "--k", "2"],
+                                      ["matched-slopes", "--n-pieces", "3", "--seed", "1"]],
+                             ids=["twist-family", "matched-slopes"])
+    def test_loop_is_written_in_the_side_convention(self, tmp_path, capsys, kind,
+                                                    convention):
+        flag = ["--side-convention", convention]
+        target = str(tmp_path / "out.json")
+        code, _ = run(capsys, "gen", *kind, *flag, "--out", target)
+        assert code == 0
+        code, out = run(capsys, "gen", *kind, *flag)
+        assert code == 0 and out.out == Path(target).read_text(encoding="utf-8")
+        # read back in the same convention, the loop chains and its value is expected
+        for command in ("validate", "rw", "aspiral", "crosscheck"):
+            code, out = run(capsys, command, *flag, target)
+            assert code == 0, (command, out.out)
+            if command == "rw":
+                assert "matches expected: yes" in out.out
+
 
 class TestCrosscheck:
     def test_on_generated_files(self, tmp_path, capsys):
