@@ -46,6 +46,10 @@ class TestRationalFormat:
         assert parse_rational("7") == 7
         assert parse_rational(7) == 7
         assert parse_rational("4/6") == Fraction(2, 3)
+        assert parse_rational("3/-2") == Fraction(-3, 2)
+        assert parse_rational("+3/+2") == Fraction(3, 2)
+        assert parse_rational(" 3/2 ") == Fraction(3, 2)
+        assert parse_rational("\t-4/6\n") == Fraction(-2, 3)
 
     def test_reject_garbage(self):
         for bad in ("3.5", "a", "1/0", "", "1/2/3", None, True):
