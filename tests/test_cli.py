@@ -134,6 +134,8 @@ class TestAspiral:
         code, out = run(capsys, "aspiral", path)
         assert code == 0
         assert "aspiral: yes (vacuous)" in out.out
+        assert "virtually embedded: yes\n" in out.out
+        assert "virtually a taut-foliation leaf: yes\n" in out.out
 
     def test_flow_manifest_is_decorated(self, tmp_path, capsys):
         target = str(tmp_path / "s8.json")

@@ -1,10 +1,11 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, VertexKind,
-                       character, InvalidGraph)
+                       SpiralityCharacter, character, InvalidGraph)
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest,
                              BAD_INTERNAL_GENERATORS, DANGLING_EDGE, NON_POSITIVE_H,
                              NON_RATIONAL_H, BAD_OMEGA, ELEMENTARY_ADJACENCY,
@@ -265,6 +266,26 @@ class TestAspiralityAndVerdict:
     def test_empty_graph_is_vacuously_aspiral(self):
         g = DecoratedJSJGraph([], [])
         assert character(g).aspiral and not g.vertices
+
+    def test_answer_is_read_off_the_five_fields(self):
+        assert SpiralityCharacter._fields == ("forest", "values", "cycle_edges",
+                                              "internal_signs", "witness")
+        char = character(triangle(h_third=(4, 5)))
+        for name in ("aspiral", "witness_value"):
+            with pytest.raises(AttributeError):
+                setattr(char, name, None)
+        # the answer is derived, so a value rebuilt from the fields carries it
+        rebuilt = pickle.loads(pickle.dumps(char))
+        assert rebuilt == char and not rebuilt.aspiral
+        assert rebuilt.witness_value == char.witness_value == Fraction(2, 5)
+
+    def test_witness_value_is_its_own_row(self):
+        witness = DirectedCycle([("e2", FORWARD), ("e0", BACKWARD)])
+        char = SpiralityCharacter(frozenset({"e0"}), (Fraction(-1), Fraction(2, 3)),
+                                  ("e1", "e2"), (), witness)
+        assert not char.aspiral and char.witness_value == Fraction(2, 3)
+        clean = SpiralityCharacter(frozenset({"e0"}), (Fraction(-1),), ("e1",), (), None)
+        assert clean.aspiral and clean.witness_value is None
 
     def test_disconnected_components_aggregate(self):
         g = DecoratedJSJGraph(
