@@ -22,7 +22,6 @@ without pieces/tori sections, for the check to report.
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 
 from .errors import ParseError, Value, error
 from .rational import parse_rational, format_rational
@@ -72,6 +71,17 @@ _KINDS = {kind.value: kind for kind in jsj.VertexKind}
 _PIECE_TYPES = {t.value: t for t in flow.PieceType}
 _SIDES = {side.value: side for side in flow.Side}
 
+# The keys of each record.
+_SLOPE = {"vector", "mult"}
+_SIDE = {"piece", "boundary"}
+_VERTEX = {"kind", "id", "orientable", "internal_omega_generators"}
+_EDGE = {"id", "from", "to", "h_ini", "h_ter", "omega"}
+_PIECE = {"type", "boundaries", "id"}
+_BOUNDARY = {"id", "torus", "degeneracy_slope", "leaf_length"}
+_TORUS = {"id", "plus", "minus", "frame"}
+_CROSSING = {"from_side", "torus", "curve"}
+_FDTC = {"m", "l_plus", "l_minus", "e"}
+
 # A required field's default: no value can be it.
 _MISSING = object()
 
@@ -95,14 +105,14 @@ def _expect(value, kind, where):
 
 
 class _Reader:
-    """The schema checks of one parse.
+    """The schema state of one parse: the mode, the warnings and the memos.
 
-    ``record`` checks a record's fields in order and raises the first
-    fault; a field's path is formatted only in the raise. Equal raw slopes
-    and rational strings are normalised once, in memos that die with the
-    reader. The records of a flow or graph section, torus sides and wrapped
-    slopes first take a fast path that fetches their fields in one step and
-    tests plain types inline; a record that fails it goes to ``fields``.
+    Each record has one reader, a function below: it tests the record's
+    keys, then each field inline, in check order, and sends a field that
+    fails its test to ``_field``, so the first fault in field order is the
+    one raised and a field's path is formatted only for a message. Equal raw
+    slopes and rational strings are normalised once, in memos that die with
+    the reader.
     """
 
     def __init__(self, strict, allow_rational_h=False):
@@ -120,55 +130,48 @@ class _Reader:
                     raise ParseError(message + " (strict mode; pass --lenient to allow)")
                 self.warnings.append(message)
 
-    def fields(self, obj, spec, where, *at):
-        """The checked values of an object's fields, in ``spec`` order; the
-        object's path is ``where % at``."""
-        values = []
-        for key, check, default in spec:
-            value = obj.get(key, default)
-            if type(value) is not check:
-                if value is _MISSING:
-                    raise ParseError("missing field %r in %s" % (key, where % at))
-                value = (_expect(value, check, _path(where, at, key))
-                         if isinstance(check, type) else check(self, value, where, at, key))
-            values.append(value)
-        return values
 
-    def record(self, obj, spec, where, *at):
-        if type(obj) is not dict or not obj.keys() <= spec.known:
-            self.unknown(obj, spec.known, where % at)
-        return self.fields(obj, spec, where, *at)
+def _field(r, value, check, where, at, key):
+    """The one failure path of the readers: field ``key`` of the record at
+    ``where % at`` failed its inline test. A missing field raises; a value
+    of the wrong type goes to ``_expect`` when ``check`` is a type, and any
+    other value to the converter ``check``. Either returns the field's value
+    (a str or int subclass passes) or raises."""
+    if value is _MISSING:
+        raise ParseError("missing field %r in %s" % (key, where % at))
+    if isinstance(check, type):
+        return _expect(value, check, _path(where, at, key))
+    return check(r, value, where, at, key)
 
 
-# The checks of ``_Spec`` fields: each takes the reader, a raw value and
-# the parts of the field's path (the record's ``where`` and ``at``, then
-# the field's key), and returns the field's value or raises.
+# The converters: each takes the reader, a raw value and the parts of the
+# field's path (the record's ``where`` and ``at``, then the field's key),
+# and returns the field's value or raises.
 
 def _member(members, message):
-    """The check that a string names one of ``members``."""
+    """The converter of a string that names one of ``members``."""
     def check(r, value, where, at, key):
-        member = members.get(value) if type(value) is str else None
-        if member is None:
-            path = _path(where, at, key)
-            try:
-                member = members[_expect(value, str, path)]
-            except KeyError:
-                raise ParseError(message % {"where": path, "value": value})
-        return member
+        path = _path(where, at, key)
+        try:
+            return members[_expect(value, str, path)]
+        except KeyError:
+            raise ParseError(message % {"where": path, "value": value})
     return check
+
+
+_kind = _member(_KINDS, "%(where)s: unknown kind %(value)r")
+_piece_type = _member(_PIECE_TYPES, "%(where)s: unknown piece type %(value)r")
+_from_side = _member(_SIDES, "%(where)s must be \"plus\" or \"minus\"")
 
 
 def _h(r, value, where, at, key):
     """A covering-degree ratio ``h``: an integer by contract, or a "p/q"
     string when rational h is allowed. The message that names that option
     is not given for a bool."""
-    if type(value) is int:
-        return value
     if r.allow_rational_h and isinstance(value, str):
         return _rational(r, value, where, at, key)
-    path = _path(where, at, key)
     try:
-        return _expect(value, int, path)
+        return _expect(value, int, _path(where, at, key))
     except ParseError as err:
         if isinstance(value, bool):
             raise
@@ -189,17 +192,19 @@ def _rational(r, value, where, at, key):
 
 
 def _slope(r, value, where, at, key):
-    """A slope, [a, b] or {"vector": [a, b], "mult": m}; equal raw slopes
-    are normalised once, keyed by (a, b, mult) once their types are
-    checked, so that true never passes for 1."""
+    """A slope, [a, b] or the wrapped slope record {"vector": [a, b],
+    "mult": m}; equal raw slopes are normalised once, keyed by (a, b, mult)
+    once their types are checked, so that true never passes for 1."""
     if isinstance(value, list):
         vector, mult = value, 1
     elif isinstance(value, dict):
-        # the fast path of r.record(value, _SLOPE, ...)
-        vector, mult = value.get("vector"), value.get("mult", 1)
-        if (type(vector) is not list or type(mult) is not int or type(value) is not dict
-                or not value.keys() <= _SLOPE.known):
-            vector, mult = r.record(value, _SLOPE, "%s.%s" % (where, key), *at)
+        if type(value) is not dict or not value.keys() <= _SLOPE:
+            r.unknown(value, _SLOPE, _path(where, at, key))
+        vector, mult = value.get("vector", _MISSING), value.get("mult", 1)
+        if type(vector) is not list:
+            vector = _field(r, vector, list, "%s.%s" % (where, key), at, "vector")
+        if type(mult) is not int:
+            mult = _field(r, mult, int, "%s.%s" % (where, key), at, "mult")
     else:
         raise ParseError("%s must be [a, b] or {\"vector\": [a, b], \"mult\": m}"
                          % _path(where, at, key))
@@ -218,100 +223,46 @@ def _slope(r, value, where, at, key):
     return slope
 
 
-def _side(r, value, where, at, key):
-    """A torus side, (piece id, boundary id)."""
-    if type(value) is dict and value.keys() <= _SIDE.known:
-        piece, boundary = value.get("piece"), value.get("boundary")
-        if type(piece) is str and type(boundary) is str:
-            return piece, boundary
-    return tuple(r.record(value, _SIDE, "%s.%s" % (where, key), *at))
-
-
-def _boundaries(r, value, where, at, key):
-    """A piece's boundary records, checked before the piece's id."""
-    if type(value) is not list:
-        _expect(value, list, _path(where, at, key))
-    where += ".boundaries[%d]"
-    boundaries = []
-    for j, b in enumerate(value):
-        # the fast path of r.record(b, _BOUNDARY, where, *at, j)
-        here = at + (j,)
-        if type(b) is not dict or not b.keys() <= _BOUNDARY.known:
-            r.unknown(b, _BOUNDARY.known, where % here)
-        try:
-            bid, torus, degeneracy, length = _BOUNDARY.take(b)
-        except KeyError:
-            bid = None
-        if type(bid) is str and type(torus) is str:
-            degeneracy = _slope(r, degeneracy, where, here, "degeneracy_slope")
-            length = _rational(r, length, where, here, "leaf_length")
-        else:
-            bid, torus, degeneracy, length = r.fields(b, _BOUNDARY, where, *here)
-        boundaries.append(flow.PieceBoundary(bid, torus, degeneracy, length))
-    return boundaries
-
-
-class _Spec(tuple):
-    """A record's fields in check order, (key, check) when required and
-    (key, check, default) otherwise. A check that is a type is tested
-    inline, ``type(value) is check``, and a value that fails goes to
-    ``_expect``; any other check is called. ``known`` is the set of the
-    record's keys and ``take`` fetches its required fields in one step."""
-
-    def __new__(cls, *fields):
-        spec = super().__new__(cls, ((key, check, default[0] if default else _MISSING)
-                                     for key, check, *default in fields))
-        spec.known = frozenset(key for key, _, _ in spec)
-        spec.take = itemgetter(*(key for key, _, default in spec if default is _MISSING))
-        return spec
-
-
-_SLOPE = _Spec(("vector", list), ("mult", int, 1))
-_SIDE = _Spec(("piece", str), ("boundary", str))
-_VERTEX = _Spec(("kind", _member(_KINDS, "%(where)s: unknown kind %(value)r"),
-                 "horizontal"),
-                ("id", str), ("orientable", bool, True),
-                ("internal_omega_generators", int, 0))
-_EDGE = _Spec(("id", str), ("from", str), ("to", str),
-              ("h_ini", _h), ("h_ter", _h), ("omega", int, 1))
-_PIECE = _Spec(("type", _member(_PIECE_TYPES, "%(where)s: unknown piece type %(value)r")),
-               ("boundaries", _boundaries), ("id", str))
-_BOUNDARY = _Spec(("id", str), ("torus", str),
-                  ("degeneracy_slope", _slope), ("leaf_length", _rational))
-_TORUS = _Spec(("id", str), ("plus", _side), ("minus", _side), ("frame", str, ""))
-_CROSSING = _Spec(("from_side", _member(_SIDES, "%(where)s must be \"plus\" or \"minus\"")),
-                  ("torus", str), ("curve", _slope))
-_FDTC = _Spec(("m", int, 1), ("l_plus", _slope), ("l_minus", _slope), ("e", _slope))
-
-
 def _parse_graph(r, data):
     r.unknown(data, {"vertices", "edges"}, "graph")
+    where = "graph.vertices[%d]"
     vertices = []
     for i, v in enumerate(_expect(data.get("vertices", []), list, "graph.vertices")):
-        # the fast path of r.record(v, _VERTEX, "graph.vertices[%d]", i)
-        if type(v) is not dict or not v.keys() <= _VERTEX.known:
-            r.unknown(v, _VERTEX.known, "graph.vertices[%d]" % i)
-        kind, vid = v.get("kind", "horizontal"), v.get("id")
+        if type(v) is not dict or not v.keys() <= _VERTEX:
+            r.unknown(v, _VERTEX, where % i)
+        raw_kind, vid = v.get("kind", "horizontal"), v.get("id", _MISSING)
         orientable = v.get("orientable", True)
         generators = v.get("internal_omega_generators", 0)
-        kind = _KINDS.get(kind) if type(kind) is str else None
-        if (kind is None or type(vid) is not str or type(orientable) is not bool
-                or type(generators) is not int):
-            kind, vid, orientable, generators = r.fields(v, _VERTEX, "graph.vertices[%d]", i)
+        kind = _KINDS.get(raw_kind) if type(raw_kind) is str else None
+        if kind is None:
+            kind = _field(r, raw_kind, _kind, where, (i,), "kind")
+        if type(vid) is not str:
+            vid = _field(r, vid, str, where, (i,), "id")
+        if type(orientable) is not bool:
+            orientable = _field(r, orientable, bool, where, (i,), "orientable")
+        if type(generators) is not int:
+            generators = _field(r, generators, int, where, (i,), "internal_omega_generators")
         vertices.append(jsj.Vertex(vid, kind, orientable, generators))
+    where = "graph.edges[%d]"
     edges = []
     for i, e in enumerate(_expect(data.get("edges", []), list, "graph.edges")):
-        # the fast path of r.record(e, _EDGE, "graph.edges[%d]", i)
-        if type(e) is not dict or not e.keys() <= _EDGE.known:
-            r.unknown(e, _EDGE.known, "graph.edges[%d]" % i)
-        try:
-            eid, a, b, h_ini, h_ter = _EDGE.take(e)
-        except KeyError:
-            eid = None
+        if type(e) is not dict or not e.keys() <= _EDGE:
+            r.unknown(e, _EDGE, where % i)
+        eid, a, b = e.get("id", _MISSING), e.get("from", _MISSING), e.get("to", _MISSING)
+        h_ini, h_ter = e.get("h_ini", _MISSING), e.get("h_ter", _MISSING)
         omega = e.get("omega", 1)
-        if (type(eid) is not str or type(a) is not str or type(b) is not str
-                or type(h_ini) is not int or type(h_ter) is not int or type(omega) is not int):
-            eid, a, b, h_ini, h_ter, omega = r.fields(e, _EDGE, "graph.edges[%d]", i)
+        if type(eid) is not str:
+            eid = _field(r, eid, str, where, (i,), "id")
+        if type(a) is not str:
+            a = _field(r, a, str, where, (i,), "from")
+        if type(b) is not str:
+            b = _field(r, b, str, where, (i,), "to")
+        if type(h_ini) is not int:
+            h_ini = _field(r, h_ini, _h, where, (i,), "h_ini")
+        if type(h_ter) is not int:
+            h_ter = _field(r, h_ter, _h, where, (i,), "h_ter")
+        if type(omega) is not int:
+            omega = _field(r, omega, int, where, (i,), "omega")
         edges.append(jsj.Edge(eid, a, b, h_ini, h_ter, omega))
     try:
         g = jsj.DecoratedJSJGraph(vertices, edges)
@@ -320,30 +271,72 @@ def _parse_graph(r, data):
     return g, g.warnings
 
 
+def _boundaries(r, value, where, at):
+    """A piece's boundary records, read before the piece's id."""
+    where += ".boundaries[%d]"
+    boundaries = []
+    for j, b in enumerate(value):
+        here = at + (j,)
+        if type(b) is not dict or not b.keys() <= _BOUNDARY:
+            r.unknown(b, _BOUNDARY, where % here)
+        bid, torus = b.get("id", _MISSING), b.get("torus", _MISSING)
+        if type(bid) is not str:
+            bid = _field(r, bid, str, where, here, "id")
+        if type(torus) is not str:
+            torus = _field(r, torus, str, where, here, "torus")
+        slope = (_slope(r, b["degeneracy_slope"], where, here, "degeneracy_slope")
+                 if "degeneracy_slope" in b else
+                 _field(r, _MISSING, _slope, where, here, "degeneracy_slope"))
+        length = (_rational(r, b["leaf_length"], where, here, "leaf_length") if "leaf_length" in b
+                  else _field(r, _MISSING, _rational, where, here, "leaf_length"))
+        boundaries.append(flow.PieceBoundary(bid, torus, slope, length))
+    return boundaries
+
+
+def _side(r, value, where, at, key):
+    """A torus side, (piece id, boundary id)."""
+    if type(value) is not dict or not value.keys() <= _SIDE:
+        r.unknown(value, _SIDE, _path(where, at, key))
+    piece, boundary = value.get("piece", _MISSING), value.get("boundary", _MISSING)
+    if type(piece) is not str:
+        piece = _field(r, piece, str, "%s.%s" % (where, key), at, "piece")
+    if type(boundary) is not str:
+        boundary = _field(r, boundary, str, "%s.%s" % (where, key), at, "boundary")
+    return piece, boundary
+
+
 def _parse_flow(r, data):
+    where = "pieces[%d]"
     pieces = []
     for i, p in enumerate(_expect(data.get("pieces", []), list, "pieces")):
-        # the fast path of r.record(p, _PIECE, "pieces[%d]", i)
-        if type(p) is not dict or not p.keys() <= _PIECE.known:
-            r.unknown(p, _PIECE.known, "pieces[%d]" % i)
-        piece_type, boundaries, pid = p.get("type"), p.get("boundaries"), p.get("id")
-        piece_type = _PIECE_TYPES.get(piece_type) if type(piece_type) is str else None
-        if piece_type is None or type(boundaries) is not list or type(pid) is not str:
-            piece_type, boundaries, pid = r.fields(p, _PIECE, "pieces[%d]", i)
-        else:
-            boundaries = _boundaries(r, boundaries, "pieces[%d]", (i,), "boundaries")
+        if type(p) is not dict or not p.keys() <= _PIECE:
+            r.unknown(p, _PIECE, where % i)
+        raw_type, boundaries = p.get("type", _MISSING), p.get("boundaries", _MISSING)
+        pid = p.get("id", _MISSING)
+        piece_type = _PIECE_TYPES.get(raw_type) if type(raw_type) is str else None
+        if piece_type is None:
+            piece_type = _field(r, raw_type, _piece_type, where, (i,), "type")
+        if type(boundaries) is not list:
+            boundaries = _field(r, boundaries, list, where, (i,), "boundaries")
+        boundaries = _boundaries(r, boundaries, where, (i,))
+        if type(pid) is not str:
+            pid = _field(r, pid, str, where, (i,), "id")
         pieces.append(flow.Piece(pid, piece_type, boundaries))
+    where = "tori[%d]"
     tori = []
     for i, t in enumerate(_expect(data.get("tori", []), list, "tori")):
-        # the fast path of r.record(t, _TORUS, "tori[%d]", i)
-        if type(t) is not dict or not t.keys() <= _TORUS.known:
-            r.unknown(t, _TORUS.known, "tori[%d]" % i)
-        tid, plus, minus, frame = t.get("id"), t.get("plus"), t.get("minus"), t.get("frame", "")
-        if type(tid) is type(frame) is str and type(plus) is type(minus) is dict:
-            tori.append(flow.Torus(tid, _side(r, plus, "tori[%d]", (i,), "plus"),
-                                   _side(r, minus, "tori[%d]", (i,), "minus"), frame))
-        else:
-            tori.append(flow.Torus(*r.fields(t, _TORUS, "tori[%d]", i)))
+        if type(t) is not dict or not t.keys() <= _TORUS:
+            r.unknown(t, _TORUS, where % i)
+        tid, frame = t.get("id", _MISSING), t.get("frame", "")
+        if type(tid) is not str:
+            tid = _field(r, tid, str, where, (i,), "id")
+        plus = (_side(r, t["plus"], where, (i,), "plus") if "plus" in t
+                else _field(r, _MISSING, _side, where, (i,), "plus"))
+        minus = (_side(r, t["minus"], where, (i,), "minus") if "minus" in t
+                 else _field(r, _MISSING, _side, where, (i,), "minus"))
+        if type(frame) is not str:
+            frame = _field(r, frame, str, where, (i,), "frame")
+        tori.append(flow.Torus(tid, plus, minus, frame))
     try:
         m = flow.FlowManifest(pieces, tori)
     except flow.InvalidFlow as err:
@@ -352,20 +345,19 @@ def _parse_flow(r, data):
 
 
 def _parse_loop(r, data):
+    where = "loop[%d]"
     crossings = []
     for i, c in enumerate(_expect(data, list, "loop")):
-        # the fast path of r.record(c, _CROSSING, "loop[%d]", i)
-        if type(c) is not dict or not c.keys() <= _CROSSING.known:
-            r.unknown(c, _CROSSING.known, "loop[%d]" % i)
-        try:
-            side, torus, curve = _CROSSING.take(c)
-        except KeyError:
-            side = None
-        side = _SIDES.get(side) if type(side) is str else None
-        if side is not None and type(torus) is str:
-            curve = _slope(r, curve, "loop[%d]", (i,), "curve")
-        else:
-            side, torus, curve = r.fields(c, _CROSSING, "loop[%d]", i)
+        if type(c) is not dict or not c.keys() <= _CROSSING:
+            r.unknown(c, _CROSSING, where % i)
+        raw_side, torus = c.get("from_side", _MISSING), c.get("torus", _MISSING)
+        side = _SIDES.get(raw_side) if type(raw_side) is str else None
+        if side is None:
+            side = _field(r, raw_side, _from_side, where, (i,), "from_side")
+        if type(torus) is not str:
+            torus = _field(r, torus, str, where, (i,), "torus")
+        curve = (_slope(r, c["curve"], where, (i,), "curve") if "curve" in c
+                 else _field(r, _MISSING, _slope, where, (i,), "curve"))
         crossings.append(flow.Crossing(torus, curve, side))
     if not crossings:
         raise ParseError("loop must contain at least one crossing")
@@ -373,7 +365,14 @@ def _parse_loop(r, data):
 
 
 def _parse_fdtc(r, data):
-    m, l_plus, l_minus, e = r.record(data, _FDTC, "fdtc")
+    if type(data) is not dict or not data.keys() <= _FDTC:
+        r.unknown(data, _FDTC, "fdtc")
+    m = data.get("m", 1)
+    if type(m) is not int:
+        m = _field(r, m, int, "fdtc", (), "m")
+    l_plus, l_minus, e = (_slope(r, data[key], "fdtc", (), key) if key in data
+                          else _field(r, _MISSING, _slope, "fdtc", (), key)
+                          for key in ("l_plus", "l_minus", "e"))
     return FdtcInput(l_plus, l_minus, e, m)
 
 

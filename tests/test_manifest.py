@@ -20,7 +20,8 @@ from spirality import manifest
 from spirality.manifest import FdtcInput, loop_to_list, flow_to_dict, indented_json
 from spirality.rational import format_ratio
 from test_golden import _long_loop
-from util import oracle_parse_flow, oracle_parse_graph, oracle_slope, random_path_graph
+from util import (oracle_parse_fdtc, oracle_parse_flow, oracle_parse_graph,
+                  oracle_parse_loop, random_path_graph)
 
 GRAPH_DOC = """
 {
@@ -405,7 +406,7 @@ _FIELD_VALUES = st.sampled_from([
 
 @given(st.lists(st.tuples(_GRAPH_FIELDS, _FIELD_VALUES), min_size=1, max_size=2),
        st.booleans(), st.booleans())
-def test_the_graph_fast_path_reads_as_the_generic_reader(edits, strict, allow_rational_h):
+def test_the_graph_readers_read_as_the_spec_oracle(edits, strict, allow_rational_h):
     doc = json.loads(GRAPH_DOC)["graph"]
     for (section, i, key), value in edits:
         if value is _DELETE:
@@ -426,8 +427,20 @@ def test_the_graph_fast_path_reads_as_the_generic_reader(edits, strict, allow_ra
     assert outcomes[0] == outcomes[1]
 
 
+@pytest.fixture
+def field_calls(monkeypatch):
+    """The paths of the fields sent to the readers' failure path."""
+    calls, real = [], manifest._field
+
+    def counted(r, value, check, where, at, key):
+        calls.append(manifest._path(where, at, key))
+        return real(r, value, check, where, at, key)
+    monkeypatch.setattr(manifest, "_field", counted)
+    return calls
+
+
 @pytest.mark.parametrize("every_field", [True, False])
-def test_a_well_formed_graph_never_leaves_the_fast_path(monkeypatch, every_field):
+def test_a_well_formed_graph_never_reaches_the_failure_path(field_calls, every_field):
     # graph-deep's size: V = 40, E = 120
     g = random_path_graph(random.Random(18), n_vertices=40, n_extra=81)
     doc = json.loads(dumps_manifest(graph=g))
@@ -437,15 +450,13 @@ def test_a_well_formed_graph_never_leaves_the_fast_path(monkeypatch, every_field
             for key, default in defaults.items():
                 if key in record and record[key] == default:
                     del record[key]
-    calls, real = [], manifest._Reader.fields
-
-    def counted(r, obj, spec, where, *at):
-        calls.append(where % at)
-        return real(r, obj, spec, where, *at)
-    monkeypatch.setattr(manifest._Reader, "fields", counted)
     parsed = parse_manifest(json.dumps(doc))
     assert parsed.graph.vertices == g.vertices and parsed.graph.edges == g.edges
-    assert calls == []
+    assert field_calls == []
+    del doc["graph"]["edges"][-1]["to"]
+    with pytest.raises(ParseError, match=r"^missing field 'to' in graph\.edges\[119\]$"):
+        parse_manifest(json.dumps(doc))
+    assert field_calls == ["graph.edges[119].to"]
 
 
 FLOW_DOC = {
@@ -462,25 +473,32 @@ FLOW_DOC = {
          "minus": {"piece": "P", "boundary": "a"}, "frame": "(l, e)"},
         {"id": "U", "plus": {"piece": "P", "boundary": "b"},
          "minus": {"piece": "Q", "boundary": "d"}}],
-    "loop": [{"torus": "T", "from_side": "minus", "curve": {"vector": [2, 1], "mult": 2}}],
+    "loop": [{"torus": "T", "from_side": "minus", "curve": {"vector": [2, 1], "mult": 2}},
+             {"torus": "U", "from_side": "plus", "curve": [1, 2]}],
+    "fdtc": {"l_plus": [1, 0], "l_minus": {"vector": [1, 2], "mult": 1}, "e": [0, 1], "m": 2},
 }
-# A field of a FLOW_DOC piece, torus, torus side or wrapped curve, or a key
-# no record has.
+# A field of a FLOW_DOC piece, boundary, torus, torus side, crossing, wrapped
+# curve or fdtc section, or a key no record has.
 _FLOW_FIELDS = st.sampled_from(
     [("pieces", i, key) for i in (0, 1) for key in ("id", "type", "boundaries", "note")]
+    + [("pieces", i, "boundaries", j, key) for i in (0, 1) for j in (0, 1)
+       for key in ("id", "torus", "degeneracy_slope", "leaf_length", "note")]
     + [("tori", i, key) for i in (0, 1) for key in ("id", "plus", "minus", "frame", "label")]
     + [("tori", i, side, key) for i in (0, 1) for side in ("plus", "minus")
        for key in ("piece", "boundary", "why")]
-    + [("loop", 0, "curve", key) for key in ("vector", "mult", "tag")])
+    + [("loop", i, key) for i in (0, 1) for key in ("from_side", "torus", "curve", "tag")]
+    + [("loop", 0, "curve", key) for key in ("vector", "mult", "tag")]
+    + [("fdtc", key) for key in ("m", "l_plus", "l_minus", "e", "n")]
+    + [("fdtc", "l_minus", key) for key in ("vector", "mult", "tag")])
 _FLOW_VALUES = st.sampled_from([
     _DELETE, True, False, 1.5, 1e400, [1], [2, 1], [1, True], [0, 0], {"a": 1},
-    {"piece": "Q", "boundary": "c"}, 3, 0, 2, -1, "P", "Q", "a", "d", "T", "seifert",
-    "round", ""])
+    {"piece": "Q", "boundary": "c"}, {"vector": [3, 1]}, 3, 0, 2, -1, "P", "Q", "a", "d",
+    "T", "seifert", "round", "", "plus", "minus", "1/2", "1/0"])
 
 
 @given(st.lists(st.tuples(_FLOW_FIELDS, _FLOW_VALUES), min_size=1, max_size=3),
        st.booleans())
-def test_the_flow_fast_paths_read_as_the_generic_reader(edits, strict):
+def test_the_flow_readers_read_as_the_spec_oracle(edits, strict):
     doc = json.loads(json.dumps(FLOW_DOC))
     for path, value in edits:
         try:
@@ -496,33 +514,33 @@ def test_the_flow_fast_paths_read_as_the_generic_reader(edits, strict):
     # decoded as a manifest is, so that a float stays a literal
     data = manifest._DECODER.decode(json.dumps(doc))
     outcomes = []
-    for parse_flow, slope in ((manifest._parse_flow, manifest._slope),
-                              (oracle_parse_flow, oracle_slope)):
+    for parse_flow, parse_loop, parse_fdtc in (
+            (manifest._parse_flow, manifest._parse_loop, manifest._parse_fdtc),
+            (oracle_parse_flow, oracle_parse_loop, oracle_parse_fdtc)):
         r = manifest._Reader(strict)
         try:
             m, diagnostics = parse_flow(r, data)
-            curve = slope(r, data["loop"][0]["curve"], "loop[%d]", (0,), "curve")
+            sections = (parse_loop(r, data["loop"]), parse_fdtc(r, data["fdtc"]))
         except ParseError as err:
             outcomes.append(str(err))
         else:
-            outcomes.append((m and (m.pieces, m.tori), diagnostics, curve, r.warnings))
+            outcomes.append((m and (m.pieces, m.tori), diagnostics, sections, r.warnings))
     assert outcomes[0] == outcomes[1]
 
 
-def test_a_well_formed_long_loop_never_leaves_the_fast_path(monkeypatch):
+def test_a_well_formed_long_loop_never_reaches_the_failure_path(field_calls):
     # flow-long's random loops: 260 crossings over three pieces, a torus each
     text = _long_loop()
     assert any(isinstance(c["curve"], dict) for c in json.loads(text)["loop"])
-    calls, real = [], manifest._Reader.fields
-
-    def counted(r, obj, spec, where, *at):
-        calls.append(where % at)
-        return real(r, obj, spec, where, *at)
-    monkeypatch.setattr(manifest._Reader, "fields", counted)
     parsed = parse_manifest(text)
     assert len(parsed.flow.tori) == len(parsed.loop.crossings) == 260
     assert dumps_manifest(flow_manifest=parsed.flow, loop=parsed.loop) == text
-    assert calls == []
+    assert field_calls == []
+    doc = json.loads(text)
+    doc["loop"][259]["curve"] = {"vector": [1, 2], "mult": True}
+    with pytest.raises(ParseError, match=r"^loop\[259\]\.curve\.mult must be an integer$"):
+        parse_manifest(doc)
+    assert field_calls == ["loop[259].curve.mult"]
 
 
 class _Name(str):

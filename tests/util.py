@@ -11,9 +11,9 @@ interleaved pass over its data, a flow
 manifest's likewise, with indexes of its own, flow spiralities as a product
 of one reduced Fraction per sigma and rho factor, the loop check's
 diagnostics from a pass that looks every side up first, a graph
-section, a flow manifest's pieces and tori, and a slope read record by
-record by the manifest reader's generic check, and the equiperiodic test
-on the leaf lengths as Fractions.
+section, a flow manifest's pieces and tori, a loop, an fdtc section and a
+slope read record by record by one generic reader over each record's spec,
+and the equiperiodic test on the leaf lengths as Fractions.
 
 It also holds the constructions that only the tests need, not the CLI or
 the manifest: torus covers and their slope degrees, frame changes, graph
@@ -41,7 +41,7 @@ from spirality.flow import DUPLICATE_ID as DUPLICATE_FLOW_ID
 from spirality.graph import (FORWARD, BACKWARD, BAD_INTERNAL_GENERATORS,
                              BAD_OMEGA, DANGLING_EDGE, DUPLICATE_ID, ELEMENTARY_ADJACENCY,
                              NON_INTEGRAL_H, NON_POSITIVE_H, OMEGA_AMBIGUITY, InvalidGraph)
-from spirality.manifest import _EDGE, _PIECE, _SLOPE, _TORUS, _VERTEX, _expect, _path
+from spirality.manifest import FdtcInput, _expect, _h, _path, _rational
 
 
 # ---------------------------------------------------------------- lattice
@@ -490,15 +490,110 @@ def oracle_validate(vertices, edges):
     return out
 
 
+# The reference reader of manifest records. Each record's fields, their
+# checks, defaults and order are written once, in a spec, and read by one
+# generic loop; the package reads each record with a hand-written reader of
+# its own. Both take a ``manifest._Reader`` for the parse's state: its mode,
+# warnings, memos and key check.
+
+_MISSING = object()
+
+
+class Spec(tuple):
+    """A record's fields in check order, (key, check) when required and
+    (key, check, default) otherwise. A check that is a type goes to
+    ``_expect``; any other check is called with the reader, the value and
+    the parts of the field's path. ``known`` is the set of the record's keys."""
+
+    def __new__(cls, *fields):
+        spec = super().__new__(cls, ((key, check, default[0] if default else _MISSING)
+                                     for key, check, *default in fields))
+        spec.known = frozenset(key for key, _, _ in spec)
+        return spec
+
+
+def spec_record(r, obj, spec, where, *at):
+    """The checked values of a record's fields, in ``spec`` order; the
+    record's path is ``where % at``. The first fault in that order raises."""
+    r.unknown(obj, spec.known, where % at)
+    values = []
+    for key, check, default in spec:
+        value = obj.get(key, default)
+        if value is _MISSING:
+            raise ParseError("missing field %r in %s" % (key, where % at))
+        values.append(_expect(value, check, _path(where, at, key)) if isinstance(check, type)
+                      else check(r, value, where, at, key))
+    return values
+
+
+def member_check(enum, message):
+    """The check that a string is the value of one of ``enum``'s members."""
+    members = {member.value: member for member in enum}
+
+    def check(r, value, where, at, key):
+        path = _path(where, at, key)
+        if _expect(value, str, path) not in members:
+            raise ParseError(message % {"where": path, "value": value})
+        return members[value]
+    return check
+
+
+def oracle_slope(r, value, where, at, key):
+    """A slope, [a, b] or a wrapped slope record read by its spec."""
+    if isinstance(value, list):
+        vector, mult = value, 1
+    elif isinstance(value, dict):
+        vector, mult = spec_record(r, value, SLOPE, "%s.%s" % (where, key), *at)
+    else:
+        raise ParseError("%s must be [a, b] or {\"vector\": [a, b], \"mult\": m}"
+                         % _path(where, at, key))
+    if len(vector) != 2:
+        raise ParseError("%s must have exactly two entries" % _path(where, at, key))
+    path = _path(where, at, key)
+    a, b = _expect(vector[0], int, path + "[0]"), _expect(vector[1], int, path + "[1]")
+    try:
+        return Slope.of(a, b, mult)
+    except ValueError as err:
+        raise ParseError("%s: %s" % (path, err))
+
+
+def oracle_side(r, value, where, at, key):
+    return tuple(spec_record(r, value, SIDE, "%s.%s" % (where, key), *at))
+
+
+def oracle_boundaries(r, value, where, at, key):
+    _expect(value, list, _path(where, at, key))
+    return [PieceBoundary(*spec_record(r, b, BOUNDARY, where + ".boundaries[%d]", *at, j))
+            for j, b in enumerate(value)]
+
+
+SLOPE = Spec(("vector", list), ("mult", int, 1))
+SIDE = Spec(("piece", str), ("boundary", str))
+VERTEX = Spec(("kind", member_check(VertexKind, "%(where)s: unknown kind %(value)r"),
+               "horizontal"),
+              ("id", str), ("orientable", bool, True), ("internal_omega_generators", int, 0))
+EDGE = Spec(("id", str), ("from", str), ("to", str), ("h_ini", _h), ("h_ter", _h),
+            ("omega", int, 1))
+PIECE = Spec(("type", member_check(PieceType, "%(where)s: unknown piece type %(value)r")),
+             ("boundaries", oracle_boundaries), ("id", str))
+BOUNDARY = Spec(("id", str), ("torus", str), ("degeneracy_slope", oracle_slope),
+                ("leaf_length", _rational))
+TORUS = Spec(("id", str), ("plus", oracle_side), ("minus", oracle_side), ("frame", str, ""))
+CROSSING = Spec(("from_side", member_check(Side, "%(where)s must be \"plus\" or \"minus\"")),
+                ("torus", str), ("curve", oracle_slope))
+FDTC = Spec(("m", int, 1), ("l_plus", oracle_slope), ("l_minus", oracle_slope),
+            ("e", oracle_slope))
+
+
 def oracle_parse_graph(r, data):
-    """``manifest._parse_graph`` with no fast path: every vertex and edge
-    goes through the reader ``r``'s generic ``record``."""
+    """``manifest._parse_graph`` by the specs: every vertex and edge is read
+    by ``spec_record``."""
     r.unknown(data, {"vertices", "edges"}, "graph")
     vertices = []
     for i, v in enumerate(_expect(data.get("vertices", []), list, "graph.vertices")):
-        kind, vid, orientable, generators = r.record(v, _VERTEX, "graph.vertices[%d]", i)
+        kind, vid, orientable, generators = spec_record(r, v, VERTEX, "graph.vertices[%d]", i)
         vertices.append(Vertex(vid, kind, orientable, generators))
-    edges = [Edge(*r.record(e, _EDGE, "graph.edges[%d]", i))
+    edges = [Edge(*spec_record(r, e, EDGE, "graph.edges[%d]", i))
              for i, e in enumerate(_expect(data.get("edges", []), list, "graph.edges"))]
     try:
         g = DecoratedJSJGraph(vertices, edges)
@@ -508,13 +603,13 @@ def oracle_parse_graph(r, data):
 
 
 def oracle_parse_flow(r, data):
-    """``manifest._parse_flow`` with no fast path for pieces and tori: each
-    goes through the reader ``r``'s generic ``record``."""
+    """``manifest._parse_flow`` by the specs: every piece, boundary, torus
+    and torus side is read by ``spec_record``."""
     pieces = []
     for i, p in enumerate(_expect(data.get("pieces", []), list, "pieces")):
-        piece_type, boundaries, pid = r.record(p, _PIECE, "pieces[%d]", i)
+        piece_type, boundaries, pid = spec_record(r, p, PIECE, "pieces[%d]", i)
         pieces.append(Piece(pid, piece_type, boundaries))
-    tori = [Torus(*r.record(t, _TORUS, "tori[%d]", i))
+    tori = [Torus(*spec_record(r, t, TORUS, "tori[%d]", i))
             for i, t in enumerate(_expect(data.get("tori", []), list, "tori"))]
     try:
         m = FlowManifest(pieces, tori)
@@ -523,29 +618,22 @@ def oracle_parse_flow(r, data):
     return m, m.warnings
 
 
-def oracle_slope(r, value, where, at, key):
-    """``manifest._slope`` with no fast path: a wrapped slope goes through
-    the reader ``r``'s generic ``record``."""
-    if isinstance(value, list):
-        vector, mult = value, 1
-    elif isinstance(value, dict):
-        vector, mult = r.record(value, _SLOPE, "%s.%s" % (where, key), *at)
-    else:
-        raise ParseError("%s must be [a, b] or {\"vector\": [a, b], \"mult\": m}"
-                         % _path(where, at, key))
-    if len(vector) != 2:
-        raise ParseError("%s must have exactly two entries" % _path(where, at, key))
-    a, b = vector
-    if type(a) is not int or type(b) is not int:
-        path = _path(where, at, key)
-        a, b = _expect(a, int, path + "[0]"), _expect(b, int, path + "[1]")
-    slope = r.slopes.get((a, b, mult))
-    if slope is None:
-        try:
-            slope = r.slopes[a, b, mult] = Slope.of(a, b, mult)
-        except ValueError as err:
-            raise ParseError("%s: %s" % (_path(where, at, key), err))
-    return slope
+def oracle_parse_loop(r, data):
+    """``manifest._parse_loop`` by the specs: every crossing is read by
+    ``spec_record``."""
+    crossings = []
+    for i, c in enumerate(_expect(data, list, "loop")):
+        side, torus, curve = spec_record(r, c, CROSSING, "loop[%d]", i)
+        crossings.append(Crossing(torus, curve, side))
+    if not crossings:
+        raise ParseError("loop must contain at least one crossing")
+    return LoopItinerary(tuple(crossings))
+
+
+def oracle_parse_fdtc(r, data):
+    """``manifest._parse_fdtc`` by its spec."""
+    m, l_plus, l_minus, e = spec_record(r, data, FDTC, "fdtc")
+    return FdtcInput(l_plus, l_minus, e, m)
 
 
 def edges_by_id(g):
