@@ -457,8 +457,8 @@ def _parser(only):
 
     if only in (None, "crosscheck"):
         p = sub.add_parser("crosscheck", parents=[common],
-                           help="assert the direct formula and the decorated-graph "
-                                "route agree; exit 1 on any mismatch")
+                           help="check that aspiral's decorated graph keeps the spirality "
+                                "of the shared factor pass; exit 1 on any mismatch")
         p.add_argument("paths", nargs="*")
         p.add_argument("--random", type=int, metavar="N",
                        help="check N seeded random manifests instead of files")

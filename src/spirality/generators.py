@@ -9,8 +9,8 @@ Three seeded, deterministic generators:
 * matched-slope manifolds, where every torus sees the same degeneracy
   slope from both sides and all twist coefficients vanish, so every loop
   has spirality 1 and the verdict is always positive;
-* unconstrained random flow manifolds, used to cross-check the two
-  independent evaluation routes against each other.
+* unconstrained random flow manifolds, used to check that the decorated
+  graph keeps the spirality of the one factor pass it shares with rw.
 """
 
 import random
@@ -207,8 +207,8 @@ def gen_random_flow(seed):
 
     Degeneracy slopes on the two sides of a torus are independent and leaf
     lengths are arbitrary positive rationals with numerator and denominator
-    up to RANDOM_LEAF_BOUND, so spiralities are generic; used for
-    cross-checking the direct formula against the decorated-graph route.
+    up to RANDOM_LEAF_BOUND, so spiralities are generic; used to check that
+    the decorated graph keeps the spirality of the factors it starts from.
     """
     rng = random.Random(seed)
     n = rng.randint(1, RANDOM_MAX_CROSSINGS)
