@@ -8,7 +8,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spirality import (ParseError, Slope, parse_manifest, dumps_manifest,
                        gen_twist_family, gen_matched_slopes, TwistFamilyParams,
@@ -477,27 +477,33 @@ FLOW_DOC = {
              {"torus": "U", "from_side": "plus", "curve": [1, 2]}],
     "fdtc": {"l_plus": [1, 0], "l_minus": {"vector": [1, 2], "mult": 1}, "e": [0, 1], "m": 2},
 }
-# A field of a FLOW_DOC piece, boundary, torus, torus side, crossing, wrapped
-# curve or fdtc section, or a key no record has.
-_FLOW_FIELDS = st.sampled_from(
-    [("pieces", i, key) for i in (0, 1) for key in ("id", "type", "boundaries", "note")]
-    + [("pieces", i, "boundaries", j, key) for i in (0, 1) for j in (0, 1)
-       for key in ("id", "torus", "degeneracy_slope", "leaf_length", "note")]
-    + [("tori", i, key) for i in (0, 1) for key in ("id", "plus", "minus", "frame", "label")]
-    + [("tori", i, side, key) for i in (0, 1) for side in ("plus", "minus")
-       for key in ("piece", "boundary", "why")]
-    + [("loop", i, key) for i in (0, 1) for key in ("from_side", "torus", "curve", "tag")]
-    + [("loop", 0, "curve", key) for key in ("vector", "mult", "tag")]
-    + [("fdtc", key) for key in ("m", "l_plus", "l_minus", "e", "n")]
-    + [("fdtc", "l_minus", key) for key in ("vector", "mult", "tag")])
-_FLOW_VALUES = st.sampled_from([
-    _DELETE, True, False, 1.5, 1e400, [1], [2, 1], [1, True], [0, 0], {"a": 1},
+# The FLOW_DOC records, each with its keys and one no record has. An edit
+# list edits one to three fields of a record, for one or two records, so
+# that two faults in one record are common.
+_FLOW_RECORDS = (
+    [(("pieces", i), ("id", "type", "boundaries", "note")) for i in (0, 1)]
+    + [(("pieces", i, "boundaries", j), ("id", "torus", "degeneracy_slope", "leaf_length",
+                                         "note")) for i in (0, 1) for j in (0, 1)]
+    + [(("tori", i), ("id", "plus", "minus", "frame", "label")) for i in (0, 1)]
+    + [(("tori", i, side), ("piece", "boundary", "why")) for i in (0, 1)
+       for side in ("plus", "minus")]
+    + [(("loop", i), ("from_side", "torus", "curve", "tag")) for i in (0, 1)]
+    + [(("loop", 0, "curve"), ("vector", "mult", "tag")),
+       (("fdtc",), ("m", "l_plus", "l_minus", "e", "n")),
+       (("fdtc", "l_minus"), ("vector", "mult", "tag"))])
+_FLOW_VALUES = st.just(_DELETE) | st.sampled_from([
+    True, False, 1.5, 1e400, [1], [2, 1], [1, True], [0, 0], {"a": 1},
     {"piece": "Q", "boundary": "c"}, {"vector": [3, 1]}, 3, 0, 2, -1, "P", "Q", "a", "d",
     "T", "seifert", "round", "", "plus", "minus", "1/2", "1/0"])
+_FLOW_EDITS = st.lists(st.sampled_from(_FLOW_RECORDS).flatmap(
+    lambda record: st.lists(st.tuples(st.sampled_from(record[1]), _FLOW_VALUES),
+                            min_size=1, max_size=3).map(
+        lambda edits: [(record[0] + (key,), value) for key, value in edits])),
+    min_size=1, max_size=2).map(lambda groups: [edit for group in groups for edit in group])
 
 
-@given(st.lists(st.tuples(_FLOW_FIELDS, _FLOW_VALUES), min_size=1, max_size=3),
-       st.booleans())
+@settings(max_examples=400)
+@given(_FLOW_EDITS, st.booleans())
 def test_the_flow_readers_read_as_the_spec_oracle(edits, strict):
     doc = json.loads(json.dumps(FLOW_DOC))
     for path, value in edits:
