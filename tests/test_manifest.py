@@ -514,7 +514,9 @@ def test_the_flow_readers_read_as_the_spec_oracle(edits, strict):
             if value is _DELETE:
                 record.pop(path[-1], None)
             else:
-                record[path[-1]] = value
+                # a copy: a later edit may write into it, and the strategy
+                # hands out the same object to every example
+                record[path[-1]] = copy.deepcopy(value)
         except (KeyError, IndexError, TypeError, AttributeError):
             pass  # an earlier edit replaced a record on the path
     # decoded as a manifest is, so that a float stays a literal
