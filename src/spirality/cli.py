@@ -10,6 +10,7 @@ terminal and disabled by the SPIRALITY_NO_COLOR environment variable.
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -471,6 +472,11 @@ def main(argv=None):
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
+    # A command makes no cyclic garbage, so the collector's passes over a long
+    # manifest's records reclaim nothing; a caller's enabled collector is
+    # re-enabled on the way out.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -489,6 +495,9 @@ def main(argv=None):
         if not isinstance(err, BrokenPipeError):
             print("parse error: cannot write stdout: %s" % err.strerror, file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

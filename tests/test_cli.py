@@ -1,4 +1,5 @@
 import argparse
+import gc
 import importlib.util
 import io
 import json
@@ -19,7 +20,7 @@ from spirality import (DecoratedJSJGraph, Edge, TwistFamilyParams, dumps_manifes
                        format_rational, gen_random_flow, gen_twist_family)
 from spirality import cli
 from spirality.cli import Report, main
-from test_golden import _deep_graph
+from test_golden import CORPUS, _deep_graph
 from test_manifest import FULL_MANIFEST, _node_paths, json_values, replace_node
 from util import rho, segments_of, sigma
 
@@ -794,6 +795,86 @@ class TestStartup:
         sources = sorted(Path(spirality.__file__).parent.glob("*.py"))
         assert {p.stem for p in sources} >= set(self.LAYERS)
         assert [p.name for p in sources if "dataclass" in p.read_text(encoding="utf-8")] == []
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Run the test with the cyclic collector enabled or disabled, and put
+    back the state it had."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollector:
+    """``main`` pauses the cyclic collector for the command and leaves the
+    caller's state as it found it, however the command ends."""
+
+    @staticmethod
+    def outcome(tmp_path, capsys, *argv):
+        code = main(list(argv))
+        capsys.readouterr()
+        return code, gc.isenabled()
+
+    def test_a_successful_command_keeps_the_state(self, tmp_path, capsys, collector):
+        path = write(tmp_path, "g.json", GOOD_GRAPH)
+        assert self.outcome(tmp_path, capsys, "aspiral", path) == (0, collector)
+
+    def test_a_domain_error_keeps_the_state(self, tmp_path, capsys, collector):
+        # rw raises SpiralityError on a manifest without a loop
+        path = write(tmp_path, "g.json", GOOD_GRAPH)
+        assert self.outcome(tmp_path, capsys, "rw", path) == (1, collector)
+
+    def test_a_parse_error_keeps_the_state(self, tmp_path, capsys, collector):
+        path = str(tmp_path / "missing.json")
+        assert self.outcome(tmp_path, capsys, "validate", path) == (2, collector)
+
+    def test_a_closed_stdout_keeps_the_state(self, tmp_path, monkeypatch, collector):
+        # the report is buffered, so main's last flush meets the closed pipe
+        path = write(tmp_path, "g.json", GOOD_GRAPH)
+        reader, writer = os.pipe()
+        os.close(reader)
+        with open(writer, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["aspiral", path]) == 2
+            assert gc.isenabled() is collector
+
+    def test_an_unexpected_exception_keeps_the_state(self, tmp_path, capsys, monkeypatch,
+                                                     collector):
+        def broken(factors):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(flow, "flow_spirality", broken)
+        target = str(tmp_path / "s8.json")
+        run(capsys, "gen", "twist-family", "--out", target)
+        with pytest.raises(RuntimeError, match="broken"):
+            main(["rw", target])
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("command", ["rw", "crosscheck", "aspiral"])
+    def test_a_long_loop_starts_no_collection(self, tmp_path, capsys, command):
+        # with the collector on, these start 19, 19 and 34 collections
+        corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+        path = write(tmp_path, "twist-d1000.json", corpus["inputs"]["twist-d1000.json"])
+        cli.build_parser(command)
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            code = main([command, path])
+        finally:
+            gc.callbacks.remove(count)
+            (gc.enable if was else gc.disable)()
+        assert capsys.readouterr().err == ""
+        assert code == 0
+        assert starts == []
 
 
 def _node(doc, path):

@@ -9,17 +9,28 @@ come from ``gen_random_flow`` seeds and twist-family members, written with
 * reversing the loop and flipping every ``from_side`` inverts it;
 * flipping every ``from_side`` and passing ``--side-convention from-enters``
   leaves every command's output unchanged but for the digest.
+
+Graph manifests are planted graphs, written as JSON documents:
+
+* shuffling the order of the vertex and edge records leaves every command's
+  output unchanged but for the digest and the rows that follow record
+  order: the error and warning rows, which follow the records they name,
+  and the ``s(internal loops at ...)`` rows, which follow vertex order;
+* multiplying every h at one vertex's ends by a positive integer changes no
+  byte but the digest.
 """
 
 import json
+import random
 
 import pytest
 
 from spirality import (Crossing, LoopItinerary, TwistFamilyParams, dumps_manifest,
                        gen_random_flow, gen_twist_family, parse_rational)
 from spirality.cli import main
-from spirality.manifest import FdtcInput
-from util import reverse_itinerary
+from spirality.manifest import FdtcInput, graph_to_dict
+from test_golden import BANDS_GRAPH, GOOD_GRAPH, SIGNED_GRAPH, _deep_graph
+from util import random_graph, random_path_graph, reverse_itinerary, seeded
 
 _TWISTS = [TwistFamilyParams(k=1, p=1, q=1, r_minus=2, r_plus=1, d=3),
            TwistFamilyParams(k=2, p=2, q=1, r_minus=3, r_plus=1, d=2),
@@ -106,3 +117,124 @@ def test_the_side_convention_undoes_flipped_sides(capsys, tmp_path, monkeypatch,
                                  "--side-convention", convention, "m.json")
             outcomes.append((code, _without_digest(out, fmt) if out else out, err))
         assert outcomes[0] == outcomes[1], command
+
+
+_PATH_COMMANDS = ("validate", "rw", "aspiral", "fdtc", "crosscheck")
+_INTERNAL = "s(internal loops at "
+
+
+def _with_internal_loops(g, vertex_ids):
+    doc = {"graph": graph_to_dict(g)}
+    for v in doc["graph"]["vertices"]:
+        if v["id"] in vertex_ids:
+            v["internal_omega_generators"] = 1
+    return doc
+
+
+def _bands_next_to_a_non_orientable_vertex():
+    # two components; the band warnings name edges in record order
+    doc = _with_internal_loops(random_graph(seeded(5), max_vertices=8, max_edges=14),
+                               {"v0", "v3"})
+    for v in doc["graph"]["vertices"][1:4]:
+        v.update(kind="elementary_band", orientable=v["id"] != "v2")
+    return doc
+
+
+# A valid graph is the only kind a regauge keeps byte for byte: an error
+# row can print an h.
+VALID_GRAPHS = [
+    pytest.param(GOOD_GRAPH, id="good"),
+    pytest.param(SIGNED_GRAPH, id="signed"),
+    pytest.param(_deep_graph(), id="deep"),
+    pytest.param(_with_internal_loops(random_path_graph(seeded(3), n_vertices=12,
+                                                        n_extra=8), {"v2", "v9"}),
+                 id="path"),
+    pytest.param(_bands_next_to_a_non_orientable_vertex(), id="bands"),
+]
+GRAPHS = VALID_GRAPHS + [pytest.param(BANDS_GRAPH, id="invalid")]
+
+
+def _outcomes(capsys, tmp_path, doc, fmt):
+    """Every path command's (exit code, rows, stderr) on the document."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    outcomes = {}
+    for command in _PATH_COMMANDS:
+        code, out, err = run(capsys, command, "--format", fmt, str(path))
+        outcomes[command] = (code, _rows(out, fmt), err)
+    return outcomes
+
+
+def _rows(out, fmt):
+    """A report's (label, value) rows, the digest left out and the warnings
+    last, as the text format prints them."""
+    if not out:
+        return []
+    if fmt == "structured":
+        report = json.loads(out)
+        return ([("command", report["command"])]
+                + [(row["label"], row["value"]) for row in report["results"]]
+                + [("warning", message) for message in report["warnings"]])
+    return [tuple(line.split(": ", 1)) for line in out.splitlines()
+            if not line.startswith("digest: ")]
+
+
+def _apart_from_record_order(rows):
+    """The rows with what follows record order taken out: the error and
+    warning rows as a sorted list, and the vertex ids of the internal-loop
+    rows in the order printed. Each leaves its label in place."""
+    kept, diagnostics, internal = [], [], []
+    for label, value in rows:
+        if label in ("error", "warning"):
+            diagnostics.append(value)
+            kept.append(label)
+        elif label.startswith(_INTERNAL):
+            internal.append(label[len(_INTERNAL):-1])
+            kept.append((_INTERNAL, value))
+        else:
+            kept.append((label, value))
+    return kept, sorted(diagnostics), internal
+
+
+@pytest.mark.parametrize("doc", GRAPHS)
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_shuffling_graph_records_moves_only_the_rows_that_follow_them(capsys, tmp_path,
+                                                                       doc, fmt):
+    base = _outcomes(capsys, tmp_path, doc, fmt)
+    rng = random.Random(7)
+    for _ in range(10):
+        vertices, edges = list(doc["graph"]["vertices"]), list(doc["graph"]["edges"])
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+        position = {v["id"]: i for i, v in enumerate(vertices)}
+        shuffled = _outcomes(capsys, tmp_path,
+                             {"graph": {"vertices": vertices, "edges": edges}}, fmt)
+        for command in _PATH_COMMANDS:
+            (code, rows, err), (got_code, got_rows, got_err) = base[command], shuffled[command]
+            assert (got_code, got_err) == (code, err), command
+            kept, diagnostics, internal = _apart_from_record_order(rows)
+            assert _apart_from_record_order(got_rows) == (
+                kept, diagnostics, sorted(internal, key=position.__getitem__)), command
+
+
+def _regauged(doc, vertex_id, factor):
+    edges = []
+    for e in doc["graph"]["edges"]:
+        e = dict(e)
+        if e["from"] == vertex_id:
+            e["h_ini"] *= factor
+        if e["to"] == vertex_id:
+            e["h_ter"] *= factor
+        edges.append(e)
+    return {"graph": dict(doc["graph"], edges=edges)}
+
+
+@pytest.mark.parametrize("doc", VALID_GRAPHS)
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_regauging_one_vertex_changes_no_byte_but_the_digest(capsys, tmp_path, doc, fmt):
+    base = _outcomes(capsys, tmp_path, doc, fmt)
+    rng = random.Random(11)
+    vertex_ids = [v["id"] for v in doc["graph"]["vertices"]]
+    for vertex_id in rng.sample(vertex_ids, min(4, len(vertex_ids))):
+        regauged = _regauged(doc, vertex_id, rng.randint(2, 9))
+        assert _outcomes(capsys, tmp_path, regauged, fmt) == base, vertex_id
