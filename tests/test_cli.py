@@ -812,23 +812,23 @@ class TestCollector:
     caller's state as it found it, however the command ends."""
 
     @staticmethod
-    def outcome(tmp_path, capsys, *argv):
+    def outcome(capsys, *argv):
         code = main(list(argv))
         capsys.readouterr()
         return code, gc.isenabled()
 
     def test_a_successful_command_keeps_the_state(self, tmp_path, capsys, collector):
         path = write(tmp_path, "g.json", GOOD_GRAPH)
-        assert self.outcome(tmp_path, capsys, "aspiral", path) == (0, collector)
+        assert self.outcome(capsys, "aspiral", path) == (0, collector)
 
     def test_a_domain_error_keeps_the_state(self, tmp_path, capsys, collector):
         # rw raises SpiralityError on a manifest without a loop
         path = write(tmp_path, "g.json", GOOD_GRAPH)
-        assert self.outcome(tmp_path, capsys, "rw", path) == (1, collector)
+        assert self.outcome(capsys, "rw", path) == (1, collector)
 
     def test_a_parse_error_keeps_the_state(self, tmp_path, capsys, collector):
         path = str(tmp_path / "missing.json")
-        assert self.outcome(tmp_path, capsys, "validate", path) == (2, collector)
+        assert self.outcome(capsys, "validate", path) == (2, collector)
 
     def test_a_closed_stdout_keeps_the_state(self, tmp_path, monkeypatch, collector):
         # the report is buffered, so main's last flush meets the closed pipe

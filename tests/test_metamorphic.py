@@ -37,6 +37,7 @@ _TWISTS = [TwistFamilyParams(k=1, p=1, q=1, r_minus=2, r_plus=1, d=3),
            TwistFamilyParams(k=-1, p=1, q=2, r_minus=1, r_plus=2)]
 CASES = [pytest.param(seed, id="random-%d" % seed) for seed in range(12)] + [
     pytest.param(params, id="twist-%d" % i) for i, params in enumerate(_TWISTS)]
+_PATH_COMMANDS = ("validate", "rw", "aspiral", "fdtc", "crosscheck")
 
 
 def sections(case):
@@ -91,12 +92,18 @@ def test_reversing_the_loop_inverts_the_spirality(capsys, tmp_path, case):
     assert spirality(capsys, tmp_path, reverse) == 1 / spirality(capsys, tmp_path, base)
 
 
-def _without_digest(out, fmt):
+def _rows(out, fmt):
+    """A report's (label, value) rows, the digest left out and the warnings
+    last, as the text format prints them."""
+    if not out:
+        return []
     if fmt == "structured":
         report = json.loads(out)
-        del report["digest"]
-        return report
-    return [line for line in out.splitlines() if not line.startswith("digest: ")]
+        return ([("command", report["command"])]
+                + [(row["label"], row["value"]) for row in report["results"]]
+                + [("warning", message) for message in report["warnings"]])
+    return [tuple(line.split(": ", 1)) for line in out.splitlines()
+            if not line.startswith("digest: ")]
 
 
 @pytest.mark.parametrize("case", CASES[:6] + CASES[-2:])
@@ -109,17 +116,16 @@ def test_the_side_convention_undoes_flipped_sides(capsys, tmp_path, monkeypatch,
         (tmp_path / name).mkdir()
         (tmp_path / name / "m.json").write_text(dumps_manifest(**manifest_sections),
                                                 encoding="utf-8")
-    for command in ("validate", "rw", "aspiral", "fdtc", "crosscheck"):
+    for command in _PATH_COMMANDS:
         outcomes = []
         for name, convention in (("leaves", "from-leaves"), ("enters", "from-enters")):
             monkeypatch.chdir(tmp_path / name)
             code, out, err = run(capsys, command, "--format", fmt,
                                  "--side-convention", convention, "m.json")
-            outcomes.append((code, _without_digest(out, fmt) if out else out, err))
+            outcomes.append((code, _rows(out, fmt), err))
         assert outcomes[0] == outcomes[1], command
 
 
-_PATH_COMMANDS = ("validate", "rw", "aspiral", "fdtc", "crosscheck")
 _INTERNAL = "s(internal loops at "
 
 
@@ -163,20 +169,6 @@ def _outcomes(capsys, tmp_path, doc, fmt):
         code, out, err = run(capsys, command, "--format", fmt, str(path))
         outcomes[command] = (code, _rows(out, fmt), err)
     return outcomes
-
-
-def _rows(out, fmt):
-    """A report's (label, value) rows, the digest left out and the warnings
-    last, as the text format prints them."""
-    if not out:
-        return []
-    if fmt == "structured":
-        report = json.loads(out)
-        return ([("command", report["command"])]
-                + [(row["label"], row["value"]) for row in report["results"]]
-                + [("warning", message) for message in report["warnings"]])
-    return [tuple(line.split(": ", 1)) for line in out.splitlines()
-            if not line.startswith("digest: ")]
 
 
 def _apart_from_record_order(rows):
