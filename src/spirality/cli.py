@@ -249,12 +249,15 @@ def _require_flow_loop(parsed):
 def cmd_rw(parsed, computed, report):
     _require_flow_loop(parsed)
     factors, _ = computed
-    # each row is written from its integer pair, reduced as it is printed
-    for i, (crossing, pair) in enumerate(zip(parsed.loop.crossings,
-                                             factors.intersections)):
-        report.add("sigma[%d] (torus %s)" % (i, crossing.torus), format_ratio(*pair))
-    for i, (piece, pair) in enumerate(zip(factors.pieces, factors.rhos)):
-        report.add("rho[%d] (piece %s)" % (i, piece), format_ratio(*pair))
+    intersections, rhos = factors.intersections, factors.rhos
+    # each row is written from its integer pair, reduced as it is printed;
+    # a pair that repeats is printed once, and they are printed in row order
+    text = {pair: format_ratio(*pair) for pair in dict.fromkeys(intersections + rhos)}
+    report.results.extend([("sigma[%d] (torus %s)" % (i, crossing.torus), text[pair], None)
+                           for i, (crossing, pair) in enumerate(zip(parsed.loop.crossings,
+                                                                    intersections))])
+    report.results.extend([("rho[%d] (piece %s)" % (i, piece), text[pair], None)
+                           for i, (piece, pair) in enumerate(zip(factors.pieces, rhos))])
     if flow.equiperiodic_rho_is_one(parsed.flow):
         report.add("note", "leaf lengths are constant per piece; "
                            "the rho factors are all 1")
@@ -491,7 +494,11 @@ def main(argv=None):
         # Writing stdout failed, an IO error; a closed pipe needs no message.
         # Pointing stdout at devnull keeps the interpreter's last flush from
         # raising again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         if not isinstance(err, BrokenPipeError):
             print("parse error: cannot write stdout: %s" % err.strerror, file=sys.stderr)
         return EXIT_PARSE

@@ -89,6 +89,7 @@ class PieceBoundary(Value):
 
 _length, _set_length = attrgetter("_length"), PieceBoundary._length.__set__
 _first, _second = itemgetter(0), itemgetter(1)
+_new = object.__new__
 
 
 class Piece(Value):
@@ -401,11 +402,29 @@ def decorate_from_flow(factors, m):
     kinds = {p.id: jsj.VertexKind.HORIZONTAL if p.type is PieceType.SEIFERT
              else jsj.VertexKind.GEOMETRICALLY_INFINITE for p in m.pieces}
     ids = ["seg%03d" % i for i in range(len(factors.pieces))]
+    # the values are built from their fields, as the parse builds its own;
+    # the graph's constructor still diagnoses them
     Vertex, Edge = jsj.Vertex, jsj.Edge
-    vertices = [Vertex(seg, kinds[piece_id]) for seg, piece_id in zip(ids, factors.pieces)]
+    set_id, set_kind, set_orientable, set_generators = Vertex._setters
+    vertices = []
+    for seg, piece_id in zip(ids, factors.pieces):
+        vertex = _new(Vertex)
+        set_id(vertex, seg)
+        set_kind(vertex, kinds[piece_id])
+        set_orientable(vertex, True)
+        set_generators(vertex, 0)
+        vertices.append(vertex)
     # index i + 1 - n is (i + 1) mod n
     rhos, n = factors.rhos, len(ids)
-    edges = [Edge("x%03d" % i, ids[i], ids[i + 1 - n],
-                  n_leave * rhos[i][0], n_enter * rhos[i + 1 - n][1])
-             for i, (n_leave, n_enter) in enumerate(factors.intersections)]
+    set_id, set_from, set_to, set_h_ini, set_h_ter, set_omega = Edge._setters
+    edges = []
+    for i, (n_leave, n_enter) in enumerate(factors.intersections):
+        edge = _new(Edge)
+        set_id(edge, "x%03d" % i)
+        set_from(edge, ids[i])
+        set_to(edge, ids[i + 1 - n])
+        set_h_ini(edge, n_leave * rhos[i][0])
+        set_h_ter(edge, n_enter * rhos[i + 1 - n][1])
+        set_omega(edge, 1)
+        edges.append(edge)
     return jsj.DecoratedJSJGraph(vertices, edges)

@@ -84,6 +84,7 @@ _FDTC = {"m", "l_plus", "l_minus", "e"}
 
 # A required field's default: no value can be it.
 _MISSING = object()
+_new = object.__new__
 
 
 def _path(where, at, key):
@@ -112,7 +113,10 @@ class _Reader:
     fails its test to ``_field``, so the first fault in field order is the
     one raised and a field's path is formatted only for a message. Equal raw
     slopes and rational strings are normalised once, in memos that die with
-    the reader.
+    the reader; ``lengths`` holds each leaf length with its reduced int pair.
+    A reader takes a memo hit, and reads a well-formed torus side, inline,
+    and builds its values with ``object.__new__`` and the class's
+    ``_setters``: every field it sets has passed its test.
     """
 
     def __init__(self, strict, allow_rational_h=False):
@@ -121,6 +125,7 @@ class _Reader:
         self.warnings = []
         self.slopes = {}
         self.rationals = {}
+        self.lengths = {}
 
     def unknown(self, obj, known, where):
         for key in _expect(obj, dict, where):
@@ -227,6 +232,8 @@ def _parse_graph(r, data):
     r.unknown(data, {"vertices", "edges"}, "graph")
     where = "graph.vertices[%d]"
     vertices = []
+    Vertex, Edge = jsj.Vertex, jsj.Edge
+    set_id, set_kind, set_orientable, set_generators = Vertex._setters
     for i, v in enumerate(_expect(data.get("vertices", []), list, "graph.vertices")):
         if type(v) is not dict or not v.keys() <= _VERTEX:
             r.unknown(v, _VERTEX, where % i)
@@ -242,9 +249,15 @@ def _parse_graph(r, data):
             orientable = _field(r, orientable, bool, where, (i,), "orientable")
         if type(generators) is not int:
             generators = _field(r, generators, int, where, (i,), "internal_omega_generators")
-        vertices.append(jsj.Vertex(vid, kind, orientable, generators))
+        vertex = _new(Vertex)
+        set_id(vertex, vid)
+        set_kind(vertex, kind)
+        set_orientable(vertex, orientable)
+        set_generators(vertex, generators)
+        vertices.append(vertex)
     where = "graph.edges[%d]"
     edges = []
+    set_id, set_from, set_to, set_h_ini, set_h_ter, set_omega = Edge._setters
     for i, e in enumerate(_expect(data.get("edges", []), list, "graph.edges")):
         if type(e) is not dict or not e.keys() <= _EDGE:
             r.unknown(e, _EDGE, where % i)
@@ -263,7 +276,14 @@ def _parse_graph(r, data):
             h_ter = _field(r, h_ter, _h, where, (i,), "h_ter")
         if type(omega) is not int:
             omega = _field(r, omega, int, where, (i,), "omega")
-        edges.append(jsj.Edge(eid, a, b, h_ini, h_ter, omega))
+        edge = _new(Edge)
+        set_id(edge, eid)
+        set_from(edge, a)
+        set_to(edge, b)
+        set_h_ini(edge, h_ini)
+        set_h_ter(edge, h_ter)
+        set_omega(edge, omega)
+        edges.append(edge)
     try:
         g = jsj.DecoratedJSJGraph(vertices, edges)
     except jsj.InvalidGraph as err:
@@ -275,21 +295,45 @@ def _boundaries(r, value, where, at):
     """A piece's boundary records, read before the piece's id."""
     where += ".boundaries[%d]"
     boundaries = []
+    slopes, lengths = r.slopes, r.lengths
+    Boundary = flow.PieceBoundary
+    set_id, set_torus, set_slope, set_length = Boundary._setters
+    set_pair = flow._set_length
     for j, b in enumerate(value):
         here = at + (j,)
         if type(b) is not dict or not b.keys() <= _BOUNDARY:
             r.unknown(b, _BOUNDARY, where % here)
         bid, torus = b.get("id", _MISSING), b.get("torus", _MISSING)
+        raw_slope, raw_length = b.get("degeneracy_slope", _MISSING), b.get("leaf_length", _MISSING)
         if type(bid) is not str:
             bid = _field(r, bid, str, where, here, "id")
         if type(torus) is not str:
             torus = _field(r, torus, str, where, here, "torus")
-        slope = (_slope(r, b["degeneracy_slope"], where, here, "degeneracy_slope")
-                 if "degeneracy_slope" in b else
-                 _field(r, _MISSING, _slope, where, here, "degeneracy_slope"))
-        length = (_rational(r, b["leaf_length"], where, here, "leaf_length") if "leaf_length" in b
-                  else _field(r, _MISSING, _rational, where, here, "leaf_length"))
-        boundaries.append(flow.PieceBoundary(bid, torus, slope, length))
+        # _slope's memo hit, inline
+        vector, mult = ((raw_slope.get("vector"), raw_slope.get("mult"))
+                        if type(raw_slope) is dict and len(raw_slope) == 2 else (raw_slope, 1))
+        slope = (slopes.get((vector[0], vector[1], mult))
+                 if type(vector) is list and len(vector) == 2 and type(vector[0]) is int
+                 and type(vector[1]) is int and type(mult) is int else None)
+        if slope is None:
+            slope = (_slope(r, raw_slope, where, here, "degeneracy_slope")
+                     if raw_slope is not _MISSING
+                     else _field(r, _MISSING, _slope, where, here, "degeneracy_slope"))
+        # the length and its int pair, read once for equal raw lengths
+        length = (lengths.get(raw_length) if type(raw_length) is str or type(raw_length) is int
+                  else None)
+        if length is None:
+            q = (_rational(r, raw_length, where, here, "leaf_length")
+                 if raw_length is not _MISSING
+                 else _field(r, _MISSING, _rational, where, here, "leaf_length"))
+            length = lengths[raw_length] = q, q.as_integer_ratio()
+        boundary = _new(Boundary)
+        set_id(boundary, bid)
+        set_torus(boundary, torus)
+        set_slope(boundary, slope)
+        set_length(boundary, length[0])
+        set_pair(boundary, length[1])
+        boundaries.append(boundary)
     return boundaries
 
 
@@ -324,19 +368,34 @@ def _parse_flow(r, data):
         pieces.append(flow.Piece(pid, piece_type, boundaries))
     where = "tori[%d]"
     tori = []
+    Torus = flow.Torus
+    set_id, set_plus, set_minus, set_frame = Torus._setters
     for i, t in enumerate(_expect(data.get("tori", []), list, "tori")):
         if type(t) is not dict or not t.keys() <= _TORUS:
             r.unknown(t, _TORUS, where % i)
         tid, frame = t.get("id", _MISSING), t.get("frame", "")
+        raw_plus, raw_minus = t.get("plus", _MISSING), t.get("minus", _MISSING)
         if type(tid) is not str:
             tid = _field(r, tid, str, where, (i,), "id")
-        plus = (_side(r, t["plus"], where, (i,), "plus") if "plus" in t
-                else _field(r, _MISSING, _side, where, (i,), "plus"))
-        minus = (_side(r, t["minus"], where, (i,), "minus") if "minus" in t
-                 else _field(r, _MISSING, _side, where, (i,), "minus"))
+        # a side of two string fields and no other is read inline, as _side reads it
+        plus = ((raw_plus.get("piece"), raw_plus.get("boundary"))
+                if type(raw_plus) is dict and len(raw_plus) == 2 else (None, None))
+        if type(plus[0]) is not str or type(plus[1]) is not str:
+            plus = (_side(r, raw_plus, where, (i,), "plus") if raw_plus is not _MISSING
+                    else _field(r, _MISSING, _side, where, (i,), "plus"))
+        minus = ((raw_minus.get("piece"), raw_minus.get("boundary"))
+                 if type(raw_minus) is dict and len(raw_minus) == 2 else (None, None))
+        if type(minus[0]) is not str or type(minus[1]) is not str:
+            minus = (_side(r, raw_minus, where, (i,), "minus") if raw_minus is not _MISSING
+                     else _field(r, _MISSING, _side, where, (i,), "minus"))
         if type(frame) is not str:
             frame = _field(r, frame, str, where, (i,), "frame")
-        tori.append(flow.Torus(tid, plus, minus, frame))
+        torus = _new(Torus)
+        set_id(torus, tid)
+        set_plus(torus, plus)
+        set_minus(torus, minus)
+        set_frame(torus, frame)
+        tori.append(torus)
     try:
         m = flow.FlowManifest(pieces, tori)
     except flow.InvalidFlow as err:
@@ -347,18 +406,33 @@ def _parse_flow(r, data):
 def _parse_loop(r, data):
     where = "loop[%d]"
     crossings = []
+    slopes = r.slopes
+    Crossing = flow.Crossing
+    set_torus, set_curve, set_from_side = Crossing._setters
     for i, c in enumerate(_expect(data, list, "loop")):
         if type(c) is not dict or not c.keys() <= _CROSSING:
             r.unknown(c, _CROSSING, where % i)
         raw_side, torus = c.get("from_side", _MISSING), c.get("torus", _MISSING)
+        raw_curve = c.get("curve", _MISSING)
         side = _SIDES.get(raw_side) if type(raw_side) is str else None
         if side is None:
             side = _field(r, raw_side, _from_side, where, (i,), "from_side")
         if type(torus) is not str:
             torus = _field(r, torus, str, where, (i,), "torus")
-        curve = (_slope(r, c["curve"], where, (i,), "curve") if "curve" in c
-                 else _field(r, _MISSING, _slope, where, (i,), "curve"))
-        crossings.append(flow.Crossing(torus, curve, side))
+        # _slope's memo hit, inline
+        vector, mult = ((raw_curve.get("vector"), raw_curve.get("mult"))
+                        if type(raw_curve) is dict and len(raw_curve) == 2 else (raw_curve, 1))
+        curve = (slopes.get((vector[0], vector[1], mult))
+                 if type(vector) is list and len(vector) == 2 and type(vector[0]) is int
+                 and type(vector[1]) is int and type(mult) is int else None)
+        if curve is None:
+            curve = (_slope(r, raw_curve, where, (i,), "curve") if raw_curve is not _MISSING
+                     else _field(r, _MISSING, _slope, where, (i,), "curve"))
+        crossing = _new(Crossing)
+        set_torus(crossing, torus)
+        set_curve(crossing, curve)
+        set_from_side(crossing, side)
+        crossings.append(crossing)
     if not crossings:
         raise ParseError("loop must contain at least one crossing")
     return flow.LoopItinerary(tuple(crossings))

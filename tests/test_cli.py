@@ -877,6 +877,24 @@ class TestCollector:
         assert starts == []
 
 
+_FDS = "/proc/self/fd"
+
+
+@pytest.mark.skipif(not os.path.isdir(_FDS), reason="no /proc/self/fd to count descriptors")
+def test_a_closed_stdout_leaves_no_descriptor_open(tmp_path, monkeypatch):
+    # main points the closed stdout at devnull and closes its own descriptor
+    path = write(tmp_path, "g.json", GOOD_GRAPH)
+    before = len(os.listdir(_FDS))
+    for _ in range(5):
+        reader, writer = os.pipe()
+        os.close(reader)
+        with open(writer, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["aspiral", path]) == 2
+    monkeypatch.undo()
+    assert len(os.listdir(_FDS)) == before
+
+
 def _node(doc, path):
     for key in path:
         doc = doc[key]

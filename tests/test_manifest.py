@@ -8,7 +8,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spirality import (ParseError, Slope, parse_manifest, dumps_manifest,
                        gen_twist_family, gen_matched_slopes, TwistFamilyParams,
@@ -519,6 +519,13 @@ def test_the_flow_readers_read_as_the_spec_oracle(edits, strict):
                 record[path[-1]] = copy.deepcopy(value)
         except (KeyError, IndexError, TypeError, AttributeError):
             pass  # an earlier edit replaced a record on the path
+    _assert_read_as_the_spec_oracle(doc, strict)
+
+
+def _assert_read_as_the_spec_oracle(doc, strict):
+    """The readers and the spec oracle read the flow, loop and fdtc sections
+    of ``doc`` alike: the same values, diagnostics and warnings, or the same
+    first error."""
     # decoded as a manifest is, so that a float stays a literal
     data = manifest._DECODER.decode(json.dumps(doc))
     outcomes = []
@@ -536,6 +543,69 @@ def test_the_flow_readers_read_as_the_spec_oracle(edits, strict):
     assert outcomes[0] == outcomes[1]
 
 
+# A later FLOW_DOC record that repeats an earlier valid one, with the keys
+# an edit may give it: each field it keeps is a memo hit, or a torus side
+# read inline, before the field an edit breaks. The memos are shared, so a
+# crossing's [a, b] curve hits a boundary's slope.
+_REPEATS = [
+    (("loop", 0), ("loop", 1), ("from_side", "torus", "curve", "tag")),
+    (("pieces", 0, "boundaries", 0), ("pieces", 0, "boundaries", 1),
+     ("id", "torus", "degeneracy_slope", "leaf_length", "note")),
+    (("pieces", 1, "boundaries", 0), ("pieces", 1, "boundaries", 1),
+     ("id", "torus", "degeneracy_slope", "leaf_length", "note")),
+    (("tori", 0), ("tori", 1), ("id", "plus", "minus", "frame", "label")),
+]
+# Values next to the repeated ones: equal, and wrong in one part.
+_NEAR_VALUES = st.sampled_from([
+    [1, 0], [1, 1], [2, 1], [1, True], [True, 0], [1, 0, 0], [4, 2], [0, 0],
+    {"vector": [2, 1], "mult": 2}, {"vector": [2, 1], "mult": True},
+    {"vector": [2, True], "mult": 2}, {"vector": [2, 1], "mult": 0},
+    {"vector": [2, 1], "mult": 2, "tag": 1}, {"vector": [2, 1], "tag": 2},
+    {"vector": [1, 0]}, {"mult": 2, "tag": 1}, {"vector": [1, 0], "mult": 1},
+    {"vector": [1, 0], "mult": True}, {"vector": [1, 0], "mult": 1, "tag": 1},
+    "3/2", "6/4", "1", 1, "1/0", " 1", True, 1.5,
+    {"piece": "Q", "boundary": "c"}, {"piece": "P", "boundary": "a"},
+    {"piece": "Q", "boundary": "c", "why": 1}, {"piece": "Q", "why": "c"},
+    {"piece": 3, "boundary": "c"}, {"piece": "Q", "boundary": ["c"]}, {"piece": "Q"}, {},
+    "T", "U", 7])
+
+
+@given(st.sampled_from(_REPEATS).flatmap(lambda repeat: st.tuples(
+    st.just(repeat),
+    st.lists(st.tuples(st.sampled_from(repeat[2]), st.just(_DELETE) | _NEAR_VALUES
+                       | _FLOW_VALUES), min_size=1, max_size=3))), st.booleans())
+@example(((("loop", 0), ("loop", 1), ()), [("curve", {"vector": [2, 1], "mult": True})]),
+         True)
+@example(((("loop", 0), ("loop", 1), ()), [("curve", [1, True])]), True)
+@example(((("pieces", 0, "boundaries", 0), ("pieces", 0, "boundaries", 1), ()),
+          [("degeneracy_slope", {"vector": [1, 0], "mult": 0})]), False)
+@example(((("pieces", 0, "boundaries", 0), ("pieces", 0, "boundaries", 1), ()),
+          [("leaf_length", True)]), True)
+@example(((("tori", 0), ("tori", 1), ()),
+          [("plus", {"piece": "Q", "boundary": "c", "why": 1})]), True)
+@example(((("tori", 0), ("tori", 1), ()),
+          [("plus", {"piece": "Q", "boundary": "c", "why": 1})]), False)
+@example(((("tori", 0), ("tori", 1), ()), [("minus", {"piece": 3, "boundary": "a"})]),
+         True)
+def test_a_fault_after_memo_hits_reads_as_the_spec_oracle(case, strict):
+    (source, target, _), edits = case
+    doc = json.loads(json.dumps(FLOW_DOC))
+    parent, records = doc, []
+    for path in (source, target):
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        records.append((parent, path[-1]))
+    (from_parent, from_key), (to_parent, to_key) = records
+    record = to_parent[to_key] = copy.deepcopy(from_parent[from_key])
+    for key, value in edits:
+        if value is _DELETE:
+            record.pop(key, None)
+        else:
+            record[key] = copy.deepcopy(value)
+    _assert_read_as_the_spec_oracle(doc, strict)
+
+
 def test_a_well_formed_long_loop_never_reaches_the_failure_path(field_calls):
     # flow-long's random loops: 260 crossings over three pieces, a torus each
     text = _long_loop()
@@ -548,6 +618,13 @@ def test_a_well_formed_long_loop_never_reaches_the_failure_path(field_calls):
     doc["loop"][259]["curve"] = {"vector": [1, 2], "mult": True}
     with pytest.raises(ParseError, match=r"^loop\[259\]\.curve\.mult must be an integer$"):
         parse_manifest(doc)
+    assert field_calls == ["loop[259].curve.mult"]
+    # flow-long's twist elevations: d = 350, one torus crossed 700 times
+    twist = gen_twist_family(TwistFamilyParams(k=3, p=5, q=7, r_minus=4, r_plus=1, d=350))
+    text = dumps_manifest(flow_manifest=twist.manifest, loop=twist.loop)
+    parsed = parse_manifest(text)
+    assert len(parsed.flow.tori) == 1 and len(parsed.loop.crossings) == 700
+    assert dumps_manifest(flow_manifest=parsed.flow, loop=parsed.loop) == text
     assert field_calls == ["loop[259].curve.mult"]
 
 

@@ -10,7 +10,9 @@ they were dataclasses.
 
 import copy
 import dataclasses
+import json
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,11 +20,15 @@ import pytest
 from spirality import (Crossing, Diagnostic, DirectedCycle, Edge, FlowManifest,
                        LoopItinerary, ParsedManifest, Piece, PieceBoundary, PieceType,
                        Side, Slope, SpiralityCharacter, Torus, TwistFamilyInstance,
-                       TwistFamilyParams, Vertex, VertexKind)
+                       TwistFamilyParams, Vertex, VertexKind, decorate_from_flow,
+                       dumps_manifest, gen_random_flow, gen_twist_family, parse_manifest)
 from spirality.cli import Report
 from spirality.errors import Value
-from spirality.flow import FlowFactors
+from spirality.flow import FlowFactors, validate_itinerary
 from spirality.manifest import FdtcInput
+
+from test_golden import CORPUS
+from util import random_path_graph
 
 SLOPE = Slope((1, 2))
 BOUNDARY = PieceBoundary("b", "T", SLOPE, Fraction(3, 2))
@@ -209,3 +215,46 @@ class TestValidation:
             DirectedCycle(5)
         with pytest.raises(TypeError):
             DirectedCycle([5])
+
+
+def _built_values():
+    """The crossings, boundaries, tori, vertices and edges that the parse and
+    the decorator build from their fields, without their constructors: of
+    random flows 0-199, a d = 350 twist elevation, graph-deep's V = 40 graph
+    and the golden corpus's deep graph."""
+    sources = [gen_random_flow(seed) for seed in range(200)]
+    twist = gen_twist_family(TwistFamilyParams(k=1, p=2, q=3, r_minus=2, r_plus=1, d=350))
+    sources.append((twist.manifest, twist.loop))
+    for m, loop in sources:
+        parsed = parse_manifest(dumps_manifest(flow_manifest=m, loop=loop))
+        yield from parsed.loop.crossings
+        yield from parsed.flow.tori
+        for piece in parsed.flow.pieces:
+            yield from piece.boundaries
+        diagnostics, factors = validate_itinerary(parsed.loop, parsed.flow)
+        assert diagnostics == []
+        g = decorate_from_flow(factors, parsed.flow)
+        yield from g.vertices + g.edges
+    deep = dumps_manifest(graph=random_path_graph(random.Random(18), n_vertices=40,
+                                                  n_extra=81))
+    golden = CORPUS.read_text(encoding="utf-8")
+    for text in (deep, json.loads(golden)["inputs"]["graph-deep.json"]):
+        g = parse_manifest(text).graph
+        yield from g.vertices + g.edges
+
+
+def test_built_values_are_the_values_their_constructors_build():
+    kinds = set()
+    for value in _built_values():
+        kinds.add(type(value))
+        rebuilt = type(value)(*value._astuple())
+        assert value == rebuilt and rebuilt == value
+        assert hash(value) == hash(rebuilt)
+        assert repr(value) == repr(rebuilt)
+        data = pickle.dumps(value)
+        assert data == pickle.dumps(rebuilt)
+        copied = pickle.loads(data)
+        assert type(copied) is type(value) and copied == rebuilt
+        if type(value) is PieceBoundary:
+            assert value._length == rebuilt._length == copied._length
+    assert kinds == {Crossing, PieceBoundary, Torus, Vertex, Edge}
