@@ -44,6 +44,11 @@ class Value:
     ``self._setters`` once and calls each setter with the instance and the
     value, which bypasses the ``__setattr__`` that refuses assignment. A
     subclass that adds fields sets all of them in its own ``__init__``.
+    Where a constructor's own work is already done, the package may build a
+    value with ``object.__new__`` and set every field through ``_setters``
+    itself, in field order, from fields it has checked (as ``Slope.of``, the
+    manifest readers and ``decorate_from_flow`` do); such a value is the
+    one its constructor would build.
     Values are equal, and hash alike, when they are of one class and their
     fields are equal; the repr lists the fields. Values can be weakly
     referenced, copied and pickled.

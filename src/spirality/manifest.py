@@ -114,9 +114,10 @@ class _Reader:
     one raised and a field's path is formatted only for a message. Equal raw
     slopes and rational strings are normalised once, in memos that die with
     the reader; ``lengths`` holds each leaf length with its reduced int pair.
-    A reader takes a memo hit, and reads a well-formed torus side, inline,
-    and builds its values with ``object.__new__`` and the class's
-    ``_setters``: every field it sets has passed its test.
+    The readers of the records a long manifest repeats (crossing, boundary,
+    torus, vertex, edge) take a memo hit, and read a well-formed torus side,
+    inline, and build their values with ``object.__new__`` and the class's
+    ``_setters``: every field they set has passed its test.
     """
 
     def __init__(self, strict, allow_rational_h=False):

@@ -590,7 +590,7 @@ _NEAR_VALUES = st.sampled_from([
 def test_a_fault_after_memo_hits_reads_as_the_spec_oracle(case, strict):
     (source, target, _), edits = case
     doc = json.loads(json.dumps(FLOW_DOC))
-    parent, records = doc, []
+    records = []
     for path in (source, target):
         parent = doc
         for step in path[:-1]:
