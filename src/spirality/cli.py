@@ -57,11 +57,8 @@ class Report(Value):
     __hash__ = None  # the lists grow
 
     def __init__(self, command, digest, results=None, warnings=None):
-        set_command, set_digest, set_results, set_warnings = self._setters
-        set_command(self, command)
-        set_digest(self, digest)
-        set_results(self, [] if results is None else results)
-        set_warnings(self, [] if warnings is None else warnings)
+        super().__init__(command, digest, [] if results is None else results,
+                         [] if warnings is None else warnings)
 
     def add(self, label, value, color=None):
         self.results.append((label, value, color))

@@ -40,15 +40,15 @@ class Value:
     A subclass lists its fields in ``__slots__`` (a slot whose name starts
     with "_" is a cache, not a field). Its fields are those of every class
     in its MRO, base classes first, and ``_setters`` holds the ``__set__``
-    of each field's slot, in the same order: ``__init__`` unpacks
-    ``self._setters`` once and calls each setter with the instance and the
-    value, which bypasses the ``__setattr__`` that refuses assignment. A
-    subclass that adds fields sets all of them in its own ``__init__``.
-    Where a constructor's own work is already done, the package may build a
-    value with ``object.__new__`` and set every field through ``_setters``
-    itself, in field order, from fields it has checked (as ``Slope.of``, the
-    manifest readers and ``decorate_from_flow`` do); such a value is the
-    one its constructor would build.
+    of each field's slot, in the same order. ``__init__`` takes one value
+    per field, in field order, and sets each through its setter, past the
+    ``__setattr__`` that refuses assignment; any other count is a
+    TypeError. A subclass's own ``__init__`` only applies its defaults,
+    conversions and checks, then calls this one. Where that work is already
+    done, the package may build a value with ``object.__new__`` and set
+    every field through ``_setters`` itself, from fields it has checked (as
+    ``Slope.of``, the manifest readers and ``decorate_from_flow`` do); such
+    a value is the one its constructor would build.
     Values are equal, and hash alike, when they are of one class and their
     fields are equal; the repr lists the fields. Values can be weakly
     referenced, copied and pickled.
@@ -61,6 +61,14 @@ class Value:
                             for name in klass.__dict__.get("__slots__", ())
                             if name[0] != "_")
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError("%s takes %d values, got %d"
+                            % (type(self).__qualname__, len(setters), len(values)))
+        for setter, value in zip(setters, values):
+            setter(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
@@ -96,12 +104,6 @@ class Diagnostic(Value):
     """One validation finding. Diagnostics are values, not exceptions."""
 
     __slots__ = ("severity", "code", "message")
-
-    def __init__(self, severity, code, message):
-        set_severity, set_code, set_message = self._setters
-        set_severity(self, severity)
-        set_code(self, code)
-        set_message(self, message)
 
     @property
     def is_error(self):

@@ -77,11 +77,7 @@ class PieceBoundary(Value):
     __slots__ = ("id", "torus", "degeneracy_slope", "leaf_length", "_length")
 
     def __init__(self, id, torus, degeneracy_slope, leaf_length):
-        set_id, set_torus, set_degeneracy_slope, set_leaf_length = self._setters
-        set_id(self, id)
-        set_torus(self, torus)
-        set_degeneracy_slope(self, degeneracy_slope)
-        set_leaf_length(self, leaf_length)
+        super().__init__(id, torus, degeneracy_slope, leaf_length)
         # the test an h passes, which the first settles for a Fraction
         _set_length(self, leaf_length.as_integer_ratio() if type(leaf_length) is Fraction
                     or isinstance(leaf_length, jsj._RATIONAL) else None)
@@ -98,10 +94,7 @@ class Piece(Value):
     def __init__(self, id, type, boundaries):
         if isinstance(type, str):
             type = PieceType(type)
-        set_id, set_type, set_boundaries = self._setters
-        set_id(self, id)
-        set_type(self, type)
-        set_boundaries(self, tuple(boundaries))
+        super().__init__(id, type, tuple(boundaries))
 
 
 class Torus(Value):
@@ -110,11 +103,7 @@ class Torus(Value):
     __slots__ = ("id", "plus", "minus", "frame")
 
     def __init__(self, id, plus, minus, frame=""):
-        set_id, set_plus, set_minus, set_frame = self._setters
-        set_id(self, id)
-        set_plus(self, plus)
-        set_minus(self, minus)
-        set_frame(self, frame)
+        super().__init__(id, plus, minus, frame)
 
 
 class InvalidFlow(InvalidData):
@@ -154,10 +143,7 @@ class Crossing(Value):
     def __init__(self, torus, curve, from_side):
         if isinstance(from_side, str):
             from_side = Side(from_side)
-        set_torus, set_curve, set_from_side = self._setters
-        set_torus(self, torus)
-        set_curve(self, curve)
-        set_from_side(self, from_side)
+        super().__init__(torus, curve, from_side)
 
 
 class LoopItinerary(Value):
@@ -169,8 +155,7 @@ class LoopItinerary(Value):
         crossings = tuple(crossings)
         if not crossings:
             raise ValueError("itinerary needs at least one crossing")
-        (set_crossings,) = self._setters
-        set_crossings(self, crossings)
+        super().__init__(crossings)
 
 
 def normalize_itinerary(itinerary, convention):
@@ -309,12 +294,6 @@ class FlowFactors(Value):
     """
 
     __slots__ = ("intersections", "rhos", "pieces")
-
-    def __init__(self, intersections, rhos, pieces):
-        set_intersections, set_rhos, set_pieces = self._setters
-        set_intersections(self, intersections)
-        set_rhos(self, rhos)
-        set_pieces(self, pieces)
 
 
 def _piece_mismatch(i, entered_piece, j, left_piece):

@@ -38,13 +38,7 @@ class TwistFamilyParams(Value):
     __slots__ = ("k", "p", "q", "r_minus", "r_plus", "d")
 
     def __init__(self, k, p, q, r_minus, r_plus, d=1):
-        set_k, set_p, set_q, set_r_minus, set_r_plus, set_d = self._setters
-        set_k(self, k)
-        set_p(self, p)
-        set_q(self, q)
-        set_r_minus(self, r_minus)
-        set_r_plus(self, r_plus)
-        set_d(self, d)
+        super().__init__(k, p, q, r_minus, r_plus, d)
 
     def check(self):
         if self.k == 0:
@@ -67,16 +61,6 @@ class TwistFamilyInstance(Value):
     """
 
     __slots__ = ("manifest", "loop", "expected", "l_plus", "l_minus", "reduction_curve")
-
-    def __init__(self, manifest, loop, expected, l_plus, l_minus, reduction_curve):
-        (set_manifest, set_loop, set_expected, set_l_plus, set_l_minus,
-         set_reduction_curve) = self._setters
-        set_manifest(self, manifest)
-        set_loop(self, loop)
-        set_expected(self, expected)
-        set_l_plus(self, l_plus)
-        set_l_minus(self, l_minus)
-        set_reduction_curve(self, reduction_curve)
 
 
 def gen_twist_family(params):

@@ -56,11 +56,7 @@ class Vertex(Value):
                  internal_omega_generators=0):
         if isinstance(kind, str):
             kind = VertexKind(kind)
-        set_id, set_kind, set_orientable, set_internal_omega_generators = self._setters
-        set_id(self, id)
-        set_kind(self, kind)
-        set_orientable(self, orientable)
-        set_internal_omega_generators(self, internal_omega_generators)
+        super().__init__(id, kind, orientable, internal_omega_generators)
 
 
 class Edge(Value):
@@ -69,14 +65,7 @@ class Edge(Value):
     __slots__ = ("id", "from_vertex", "to_vertex", "h_ini", "h_ter", "omega")
 
     def __init__(self, id, from_vertex, to_vertex, h_ini, h_ter, omega=1):
-        (set_id, set_from_vertex, set_to_vertex, set_h_ini, set_h_ter,
-         set_omega) = self._setters
-        set_id(self, id)
-        set_from_vertex(self, from_vertex)
-        set_to_vertex(self, to_vertex)
-        set_h_ini(self, h_ini)
-        set_h_ter(self, h_ter)
-        set_omega(self, omega)
+        super().__init__(id, from_vertex, to_vertex, h_ini, h_ter, omega)
 
 
 FORWARD = 1
@@ -90,8 +79,7 @@ class DirectedCycle(Value):
     __slots__ = ("steps",)
 
     def __init__(self, steps):
-        (set_steps,) = self._setters
-        set_steps(self, tuple(map(tuple, steps)))
+        super().__init__(tuple(map(tuple, steps)))
 
     def __str__(self):
         if not self.steps:
@@ -298,15 +286,6 @@ class SpiralityCharacter(Value):
     """
 
     __slots__ = ("forest", "values", "cycle_edges", "internal_signs", "witness")
-
-    def __init__(self, forest, values, cycle_edges, internal_signs, witness):
-        (set_forest, set_values, set_cycle_edges, set_internal_signs,
-         set_witness) = self._setters
-        set_forest(self, forest)
-        set_values(self, values)
-        set_cycle_edges(self, cycle_edges)
-        set_internal_signs(self, internal_signs)
-        set_witness(self, witness)
 
     @property
     def aspiral(self):

@@ -28,9 +28,7 @@ class Slope(Value):
             raise ValueError("stored slope vector must be primitive; use Slope.of")
         if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        set_vector, set_multiplicity = self._setters
-        set_vector(self, vector)
-        set_multiplicity(self, multiplicity)
+        super().__init__(vector, multiplicity)
 
     @classmethod
     def of(cls, a, b, multiplicity=1):

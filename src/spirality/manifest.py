@@ -33,13 +33,6 @@ from . import flow
 class FdtcInput(Value):
     __slots__ = ("l_plus", "l_minus", "e", "m")
 
-    def __init__(self, l_plus, l_minus, e, m):
-        set_l_plus, set_l_minus, set_e, set_m = self._setters
-        set_l_plus(self, l_plus)
-        set_l_minus(self, l_minus)
-        set_e(self, e)
-        set_m(self, m)
-
 
 class ParsedManifest(Value):
     """A manifest's sections. ``graph`` and ``flow`` are None when absent or
@@ -51,15 +44,7 @@ class ParsedManifest(Value):
 
     def __init__(self, graph=None, flow=None, loop=None, fdtc=None, expected=None,
                  warnings=(), diagnostics=()):
-        (set_graph, set_flow, set_loop, set_fdtc, set_expected, set_warnings,
-         set_diagnostics) = self._setters
-        set_graph(self, graph)
-        set_flow(self, flow)
-        set_loop(self, loop)
-        set_fdtc(self, fdtc)
-        set_expected(self, expected)
-        set_warnings(self, warnings)
-        set_diagnostics(self, diagnostics)
+        super().__init__(graph, flow, loop, fdtc, expected, warnings, diagnostics)
 
     def replace(self, **changes):
         """A copy with the named fields changed."""
@@ -112,8 +97,9 @@ class _Reader:
     keys, then each field inline, in check order, and sends a field that
     fails its test to ``_field``, so the first fault in field order is the
     one raised and a field's path is formatted only for a message. Equal raw
-    slopes and rational strings are normalised once, in memos that die with
-    the reader; ``lengths`` holds each leaf length with its reduced int pair.
+    slopes and raw leaf lengths are normalised once, in memos that die with
+    the reader: ``slopes`` holds each slope, and ``lengths`` each leaf length
+    with its reduced int pair. Any other rational is parsed where it is read.
     The readers of the records a long manifest repeats (crossing, boundary,
     torus, vertex, edge) take a memo hit, and read a well-formed torus side,
     inline, and build their values with ``object.__new__`` and the class's
@@ -125,7 +111,6 @@ class _Reader:
         self.allow_rational_h = allow_rational_h
         self.warnings = []
         self.slopes = {}
-        self.rationals = {}
         self.lengths = {}
 
     def unknown(self, obj, known, where):
@@ -185,16 +170,11 @@ def _h(r, value, where, at, key):
 
 
 def _rational(r, value, where, at, key):
-    """A rational, "p/q" or an integer; equal ones are parsed once."""
-    if type(value) is str or type(value) is int:
-        q = r.rationals.get(value)
-        if q is not None:
-            return q
+    """A rational, "p/q" or an integer."""
     try:
-        q = r.rationals[value] = parse_rational(value)
+        return parse_rational(value)
     except ParseError as err:
         raise ParseError("%s: %s" % (_path(where, at, key), err))
-    return q
 
 
 def _slope(r, value, where, at, key):

@@ -206,7 +206,7 @@ class TestRw:
     def test_parallel_curve_names_torus(self, tmp_path, capsys):
         target = str(tmp_path / "s8.json")
         run(capsys, "gen", "twist-family", "--out", target)
-        doc = json.loads(open(target).read())
+        doc = json.loads(Path(target).read_text())
         doc["loop"][0]["curve"] = [1, 0]  # the minus-side degeneracy slope
         path = write(tmp_path, "broken.json", json.dumps(doc))
         code, out = run(capsys, "rw", path)
@@ -304,7 +304,7 @@ class TestOneCheck:
     def twist_with(self, tmp_path, capsys, change):
         target = str(tmp_path / "s8.json")
         run(capsys, "gen", "twist-family", "--out", target)
-        doc = json.loads(open(target).read())
+        doc = json.loads(Path(target).read_text())
         change(doc)
         return write(tmp_path, "changed.json", json.dumps(doc))
 
@@ -607,6 +607,7 @@ class TestReporting:
         assert proc.stdout.readline() == b"command: rw\n"
         proc.stdout.close()
         err = proc.stderr.read()
+        proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert err == b""
 
@@ -621,6 +622,7 @@ class TestReporting:
         assert proc.stdout.read(10) == b'{\n  "piece'
         proc.stdout.close()
         err = proc.stderr.read()
+        proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert err == b""
 
@@ -636,6 +638,7 @@ class TestReporting:
         assert proc.stdout.readline() == b"command: rw\n"
         proc.stdout.close()
         err = proc.stderr.read()
+        proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert err == b""
 
@@ -760,7 +763,7 @@ class TestReporting:
     def test_side_convention_flag(self, tmp_path, capsys):
         target = str(tmp_path / "s8.json")
         run(capsys, "gen", "twist-family", "--out", target)
-        doc = json.loads(open(target).read())
+        doc = json.loads(Path(target).read_text())
         for crossing in doc["loop"]:
             crossing["from_side"] = ("plus" if crossing["from_side"] == "minus"
                                      else "minus")
