@@ -13,6 +13,7 @@ import functools
 import gc
 import os
 import sys
+from errno import EBADF
 from fractions import Fraction
 from math import prod
 
@@ -83,7 +84,7 @@ def _render(report, args):
         }
         _write_stdout(mf.indented_json(doc) + "\n")
         return
-    color_on = (sys.stdout.isatty()
+    color_on = (_stdout().isatty()
                 and not os.environ.get("SPIRALITY_NO_COLOR"))
     rows = ([("command", report.command, None), ("digest", report.digest, None)]
             + report.results + [("warning", message, "yellow") for message in report.warnings])
@@ -303,18 +304,27 @@ def cmd_gen(args):
     return EXIT_OK
 
 
+def _stdout():
+    """``sys.stdout``, or the OSError of a bad descriptor when it is None, as
+    Python leaves it when descriptor 1 is closed at start-up."""
+    if sys.stdout is None:
+        raise OSError(EBADF, os.strerror(EBADF))
+    return sys.stdout
+
+
 def _write_stdout(text):
     """Write all of ``text`` to stdout. An unbuffered stdout (PYTHONUNBUFFERED)
     may take only part of one write, so the bytes are written until none is
     left, and a closed reader raises BrokenPipeError. A character stdout
     cannot encode, such as a lone surrogate from a manifest's JSON escapes,
     is written as its backslash escape."""
-    out = getattr(sys.stdout, "buffer", None)
+    stdout = _stdout()
+    out = getattr(stdout, "buffer", None)
     if out is None:
-        sys.stdout.write(text)
+        stdout.write(text)
         return
-    sys.stdout.flush()
-    data = memoryview(text.encode(sys.stdout.encoding, "backslashreplace"))
+    stdout.flush()
+    data = memoryview(text.encode(stdout.encoding, "backslashreplace"))
     while data:
         data = data[out.write(data):]
 
@@ -479,7 +489,7 @@ def main(argv=None):
     gc.disable()
     try:
         code = args.func(args)
-        sys.stdout.flush()
+        _stdout().flush()
         return code
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
@@ -490,12 +500,13 @@ def main(argv=None):
     except OSError as err:
         # Writing stdout failed, an IO error; a closed pipe needs no message.
         # Pointing stdout at devnull keeps the interpreter's last flush from
-        # raising again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        try:
-            os.dup2(devnull, sys.stdout.fileno())
-        finally:
-            os.close(devnull)
+        # raising again; a stdout of None is never flushed.
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         if not isinstance(err, BrokenPipeError):
             print("parse error: cannot write stdout: %s" % err.strerror, file=sys.stderr)
         return EXIT_PARSE

@@ -37,18 +37,19 @@ class InvalidData(SpiralityError):
 class Value:
     """Base of the immutable value types.
 
-    A subclass lists its fields in ``__slots__`` (a slot whose name starts
-    with "_" is a cache, not a field). Its fields are those of every class
-    in its MRO, base classes first, and ``_setters`` holds the ``__set__``
-    of each field's slot, in the same order. ``__init__`` takes one value
-    per field, in field order, and sets each through its setter, past the
-    ``__setattr__`` that refuses assignment; any other count is a
-    TypeError. A subclass's own ``__init__`` only applies its defaults,
-    conversions and checks, then calls this one. Where that work is already
-    done, the package may build a value with ``object.__new__`` and set
-    every field through ``_setters`` itself, from fields it has checked (as
-    ``Slope.of``, the manifest readers and ``decorate_from_flow`` do); such
-    a value is the one its constructor would build.
+    A subclass lists its fields in ``__slots__``: no value has a cache
+    slot, and this class's ``__weakref__`` is the only slot that is not a
+    field. Its fields are those of every class in its MRO, base classes
+    first, and ``_setters`` holds the ``__set__`` of each field's slot, in
+    the same order. ``__init__`` takes one value per field, in field
+    order, and sets each through its setter, past the ``__setattr__`` that
+    refuses assignment; any other count is a TypeError. A subclass's own
+    ``__init__`` only applies its defaults, conversions and checks, then
+    calls this one. Where that work is already done, the package may build
+    a value with ``object.__new__`` and set every field through
+    ``_setters`` itself, from fields it has checked (as ``Slope.of``, the
+    manifest readers and ``decorate_from_flow`` do); such a value is the
+    one its constructor would build.
     Values are equal, and hash alike, when they are of one class and their
     fields are equal; the repr lists the fields. Values can be weakly
     referenced, copied and pickled.

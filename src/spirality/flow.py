@@ -28,14 +28,14 @@ changes nothing.
 A manifest is diagnosed once, when it is built: FlowManifest refuses data
 the formula is not defined on (say a one-sided torus, or a leaf length that
 is not positive) by raising InvalidFlow, and otherwise keeps the warnings and
-each torus's two sides, read once for all loops. Each boundary reads its leaf
-length once, when it is built, as an int pair.
+each torus's two sides, read once for all loops. The diagnosis reads each
+leaf length once, as a reduced int pair, and each side keeps its pair.
 """
 
 from enum import Enum
 from fractions import Fraction
 from math import prod
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .errors import InvalidData, Value, error, unhashable_ids, warning
 from .lattice import intersection_number
@@ -70,20 +70,14 @@ class PieceType(Enum):
 
 
 class PieceBoundary(Value):
-    """One boundary torus of a piece, with its degeneracy slope and leaf length.
-    The constructor caches the leaf length in ``_length``, as a reduced
-    (numerator, denominator) pair of ints, or None if not a rational."""
+    """One boundary torus of a piece, with its degeneracy slope and leaf length."""
 
-    __slots__ = ("id", "torus", "degeneracy_slope", "leaf_length", "_length")
+    __slots__ = ("id", "torus", "degeneracy_slope", "leaf_length")
 
     def __init__(self, id, torus, degeneracy_slope, leaf_length):
         super().__init__(id, torus, degeneracy_slope, leaf_length)
-        # the test an h passes, which the first settles for a Fraction
-        _set_length(self, leaf_length.as_integer_ratio() if type(leaf_length) is Fraction
-                    or isinstance(leaf_length, jsj._RATIONAL) else None)
 
 
-_length, _set_length = attrgetter("_length"), PieceBoundary._length.__set__
 _first, _second = itemgetter(0), itemgetter(1)
 _new = object.__new__
 
@@ -117,7 +111,7 @@ class FlowManifest:
         self.pieces = tuple(pieces)
         self.tori = tuple(tori)
         try:
-            errors, warnings, self._sides = _diagnose(self)
+            errors, warnings, self._sides, self._equiperiodic = _diagnose(self)
         except TypeError:
             # an id or a reference that cannot key an index
             errors, warnings = _unhashable(self), []
@@ -180,29 +174,37 @@ NOT_TRANSVERSE = "NotFlowTransverse"
 
 def _diagnose(m):
     """A flow manifest's structural errors and warnings: piece by piece, torus
-    by torus, then each boundary no torus side claims; and ``sides``, each
-    torus id's plus and minus sides resolved to (piece id, PieceBoundary)."""
+    by torus, then each boundary no torus side claims. Each leaf length is
+    read once, as a reduced (numerator, denominator) pair of ints, or None
+    if it is not a rational. Also returns ``sides``, each torus id's plus
+    and minus sides resolved to (piece id, degeneracy slope, pair), and
+    whether every piece has one leaf length."""
     errors, warnings = [], []
     torus_ids = {t.id for t in m.tori}
-    # each piece id's boundaries by id; the last piece and first boundary win
+    # each piece id's (boundary, pair)s by id; the last piece and first boundary win
     boundaries = {}
+    equiperiodic = True
     for p in m.pieces:
         if p.id in boundaries:
             errors.append(error(DUPLICATE_ID, "duplicate piece id %r" % p.id))
         own = boundaries[p.id] = {}
+        pairs = []
         for b in p.boundaries:
             if b.id in own:
                 errors.append(error(DUPLICATE_ID,
                                     "duplicate boundary id %r on piece %r" % (b.id, p.id)))
-            own.setdefault(b.id, b)
-            pair = b._length
+            length = b.leaf_length
+            # an int or a Fraction; the first test settles a Fraction
+            pair = (length.as_integer_ratio() if type(length) is Fraction
+                    or isinstance(length, (int, Fraction)) else None)
+            own.setdefault(b.id, (b, pair))
+            pairs.append(pair)
             if pair is None:
                 errors.append(error(NON_RATIONAL_LEAF, "boundary %r of piece %r has "
-                                    "non-rational leaf length %r"
-                                    % (b.id, p.id, b.leaf_length)))
+                                    "non-rational leaf length %r" % (b.id, p.id, length)))
             elif pair[0] <= 0:  # a Fraction's denominator is positive
                 errors.append(error(NON_POSITIVE_LEAF, "boundary %r of piece %r has "
-                                    "leaf length %s" % (b.id, p.id, b.leaf_length)))
+                                    "leaf length %s" % (b.id, p.id, length)))
             if b.torus not in torus_ids:
                 errors.append(error(DANGLING_REF,
                                     "boundary %r of piece %r references missing torus %r"
@@ -212,10 +214,13 @@ def _diagnose(m):
                                         "degeneracy slope on %r/%r has multiplicity %d; "
                                         "closed leaves are primitive curves"
                                         % (p.id, b.id, b.degeneracy_slope.multiplicity)))
-        if p.type is PieceType.SEIFERT and not _one_leaf_length(p):
-            errors.append(error(SEIFERT_LEAF_MISMATCH,
-                                "Seifert piece %r has unequal boundary leaf lengths "
-                                "(the ordinary fiber has one length)" % p.id))
+        # the list compare stops at the first pair that is not the first one
+        if pairs[:1] * len(pairs) != pairs:
+            equiperiodic = False
+            if p.type is PieceType.SEIFERT:
+                errors.append(error(SEIFERT_LEAF_MISMATCH,
+                                    "Seifert piece %r has unequal boundary leaf lengths "
+                                    "(the ordinary fiber has one length)" % p.id))
     sides = {}
     claimed = set()
     for t in m.tori:
@@ -229,7 +234,7 @@ def _diagnose(m):
                                     "torus %r %s side references missing piece %r"
                                     % (t.id, name, piece_id)))
                 continue
-            b = own.get(boundary_id)
+            b, pair = own.get(boundary_id, (None, None))
             if b is None:
                 errors.append(error(DANGLING_REF,
                                     "torus %r %s side references missing boundary %r/%r"
@@ -245,14 +250,14 @@ def _diagnose(m):
                                     "boundary %r/%r is claimed by two torus sides"
                                     % (piece_id, boundary_id)))
             claimed.add((piece_id, boundary_id))
-            resolved.append((piece_id, b))
+            resolved.append((piece_id, b.degeneracy_slope, pair))
     for p in m.pieces:
         for b in p.boundaries:
             if b.torus in torus_ids and (p.id, b.id) not in claimed:
                 errors.append(error(UNPAIRED_BOUNDARY,
                                     "boundary %r/%r is not a side of any torus"
                                     % (p.id, b.id)))
-    return errors, warnings, sides
+    return errors, warnings, sides, equiperiodic
 
 
 def _unhashable(m):
@@ -272,14 +277,7 @@ def equiperiodic_rho_is_one(m):
     In that case every segment ratio is 1 and the spirality of any loop
     reduces to the bare sigma product.
     """
-    return all(map(_one_leaf_length, m.pieces))
-
-
-def _one_leaf_length(piece):
-    """Whether all boundaries of the piece have one cached leaf length: the
-    list compare stops at the first length that is not the first one."""
-    lengths = list(map(_length, piece.boundaries))
-    return lengths[:1] * len(lengths) == lengths
+    return m._equiperiodic
 
 
 class FlowFactors(Value):
@@ -328,13 +326,13 @@ def validate_itinerary(itinerary, m):
     plus = Side.PLUS
     intersections, left_lengths, entered_lengths, left_pieces = [], [], [], []
     for i, c in enumerate(crossings):
-        pair = sides[c.torus]
-        (leave_piece, leave), (enter_piece, enter) = (
-            pair if c.from_side is plus else pair[::-1])
+        torus_sides = sides[c.torus]
+        (leave_piece, leave_slope, leave_length), (enter_piece, enter_slope, enter_length) = (
+            torus_sides if c.from_side is plus else torus_sides[::-1])
         if i and entered_piece != leave_piece:
             out.append(_piece_mismatch(i - 1, entered_piece, i, leave_piece))
-        n_leave = intersection_number(c.curve, leave.degeneracy_slope)
-        n_enter = intersection_number(c.curve, enter.degeneracy_slope)
+        n_leave = intersection_number(c.curve, leave_slope)
+        n_enter = intersection_number(c.curve, enter_slope)
         if n_leave == 0 or n_enter == 0:
             for count, role in ((n_leave, "leaves"), (n_enter, "enters")):
                 if count == 0:
@@ -342,8 +340,8 @@ def validate_itinerary(itinerary, m):
                                      "crossing %d on torus %r is parallel to the "
                                      "degeneracy slope it %s" % (i, c.torus, role)))
         intersections.append((n_leave, n_enter))
-        left_lengths.append(leave._length)
-        entered_lengths.append(enter._length)
+        left_lengths.append(leave_length)
+        entered_lengths.append(enter_length)
         left_pieces.append(leave_piece)
         entered_piece = enter_piece
     if entered_piece != left_pieces[0]:

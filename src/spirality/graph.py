@@ -134,11 +134,12 @@ def _diagnose(g):
     """A graph's structural errors and warnings, vertex by vertex, then edge
     by edge; without errors every holonomy is a nonzero rational."""
     errors, warnings = [], []
-    seen = set()
+    # the last vertex of an id wins
+    vertex_by_id = {}
     for v in g.vertices:
-        if v.id in seen:
+        if v.id in vertex_by_id:
             errors.append(error(DUPLICATE_ID, "duplicate vertex id %r" % v.id))
-        seen.add(v.id)
+        vertex_by_id[v.id] = v
         count = v.internal_omega_generators
         if not isinstance(count, int) or isinstance(count, bool):
             errors.append(error(BAD_INTERNAL_GENERATORS,
@@ -148,7 +149,6 @@ def _diagnose(g):
             errors.append(error(BAD_INTERNAL_GENERATORS,
                                 "vertex %r has negative internal generator count" % v.id))
     seen = set()
-    vertex_by_id = {v.id: v for v in g.vertices}
     for e in g.edges:
         if e.id in seen:
             errors.append(error(DUPLICATE_ID, "duplicate edge id %r" % e.id))

@@ -98,8 +98,8 @@ class _Reader:
     fails its test to ``_field``, so the first fault in field order is the
     one raised and a field's path is formatted only for a message. Equal raw
     slopes and raw leaf lengths are normalised once, in memos that die with
-    the reader: ``slopes`` holds each slope, and ``lengths`` each leaf length
-    with its reduced int pair. Any other rational is parsed where it is read.
+    the reader: ``slopes`` holds each slope, and ``lengths`` each leaf
+    length's Fraction. Any other rational is parsed where it is read.
     The readers of the records a long manifest repeats (crossing, boundary,
     torus, vertex, edge) take a memo hit, and read a well-formed torus side,
     inline, and build their values with ``object.__new__`` and the class's
@@ -279,7 +279,6 @@ def _boundaries(r, value, where, at):
     slopes, lengths = r.slopes, r.lengths
     Boundary = flow.PieceBoundary
     set_id, set_torus, set_slope, set_length = Boundary._setters
-    set_pair = flow._set_length
     for j, b in enumerate(value):
         here = at + (j,)
         if type(b) is not dict or not b.keys() <= _BOUNDARY:
@@ -300,20 +299,19 @@ def _boundaries(r, value, where, at):
             slope = (_slope(r, raw_slope, where, here, "degeneracy_slope")
                      if raw_slope is not _MISSING
                      else _field(r, _MISSING, _slope, where, here, "degeneracy_slope"))
-        # the length and its int pair, read once for equal raw lengths
+        # the length, read once for equal raw lengths
         length = (lengths.get(raw_length) if type(raw_length) is str or type(raw_length) is int
                   else None)
         if length is None:
-            q = (_rational(r, raw_length, where, here, "leaf_length")
-                 if raw_length is not _MISSING
-                 else _field(r, _MISSING, _rational, where, here, "leaf_length"))
-            length = lengths[raw_length] = q, q.as_integer_ratio()
+            length = lengths[raw_length] = (
+                _rational(r, raw_length, where, here, "leaf_length")
+                if raw_length is not _MISSING
+                else _field(r, _MISSING, _rational, where, here, "leaf_length"))
         boundary = _new(Boundary)
         set_id(boundary, bid)
         set_torus(boundary, torus)
         set_slope(boundary, slope)
-        set_length(boundary, length[0])
-        set_pair(boundary, length[1])
+        set_length(boundary, length)
         boundaries.append(boundary)
     return boundaries
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import gc
 import importlib.util
 import io
@@ -9,7 +10,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime, timedelta, timezone
-from errno import EISDIR, ENOENT, ENOSPC
+from errno import EBADF, EISDIR, ENOENT, ENOSPC
 from pathlib import Path
 
 import pytest
@@ -673,6 +674,43 @@ class TestReporting:
         assert proc.stderr == ("parse error: cannot write stdout: %s\n"
                                % os.strerror(ENOSPC)).encode()
 
+    NO_STDOUT = "parse error: cannot write stdout: %s\n" % os.strerror(EBADF)
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "m.json"], ["aspiral", "m.json"], ["rw", "m.json"], ["fdtc", "m.json"],
+        ["gen", "twist-family"], ["gen", "twist-family", "--out", "out.json"],
+        ["crosscheck", "m.json"], ["crosscheck", "--random", "2"],
+        ["rw", "--format", "structured", "m.json"]],
+        ids=["validate", "aspiral", "rw", "fdtc", "gen", "gen-out", "crosscheck",
+             "crosscheck-random", "rw-structured"])
+    def test_a_stdout_of_none_is_an_io_error(self, tmp_path, capsys, monkeypatch, argv):
+        # an interpreter started with descriptor 1 closed sets sys.stdout to None
+        run(capsys, "gen", "twist-family", "--out", str(tmp_path / "m.json"))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(argv)
+        monkeypatch.undo()
+        assert (code, capsys.readouterr().err) == (2, self.NO_STDOUT)
+
+    def test_help_with_a_stdout_of_none_goes_to_stderr(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        monkeypatch.undo()
+        assert exit_.value.code == 0
+        assert capsys.readouterr().err.startswith("usage: spirality")
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs a POSIX shell to close stdout")
+    def test_a_closed_stdout_descriptor_is_an_io_error(self, tmp_path, capsys):
+        path = str(tmp_path / "m.json")
+        run(capsys, "gen", "twist-family", "--out", path)
+        env = dict(os.environ, PYTHONPATH=str(Path(spirality.__file__).parents[1]))
+        # the shell starts the interpreter with descriptor 1 closed
+        proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable,
+                               "-m", "spirality.cli", "rw", path],
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, self.NO_STDOUT.encode())
+
     FORGED = "e2\naspiral: yes\nvirtually embedded: yes"
 
     def test_an_edge_id_cannot_forge_a_line_of_the_report(self, tmp_path, capsys):
@@ -773,6 +811,10 @@ class TestReporting:
         assert "spirality: 3/2" in out.out
 
 
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 class TestStartup:
     LAYERS = ("cli", "manifest", "graph", "flow", "lattice", "rational", "generators")
 
@@ -798,6 +840,44 @@ class TestStartup:
         sources = sorted(Path(spirality.__file__).parent.glob("*.py"))
         assert {p.stem for p in sources} >= set(self.LAYERS)
         assert [p.name for p in sources if "dataclass" in p.read_text(encoding="utf-8")] == []
+
+    def test_the_sources_keep_their_rules(self):
+        """Every module of the package, read as an AST: (a) it imports only
+        the standard library (or ``_sha2``, Python 3.12's name for the
+        builtin sha256 module), (b) it divides by no ``/`` and calls no
+        ``float``, so its arithmetic stays exact (a float literal is allowed),
+        and (c) it reads no private name of another package module, as
+        ``mod._x`` or by ``from .mod import _x``; a class attribute such as
+        ``Vertex._setters`` is allowed."""
+        faults = []
+        for source in sorted(Path(spirality.__file__).parent.glob("*.py")):
+            tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+            # the names this module binds to package modules
+            modules = {alias.asname or alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level and not node.module
+                       for alias in node.names}
+            for node in ast.walk(tree):
+                where = "%s:%d" % (source.name, getattr(node, "lineno", 0))
+                if isinstance(node, ast.Import):
+                    faults += ["%s imports %s" % (where, alias.name) for alias in node.names
+                               if alias.name.split(".")[0] not in sys.stdlib_module_names]
+                elif isinstance(node, ast.ImportFrom):
+                    if not node.level and node.module.split(".")[0] not in (
+                            sys.stdlib_module_names | {"_sha2"}):
+                        faults.append("%s imports %s" % (where, node.module))
+                    if node.level and node.module:
+                        faults += ["%s imports %s from .%s" % (where, alias.name, node.module)
+                                   for alias in node.names if _private(alias.name)]
+                elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op,
+                                                                                  ast.Div):
+                    faults.append("%s divides with /" % where)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "float"):
+                    faults.append("%s calls float" % where)
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in modules and _private(node.attr)):
+                    faults.append("%s reads %s.%s" % (where, node.value.id, node.attr))
+        assert faults == []
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])

@@ -315,18 +315,28 @@ def self_glued(lengths, piece_type=PieceType.SEIFERT):
     return [Piece("S", piece_type, boundaries)], tori
 
 
+def resolved_pairs(m):
+    """The leaf-length pairs the manifest resolved, torus by torus, plus
+    side first."""
+    return [pair for t in m.tori for _, _, pair in m._sides[t.id]]
+
+
 class TestLeafLengthPairs:
     """Each boundary's leaf length, read once by the diagnosis as a reduced
     pair of ints, against the Fraction it was given as."""
 
     def test_each_pair_is_the_reduced_fraction(self):
         for m, _ in decorated_cases():
-            for p in m.pieces:
-                for b in p.boundaries:
-                    num, den = b._length
+            for t in m.tori:
+                sides = []
+                for side in (Side.PLUS, Side.MINUS):
+                    piece, b = side_boundary(m, t.id, side)
+                    length = Fraction(b.leaf_length)
+                    sides.append((piece.id, b.degeneracy_slope,
+                                  (length.numerator, length.denominator)))
+                assert m._sides[t.id] == sides
+                for _, _, (num, den) in m._sides[t.id]:
                     assert type(num) is int and type(den) is int
-                    assert (num, den) == (Fraction(b.leaf_length).numerator,
-                                          Fraction(b.leaf_length).denominator)
 
     def test_unreduced_and_integer_lengths_are_read_reduced(self):
         boundaries = [{"id": "b%d" % i, "torus": "T%d" % (i // 2),
@@ -337,9 +347,9 @@ class TestLeafLengthPairs:
         m = parse_manifest(json.dumps({"pieces": [{"id": "P", "type": "pseudo_anosov",
                                                    "boundaries": boundaries}],
                                        "tori": tori})).flow
-        assert [b._length for b in m.pieces[0].boundaries] == [(1, 2), (4, 1), (3, 2), (7, 2)]
+        assert resolved_pairs(m) == [(1, 2), (4, 1), (3, 2), (7, 2)]
         m = FlowManifest(*self_glued([4, True], PA))
-        assert [b._length for b in m.pieces[0].boundaries] == [(4, 1), (1, 1)]
+        assert resolved_pairs(m) == [(4, 1), (1, 1)]
 
     def test_consumers_match_the_fraction_oracles(self):
         rng = seeded(311)

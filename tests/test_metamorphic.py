@@ -18,10 +18,18 @@ Graph manifests are planted graphs, written as JSON documents:
   and the ``s(internal loops at ...)`` rows, which follow vertex order;
 * multiplying every h at one vertex's ends by a positive integer changes no
   byte but the digest.
+
+Both kinds of manifest, the flow cases and the graph documents above:
+
+* renaming every id by a map that keeps their order, to ids of another
+  length and prefix, renames the ids in every command's output and changes
+  nothing else but the digest. The order matters: the spanning forest takes
+  the lowest edge ids first.
 """
 
 import json
 import random
+import re
 
 import pytest
 
@@ -230,3 +238,54 @@ def test_regauging_one_vertex_changes_no_byte_but_the_digest(capsys, tmp_path, d
     for vertex_id in rng.sample(vertex_ids, min(4, len(vertex_ids))):
         regauged = _regauged(doc, vertex_id, rng.randint(2, 9))
         assert _outcomes(capsys, tmp_path, regauged, fmt) == base, vertex_id
+
+
+# The fields that hold an id or a reference to one.
+_ID_KEYS = {"id", "torus", "piece", "boundary", "from", "to"}
+_NEW_ID = re.compile(r"ren[0-9]{5}")
+
+
+def _ids(node):
+    """The ids and id references of a manifest document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in _ID_KEYS and isinstance(value, str):
+                yield value
+            else:
+                yield from _ids(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _ids(value)
+
+
+def _renamed(node, names):
+    if isinstance(node, dict):
+        return {key: names[value] if key in _ID_KEYS and isinstance(value, str)
+                else _renamed(value, names) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_renamed(value, names) for value in node]
+    return node
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(json.loads(dumps_manifest(**sections(case.values[0]))), id=case.id)
+    for case in CASES] + GRAPHS)
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_renaming_the_ids_in_order_renames_the_output(capsys, tmp_path, doc, fmt):
+    # each id's rank, zero-padded, so that the new ids sort as the old ones
+    names = {old: "ren%05d" % rank for rank, old in enumerate(sorted(set(_ids(doc))))}
+    assert not any(map(_NEW_ID.search, names))
+    back = {new: old for old, new in names.items()}
+
+    def restored(text):
+        return _NEW_ID.sub(lambda match: back[match.group()], text)
+
+    base = _outcomes(capsys, tmp_path, doc, fmt)
+    renamed = _outcomes(capsys, tmp_path, _renamed(doc, names), fmt)
+    for command in _PATH_COMMANDS:
+        code, rows, err = renamed[command]
+        assert (code, [tuple(map(restored, row)) for row in rows], restored(err)) == (
+            base[command]), command
+    # the new ids reach the output
+    assert any(_NEW_ID.search(part) for _, rows, _ in renamed.values()
+               for row in rows for part in row)
