@@ -205,28 +205,18 @@ def cmd_validate(parsed, computed, report):
     return EXIT_OK
 
 
-def _graph_for_aspiral(parsed, factors, report):
-    if parsed.graph is not None:
-        return parsed.graph
-    if parsed.flow is not None and parsed.loop is not None:
-        report.add("note", "graph decorated from the flow manifest along the loop")
-        return flow.decorate_from_flow(factors, parsed.flow)
-    raise SpiralityError("manifest carries neither a graph nor a flow+loop pair")
-
-
 def cmd_aspiral(parsed, computed, report):
-    factors, _ = computed
-    g = _graph_for_aspiral(parsed, factors, report)
+    g = parsed.graph
+    if g is None:
+        if parsed.flow is None or parsed.loop is None:
+            raise SpiralityError("manifest carries neither a graph nor a flow+loop pair")
+        factors, _ = computed
+        return _loop_aspiral(factors, report)
     char = jsj.character(g)
     for edge_id, value in zip(char.cycle_edges, char.values):
         report.add("s(%s)" % edge_id, format_rational(value))
     for vertex_id, sign in char.internal_signs:
         report.add("s(internal loops at %s)" % vertex_id, format_rational(sign))
-    if char.aspiral and parsed.graph is None:
-        # one loop of value +-1 says nothing of the loops elsewhere
-        for label in ("aspiral", "virtually embedded", "virtually a taut-foliation leaf"):
-            report.add(label, "inconclusive (one loop)", "yellow")
-        return EXIT_OK
     answer = "yes (vacuous)" if char.aspiral and not g.vertices else _yesno(char.aspiral)[0]
     report.add("aspiral", answer, "green" if char.aspiral else "red")
     if not char.aspiral:
@@ -235,6 +225,30 @@ def cmd_aspiral(parsed, computed, report):
     # embedding criterion: virtually embedded, and a virtual taut leaf, iff aspiral
     for label in ("virtually embedded", "virtually a taut-foliation leaf"):
         report.add(label, *_yesno(char.aspiral))
+    return EXIT_OK
+
+
+def _loop_aspiral(factors, report):
+    """The rows of ``character(decorate_from_flow(factors, m))``, read off the
+    check's factors. That graph is one cycle whose edges x000, x001, ... the
+    loop runs forward in order, so its lowest-id spanning forest leaves out
+    the one edge whose id is greatest as a string. That edge's fundamental
+    cycle is the loop started there, and its value the loop's spirality."""
+    report.add("note", "graph decorated from the flow manifest along the loop")
+    ids = [flow.EDGE_ID % i for i in range(len(factors.pieces))]
+    k = ids.index(max(ids))
+    value = flow.flow_spirality(factors)
+    text = format_rational(value)
+    report.add("s(%s)" % ids[k], text)
+    # one loop of value +-1 says nothing of the loops elsewhere
+    aspiral = abs(value) == 1
+    verdict, color = ("inconclusive (one loop)", "yellow") if aspiral else ("no", "red")
+    report.add("aspiral", verdict, color)
+    if not aspiral:
+        report.add("witness cycle", "·".join(ids[k:] + ids[:k]))
+        report.add("witness value", text)
+    for label in ("virtually embedded", "virtually a taut-foliation leaf"):
+        report.add(label, verdict, color)
     return EXIT_OK
 
 

@@ -363,6 +363,10 @@ def flow_spirality(factors):
                     prod(map(_second, intersections)) * prod(map(_second, rhos)))
 
 
+# The id of crossing i's edge in decorate_from_flow's graph.
+EDGE_ID = "x%03d"
+
+
 def decorate_from_flow(factors, m):
     """Build the decorated dual graph along a loop from its FlowFactors.
 
@@ -397,7 +401,7 @@ def decorate_from_flow(factors, m):
     edges = []
     for i, (n_leave, n_enter) in enumerate(factors.intersections):
         edge = _new(Edge)
-        set_id(edge, "x%03d" % i)
+        set_id(edge, EDGE_ID % i)
         set_from(edge, ids[i])
         set_to(edge, ids[i + 1 - n])
         set_h_ini(edge, n_leave * rhos[i][0])

@@ -28,6 +28,7 @@ state.
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from .errors import InvalidData, Value, error, unhashable_ids, warning
 
@@ -195,32 +196,31 @@ def _unhashable(g):
            for field, value in (("id", e.id), ("end", e.from_vertex), ("end", e.to_vertex))])
 
 
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent, u, v):
-    """Join the union-find classes of u and v; False when they were one already."""
-    ru, rv = _find(parent, u), _find(parent, v)
-    if ru == rv:
-        return False
-    parent[ru] = rv
-    return True
+_by_id = attrgetter("id")
 
 
 def spanning_forest(g):
     """The deterministic spanning forest, lowest edge id first: its tree edge
-    ids, and the other edges in id order."""
+    ids, and the other edges in id order.
+
+    One pass of union-find over the edges in id order, inlined: each end
+    climbs to the root of its class, halving its path on the way, and an
+    edge whose ends have one root closes a cycle.
+    """
     parent = {v.id: v.id for v in g.vertices}
     tree, others = [], []
-    for e in sorted(g.edges, key=lambda e: e.id):
-        if _union(parent, e.from_vertex, e.to_vertex):
-            tree.append(e.id)
-        else:
+    for e in sorted(g.edges, key=_by_id):
+        u, v = e.from_vertex, e.to_vertex
+        # each step points u at its grandparent, then moves there
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             others.append(e)
+        else:
+            parent[u] = v
+            tree.append(e.id)
     return frozenset(tree), others
 
 
@@ -303,15 +303,21 @@ class SpiralityCharacter(Value):
         return self.values[self.cycle_edges.index(self.witness.steps[0][0])]
 
 
+# The values of an aspiral character, shared by every row that has one.
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
 def character(g):
     """Compute the spirality character on the fundamental cycles of the
     spanning forest that takes the lowest edge ids first.
 
     Aspirality and the value on any fixed homology class do not depend on
     the forest. One walk of the forest gives every vertex its potential, and
-    each non-tree edge's value is one reduction of an integer product, so
-    the cost is O(V + E) operations on the potentials; the only cycle built
-    is the witness, walked out on the same walk's parent pointers.
+    each non-tree edge's value is an integer product, so the cost is
+    O(V + E) operations on the potentials. A value of +-1, the aspiral
+    case, is one of two shared Fractions; only a value off +-1 is reduced
+    into a new one. The only cycle built is the witness, walked out on the
+    same walk's parent pointers.
     """
     forest, others = spanning_forest(g)
     tree = _forest_walk(g, forest)
@@ -324,11 +330,16 @@ def character(g):
         h_ini, h_ter = e.h_ini, e.h_ter
         num = h_ini.numerator * h_ter.denominator * e.omega * num_u * den_v
         den = h_ini.denominator * h_ter.numerator * den_u * num_v
-        # the value is +-1 exactly when |num| = |den|
-        if witness is None and abs(num) != abs(den):
-            witness = DirectedCycle([(e.id, FORWARD)]
-                                    + _tree_path(tree, e.to_vertex, e.from_vertex))
-        values.append(Fraction(num, den))
+        # a value of +-1 is one of two shared Fractions; any other is built
+        if num == den:
+            values.append(_ONE)
+        elif num == -den:
+            values.append(_MINUS_ONE)
+        else:
+            if witness is None:
+                witness = DirectedCycle([(e.id, FORWARD)]
+                                        + _tree_path(tree, e.to_vertex, e.from_vertex))
+            values.append(Fraction(num, den))
     internal = tuple((v.id, -1) for v in g.vertices if v.internal_omega_generators > 0)
     return SpiralityCharacter(forest, tuple(values), tuple(e.id for e in others),
                               internal, witness)

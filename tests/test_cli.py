@@ -17,13 +17,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spirality
-from spirality import (DecoratedJSJGraph, Edge, TwistFamilyParams, dumps_manifest, flow,
-                       format_rational, gen_random_flow, gen_twist_family)
+from spirality import (Crossing, DecoratedJSJGraph, Edge, FlowManifest, LoopItinerary,
+                       Piece, PieceBoundary, Slope, Torus, TwistFamilyParams, character,
+                       decorate_from_flow, dumps_manifest, flow, format_rational,
+                       gen_matched_slopes, gen_random_flow, gen_twist_family,
+                       parse_manifest)
 from spirality import cli
 from spirality.cli import Report, main
-from test_golden import CORPUS, _deep_graph
+from test_golden import CORPUS, TWIST_GRID, _deep_graph
 from test_manifest import FULL_MANIFEST, _node_paths, json_values, replace_node
-from util import rho, segments_of, sigma
+from util import factors_of, rho, segments_of, sigma
 
 GOOD_GRAPH = """
 {
@@ -176,14 +179,97 @@ class TestAspiral:
             path = write(tmp_path, "g.json", GOOD_GRAPH if kind == "triangle"
                          else json.dumps(_deep_graph()))
         calls = {}
-        for name in ("character", "_forest_walk"):
-            def counted(*args, name=name, real=getattr(spirality.graph, name)):
+        for module, name in ((spirality.graph, "character"), (spirality.graph, "_forest_walk"),
+                             (spirality.flow, "decorate_from_flow")):
+            def counted(*args, name=name, real=getattr(module, name)):
                 calls[name] = calls.get(name, 0) + 1
                 return real(*args)
-            monkeypatch.setattr(spirality.graph, name, counted)
+            monkeypatch.setattr(module, name, counted)
         code, out = run(capsys, "aspiral", path)
         assert code == 0 and answer in out.out
-        assert calls == {"character": 1, "_forest_walk": 1}
+        # a loop's rows are read off the check's factors: no graph is built
+        assert calls == ({} if kind == "twist" else {"character": 1, "_forest_walk": 1})
+
+
+def _twist(k, p, q, d):
+    r_minus = 1 + max(0, k)
+    return gen_twist_family(TwistFamilyParams(k=k, p=p, q=q, r_minus=r_minus,
+                                              r_plus=r_minus - k, d=d))
+
+
+def _one_crossing(exit_length, entry_length):
+    """One piece glued to itself along one torus, and a loop that crosses it
+    once: its spirality is entry_length / exit_length."""
+    m = FlowManifest(
+        [Piece("P", "pseudo_anosov",
+               [PieceBoundary("b1", "T", Slope((1, 0)), exit_length),
+                PieceBoundary("b2", "T", Slope((0, 1)), entry_length)])],
+        [Torus("T", ("P", "b1"), ("P", "b2"))])
+    return m, LoopItinerary([Crossing("T", Slope((1, 1)), "plus")])
+
+
+def _rows_from_the_decorated_graph(factors, m):
+    """The rows aspiral prints for a loop, read off the character of its
+    decorated graph as the graph route reads a graph's, with the one-loop
+    verdict."""
+    char = character(decorate_from_flow(factors, m))
+    assert not char.internal_signs
+    verdict = "no" if char.witness else "inconclusive (one loop)"
+    rows = [("note", "graph decorated from the flow manifest along the loop")]
+    rows += [("s(%s)" % e, format_rational(v)) for e, v in zip(char.cycle_edges, char.values)]
+    rows.append(("aspiral", verdict))
+    if char.witness:
+        rows += [("witness cycle", str(char.witness)),
+                 ("witness value", format_rational(char.witness_value))]
+    return rows + [(label, verdict)
+                   for label in ("virtually embedded", "virtually a taut-foliation leaf")]
+
+
+class TestLoopAspiral:
+    """aspiral on a flow manifest prints what the character of the decorated
+    graph gives, read off the check's factors instead."""
+
+    @staticmethod
+    def rows(tmp_path, capsys, m, loop):
+        path = write(tmp_path, "m.json", dumps_manifest(flow_manifest=m, loop=loop))
+        code, out = run(capsys, "aspiral", path)
+        assert code == 0 and out.err == ""
+        got = [tuple(line.split(": ", 1)) for line in out.out.splitlines()]
+        assert got[:2] == [("command", "aspiral"), ("digest", got[1][1])]
+        parsed = parse_manifest(Path(path).read_text(encoding="utf-8"))
+        assert got[2:] == _rows_from_the_decorated_graph(
+            factors_of(parsed.loop, parsed.flow), parsed.flow)
+        return dict(got[2:])
+
+    def test_random_flows(self, tmp_path, capsys):
+        verdicts = {self.rows(tmp_path, capsys, *gen_random_flow(seed))["aspiral"]
+                    for seed in range(200)}
+        assert verdicts == {"no", "inconclusive (one loop)"}
+
+    def test_the_twist_grid_and_matched_slopes(self, tmp_path, capsys):
+        for k, p, q, d in TWIST_GRID:
+            inst = _twist(k, p, q, d)
+            assert self.rows(tmp_path, capsys, inst.manifest, inst.loop)["aspiral"] == "no"
+        for n, seed in ((2, 0), (5, 3)):
+            rows = self.rows(tmp_path, capsys, *gen_matched_slopes(n, seed))
+            assert rows["aspiral"] == "inconclusive (one loop)"
+
+    @pytest.mark.parametrize("d, label", [(600, "x999"), (5001, "x9999")])
+    def test_long_loops_leave_out_the_greatest_id_as_a_string(self, tmp_path, capsys,
+                                                               d, label):
+        # 2d crossings, past 1000 and past 10000: the string order of the ids
+        # is not their numeric order
+        inst = _twist(2, 1, 1, d)
+        rows = self.rows(tmp_path, capsys, inst.manifest, inst.loop)
+        assert "s(%s)" % label in rows
+        steps = rows["witness cycle"].split("·")
+        assert len(steps) == 2 * d and steps[0] == label
+
+    @pytest.mark.parametrize("lengths, value", [((2, 3), "3/2"), ((5, 5), "1")])
+    def test_a_one_crossing_loop(self, tmp_path, capsys, lengths, value):
+        rows = self.rows(tmp_path, capsys, *_one_crossing(*lengths))
+        assert rows["s(x000)"] == value
+        assert rows.get("witness cycle", "x000") == "x000"
 
 
 class TestRw:

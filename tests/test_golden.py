@@ -34,7 +34,12 @@ When an output changes on purpose, regenerate the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and name every changed case in CHANGES.md.
+and name every changed case in CHANGES.md. To replay the corpus without
+pytest, say under another interpreter, run
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+which names each case that changed and exits 1 if any did.
 """
 
 import difflib
@@ -43,6 +48,7 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -556,11 +562,28 @@ def _diff(case, got):
     return "\n".join(lines)
 
 
-def test_golden_corpus(tmp_path, monkeypatch):
+def _changed(case, got, corpus, work):
+    """How a replayed case differs from its record, or None when it does not."""
+    if any(got[key] != case[key] for key in ("stdout", "stderr", "code")):
+        return _diff(case, got)
+    if case["writes"] is not None:
+        written = (work / "written.json").read_text(encoding="utf-8")
+        if written != corpus["inputs"][case["writes"]]:
+            return "written manifest differs"
+    return None
+
+
+def _load_corpus(work):
+    """The corpus, with its inputs written to ``work``."""
     corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
-    assert len(corpus["cases"]) > 300
     for name, text in corpus["inputs"].items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        (work / name).write_text(text, encoding="utf-8")
+    return corpus
+
+
+def test_golden_corpus(tmp_path, monkeypatch):
+    corpus = _load_corpus(tmp_path)
+    assert len(corpus["cases"]) > 300
     monkeypatch.chdir(tmp_path)
     # cli.main runs each command with the cyclic collector paused, which is
     # sound only while a command makes no cyclic garbage. With the collector
@@ -583,17 +606,50 @@ def test_golden_corpus(tmp_path, monkeypatch):
         finally:
             if was:
                 gc.enable()
-        if any(got[key] != case[key] for key in ("stdout", "stderr", "code")):
-            changed.append((case, _diff(case, got)))
-        elif case["writes"] is not None:
-            written = (tmp_path / "written.json").read_text(encoding="utf-8")
-            if written != corpus["inputs"][case["writes"]]:
-                changed.append((case, "written manifest differs"))
+        why = _changed(case, got, corpus, tmp_path)
+        if why is not None:
+            changed.append((case, why))
     assert not changed, "%d cases changed: %s\nfirst: %s\n%s" % (
         len(changed), ", ".join(c["name"] for c, _ in changed),
         changed[0][0]["name"], changed[0][1])
     assert not cyclic, "%d cases left cyclic garbage: %s" % (len(cyclic), ", ".join(cyclic))
 
 
+def test_check_names_the_cases_that_changed(tmp_path, monkeypatch, capsys):
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    kept, altered = [dict(case) for case in corpus["cases"][:2]]
+    altered["stdout"] += "a row the code does not print\n"
+    small = tmp_path / "corpus.json"
+    small.write_text(json.dumps(dict(corpus, cases=[kept, altered])), encoding="utf-8")
+    monkeypatch.setitem(globals(), "CORPUS", small)
+    assert check() == 1
+    out = capsys.readouterr().out
+    assert out.startswith("changed: %s\n1 of 2 cases changed (Python " % altered["name"])
+
+
+def check():
+    """Replay every case on the current code and name the cases that changed;
+    returns how many did."""
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        corpus = _load_corpus(work)
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            changed = [case["name"] for case in corpus["cases"]
+                       if _changed(case, _capture(case["argv"]), corpus, work) is not None]
+        finally:
+            os.chdir(cwd)
+    for name in changed:
+        print("changed: %s" % name)
+    print("%d of %d cases changed (Python %s)" % (len(changed), len(corpus["cases"]),
+                                                 sys.version.split()[0]))
+    return len(changed)
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(1 if check() else 0)
+    if sys.argv[1:]:
+        sys.exit("usage: test_golden.py [--check]")
     capture()

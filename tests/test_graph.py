@@ -9,9 +9,9 @@ from spirality import (DecoratedJSJGraph, Vertex, Edge, DirectedCycle, VertexKin
 from spirality.graph import (FORWARD, BACKWARD, spanning_forest,
                              BAD_INTERNAL_GENERATORS, DANGLING_EDGE, NON_POSITIVE_H,
                              NON_RATIONAL_H, BAD_OMEGA, ELEMENTARY_ADJACENCY,
-                             OMEGA_AMBIGUITY)
+                             OMEGA_AMBIGUITY, _forest_walk)
 from util import (PartialDilatation, compose, edges_by_id, oracle_basis, oracle_character,
-                  oracle_cycle_value, oracle_validate,
+                  oracle_cycle_value, oracle_spanning_forest, oracle_validate,
                   random_graph, random_path_graph, random_closed_walk,
                   all_spanning_forests, seeded, evaluate_character, pullback,
                   cyclic_cover, regauge, GraphCover, CoverEdge, NotACovering,
@@ -474,10 +474,12 @@ def test_character_against_root_path_oracle():
         assert character(g).forest in set(all_spanning_forests(g))
 
 
-def _planted(g, rng, twisted):
-    """``g`` with each edge u -> v carrying h = (a(v), a(u)) for random a, so
-    every cycle has value +-1; when ``twisted``, one edge's h_ini is tripled."""
-    a = {v.id: rng.randint(1, 9) for v in g.vertices}
+def _planted(g, rng, twisted, relaxed=False):
+    """``g`` with each edge u -> v carrying h = (a(v), a(u)) for random a, an
+    int or, when ``relaxed``, a Fraction, so every cycle has value +-1; when
+    ``twisted``, one edge's h_ini is tripled."""
+    a = {v.id: Fraction(rng.randint(1, 9), rng.randint(1, 5)) if relaxed
+         else rng.randint(1, 9) for v in g.vertices}
     twist = rng.choice(g.edges).id if twisted else None
     return DecoratedJSJGraph(g.vertices, [
         Edge(e.id, e.from_vertex, e.to_vertex,
@@ -543,3 +545,51 @@ def test_character_rows_are_their_fundamental_cycles_with_fraction_h():
         witnesses += first[0] is not None
     # non-integral h was drawn on both kinds of edge, and both verdicts occurred
     assert tree_fraction and nontree_fraction and 0 < witnesses < 200
+
+
+# ids from an alphabet whose string order is not the order they are drawn in
+_IDS = st.text(alphabet="a9Z_", min_size=1, max_size=3)
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to eight vertices and fourteen edges, each list in drawn order, the
+    ends drawn freely: self-loops, parallel edges and isolated vertices all
+    occur."""
+    vertex_ids = draw(st.lists(_IDS, min_size=1, max_size=8, unique=True))
+    ends, h = st.sampled_from(vertex_ids), st.integers(1, 9)
+    edges = [Edge(eid, draw(ends), draw(ends), draw(h), draw(h), draw(st.sampled_from((1, -1))))
+             for eid in draw(st.lists(_IDS, max_size=14, unique=True))]
+    return DecoratedJSJGraph([Vertex(v) for v in vertex_ids], edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(multigraphs())
+def test_spanning_forest_is_the_union_find_oracles(g):
+    assert spanning_forest(g) == oracle_spanning_forest(g)
+
+
+def test_character_is_the_oracles_with_every_value_a_fraction():
+    """Planted graphs, whose values are +-1 but on one graph in four, with
+    int or (relaxed mode) Fraction h."""
+    rng = seeded(211)
+    units, off_unit, negative_potentials = set(), 0, 0
+    for i in range(300):
+        if i % 3:
+            g = random_graph(rng, max_vertices=8, max_edges=14)
+        else:
+            g = random_path_graph(rng, n_vertices=rng.randint(5, 30),
+                                  n_extra=rng.randint(1, 12))
+        relaxed = i % 2 == 1
+        g = _planted(g, rng, twisted=i % 4 == 0, relaxed=relaxed)
+        char = character(g)
+        assert char == oracle_character(g, oracle_spanning_forest(g)[0])
+        assert all(type(value) is Fraction for value in char.values)
+        units.update((relaxed, value) for value in char.values if abs(value) == 1)
+        off_unit += sum(abs(value) != 1 for value in char.values)
+        negative_potentials += any(num < 0 for *_, num, _ in
+                                   _forest_walk(g, char.forest).values())
+    # unit values of both signs, in both modes; twisted values; and potentials
+    # made negative by omega -1 tree edges
+    assert units == {(False, 1), (False, -1), (True, 1), (True, -1)}
+    assert off_unit and negative_potentials

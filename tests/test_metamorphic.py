@@ -17,7 +17,13 @@ Graph manifests are planted graphs, written as JSON documents:
   order: the error and warning rows, which follow the records they name,
   and the ``s(internal loops at ...)`` rows, which follow vertex order;
 * multiplying every h at one vertex's ends by a positive integer changes no
-  byte but the digest.
+  byte but the digest;
+* subdividing an edge u -> v (h_ini, h_ter, omega) into u -> w (h_ini, 1,
+  omega) and w -> v (1, h_ter, 1), with ids that keep the old edge's rank in
+  id order, leaves ``aspiral``'s verdict rows, its witness value and the
+  sequence of its ``s(...)`` values;
+* the pullback to a cyclic cover, with any edge shifts, keeps ``aspiral``'s
+  verdict.
 
 Both kinds of manifest, the flow cases and the graph documents above:
 
@@ -34,11 +40,13 @@ import re
 import pytest
 
 from spirality import (Crossing, LoopItinerary, TwistFamilyParams, dumps_manifest,
-                       gen_random_flow, gen_twist_family, parse_rational)
+                       gen_random_flow, gen_twist_family, parse_manifest, parse_rational)
 from spirality.cli import main
 from spirality.manifest import FdtcInput, graph_to_dict
 from test_golden import BANDS_GRAPH, GOOD_GRAPH, SIGNED_GRAPH, _deep_graph
-from util import random_graph, random_path_graph, reverse_itinerary, seeded
+from test_graph import _planted
+from util import (cyclic_cover, pullback, random_graph, random_path_graph,
+                  reverse_itinerary, seeded)
 
 _TWISTS = [TwistFamilyParams(k=1, p=1, q=1, r_minus=2, r_plus=1, d=3),
            TwistFamilyParams(k=2, p=2, q=1, r_minus=3, r_plus=1, d=2),
@@ -289,3 +297,84 @@ def test_renaming_the_ids_in_order_renames_the_output(capsys, tmp_path, doc, fmt
     # the new ids reach the output
     assert any(_NEW_ID.search(part) for _, rows, _ in renamed.values()
                for row in rows for part in row)
+
+
+_VERDICT = ("aspiral", "virtually embedded", "virtually a taut-foliation leaf")
+
+
+def _aspiral(capsys, tmp_path, doc):
+    """aspiral's exit code and rows on the document."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "aspiral", str(path))
+    assert err == ""
+    return code, _rows(out, "text")
+
+
+def _values_and_verdict(outcome):
+    """The exit code, the values of the s(...) rows in order, the witness
+    value and the verdict rows."""
+    code, rows = outcome
+    return (code, [value for label, value in rows if label.startswith("s(")],
+            [value for label, value in rows if label == "witness value"],
+            [row for row in rows if row[0] in _VERDICT])
+
+
+def _subdivided(doc, edge_id, middle):
+    """``doc`` with edge ``edge_id`` split at a new vertex ``middle``; the two
+    halves are ``edge_id`` and ``edge_id + "+"``."""
+    edges = []
+    for e in doc["graph"]["edges"]:
+        if e["id"] == edge_id:
+            edges.append(dict(e, to=middle, h_ter=1))
+            edges.append({"id": edge_id + "+", "from": middle, "to": e["to"],
+                          "h_ini": 1, "h_ter": e["h_ter"]})
+        else:
+            edges.append(e)
+    return {"graph": dict(doc["graph"], edges=edges,
+                          vertices=doc["graph"]["vertices"] + [{"id": middle}])}
+
+
+@pytest.mark.parametrize("doc", VALID_GRAPHS)
+def test_subdividing_an_edge_keeps_the_values_and_the_verdict(capsys, tmp_path, doc):
+    base = _aspiral(capsys, tmp_path, doc)
+    cycle_labels = {label for label, _ in base[1] if label.startswith("s(")}
+    old_ids = sorted(e["id"] for e in doc["graph"]["edges"])
+    split_kinds = set()
+    rng = random.Random(13)
+    for edge_id in rng.sample(old_ids, min(8, len(old_ids))):
+        middle = "mid(%s)" % edge_id
+        assert middle not in {v["id"] for v in doc["graph"]["vertices"]}
+        split = _subdivided(doc, edge_id, middle)
+        # the two halves sit where the old edge sat in id order
+        rank = old_ids.index(edge_id)
+        new_ids = sorted(e["id"] for e in split["graph"]["edges"])
+        assert new_ids[rank:rank + 2] == [edge_id, edge_id + "+"]
+        assert new_ids[:rank] + new_ids[rank + 2:] == old_ids[:rank] + old_ids[rank + 1:]
+        got = _aspiral(capsys, tmp_path, split)
+        assert _values_and_verdict(got) == _values_and_verdict(base), edge_id
+        split_kinds.add("s(%s)" % edge_id in cycle_labels)
+    # tree edges and non-tree edges were both split
+    assert split_kinds == {True, False}
+
+
+def _planted_doc(seed):
+    """A signed random graph whose values are +-1, twisted off +-1 on one edge
+    for an odd seed."""
+    rng = seeded(seed)
+    g = _planted(random_graph(rng, max_vertices=6, max_edges=9), rng, twisted=seed % 2)
+    return {"graph": graph_to_dict(g)}
+
+
+@pytest.mark.parametrize("doc", VALID_GRAPHS + [
+    pytest.param(_planted_doc(seed), id="planted-%d" % seed) for seed in range(8)])
+def test_a_cyclic_cover_keeps_the_verdict(capsys, tmp_path, doc):
+    g = parse_manifest(doc).graph
+    verdict = _values_and_verdict(_aspiral(capsys, tmp_path, doc))[3]
+    rng = random.Random(17)
+    for degree in (2, 3):
+        for _ in range(3):
+            shifts = {e.id: rng.randrange(degree) for e in g.edges}
+            cover = pullback(g, cyclic_cover(g, shifts, degree))
+            got = _aspiral(capsys, tmp_path, {"graph": graph_to_dict(cover)})
+            assert _values_and_verdict(got)[3] == verdict, (degree, shifts)

@@ -6,7 +6,8 @@ fundamental parallelogram, covering degrees by direct enumeration, cycle
 values by a hand-rolled integer product or by folding partial dilatations,
 fundamental cycles from both ends' full paths to the root and, valued
 by that product, a graph's character on any of its spanning forests, which
-are found by counting components, a graph's errors and warnings from one
+are found by counting components, the lowest-id spanning forest by a
+union-find with one call per find and per union, a graph's errors and warnings from one
 interleaved pass over its data, a flow
 manifest's likewise, with indexes of its own, flow spiralities as a product
 of one reduced Fraction per sigma and rho factor, the loop check's
@@ -798,6 +799,35 @@ def _components(g, edges):
                     seen.add(w)
                     queue.append(w)
     return count
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, u, v):
+    """Join the union-find classes of u and v; False when they were one already."""
+    ru, rv = _find(parent, u), _find(parent, v)
+    if ru == rv:
+        return False
+    parent[ru] = rv
+    return True
+
+
+def oracle_spanning_forest(g):
+    """The lowest-id-first spanning forest by a union-find of two helper
+    calls per edge: its tree edge ids, and the other edges in id order."""
+    parent = {v.id: v.id for v in g.vertices}
+    tree, others = [], []
+    for e in sorted(g.edges, key=lambda e: e.id):
+        if _union(parent, e.from_vertex, e.to_vertex):
+            tree.append(e.id)
+        else:
+            others.append(e)
+    return frozenset(tree), others
 
 
 def all_spanning_forests(g):
