@@ -557,8 +557,8 @@ def multigraphs(draw):
     ends drawn freely: self-loops, parallel edges and isolated vertices all
     occur."""
     vertex_ids = draw(st.lists(_IDS, min_size=1, max_size=8, unique=True))
-    ends, h = st.sampled_from(vertex_ids), st.integers(1, 9)
-    edges = [Edge(eid, draw(ends), draw(ends), draw(h), draw(h), draw(st.sampled_from((1, -1))))
+    ends, h, omega = st.sampled_from(vertex_ids), st.integers(1, 9), st.sampled_from((1, -1))
+    edges = [Edge(eid, draw(ends), draw(ends), draw(h), draw(h), draw(omega))
              for eid in draw(st.lists(_IDS, max_size=14, unique=True))]
     return DecoratedJSJGraph([Vertex(v) for v in vertex_ids], edges)
 

@@ -7,14 +7,14 @@ values by a hand-rolled integer product or by folding partial dilatations,
 fundamental cycles from both ends' full paths to the root and, valued
 by that product, a graph's character on any of its spanning forests, which
 are found by counting components, the lowest-id spanning forest by a
-union-find with one call per find and per union, a graph's errors and warnings from one
-interleaved pass over its data, a flow
-manifest's likewise, with indexes of its own, flow spiralities as a product
-of one reduced Fraction per sigma and rho factor, the loop check's
-diagnostics from a pass that looks every side up first, a graph
-section, a flow manifest's pieces and tori, a loop, an fdtc section and a
-slope read record by record by one generic reader over each record's spec,
-and the equiperiodic test on the leaf lengths as Fractions.
+union-find with one call per find and per union, a graph's errors and
+warnings from one interleaved pass over its data, a flow manifest's
+likewise, with indexes of its own, flow spiralities as a product of one
+reduced Fraction per sigma and rho factor, the loop check's diagnostics
+from a pass that looks every side up first, a graph section, a flow
+manifest's pieces and tori, a loop, an fdtc section and a slope read record
+by record by one generic reader over each record's spec, and the
+equiperiodic test on the leaf lengths as Fractions.
 
 It also holds the constructions that only the tests need, not the CLI or
 the manifest: torus covers and their slope degrees, frame changes, graph
