@@ -17,7 +17,7 @@ from .flow import (FlowManifest, Piece, PieceBoundary, PieceType, Torus, Side,
                    Crossing, LoopItinerary, SideConvention,
                    flow_spirality,
                    equiperiodic_rho_is_one,
-                   decorate_from_flow, normalize_itinerary,
+                   decorate_from_flow, loop_character, normalize_itinerary,
                    validate_itinerary, InvalidFlow)
 from .generators import (TwistFamilyParams, TwistFamilyInstance, gen_twist_family,
                          gen_matched_slopes, gen_random_flow, BadParams)

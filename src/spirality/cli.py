@@ -6,6 +6,9 @@ deterministic for identical inputs and flags (no timestamps unless
 exit code contract is stable: 0 success, 1 domain error or failed check,
 2 parse/IO error. Styling is plain ANSI on verdict words only, active on a
 terminal and disabled by the SPIRALITY_NO_COLOR environment variable.
+
+It holds dispatch, the one check, IO and printing; the library computes
+every value, and ``aspiral`` prints one SpiralityCharacter on both routes.
 """
 
 import argparse
@@ -207,48 +210,30 @@ def cmd_validate(parsed, computed, report):
 
 def cmd_aspiral(parsed, computed, report):
     g = parsed.graph
-    if g is None:
-        if parsed.flow is None or parsed.loop is None:
-            raise SpiralityError("manifest carries neither a graph nor a flow+loop pair")
+    if g is not None:
+        char = jsj.character(g)
+        # the aspiral row, the embedding rows and their color when every value is +-1
+        if_aspiral = ("yes (vacuous)" if not g.vertices else "yes", "yes", "green")
+    elif parsed.flow is not None and parsed.loop is not None:
+        report.add("note", "graph decorated from the flow manifest along the loop")
         factors, _ = computed
-        return _loop_aspiral(factors, report)
-    char = jsj.character(g)
+        char = flow.loop_character(factors)
+        # one loop of value +-1 says nothing of the loops elsewhere
+        if_aspiral = ("inconclusive (one loop)", "inconclusive (one loop)", "yellow")
+    else:
+        raise SpiralityError("manifest carries neither a graph nor a flow+loop pair")
     for edge_id, value in zip(char.cycle_edges, char.values):
         report.add("s(%s)" % edge_id, format_rational(value))
     for vertex_id, sign in char.internal_signs:
         report.add("s(internal loops at %s)" % vertex_id, format_rational(sign))
-    answer = "yes (vacuous)" if char.aspiral and not g.vertices else _yesno(char.aspiral)[0]
-    report.add("aspiral", answer, "green" if char.aspiral else "red")
+    answer, embedded, color = if_aspiral if char.aspiral else ("no", "no", "red")
+    report.add("aspiral", answer, color)
     if not char.aspiral:
         report.add("witness cycle", str(char.witness))
         report.add("witness value", format_rational(char.witness_value))
     # embedding criterion: virtually embedded, and a virtual taut leaf, iff aspiral
     for label in ("virtually embedded", "virtually a taut-foliation leaf"):
-        report.add(label, *_yesno(char.aspiral))
-    return EXIT_OK
-
-
-def _loop_aspiral(factors, report):
-    """The rows of ``character(decorate_from_flow(factors, m))``, read off the
-    check's factors. That graph is one cycle whose edges x000, x001, ... the
-    loop runs forward in order, so its lowest-id spanning forest leaves out
-    the one edge whose id is greatest as a string. That edge's fundamental
-    cycle is the loop started there, and its value the loop's spirality."""
-    report.add("note", "graph decorated from the flow manifest along the loop")
-    ids = [flow.EDGE_ID % i for i in range(len(factors.pieces))]
-    k = ids.index(max(ids))
-    value = flow.flow_spirality(factors)
-    text = format_rational(value)
-    report.add("s(%s)" % ids[k], text)
-    # one loop of value +-1 says nothing of the loops elsewhere
-    aspiral = abs(value) == 1
-    verdict, color = ("inconclusive (one loop)", "yellow") if aspiral else ("no", "red")
-    report.add("aspiral", verdict, color)
-    if not aspiral:
-        report.add("witness cycle", "·".join(ids[k:] + ids[:k]))
-        report.add("witness value", text)
-    for label in ("virtually embedded", "virtually a taut-foliation leaf"):
-        report.add(label, verdict, color)
+        report.add(label, embedded, color)
     return EXIT_OK
 
 
@@ -295,7 +280,8 @@ def cmd_fdtc(parsed, computed, report):
 
 def cmd_gen(args):
     if args.kind == "twist-family":
-        instance = generators.gen_twist_family(_twist_family_params(args))
+        instance = generators.gen_twist_family(generators.TwistFamilyParams(
+            args.k, args.p, args.q, args.r_minus, args.r_plus, args.d))
         m, loop, expected = instance.manifest, instance.loop, instance.expected
         fdtc = mf.FdtcInput(instance.l_plus, instance.l_minus, instance.reduction_curve, 1)
     else:
@@ -341,21 +327,6 @@ def _write_stdout(text):
     data = memoryview(text.encode(stdout.encoding, "backslashreplace"))
     while data:
         data = data[out.write(data):]
-
-
-def _twist_family_params(args):
-    k = args.k
-    r_minus, r_plus = args.r_minus, args.r_plus
-    # derive missing twist exponents from k, keeping both positive
-    if r_minus is None and r_plus is None:
-        r_minus = 1 + max(0, k)
-        r_plus = r_minus - k
-    elif r_minus is None:
-        r_minus = r_plus + k
-    elif r_plus is None:
-        r_plus = r_minus - k
-    return generators.TwistFamilyParams(k=k, p=args.p, q=args.q,
-                                     r_minus=r_minus, r_plus=r_plus, d=args.d)
 
 
 def cmd_crosscheck(args):

@@ -30,6 +30,10 @@ the formula is not defined on (say a one-sided torus, or a leaf length that
 is not positive) by raising InvalidFlow, and otherwise keeps the warnings and
 each torus's two sides, read once for all loops. The diagnosis reads each
 leaf length once, as a reduced int pair, and each side keeps its pair.
+
+A loop's check makes its FlowFactors once: ``flow_spirality``,
+``decorate_from_flow`` and ``loop_character`` (that graph's character,
+without the graph) all read them.
 """
 
 from enum import Enum
@@ -194,9 +198,10 @@ def _diagnose(m):
                 errors.append(error(DUPLICATE_ID,
                                     "duplicate boundary id %r on piece %r" % (b.id, p.id)))
             length = b.leaf_length
-            # an int or a Fraction; the first test settles a Fraction
+            # an int or a Fraction, not a bool; the first test settles a Fraction
             pair = (length.as_integer_ratio() if type(length) is Fraction
-                    or isinstance(length, (int, Fraction)) else None)
+                    or isinstance(length, (int, Fraction)) and type(length) is not bool
+                    else None)
             own.setdefault(b.id, (b, pair))
             pairs.append(pair)
             if pair is None:
@@ -364,7 +369,7 @@ def flow_spirality(factors):
 
 
 # The id of crossing i's edge in decorate_from_flow's graph.
-EDGE_ID = "x%03d"
+_EDGE_ID = "x%03d"
 
 
 def decorate_from_flow(factors, m):
@@ -401,7 +406,7 @@ def decorate_from_flow(factors, m):
     edges = []
     for i, (n_leave, n_enter) in enumerate(factors.intersections):
         edge = _new(Edge)
-        set_id(edge, EDGE_ID % i)
+        set_id(edge, _EDGE_ID % i)
         set_from(edge, ids[i])
         set_to(edge, ids[i + 1 - n])
         set_h_ini(edge, n_leave * rhos[i][0])
@@ -409,3 +414,18 @@ def decorate_from_flow(factors, m):
         set_omega(edge, 1)
         edges.append(edge)
     return jsj.DecoratedJSJGraph(vertices, edges)
+
+
+def loop_character(factors):
+    """The character of decorate_from_flow's graph, read off the factors: it
+    equals ``character(decorate_from_flow(factors, m))`` as a value. That
+    graph is one cycle the loop runs forward, edge x000 first, so the
+    lowest-id forest leaves out the id greatest as a string; its fundamental
+    cycle is the loop started there, and its value the loop's spirality."""
+    ids = [_EDGE_ID % i for i in range(len(factors.pieces))]
+    k = ids.index(max(ids))
+    value = flow_spirality(factors)
+    witness = (None if abs(value) == 1 else
+               jsj.DirectedCycle([(e, jsj.FORWARD) for e in ids[k:] + ids[:k]]))
+    return jsj.SpiralityCharacter(frozenset(ids[:k] + ids[k + 1:]), (value,),
+                                  (ids[k],), (), witness)

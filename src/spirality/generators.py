@@ -32,12 +32,18 @@ class TwistFamilyParams(Value):
     ``k`` is the (integer) fractional Dehn twist coefficient across the
     torus; the crossing class is built from positive integers p, q and the
     twisting exponents r_minus, r_plus with r_plus - r_minus = -k; ``d`` is
-    the degree of the elevation whose spirality is reported.
+    the degree of the elevation whose spirality is reported. A missing
+    exponent is derived from k and the other one; with both missing,
+    r_minus = 1 + max(0, k) and r_plus = r_minus - k, both positive.
     """
 
     __slots__ = ("k", "p", "q", "r_minus", "r_plus", "d")
 
-    def __init__(self, k, p, q, r_minus, r_plus, d=1):
+    def __init__(self, k, p, q, r_minus=None, r_plus=None, d=1):
+        if r_minus is None:
+            r_minus = 1 + max(0, k) if r_plus is None else r_plus + k
+        if r_plus is None:
+            r_plus = r_minus - k
         super().__init__(k, p, q, r_minus, r_plus, d)
 
     def check(self):

@@ -126,7 +126,7 @@ ELEMENTARY_ADJACENCY = "ElementaryAdjacency"
 OMEGA_AMBIGUITY = "OmegaAmbiguity"
 
 
-# The exact rationals an h may be.
+# The exact rationals an h may be; a bool is an int, but not an h.
 _RATIONAL = (int, Fraction)
 _BAND = VertexKind.ELEMENTARY_BAND
 
@@ -162,7 +162,7 @@ def _diagnose(g):
         h_ini, h_ter = e.h_ini, e.h_ter
         # a pair of positive ints, the common case, is settled by the first test
         if type(h_ini) is not int or type(h_ter) is not int or h_ini <= 0 or h_ter <= 0:
-            if not (isinstance(h_ini, _RATIONAL) and isinstance(h_ter, _RATIONAL)):
+            if not all(isinstance(h, _RATIONAL) and type(h) is not bool for h in (h_ini, h_ter)):
                 errors.append(error(NON_RATIONAL_H, "edge %r has non-rational h (%r, %r)"
                                     % (e.id, h_ini, h_ter)))
             elif h_ini <= 0 or h_ter <= 0:
@@ -172,7 +172,7 @@ def _diagnose(g):
                 warnings.append(warning(NON_INTEGRAL_H,
                                         "edge %r carries non-integral h (%s, %s), accepted "
                                         "in relaxed mode only" % (e.id, h_ini, h_ter)))
-        if e.omega not in (1, -1) or not isinstance(e.omega, int):
+        if e.omega not in (1, -1) or not isinstance(e.omega, int) or type(e.omega) is bool:
             errors.append(error(BAD_OMEGA, "edge %r has omega %r" % (e.id, e.omega)))
         # last, so that an edge's h warning comes before its band warnings
         if u is not None and v is not None and (u.kind is _BAND or v.kind is _BAND):

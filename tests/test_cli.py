@@ -192,9 +192,7 @@ class TestAspiral:
 
 
 def _twist(k, p, q, d):
-    r_minus = 1 + max(0, k)
-    return gen_twist_family(TwistFamilyParams(k=k, p=p, q=q, r_minus=r_minus,
-                                              r_plus=r_minus - k, d=d))
+    return gen_twist_family(TwistFamilyParams(k=k, p=p, q=q, d=d))
 
 
 def _one_crossing(exit_length, entry_length):
@@ -208,11 +206,10 @@ def _one_crossing(exit_length, entry_length):
     return m, LoopItinerary([Crossing("T", Slope((1, 1)), "plus")])
 
 
-def _rows_from_the_decorated_graph(factors, m):
+def _rows_from_the_decorated_graph(char):
     """The rows aspiral prints for a loop, read off the character of its
     decorated graph as the graph route reads a graph's, with the one-loop
     verdict."""
-    char = character(decorate_from_flow(factors, m))
     assert not char.internal_signs
     verdict = "inconclusive (one loop)" if char.aspiral else "no"
     rows = [("note", "graph decorated from the flow manifest along the loop")]
@@ -227,7 +224,8 @@ def _rows_from_the_decorated_graph(factors, m):
 
 class TestLoopAspiral:
     """aspiral on a flow manifest prints what the character of the decorated
-    graph gives, read off the check's factors instead."""
+    graph gives, read off the check's factors instead: ``loop_character``
+    equals that character as a value."""
 
     @staticmethod
     def rows(tmp_path, capsys, m, loop):
@@ -237,8 +235,10 @@ class TestLoopAspiral:
         got = [tuple(line.split(": ", 1)) for line in out.out.splitlines()]
         assert got[0] == ("command", "aspiral") and got[1][0] == "digest"
         parsed = parse_manifest(Path(path).read_text(encoding="utf-8"))
-        assert got[2:] == _rows_from_the_decorated_graph(
-            factors_of(parsed.loop, parsed.flow), parsed.flow)
+        factors = factors_of(parsed.loop, parsed.flow)
+        char = character(decorate_from_flow(factors, parsed.flow))
+        assert flow.loop_character(factors) == char
+        assert got[2:] == _rows_from_the_decorated_graph(char)
         return dict(got[2:])
 
     def test_random_flows(self, tmp_path, capsys):
@@ -325,10 +325,8 @@ class TestRw:
 
     def test_rows_of_twist_elevations(self, tmp_path, capsys):
         for k, p, q in ((1, 1, 1), (-2, 2, 3), (3, 3, 2)):
-            r_minus = 1 + max(0, k)
             for d in range(1, 41):
-                instance = gen_twist_family(TwistFamilyParams(k, p, q, r_minus,
-                                                              r_minus - k, d))
+                instance = _twist(k, p, q, d)
                 self._rows_are_the_factors(tmp_path, capsys, instance.manifest,
                                            instance.loop)
 

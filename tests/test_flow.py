@@ -163,7 +163,7 @@ def _rhos(factors):
 
 def decorated_cases():
     """Random-flow seeds 0-199 and twist elevations of degree 1 to 40."""
-    twists = [gen_twist_family(TwistFamilyParams(k, p, q, 1 + max(0, k), 1 + max(0, k) - k, d))
+    twists = [gen_twist_family(TwistFamilyParams(k, p, q, d=d))
               for k, p, q in ((1, 1, 1), (-2, 2, 3), (2, 3, 2)) for d in range(1, 41)]
     return ([gen_random_flow(seed) for seed in range(200)]
             + [(inst.manifest, inst.loop) for inst in twists])
@@ -348,7 +348,7 @@ class TestLeafLengthPairs:
                                                    "boundaries": boundaries}],
                                        "tori": tori})).flow
         assert resolved_pairs(m) == [(1, 2), (4, 1), (3, 2), (7, 2)]
-        m = FlowManifest(*self_glued([4, True], PA))
+        m = FlowManifest(*self_glued([4, 1], PA))
         assert resolved_pairs(m) == [(4, 1), (1, 1)]
 
     def test_consumers_match_the_fraction_oracles(self):
@@ -652,6 +652,10 @@ class TestDiagnosis:
                 found |= codes
         assert found == {DUPLICATE_ID, DANGLING_REF, NON_POSITIVE_LEAF, NON_RATIONAL_LEAF,
                          SEIFERT_LEAF_MISMATCH, UNPAIRED_BOUNDARY, SLOPE_MULTIPLICITY}
+
+    def test_a_bool_leaf_length_is_refused(self):
+        # the reader refuses a JSON true; the constructor refuses a bool too
+        assert self.agrees(*self_glued([4, True], PA)) == {NON_RATIONAL_LEAF}
 
     def test_two_faults_at_once(self):
         rng = seeded(1718)

@@ -46,6 +46,23 @@ def test_bad_params():
         gen_twist_family(TwistFamilyParams(k=1, p=1, q=1, r_minus=2, r_plus=1, d=0))
 
 
+@pytest.mark.parametrize("k", [-3, -1, 1, 4])
+def test_a_missing_exponent_is_derived_from_k(k):
+    def exponents(**given):
+        params = TwistFamilyParams(k, 2, 3, d=5, **given)
+        return params.r_minus, params.r_plus
+
+    # both missing: the smallest positive pair, r_minus = 1 + max(0, k)
+    assert exponents() == (1 + max(0, k), 1 + max(0, k) - k)
+    assert min(exponents()) == 1
+    gen_twist_family(TwistFamilyParams(k, 2, 3))
+    # one missing: it comes from the other and r_plus - r_minus = -k
+    assert exponents(r_minus=7) == (7, 7 - k)
+    assert exponents(r_plus=7) == (7 + k, 7)
+    # both given: kept as they are, for check() to judge
+    assert exponents(r_minus=5, r_plus=5) == (5, 5)
+
+
 def test_crossing_intersection_numbers_match_closed_form():
     # i(c1, l-) = p r- + q and i(c1, l+) = p r+ + q drive the closed form;
     # check both against the library and the brute-force count

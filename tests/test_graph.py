@@ -65,8 +65,11 @@ class TestValidate:
 
     @pytest.mark.parametrize("h_ini, omega, code", [(1.5, 1, NON_RATIONAL_H),
                                                    ("2", 1, NON_RATIONAL_H),
-                                                   (1, 1.0, BAD_OMEGA)],
-                             ids=["float-h", "string-h", "float-omega"])
+                                                   (True, 1, NON_RATIONAL_H),
+                                                   (1, 1.0, BAD_OMEGA),
+                                                   (1, True, BAD_OMEGA)],
+                             ids=["float-h", "string-h", "bool-h", "float-omega",
+                                  "bool-omega"])
     def test_non_rational_data_is_refused(self, h_ini, omega, code):
         diagnostics = refused([Vertex("a")], [Edge("e", "a", "a", h_ini, 1, omega)])
         assert [d.code for d in diagnostics] == [code]

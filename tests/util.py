@@ -913,7 +913,7 @@ def oracle_validate_manifest(pieces, tori):
                 out.append(error(DUPLICATE_FLOW_ID,
                                  "duplicate boundary id %r on piece %r" % (b.id, p.id)))
             bseen.add(b.id)
-            if not isinstance(b.leaf_length, (int, Fraction)):
+            if not isinstance(b.leaf_length, (int, Fraction)) or isinstance(b.leaf_length, bool):
                 out.append(error(NON_RATIONAL_LEAF,
                                  "boundary %r of piece %r has non-rational leaf length %r"
                                  % (b.id, p.id, b.leaf_length)))
