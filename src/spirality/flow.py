@@ -42,7 +42,7 @@ from math import prod
 from operator import itemgetter
 
 from .errors import InvalidData, Value, error, unhashable_ids, warning
-from .lattice import intersection_number
+from .lattice import Slope, intersection_number
 from . import graph as jsj
 
 
@@ -121,6 +121,13 @@ class FlowManifest:
             errors, warnings = _unhashable(self), []
             if not errors:
                 raise
+        except AttributeError:
+            # a degeneracy slope that is not a Slope
+            errors, warnings = _not_slopes(
+                ("boundary %r of piece %r" % (b.id, p.id), "degeneracy slope",
+                 b.degeneracy_slope) for p in self.pieces for b in p.boundaries), []
+            if not errors:
+                raise
         if errors:
             raise InvalidFlow(errors + warnings)
         self.warnings = tuple(warnings)
@@ -174,6 +181,7 @@ UNPAIRED_BOUNDARY = "UnpairedBoundary"
 SLOPE_MULTIPLICITY = "DegeneracySlopeMultiplicity"
 PIECE_MISMATCH = "PieceMismatch"
 NOT_TRANSVERSE = "NotFlowTransverse"
+NOT_A_SLOPE = "NotASlope"
 
 
 def _diagnose(m):
@@ -276,6 +284,12 @@ def _unhashable(m):
                                 ("minus side", t.minus))])
 
 
+def _not_slopes(fields):
+    """An error for each (record, field, value) whose value is not a Slope."""
+    return [error(NOT_A_SLOPE, "%s has %s %r, not a Slope" % (record, field, value))
+            for record, field, value in fields if not isinstance(value, Slope)]
+
+
 def equiperiodic_rho_is_one(m):
     """True iff all boundary leaf lengths agree within each piece.
 
@@ -309,9 +323,10 @@ def validate_itinerary(itinerary, m):
     are looked up, and its two intersection numbers taken, once.
 
     Returns (diagnostics, factors). The diagnostics name the crossings on a
-    missing torus, or those whose torus id is unhashable; failing that,
-    crossing by crossing in loop order, each degeneracy slope a crossing is
-    parallel to and a piece it enters that the next crossing does not leave.
+    missing torus, or those whose torus id is unhashable; failing that, those
+    whose curve is not a Slope; failing that, crossing by crossing in loop
+    order, each degeneracy slope a crossing is parallel to and a piece it
+    enters that the next crossing does not leave.
     ``factors`` is the loop's FlowFactors, or None when there is a
     diagnostic.
     """
@@ -328,6 +343,20 @@ def validate_itinerary(itinerary, m):
             raise
     if out:
         return out, None
+    try:
+        return _factor_pass(crossings, sides)
+    except AttributeError:
+        # a curve that is not a Slope
+        out = _not_slopes(("crossing %d" % i, "curve", c.curve)
+                          for i, c in enumerate(crossings))
+        if not out:
+            raise
+        return out, None
+
+
+def _factor_pass(crossings, sides):
+    """validate_itinerary's pass over a loop whose tori are all known."""
+    out = []
     plus = Side.PLUS
     intersections, left_lengths, entered_lengths, left_pieces = [], [], [], []
     for i, c in enumerate(crossings):

@@ -16,13 +16,14 @@ by the embedding criterion is equivalent to the surface being virtually
 embedded, and in turn to being virtually a leaf of a taut foliation.
 
 A graph is diagnosed once, when it is built: the constructor refuses data
-with structural errors (duplicate or unhashable ids, dangling edge ends, h
-that is not a positive rational, omega other than +-1, an internal
-generator count that is not a non-negative int) by raising InvalidGraph,
-so every graph that exists is one the holonomy is defined on, and keeps
-the warnings of the same pass. Graphs are immutable and all computations
-here are pure, so components may be processed in parallel without shared
-state.
+with structural errors (duplicate or unhashable ids, an orientable that is
+not a bool, dangling edge ends, h that is not a positive rational, omega
+other than +-1, an internal generator count that is not a non-negative
+int) by raising InvalidGraph, so every graph that exists is one the
+holonomy is defined on, and keeps the warnings of the same pass. A
+relaxed Fraction h is diagnosed as given, then stored as ints of the same
+ratio h_ini / h_ter. Graphs are immutable and all computations here are
+pure, so components may be processed in parallel without shared state.
 """
 
 from enum import Enum
@@ -93,13 +94,15 @@ class DecoratedJSJGraph:
 
     Raises InvalidGraph when the data has structural errors; ``warnings``
     holds the data's warnings, legal but suspicious for an almost fiber part.
+    Every h in ``edges`` is an int: an edge given other h is stored with
+    (h_ini.num * h_ter.den, h_ini.den * h_ter.num), which keeps h_ini / h_ter.
     """
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         try:
-            errors, warnings = _diagnose(self)
+            errors, warnings, rational = _diagnose(self)
         except TypeError:
             # an id or an edge end that cannot key an index
             errors, warnings = _unhashable(self), []
@@ -108,6 +111,10 @@ class DecoratedJSJGraph:
         if errors:
             raise InvalidGraph(errors + warnings)
         self.warnings = tuple(warnings)
+        if rational:
+            self.edges = tuple(e if type(e.h_ini) is type(e.h_ter) is int else Edge(
+                e.id, e.from_vertex, e.to_vertex, e.h_ini.numerator * e.h_ter.denominator,
+                e.h_ini.denominator * e.h_ter.numerator, e.omega) for e in self.edges)
 
     def __repr__(self):
         return "DecoratedJSJGraph(%d vertices, %d edges)" % (
@@ -116,6 +123,7 @@ class DecoratedJSJGraph:
 
 # Diagnostic codes: the errors the constructor refuses, then the warnings.
 DUPLICATE_ID = "DuplicateId"
+BAD_ORIENTABLE = "BadOrientable"
 BAD_INTERNAL_GENERATORS = "BadInternalGenerators"
 DANGLING_EDGE = "DanglingEdge"
 NON_RATIONAL_H = "NonRationalH"
@@ -133,14 +141,18 @@ _BAND = VertexKind.ELEMENTARY_BAND
 
 def _diagnose(g):
     """A graph's structural errors and warnings, vertex by vertex, then edge
-    by edge; without errors every holonomy is a nonzero rational."""
-    errors, warnings = [], []
+    by edge, and whether some h is not an int; without errors every
+    holonomy is a nonzero rational."""
+    errors, warnings, rational = [], [], False
     # the last vertex of an id wins
     vertex_by_id = {}
     for v in g.vertices:
         if v.id in vertex_by_id:
             errors.append(error(DUPLICATE_ID, "duplicate vertex id %r" % v.id))
         vertex_by_id[v.id] = v
+        if type(v.orientable) is not bool:
+            errors.append(error(BAD_ORIENTABLE, "vertex %r has orientable %r, not a bool"
+                                % (v.id, v.orientable)))
         count = v.internal_omega_generators
         if not isinstance(count, int) or isinstance(count, bool):
             errors.append(error(BAD_INTERNAL_GENERATORS,
@@ -162,6 +174,7 @@ def _diagnose(g):
         h_ini, h_ter = e.h_ini, e.h_ter
         # a pair of positive ints, the common case, is settled by the first test
         if type(h_ini) is not int or type(h_ter) is not int or h_ini <= 0 or h_ter <= 0:
+            rational = True
             if not all(isinstance(h, _RATIONAL) and type(h) is not bool for h in (h_ini, h_ter)):
                 errors.append(error(NON_RATIONAL_H, "edge %r has non-rational h (%r, %r)"
                                     % (e.id, h_ini, h_ter)))
@@ -186,7 +199,7 @@ def _diagnose(g):
                                         "edge %r touches an elementary band next to a "
                                         "non-orientable subsurface; omega sign data is "
                                         "taken as given" % e.id))
-    return errors, warnings
+    return errors, warnings, rational
 
 
 def _unhashable(g):
@@ -248,8 +261,7 @@ def _forest_walk(g, forest):
             for e, d, other in adjacency[current]:
                 if other not in tree:
                     h_in, h_out = (e.h_ini, e.h_ter) if d == FORWARD else (e.h_ter, e.h_ini)
-                    n = num * h_in.numerator * h_out.denominator * e.omega
-                    m = den * h_in.denominator * h_out.numerator
+                    n, m = num * h_in * e.omega, den * h_out
                     common = gcd(n, m)
                     # stored step runs from the child back up to its parent
                     tree[other] = ((e.id, -d), current, depth + 1, n // common, m // common)
@@ -327,9 +339,8 @@ def character(g):
         # to potential(start) / potential(end)
         _, _, _, num_u, den_u = tree[e.from_vertex]
         _, _, _, num_v, den_v = tree[e.to_vertex]
-        h_ini, h_ter = e.h_ini, e.h_ter
-        num = h_ini.numerator * h_ter.denominator * e.omega * num_u * den_v
-        den = h_ini.denominator * h_ter.numerator * den_u * num_v
+        num = e.h_ini * e.omega * num_u * den_v
+        den = e.h_ter * den_u * num_v
         # a value of +-1 is one of two shared Fractions; any other is built
         if num == den:
             values.append(_ONE)

@@ -493,12 +493,6 @@ def _slope_to_json(s):
     return {"vector": [a, b], "mult": s.multiplicity}
 
 
-def _h_to_json(h):
-    if isinstance(h, int):
-        return h
-    return format_rational(h)
-
-
 def graph_to_dict(g):
     vertices = []
     for v in g.vertices:
@@ -507,8 +501,7 @@ def graph_to_dict(g):
             entry["internal_omega_generators"] = v.internal_omega_generators
         vertices.append(entry)
     edges = [{"id": e.id, "from": e.from_vertex, "to": e.to_vertex,
-              "h_ini": _h_to_json(e.h_ini), "h_ter": _h_to_json(e.h_ter),
-              "omega": e.omega}
+              "h_ini": e.h_ini, "h_ter": e.h_ter, "omega": e.omega}
              for e in g.edges]
     return {"vertices": vertices, "edges": edges}
 

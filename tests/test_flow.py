@@ -537,6 +537,24 @@ class TestValidation:
             "error: UnhashableId: crossing 1 has unhashable torus ['T']"]
         assert factors is None
 
+    def test_a_degeneracy_slope_that_is_not_a_slope_is_refused(self):
+        m = one_torus_manifest(Slope((1, 0)), Slope((1, 1)))
+        pieces = [Piece("Jm", PA, [PieceBoundary("bm", "T", (1, 0), 1)]), m.pieces[1]]
+        with pytest.raises(InvalidFlow) as info:
+            FlowManifest(pieces, m.tori)
+        assert [str(d) for d in info.value.diagnostics] == [
+            "error: NotASlope: boundary 'bm' of piece 'Jm' has degeneracy slope (1, 0), "
+            "not a Slope"]
+
+    def test_a_crossing_curve_that_is_not_a_slope_is_refused(self):
+        m, _ = chain_manifest({})
+        loop = LoopItinerary([Crossing("T0", Slope((1, 1)), Side.PLUS),
+                              Crossing("T1", (0, 1), "plus")])
+        diagnostics, factors = validate_itinerary(loop, m)
+        assert [str(d) for d in diagnostics] == [
+            "error: NotASlope: crossing 1 has curve (0, 1), not a Slope"]
+        assert factors is None
+
     def test_refusal_names_the_errors_then_keeps_the_warnings(self):
         piece = Piece("P", PA, [PieceBoundary("x", "T", Slope((1, 0), 2), Fraction(1)),
                                 PieceBoundary("y", "T", Slope((1, 0)), Fraction(0))])

@@ -14,7 +14,7 @@ from util import (PartialDilatation, compose, edges_by_id, oracle_basis, oracle_
                   oracle_cycle_value, oracle_spanning_forest, oracle_validate,
                   random_graph, random_path_graph, random_closed_walk,
                   all_spanning_forests, seeded, evaluate_character, pullback,
-                  cyclic_cover, regauge, GraphCover, CoverEdge, NotACovering,
+                  cyclic_cover, regauge, GivenGraph, GraphCover, CoverEdge, NotACovering,
                   reversed_cycle)
 
 
@@ -91,6 +91,14 @@ class TestValidate:
         assert [d.code for d in diagnostics] == [BAD_INTERNAL_GENERATORS]
         assert diagnostics == tuple(oracle_validate(
             [Vertex("a", internal_omega_generators=count)], []))
+
+    @pytest.mark.parametrize("orientable", ["no", 1, None],
+                             ids=["string", "int", "none"])
+    def test_orientable_that_is_not_a_bool_is_refused(self, orientable):
+        diagnostics = refused([Vertex("a", orientable=orientable)], [])
+        assert [str(d) for d in diagnostics] == [
+            "error: BadOrientable: vertex 'a' has orientable %r, not a bool" % (orientable,)]
+        assert diagnostics == tuple(oracle_validate([Vertex("a", orientable=orientable)], []))
 
     def test_int_subclass_internal_generator_count_is_accepted(self):
         class Count(int):
@@ -512,16 +520,19 @@ def test_witness_is_the_first_oracle_cycle_off_one():
 
 
 def _with_fraction_h(g, rng):
-    """``g`` with about a third of its h values divided by 2..5."""
+    """``g``'s data as given, with about a third of its h values divided by
+    2..5."""
     def h(value):
         return Fraction(value, rng.randint(2, 5)) if rng.random() < 0.35 else value
 
-    return DecoratedJSJGraph(g.vertices, [
+    return GivenGraph(g.vertices, [
         Edge(e.id, e.from_vertex, e.to_vertex, h(e.h_ini), h(e.h_ter), e.omega)
         for e in g.edges])
 
 
 def test_character_rows_are_their_fundamental_cycles_with_fraction_h():
+    """The character of a graph built from Fraction h, against the oracles on
+    the data as given, whose h they read unnormalised."""
     rng = seeded(209)
     tree_fraction = nontree_fraction = witnesses = 0
     for i in range(200):
@@ -531,23 +542,43 @@ def test_character_rows_are_their_fundamental_cycles_with_fraction_h():
             g = random_path_graph(rng, n_vertices=rng.randint(5, 30),
                                   n_extra=rng.randint(1, 12))
         g = _with_fraction_h(g, rng)
-        char = character(g)
+        char = character(DecoratedJSJGraph(g.vertices, g.edges))
+        assert char == oracle_character(g, oracle_spanning_forest(g)[0])
         for e in g.edges:
             if e.h_ini.denominator != 1 or e.h_ter.denominator != 1:
                 if e.id in char.forest:
                     tree_fraction += 1
                 else:
                     nontree_fraction += 1
-        basis = oracle_basis(g, char.forest)
-        values = [oracle_cycle_value(g, cycle) for cycle in basis]
-        assert list(char.values) == values
-        first = next(((cycle, value) for cycle, value in zip(basis, values)
-                      if abs(value) != 1), (None, None))
-        assert char.witness == first[0] and char.witness_value == first[1]
-        assert char.aspiral == (first[0] is None)
-        witnesses += first[0] is not None
+        witnesses += not char.aspiral
     # non-integral h was drawn on both kinds of edge, and both verdicts occurred
     assert tree_fraction and nontree_fraction and 0 < witnesses < 200
+
+
+class _H(int):
+    """An int subclass, which the constructor takes as an h."""
+
+
+def test_every_built_graph_holds_int_h_in_each_given_ratio():
+    """Int, int-subclass and Fraction h, integral or not, are stored as ints
+    of the edge's given ratio h_ini / h_ter; an edge of two ints is kept."""
+    rng = seeded(212)
+    forms = (int, _H, Fraction, lambda h: Fraction(h, rng.randint(2, 5)))
+    kept = 0
+    for _ in range(100):
+        g = random_graph(rng, max_vertices=6, max_edges=10)
+        given = [Edge(e.id, e.from_vertex, e.to_vertex, rng.choice(forms)(e.h_ini),
+                      rng.choice(forms)(e.h_ter), e.omega) for e in g.edges]
+        for data in (g.edges, given):
+            built = DecoratedJSJGraph(g.vertices, data).edges
+            assert all(type(e.h_ini) is type(e.h_ter) is int for e in built)
+            for e, b in zip(data, built):
+                assert Fraction(b.h_ini, b.h_ter) == Fraction(e.h_ini) / e.h_ter
+                if type(e.h_ini) is type(e.h_ter) is int:
+                    assert b is e
+                    kept += data is given
+    # some given edges drew two ints, and were kept as given
+    assert kept
 
 
 # ids from an alphabet whose string order is not the order they are drawn in

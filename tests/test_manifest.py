@@ -127,11 +127,13 @@ class TestGraphSection:
         with pytest.raises(ParseError):
             parse_manifest(doc)
         parsed = parse_manifest(doc, allow_rational_h=True)
-        assert {e.id: e for e in parsed.graph.edges}["e1"].h_ini == Fraction(3, 2)
         diagnostics = parsed.graph.warnings
         assert parsed.diagnostics == diagnostics
-        assert NON_INTEGRAL_H in {d.code for d in diagnostics}
-        assert not any(d.is_error for d in diagnostics)
+        assert [d.code for d in diagnostics] == [NON_INTEGRAL_H]
+        # the warning prints the h as given; the graph keeps their ratio in ints
+        assert "non-integral h (3/2, 3)" in diagnostics[0].message
+        e1 = {e.id: e for e in parsed.graph.edges}["e1"]
+        assert Fraction(e1.h_ini, e1.h_ter) == Fraction(3, 2) / 3
 
     def test_diagnostics_of_each_section_in_order(self):
         broken_graph = json.loads(GRAPH_DOC)

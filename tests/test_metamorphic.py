@@ -16,8 +16,11 @@ Graph manifests are planted graphs, written as JSON documents:
   output unchanged but for the digest and the rows that follow record
   order: the error and warning rows, which follow the records they name,
   and the ``s(internal loops at ...)`` rows, which follow vertex order;
-* multiplying every h at one vertex's ends by a positive integer changes no
-  byte but the digest;
+* multiplying every h at one vertex's ends, or both h of one edge, by a
+  positive integer changes no byte but the digest;
+* giving both h of one edge divided by k, as "h/k" strings under
+  ``--allow-rational-h``, changes no byte but the digest and the
+  ``NonIntegralH`` warning rows;
 * subdividing an edge u -> v (h_ini, h_ter, omega) into u -> w (h_ini, 1,
   omega) and w -> v (1, h_ter, 1), with ids that keep the old edge's rank in
   id order, leaves ``aspiral``'s verdict rows, its witness value and the
@@ -42,6 +45,7 @@ import pytest
 from spirality import (Crossing, LoopItinerary, TwistFamilyParams, dumps_manifest,
                        gen_random_flow, gen_twist_family, parse_manifest, parse_rational)
 from spirality.cli import main
+from spirality.graph import NON_INTEGRAL_H
 from spirality.manifest import FdtcInput, graph_to_dict
 from test_golden import BANDS_GRAPH, GOOD_GRAPH, SIGNED_GRAPH, _deep_graph
 from test_graph import _planted
@@ -176,13 +180,13 @@ VALID_GRAPHS = [
 GRAPHS = VALID_GRAPHS + [pytest.param(BANDS_GRAPH, id="invalid")]
 
 
-def _outcomes(capsys, tmp_path, doc, fmt):
+def _outcomes(capsys, tmp_path, doc, fmt, *flags):
     """Every path command's (exit code, rows, stderr) on the document."""
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     outcomes = {}
     for command in _PATH_COMMANDS:
-        code, out, err = run(capsys, command, "--format", fmt, str(path))
+        code, out, err = run(capsys, command, "--format", fmt, *flags, str(path))
         outcomes[command] = (code, _rows(out, fmt), err)
     return outcomes
 
@@ -237,6 +241,13 @@ def _regauged(doc, vertex_id, factor):
     return {"graph": dict(doc["graph"], edges=edges)}
 
 
+def _with_edge_h(doc, edge_id, h):
+    """``doc`` with both h of edge ``edge_id`` replaced by ``h`` of each."""
+    edges = [dict(e, h_ini=h(e["h_ini"]), h_ter=h(e["h_ter"])) if e["id"] == edge_id else e
+             for e in doc["graph"]["edges"]]
+    return {"graph": dict(doc["graph"], edges=edges)}
+
+
 @pytest.mark.parametrize("doc", VALID_GRAPHS)
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_regauging_one_vertex_changes_no_byte_but_the_digest(capsys, tmp_path, doc, fmt):
@@ -246,6 +257,34 @@ def test_regauging_one_vertex_changes_no_byte_but_the_digest(capsys, tmp_path, d
     for vertex_id in rng.sample(vertex_ids, min(4, len(vertex_ids))):
         regauged = _regauged(doc, vertex_id, rng.randint(2, 9))
         assert _outcomes(capsys, tmp_path, regauged, fmt) == base, vertex_id
+    # one edge whose two h are multiplied by k keeps its ratio too
+    edge_id, k = rng.choice([e["id"] for e in doc["graph"]["edges"]]), rng.randint(2, 9)
+    scaled = _with_edge_h(doc, edge_id, lambda h: h * k)
+    assert _outcomes(capsys, tmp_path, scaled, fmt) == base, edge_id
+
+
+def _apart_from_non_integral_h(outcomes):
+    return {command: (code, [row for row in rows
+                             if not (row[0] == "warning" and NON_INTEGRAL_H in row[1])], err)
+            for command, (code, rows, err) in outcomes.items()}
+
+
+@pytest.mark.parametrize("doc", VALID_GRAPHS)
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_dividing_an_edge_in_relaxed_mode_adds_only_non_integral_rows(capsys, tmp_path,
+                                                                       doc, fmt):
+    base = _outcomes(capsys, tmp_path, doc, fmt)
+    rng = random.Random(19)
+    edge_ids = [e["id"] for e in doc["graph"]["edges"]]
+    non_integral = 0
+    for edge_id in rng.sample(edge_ids, min(3, len(edge_ids))):
+        k = rng.randint(2, 9)
+        divided = _with_edge_h(doc, edge_id, lambda h: "%d/%d" % (h, k))
+        relaxed = _outcomes(capsys, tmp_path, divided, fmt, "--allow-rational-h")
+        assert _apart_from_non_integral_h(relaxed) == base, edge_id
+        non_integral += relaxed != base
+    # some edge's h were not both multiples of their k
+    assert non_integral
 
 
 # The fields that hold an id or a reference to one.

@@ -39,7 +39,7 @@ from spirality.flow import (DANGLING_REF, NON_POSITIVE_LEAF, NON_RATIONAL_LEAF,
                             NOT_TRANSVERSE, PIECE_MISMATCH, SEIFERT_LEAF_MISMATCH,
                             SLOPE_MULTIPLICITY, UNPAIRED_BOUNDARY, InvalidFlow, Torus)
 from spirality.flow import DUPLICATE_ID as DUPLICATE_FLOW_ID
-from spirality.graph import (FORWARD, BACKWARD, BAD_INTERNAL_GENERATORS,
+from spirality.graph import (FORWARD, BACKWARD, BAD_INTERNAL_GENERATORS, BAD_ORIENTABLE,
                              BAD_OMEGA, DANGLING_EDGE, DUPLICATE_ID, ELEMENTARY_ADJACENCY,
                              NON_INTEGRAL_H, NON_POSITIVE_H, OMEGA_AMBIGUITY, InvalidGraph)
 from spirality.manifest import FdtcInput, _expect, _h, _path, _rational
@@ -449,6 +449,9 @@ def oracle_validate(vertices, edges):
         if v.id in seen:
             out.append(error(DUPLICATE_ID, "duplicate vertex id %r" % v.id))
         seen.add(v.id)
+        if not isinstance(v.orientable, bool):
+            out.append(error(BAD_ORIENTABLE, "vertex %r has orientable %r, not a bool"
+                             % (v.id, v.orientable)))
         count = v.internal_omega_generators
         if not isinstance(count, int) or isinstance(count, bool):
             out.append(error(BAD_INTERNAL_GENERATORS,
@@ -635,6 +638,14 @@ def oracle_parse_fdtc(r, data):
     """``manifest._parse_fdtc`` by its spec."""
     m, l_plus, l_minus, e = spec_record(r, data, FDTC, "fdtc")
     return FdtcInput(l_plus, l_minus, e, m)
+
+
+class GivenGraph:
+    """Vertices and edges held as given, for the oracles to read: the graph
+    constructor stores a Fraction h as the integer pair of its edge's ratio."""
+
+    def __init__(self, vertices, edges):
+        self.vertices, self.edges = tuple(vertices), tuple(edges)
 
 
 def edges_by_id(g):
